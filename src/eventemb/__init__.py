@@ -2,15 +2,11 @@
 (actor, predicate, object) tuples, jointly trained with intent and sentiment
 objectives, plus similarity-evaluation protocols."""
 
-from .composer import EventComposer, LowRankLayer, compose_pair, corrupt_event
 from .data import (
     AnnotatedExample,
     EventTuple,
     HardSimInstance,
     TransitiveSimInstance,
-    Vocabulary,
-    average_argument,
-    derive_polarity,
     load_annotations,
     load_corpus,
     load_hardsim,
@@ -18,53 +14,27 @@ from .data import (
     load_transitive,
     load_word_vectors,
 )
-from .evaluate import evaluate_transitive, hard_similarity_accuracy, spearman_rho
-from .gradcheck import grad_check
-from .intent import BiLstmEncoder, LstmCell, intent_loss
+from .evaluate import evaluate_transitive, hard_similarity_accuracy
 from .model import JointModel
-from .ops import LowRankSlice, affine_tanh, bilinear_lowrank, cosine
-from .params import ParameterStore
-from .sentiment import SentimentHead
-from .trainer import PRESETS, Negatives, TrainingConfig, adagrad_step, joint_loss, train
+from .trainer import PRESETS, TrainingConfig, train
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AnnotatedExample",
-    "BiLstmEncoder",
-    "EventComposer",
     "EventTuple",
     "HardSimInstance",
     "JointModel",
-    "LowRankLayer",
-    "LowRankSlice",
-    "LstmCell",
-    "Negatives",
-    "ParameterStore",
     "PRESETS",
-    "SentimentHead",
     "TrainingConfig",
     "TransitiveSimInstance",
-    "Vocabulary",
-    "adagrad_step",
-    "affine_tanh",
-    "average_argument",
-    "bilinear_lowrank",
-    "compose_pair",
-    "corrupt_event",
-    "cosine",
-    "derive_polarity",
     "evaluate_transitive",
-    "grad_check",
     "hard_similarity_accuracy",
-    "intent_loss",
-    "joint_loss",
     "load_annotations",
     "load_corpus",
     "load_hardsim",
     "load_lexicon",
     "load_transitive",
     "load_word_vectors",
-    "spearman_rho",
     "train",
 ]

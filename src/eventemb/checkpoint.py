@@ -15,8 +15,9 @@ Layout (all integers little-endian):
         u32 ndim, u64 * ndim dims
         float64 little-endian data, C order
 
-Any truncation or in-place corruption fails the length or CRC check; a
-checkpoint either loads losslessly or raises CheckpointError.
+Any truncation or in-place corruption fails the length or CRC check, and
+an invalid config or a non-finite array is rejected too; a checkpoint
+either loads losslessly or raises CheckpointError.
 """
 
 from __future__ import annotations
@@ -138,6 +139,7 @@ def parse_checkpoint(data: bytes, path: str = "<bytes>") -> Checkpoint:
             raise CheckpointError(f"{path}: checkpoint header lacks '{key}'")
     try:
         config = TrainingConfig.from_dict(header["config"])
+        config.validate()
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: bad checkpoint config: {exc}") from exc
 
@@ -149,7 +151,10 @@ def parse_checkpoint(data: bytes, path: str = "<bytes>") -> Checkpoint:
         shape = tuple(cur.u64() for _ in range(ndim))
         size = int(np.prod(shape, dtype=np.int64)) if shape else 1
         raw = cur.take(8 * size)
-        arrays[name] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+        array = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+        if not np.isfinite(array).all():
+            raise CheckpointError(f"{path}: array '{name}' holds non-finite values")
+        arrays[name] = array
     if cur.pos != len(body):
         raise CheckpointError(f"{path}: {len(body) - cur.pos} trailing bytes in body")
     return Checkpoint(
@@ -167,16 +172,15 @@ def load_checkpoint(path: str) -> Checkpoint:
     return parse_checkpoint(data, path)
 
 
-def build_model(ckpt: Checkpoint, config: "TrainingConfig | None" = None):
+def build_model(ckpt: Checkpoint):
     """Reconstruct a JointModel from a checkpoint.
 
-    `config` overrides the stored one (e.g. to assert expected dimensions);
-    any array whose shape disagrees with the config raises CheckpointError
-    naming the array.
+    Any array whose shape disagrees with the stored config raises
+    CheckpointError naming the array.
     """
     from .model import JointModel
 
-    cfg = config if config is not None else ckpt.config
+    cfg = ckpt.config
     if not ckpt.vocab_words or ckpt.vocab_words[0] != UNKNOWN_TOKEN:
         raise CheckpointError(
             f"checkpoint vocabulary must start with the {UNKNOWN_TOKEN!r} entry"

@@ -17,13 +17,15 @@ from . import evaluate, trainer
 from .data import DataError, parse_event, format_event
 from .ops import cosine
 
-# config keys that may appear in a `key = value` config file
-_CONFIG_FIELDS = tuple(f.name for f in dataclasses.fields(trainer.TrainingConfig))
+# TrainingConfig field name -> type of its default: the keys of a `key = value`
+# config file and the `train --field-name` flags, with how to parse each value
+_CONFIG_FIELDS = {
+    f.name: type(f.default) for f in dataclasses.fields(trainer.TrainingConfig)
+}
 
 
 def parse_config_file(path: str) -> dict:
     """Parse `key = value` lines mirroring TrainingConfig field names."""
-    defaults = trainer.TrainingConfig()
     values: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -37,26 +39,24 @@ def parse_config_file(path: str) -> dict:
             value = value.strip()
             if key not in _CONFIG_FIELDS:
                 raise DataError(path, lineno, f"unknown config key {key!r}")
-            field_type = type(getattr(defaults, key))
             try:
-                values[key] = field_type(value)
+                values[key] = _CONFIG_FIELDS[key](value)
             except ValueError as exc:
                 raise DataError(path, lineno, f"bad value for {key!r}: {exc}") from exc
     return values
 
 
 def _build_config(args: argparse.Namespace) -> trainer.TrainingConfig:
-    values = trainer.TrainingConfig().to_dict()
-    if args.config:
-        values.update(parse_config_file(args.config))
+    """Defaults, then the config file, then the preset, then explicit flags."""
+    config = trainer.TrainingConfig.from_dict(
+        parse_config_file(args.config) if args.config else {}
+    )
     if args.preset:
-        alpha, beta, gamma = trainer.PRESETS[args.preset]
-        values.update(alpha=alpha, beta=beta, gamma=gamma)
-    for key in _CONFIG_FIELDS:
-        override = getattr(args, key, None)
-        if override is not None:
-            values[key] = override
-    config = trainer.TrainingConfig.from_dict(values)
+        config = config.with_preset(args.preset)
+    flags = {
+        key: value for key in _CONFIG_FIELDS if (value := getattr(args, key)) is not None
+    }
+    config = dataclasses.replace(config, **flags)
     config.validate()
     return config
 
@@ -98,12 +98,11 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _load_model(path: str):
-    ckpt = ckpt_io.load_checkpoint(path)
-    return ckpt_io.build_model(ckpt), ckpt
+    return ckpt_io.build_model(ckpt_io.load_checkpoint(path))
 
 
 def _cmd_eval_hard(args: argparse.Namespace) -> int:
-    model, _ = _load_model(args.checkpoint)
+    model = _load_model(args.checkpoint)
     instances = data_io.load_hardsim(args.data)
     accuracy = evaluate.hard_similarity_accuracy(instances, model.embed_event)
     print(
@@ -115,7 +114,7 @@ def _cmd_eval_hard(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval_transitive(args: argparse.Namespace) -> int:
-    model, _ = _load_model(args.checkpoint)
+    model = _load_model(args.checkpoint)
     instances = data_io.load_transitive(args.data)
     rho = evaluate.evaluate_transitive(instances, model.embed_event)
     print(
@@ -127,7 +126,7 @@ def _cmd_eval_transitive(args: argparse.Namespace) -> int:
 
 
 def _cmd_embed(args: argparse.Namespace) -> int:
-    model, _ = _load_model(args.checkpoint)
+    model = _load_model(args.checkpoint)
     for event in data_io.load_corpus(args.events):
         vec = model.embed_event(event)
         print("\t".join(f"{x:.10g}" for x in vec))
@@ -135,7 +134,7 @@ def _cmd_embed(args: argparse.Namespace) -> int:
 
 
 def _cmd_nn(args: argparse.Namespace) -> int:
-    model, _ = _load_model(args.checkpoint)
+    model = _load_model(args.checkpoint)
     query = parse_event(args.query, "<query>", 0)
     events = data_io.load_corpus(args.corpus)
     if not events:
@@ -148,6 +147,14 @@ def _cmd_nn(args: argparse.Namespace) -> int:
         score, event = scored[i]
         print(f"{score:.6f}\t{format_event(event)}")
     return 0
+
+
+def positive_int(text: str) -> int:
+    """argparse type: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -169,20 +176,14 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(trainer.PRESETS),
         help="loss-weight preset (overrides config file alpha/beta/gamma)",
     )
-    p_train.add_argument("--alpha", type=float)
-    p_train.add_argument("--beta", type=float)
-    p_train.add_argument("--gamma", type=float)
-    p_train.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p_train.add_argument("--batch-size", dest="batch_size", type=int)
-    p_train.add_argument("--lambda-l2", dest="lambda_l2", type=float)
-    p_train.add_argument("--d", type=int, help="word-vector dimension")
-    p_train.add_argument("--k", type=int, help="slice count / embedding width")
-    p_train.add_argument("--n", type=int, help="tensor decomposition rank")
-    p_train.add_argument("--epochs", type=int)
-    p_train.add_argument("--seed", type=int)
-    p_train.add_argument(
-        "--corruption-target", dest="corruption_target", choices=("actor", "object")
-    )
+    for key, field_type in _CONFIG_FIELDS.items():
+        p_train.add_argument(
+            "--" + key.replace("_", "-"),
+            dest=key,
+            type=field_type,
+            choices=trainer.CORRUPTION_TARGETS if key == "corruption_target" else None,
+            help=f"overrides config key {key}",
+        )
     p_train.set_defaults(func=_cmd_train)
 
     p_hard = sub.add_parser("eval-hard", help="hard-similarity accuracy")
@@ -204,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_nn.add_argument("--checkpoint", required=True)
     p_nn.add_argument("--query", required=True, help="event as actor|predicate|object")
     p_nn.add_argument("--corpus", required=True)
-    p_nn.add_argument("--top", type=int, default=10)
+    p_nn.add_argument("--top", type=positive_int, default=10)
     p_nn.set_defaults(func=_cmd_nn)
     return parser
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .data import EventTuple, Vocabulary
-from .ops import LowRankSlice, affine_tanh, affine_tanh_backward
+from .ops import affine_tanh, affine_tanh_backward
 from .params import ParameterStore
 
 # arrays covered by the L2 regularizer, per layer (score head and word
@@ -54,10 +54,6 @@ class LowRankLayer:
         self.g_b = store.grad(f"{prefix}.b")
         self.prefix = prefix
 
-    def slice(self, i: int) -> LowRankSlice:
-        """View of slice i shared with the layer's parameter arrays."""
-        return LowRankSlice(self.left[i], self.right[i], self.diag[i])
-
     def forward(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, tuple]:
         d = self.d_in
         if x.shape != (d,):
@@ -84,12 +80,6 @@ class LowRankLayer:
         dx = dz[:d] + np.einsum("k,kdn,kn->d", dpre, self.left, v) + ddiag_scale * y
         dy = dz[d:] + np.einsum("k,knd,kn->d", dpre, self.right, u) + ddiag_scale * x
         return dx, dy
-
-
-def compose_pair(x: np.ndarray, y: np.ndarray, layer: LowRankLayer) -> np.ndarray:
-    """tanh of the k bilinear slice values plus the affine part."""
-    out, _ = layer.forward(x, y)
-    return out
 
 
 def corrupt_event(
@@ -167,12 +157,8 @@ class EventComposer:
     def embed_event(self, event: EventTuple) -> np.ndarray:
         return self.embed(event)[0]
 
-    def score(self, event: EventTuple) -> tuple[float, np.ndarray, tuple]:
-        c, cache = self.embed(event)
-        return float(self.u @ c), c, cache
-
     def score_event(self, event: EventTuple) -> float:
-        return self.score(event)[0]
+        return float(self.u @ self.embed(event)[0])
 
     # --- backward ----------------------------------------------------------
 
@@ -220,27 +206,3 @@ class EventComposer:
         for layer in (self.layer1, self.layer2, self.layer3):
             for name in _REGULARIZED:
                 getattr(layer, f"g_{name}")[...] += scale * getattr(layer, name)
-
-    def margin_loss(
-        self,
-        event: EventTuple,
-        corrupted: EventTuple,
-        lambda_l2: float,
-        backprop: bool = False,
-        weight: float = 1.0,
-    ) -> float:
-        """max(0, 1 - g(E) + g(E_r)) + lambda ||Phi||^2, optionally with backprop.
-
-        The hinge contributes no gradient when inactive; the regularizer
-        always does (scaled by `weight`).
-        """
-        c, cache = self.embed(event)
-        margin, _, _, c_r, cache_r = self.margin_parts(c, corrupted)
-        loss = margin + self.regularization(lambda_l2)
-        if backprop:
-            if margin > 0.0:
-                self.g_u += weight * (c_r - c)
-                self.embed_backward(weight * self.u, cache_r)
-                self.embed_backward(-weight * self.u, cache)
-            self.regularization_backward(lambda_l2, weight)
-        return loss

@@ -134,10 +134,12 @@ def load_word_vectors(path: str) -> tuple[Vocabulary, np.ndarray]:
     """Parse `word v1 ... vd` lines into a vocabulary and embedding table.
 
     The dimension is inferred from the first record; every later record must
-    match it. The unknown row (index 0) is the mean of all loaded rows.
+    match it, and every entry must be finite. The unknown row (index 0) is
+    the mean of all loaded rows.
     """
     words: list[str] = []
     rows: list[np.ndarray] = []
+    linenos: list[int] = []
     dim: int | None = None
     for lineno, line in _records(path):
         parts = line.split()
@@ -156,6 +158,7 @@ def load_word_vectors(path: str) -> tuple[Vocabulary, np.ndarray]:
             )
         words.append(word)
         rows.append(vec)
+        linenos.append(lineno)
     if dim is None:
         raise DataError(path, 0, "no word vectors found")
     vocab = Vocabulary(words)
@@ -163,6 +166,12 @@ def load_word_vectors(path: str) -> tuple[Vocabulary, np.ndarray]:
     table[UNKNOWN_INDEX] = np.mean(rows, axis=0)
     for i, row in enumerate(rows, start=1):
         table[i] = row
+    # max propagates NaN and min and max reach any infinity: the check needs
+    # no temporary the size of the table
+    loaded = table[1:]
+    if not (np.isfinite(loaded.max()) and np.isfinite(loaded.min())):
+        first_bad = int(np.argmin(np.isfinite(loaded).all(axis=1)))
+        raise DataError(path, linenos[first_bad], "non-finite vector entry")
     return vocab, table
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .data import Vocabulary
-from .ops import cosine, cosine_grads, sigmoid
+from .ops import cosine_grads, sigmoid
 from .params import ParameterStore
 
 _GATES = ("i", "f", "o", "c")
@@ -147,18 +147,16 @@ class BiLstmEncoder:
         )
 
 
-def intent_loss(v_e: np.ndarray, v_i: np.ndarray, v_i_neg: np.ndarray) -> float:
-    """max(0, 1 - cos(v_e, v_i) + cos(v_e, v_i_neg))."""
-    # grouped so that identical positive/negative intents give exactly 1.0
-    return max(0.0, 1.0 - (cosine(v_e, v_i) - cosine(v_e, v_i_neg)))
-
-
 def intent_loss_grads(
     v_e: np.ndarray, v_i: np.ndarray, v_i_neg: np.ndarray
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """Loss plus gradients w.r.t. all three vectors (zero when hinge inactive)."""
+    """max(0, 1 - cos(v_e, v_i) + cos(v_e, v_i_neg)) plus its gradients.
+
+    Gradients w.r.t. all three vectors; all zero when the hinge is inactive.
+    """
     c_pos, d_e_pos, d_i = cosine_grads(v_e, v_i)
     c_neg, d_e_neg, d_in = cosine_grads(v_e, v_i_neg)
+    # grouped so that identical positive/negative intents give exactly 1.0
     loss = 1.0 - (c_pos - c_neg)
     if loss <= 0.0:
         return 0.0, np.zeros_like(v_e), np.zeros_like(v_i), np.zeros_like(v_i_neg)

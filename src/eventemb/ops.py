@@ -8,8 +8,6 @@ exact analytic derivatives that the finite-difference checker validates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
@@ -23,109 +21,42 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _cosine_parts(u, v, eps: float) -> tuple:
+    """(cosine, u, v, |u|, |v|, denominator), shared by cosine and cosine_grads.
+
+    u and v come back as float arrays. The denominator is None, and the
+    cosine 0.0, when either vector is all-zero.
+    """
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    if u.shape != v.shape:
+        raise ValueError(f"cosine: length mismatch {u.shape} vs {v.shape}")
+    nu = float(np.linalg.norm(u))
+    nv = float(np.linalg.norm(v))
+    if nu == 0.0 or nv == 0.0:
+        return 0.0, u, v, nu, nv, None
+    denom = nu * nv + eps
+    return float(np.dot(u, v) / denom), u, v, nu, nv, denom
+
+
 def cosine(u: np.ndarray, v: np.ndarray, eps: float = 1e-8) -> float:
     """Cosine similarity with an epsilon-guarded denominator.
 
     Returns 0.0 when either vector is all-zero. Raises on length mismatch.
     """
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
-        raise ValueError(f"cosine: length mismatch {u.shape} vs {v.shape}")
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    return float(np.dot(u, v) / (nu * nv + eps))
+    return _cosine_parts(u, v, eps)[0]
 
 
 def cosine_grads(
     u: np.ndarray, v: np.ndarray, eps: float = 1e-8
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Cosine similarity plus gradients w.r.t. both inputs."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
-        raise ValueError(f"cosine: length mismatch {u.shape} vs {v.shape}")
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        return 0.0, np.zeros_like(u), np.zeros_like(v)
-    denom = nu * nv + eps
-    c = float(np.dot(u, v) / denom)
+    """Cosine similarity plus gradients w.r.t. both inputs (zero for a zero vector)."""
+    c, u, v, nu, nv, denom = _cosine_parts(u, v, eps)
+    if denom is None:
+        return c, np.zeros_like(u), np.zeros_like(v)
     du = (v - c * nv * u / nu) / denom
     dv = (u - c * nu * v / nv) / denom
     return c, du, dv
-
-
-@dataclass(frozen=True)
-class LowRankSlice:
-    """One bilinear slice stored in factored form: left @ right + diag(diag).
-
-    left is (d, n), right is (n, d), diag is (d,), with 1 <= n <= d. The
-    dense d x d matrix is never materialized outside of test oracles.
-    """
-
-    left: np.ndarray
-    right: np.ndarray
-    diag: np.ndarray
-
-    def __post_init__(self) -> None:
-        d, n = self.left.shape
-        if not (1 <= n <= d):
-            raise ValueError(f"low-rank slice: rank n={n} must satisfy 1 <= n <= d={d}")
-        if self.right.shape != (n, d):
-            raise ValueError(
-                f"low-rank slice: right factor is {self.right.shape}, expected {(n, d)}"
-            )
-        if self.diag.shape != (d,):
-            raise ValueError(
-                f"low-rank slice: diag is {self.diag.shape}, expected {(d,)}"
-            )
-
-    @property
-    def d(self) -> int:
-        return self.left.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.left.shape[1]
-
-
-def bilinear_lowrank(a: np.ndarray, p: np.ndarray, slc: LowRankSlice) -> float:
-    """a' (left @ right + diag) p, evaluated factored in O(dn).
-
-    Computed as (a' left)(right p) + sum_i a_i diag_i p_i; the dense d x d
-    matrix never exists.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    p = np.asarray(p, dtype=np.float64)
-    if a.shape != (slc.d,):
-        raise ValueError(f"bilinear_lowrank: a has shape {a.shape}, expected {(slc.d,)}")
-    if p.shape != (slc.d,):
-        raise ValueError(f"bilinear_lowrank: p has shape {p.shape}, expected {(slc.d,)}")
-    u = a @ slc.left
-    v = slc.right @ p
-    return float(u @ v + np.dot(a * slc.diag, p))
-
-
-def bilinear_lowrank_grads(
-    a: np.ndarray, p: np.ndarray, slc: LowRankSlice
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Forward value plus gradients w.r.t. a, p, left, right, diag."""
-    a = np.asarray(a, dtype=np.float64)
-    p = np.asarray(p, dtype=np.float64)
-    u = a @ slc.left
-    v = slc.right @ p
-    value = float(u @ v + np.dot(a * slc.diag, p))
-    grads = {
-        "a": slc.left @ v + slc.diag * p,
-        "p": slc.right.T @ u + slc.diag * a,
-        "left": np.outer(a, v),
-        "right": np.outer(u, p),
-        "diag": a * p,
-    }
-    return value, grads
 
 
 def affine_tanh(

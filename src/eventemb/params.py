@@ -42,9 +42,6 @@ class ParameterStore:
         for g in self.grads.values():
             g *= factor
 
-    def total_size(self) -> int:
-        return sum(a.size for a in self.params.values())
-
     def snapshot_grads(self) -> dict[str, np.ndarray]:
         """Copies of all gradient buffers (used by the gradient checker)."""
         return {name: g.copy() for name, g in self.grads.items()}

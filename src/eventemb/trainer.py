@@ -38,6 +38,9 @@ PRESETS: dict[str, tuple[float, float, float]] = {
     "ntn+int+senti": (1.0, 1.0, 1.0),
 }
 
+# Event arguments that training may corrupt to draw negative events.
+CORRUPTION_TARGETS = ("actor", "object")
+
 
 @dataclass
 class TrainingConfig:
@@ -67,9 +70,10 @@ class TrainingConfig:
             raise ValueError(f"learning_rate={self.learning_rate} must be > 0")
         if self.lambda_l2 < 0:
             raise ValueError(f"lambda_l2={self.lambda_l2} must be >= 0")
-        if self.corruption_target not in ("actor", "object"):
+        if self.corruption_target not in CORRUPTION_TARGETS:
             raise ValueError(
-                f"corruption_target={self.corruption_target!r} must be 'actor' or 'object'"
+                f"corruption_target={self.corruption_target!r} must be one of "
+                f"{CORRUPTION_TARGETS}"
             )
         if self.d < 1 or self.k < 1 or self.n < 1:
             raise ValueError("d, k and n must all be >= 1")

@@ -2,12 +2,17 @@
 
 These deliberately avoid the vectorized implementations they check: dense
 matrices are materialized, math is done in scalar loops, and ranks are
-computed by counting comparisons.
+computed by counting comparisons. The single-slice bilinear form checks the
+k-slice einsums of LowRankLayer one slice at a time, and the forward-only
+objectives restate the paper's loss formulas that the joint loss must match.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
+
+from eventemb.ops import cosine
 
 
 def dense_slice_matrix(left, right, diag):
@@ -146,3 +151,88 @@ def hard_sim_by_counting(sim_scores, dissim_scores):
         if s > d:
             wins += 1
     return wins / len(sim_scores)
+
+
+@dataclass(frozen=True)
+class LowRankSlice:
+    """One bilinear slice stored in factored form: left @ right + diag(diag).
+
+    left is (d, n), right is (n, d), diag is (d,), with 1 <= n <= d.
+    """
+
+    left: np.ndarray
+    right: np.ndarray
+    diag: np.ndarray
+
+    def __post_init__(self) -> None:
+        d, n = self.left.shape
+        if not (1 <= n <= d):
+            raise ValueError(f"low-rank slice: rank n={n} must satisfy 1 <= n <= d={d}")
+        if self.right.shape != (n, d):
+            raise ValueError(
+                f"low-rank slice: right factor is {self.right.shape}, expected {(n, d)}"
+            )
+        if self.diag.shape != (d,):
+            raise ValueError(
+                f"low-rank slice: diag is {self.diag.shape}, expected {(d,)}"
+            )
+
+    @property
+    def d(self) -> int:
+        return self.left.shape[0]
+
+
+def layer_slice(layer, i):
+    """Slice i of a LowRankLayer as views of the layer's parameter arrays."""
+    return LowRankSlice(layer.left[i], layer.right[i], layer.diag[i])
+
+
+def bilinear_lowrank(a, p, slc):
+    """a' (left @ right + diag) p, evaluated factored in O(dn).
+
+    Computed as (a' left)(right p) + sum_i a_i diag_i p_i, one slice at a
+    time, where LowRankLayer contracts all k slices in one einsum.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    p = np.asarray(p, dtype=np.float64)
+    if a.shape != (slc.d,):
+        raise ValueError(f"bilinear_lowrank: a has shape {a.shape}, expected {(slc.d,)}")
+    if p.shape != (slc.d,):
+        raise ValueError(f"bilinear_lowrank: p has shape {p.shape}, expected {(slc.d,)}")
+    u = a @ slc.left
+    v = slc.right @ p
+    return float(u @ v + np.dot(a * slc.diag, p))
+
+
+def bilinear_lowrank_grads(a, p, slc):
+    """Forward value plus gradients w.r.t. a, p, left, right, diag."""
+    a = np.asarray(a, dtype=np.float64)
+    p = np.asarray(p, dtype=np.float64)
+    u = a @ slc.left
+    v = slc.right @ p
+    value = float(u @ v + np.dot(a * slc.diag, p))
+    grads = {
+        "a": slc.left @ v + slc.diag * p,
+        "p": slc.right.T @ u + slc.diag * a,
+        "left": np.outer(a, v),
+        "right": np.outer(u, p),
+        "diag": a * p,
+    }
+    return value, grads
+
+
+def margin_objective(composer, event, corrupted, lambda_l2):
+    """Forward-only `ntn` objective: max(0, 1 - u.C + u.C_r) + lambda ||Phi||^2.
+
+    Written out from the paper's formula over the composer's embeddings, so
+    the `ntn` preset of the joint loss can be checked against it bit for bit.
+    """
+    g_e = float(composer.u @ composer.embed_event(event))
+    g_r = float(composer.u @ composer.embed_event(corrupted))
+    return max(0.0, 1.0 - g_e + g_r) + composer.regularization(lambda_l2)
+
+
+def intent_loss(v_e, v_i, v_i_neg):
+    """Forward-only intent hinge: max(0, 1 - cos(v_e, v_i) + cos(v_e, v_i_neg))."""
+    # grouped so that identical positive/negative intents give exactly 1.0
+    return max(0.0, 1.0 - (cosine(v_e, v_i) - cosine(v_e, v_i_neg)))

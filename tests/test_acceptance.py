@@ -16,7 +16,7 @@ from eventemb.checkpoint import (
     load_checkpoint,
     parse_checkpoint,
 )
-from eventemb.composer import LowRankLayer, compose_pair, corrupt_event
+from eventemb.composer import LowRankLayer, corrupt_event
 from eventemb.data import (
     AnnotatedExample,
     derive_polarity,
@@ -34,6 +34,7 @@ from conftest import make_model, random_event
 from oracles import (
     dense_compose,
     hard_sim_by_counting,
+    margin_objective,
     polarity_by_counting,
     spearman_bruteforce,
 )
@@ -109,7 +110,7 @@ class TestCriterion2LowRankDenseEquivalence:
             x = rng.standard_normal(d)
             y = rng.standard_normal(d)
             expected = dense_compose(x, y, mats, layer.w, layer.b)
-            got = compose_pair(x, y, layer)
+            got = layer.forward(x, y)[0]
             worst = max(worst, float(np.max(np.abs(got - expected))))
         assert worst < 1e-12, f"max deviation {worst}"
         report(2, "lowrank-dense-equivalence", f"100 instances, max dev {worst:.2e}")
@@ -126,7 +127,7 @@ class TestCriterion3AblationReductionIdentity:
             # annotations present but ignored under the ntn preset
             example = AnnotatedExample(event, intent=("to", "run"), polarity=1)
             joint = joint_loss(model, example, Negatives(corrupted, None), cfg)
-            direct = model.composer.margin_loss(event, corrupted, cfg.lambda_l2)
+            direct = margin_objective(model.composer, event, corrupted, cfg.lambda_l2)
             assert joint.total == direct  # bit-identical
         report(3, "ablation-reduction-identity", "1000 examples bit-identical")
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,21 @@ class TestCorruptionDetection:
         with pytest.raises(CheckpointError, match="version 99"):
             parse_checkpoint(bytes(data))
 
+    def test_invalid_config_rejected(self):
+        ckpt, _ = make_checkpoint()
+        bad = dataclasses.replace(ckpt, config=dataclasses.replace(ckpt.config, alpha=5.0))
+        with pytest.raises(CheckpointError, match="bad checkpoint config: alpha=5.0"):
+            parse_checkpoint(checkpoint_bytes(bad))
+
+    @pytest.mark.parametrize("value", (np.nan, np.inf, -np.inf))
+    def test_non_finite_array_rejected(self, value):
+        ckpt, _ = make_checkpoint()
+        arrays = {name: arr.copy() for name, arr in ckpt.arrays.items()}
+        arrays["layer2.diag"][1, 3] = value
+        bad = dataclasses.replace(ckpt, arrays=arrays)
+        with pytest.raises(CheckpointError, match="'layer2.diag' holds non-finite"):
+            parse_checkpoint(checkpoint_bytes(bad))
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load_checkpoint(str(tmp_path / "nope.ckpt"))
@@ -109,9 +126,9 @@ class TestCorruptionDetection:
 class TestShapeValidation:
     def test_dimension_mismatch_names_array(self):
         ckpt, _ = make_checkpoint(d=6, k=4, n=2)
-        expect = TrainingConfig(d=6, k=8, n=2)
+        mismatched = dataclasses.replace(ckpt, config=TrainingConfig(d=6, k=8, n=2))
         with pytest.raises(CheckpointError, match="layer1.left"):
-            build_model(parse_checkpoint(checkpoint_bytes(ckpt)), config=expect)
+            build_model(parse_checkpoint(checkpoint_bytes(mismatched)))
 
     def test_missing_array_rejected(self):
         ckpt, _ = make_checkpoint()

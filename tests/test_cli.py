@@ -1,11 +1,13 @@
+import dataclasses
 import re
 import time
 
 import pytest
 
 from eventemb.checkpoint import load_checkpoint
-from eventemb.cli import main, parse_config_file
+from eventemb.cli import _build_config, build_parser, main, parse_config_file
 from eventemb.data import DataError
+from eventemb.trainer import TrainingConfig
 
 
 def run(capsys, *argv):
@@ -50,6 +52,60 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as excinfo:
             main(["train", "--corpus", "c", "--out", "o", "--preset", "everything"])
         assert excinfo.value.code == 2
+
+    def test_bad_corruption_target(self):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["train", "--corpus", "c", "--out", "o", "--corruption-target", "verb"])
+        assert excinfo.value.code == 2
+
+
+# a valid config whose every field differs from the default
+NON_DEFAULT = TrainingConfig(
+    alpha=0.5, beta=0.25, gamma=0.75, learning_rate=0.01, batch_size=7,
+    lambda_l2=0.5, d=12, k=6, n=3, epochs=4, seed=9, corruption_target="object",
+)
+
+
+class TestTrainFlagsMirrorConfig:
+    FIELDS = [f.name for f in dataclasses.fields(TrainingConfig)]
+
+    def test_every_field_differs_from_default(self):
+        defaults = TrainingConfig()
+        for name in self.FIELDS:
+            assert getattr(NON_DEFAULT, name) != getattr(defaults, name), name
+
+    @pytest.mark.parametrize("name", FIELDS)
+    def test_flag_parses_into_field(self, name):
+        value = getattr(NON_DEFAULT, name)
+        flag = "--" + name.replace("_", "-")
+        argv = ["train", "--corpus", "c", "--out", "o", flag, str(value)]
+        args = build_parser().parse_args(argv)
+        assert getattr(args, name) == value
+        assert type(getattr(args, name)) is type(value)
+
+    @pytest.mark.parametrize("name", FIELDS)
+    def test_config_key_accepted(self, tmp_path, name):
+        path = tmp_path / "c.conf"
+        value = getattr(NON_DEFAULT, name)
+        path.write_text(f"{name} = {value}\n")
+        assert parse_config_file(str(path)) == {name: value}
+
+    def test_all_flags_build_the_config(self):
+        argv = ["train", "--corpus", "c", "--out", "o"]
+        for name in self.FIELDS:
+            argv += ["--" + name.replace("_", "-"), str(getattr(NON_DEFAULT, name))]
+        assert _build_config(build_parser().parse_args(argv)) == NON_DEFAULT
+
+    def test_flags_override_preset_override_file(self, tmp_path):
+        path = tmp_path / "c.conf"
+        path.write_text("alpha = 0.5\nbeta = 0.5\nepochs = 3\n")
+        args = build_parser().parse_args([
+            "train", "--corpus", "c", "--out", "o", "--config", str(path),
+            "--preset", "ntn", "--gamma", "0.25",
+        ])
+        config = _build_config(args)
+        assert (config.alpha, config.beta, config.gamma) == (1.0, 0.0, 0.25)
+        assert config.epochs == 3
 
 
 class TestTrainCommand:
@@ -249,6 +305,18 @@ class TestNnCommand:
         )
         assert code == 0
         assert len(out.splitlines()) == 60
+
+    @pytest.mark.parametrize("top", ("0", "-1"))
+    def test_top_below_one_is_usage_error(self, trained_dir, synthetic_dir, top):
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "nn",
+                "--checkpoint", str(trained_dir / "final.ckpt"),
+                "--query", "person_x|threw|bomb",
+                "--corpus", str(synthetic_dir / "corpus.txt"),
+                "--top", top,
+            ])
+        assert excinfo.value.code == 2
 
     def test_unparseable_query(self, capsys, trained_dir, synthetic_dir):
         code, _, err = run(

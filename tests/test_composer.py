@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from eventemb.composer import EventComposer, LowRankLayer, compose_pair, corrupt_event
-from eventemb.data import EventTuple, Vocabulary
+from eventemb.composer import EventComposer, LowRankLayer, corrupt_event
+from eventemb.data import AnnotatedExample, EventTuple, Vocabulary
 from eventemb.gradcheck import grad_check, random_projection
 from eventemb.params import ParameterStore
+from eventemb.trainer import Negatives, TrainingConfig, joint_loss
 from conftest import WORDS, make_model, random_event
-from oracles import dense_compose, dense_slice_matrix
+from oracles import bilinear_lowrank, dense_compose, dense_slice_matrix, layer_slice
 
 
 def make_composer(seed=0, d=4, k=3, n=2, n_words=8, scale=1.0):
@@ -18,6 +19,13 @@ def make_composer(seed=0, d=4, k=3, n=2, n_words=8, scale=1.0):
         store, vocab, table, store.grad("embeddings"), d, k, n, rng
     )
     return composer, vocab, store, rng
+
+
+def event_loss(model, event, corrupted, lambda_l2, backprop=False):
+    """The event margin loss: joint_loss under the `ntn` weights (1, 0, 0)."""
+    config = TrainingConfig(lambda_l2=lambda_l2).with_preset("ntn")
+    example = AnnotatedExample(event)
+    return joint_loss(model, example, Negatives(corrupted), config, backprop).total
 
 
 def zero_params(store):
@@ -32,7 +40,7 @@ class TestComposePair:
     def test_zero_params_give_zero_vector(self):
         composer, _, store, _ = make_composer()
         zero_params(store)
-        out = compose_pair(np.ones(4), np.ones(4), composer.layer1)
+        out = composer.layer1.forward(np.ones(4), np.ones(4))[0]
         assert np.array_equal(out, np.zeros(3))
 
     def test_hand_computed_single_slice(self):
@@ -46,18 +54,18 @@ class TestComposePair:
         x = np.array([1.0, 2.0])
         y = np.array([3.0, -1.0])
         # bilinear: x' ([[2.5, 6], [0, -1]]) y = 3.5; affine: 1.0; bias -0.5
-        assert compose_pair(x, y, layer) == pytest.approx([np.tanh(4.0)], abs=1e-15)
+        assert layer.forward(x, y)[0] == pytest.approx([np.tanh(4.0)], abs=1e-15)
 
     def test_outputs_in_open_unit_interval(self):
         composer, _, _, rng = make_composer(seed=3)
         for _ in range(5):
-            out = compose_pair(rng.standard_normal(4), rng.standard_normal(4), composer.layer1)
+            out = composer.layer1.forward(rng.standard_normal(4), rng.standard_normal(4))[0]
             assert np.all(out > -1.0) and np.all(out < 1.0)
 
     def test_dimension_mismatch(self):
         composer, _, _, _ = make_composer()
         with pytest.raises(ValueError, match="x has shape"):
-            compose_pair(np.zeros(5), np.zeros(4), composer.layer1)
+            composer.layer1.forward(np.zeros(5), np.zeros(4))
 
     def test_rank_bound_enforced(self):
         store = ParameterStore()
@@ -81,7 +89,7 @@ class TestDenseEquivalence:
             x = rng.standard_normal(d)
             y = rng.standard_normal(d)
             expected = dense_compose(x, y, mats, layer.w, layer.b)
-            assert compose_pair(x, y, layer) == pytest.approx(expected, abs=1e-12)
+            assert layer.forward(x, y)[0] == pytest.approx(expected, abs=1e-12)
 
 
 class TestEmbedEvent:
@@ -105,22 +113,20 @@ class TestEmbedEvent:
         a = average_argument(event.actor, table, vocab)
         p = average_argument(event.predicate, table, vocab)
         o = average_argument(event.object, table, vocab)
-        s1 = compose_pair(a, p, composer.layer1)
-        s2 = compose_pair(p, o, composer.layer2)
-        expected = compose_pair(s1, s2, composer.layer3)
+        s1 = composer.layer1.forward(a, p)[0]
+        s2 = composer.layer2.forward(p, o)[0]
+        expected = composer.layer3.forward(s1, s2)[0]
         assert np.array_equal(composer.embed_event(event), expected)
 
     def test_layer_bilinear_matches_per_slice_op(self):
-        # the vectorized layer and the single-slice op agree slice by slice
-        from eventemb.ops import bilinear_lowrank
-
+        # the vectorized layer and the single-slice oracle agree slice by slice
         composer, _, _, rng = make_composer(seed=13, d=5, k=4, n=2)
         layer = composer.layer1
         x = rng.standard_normal(5)
         y = rng.standard_normal(5)
         out, _ = layer.forward(x, y)
         per_slice = np.array(
-            [bilinear_lowrank(x, y, layer.slice(i)) for i in range(4)]
+            [bilinear_lowrank(x, y, layer_slice(layer, i)) for i in range(4)]
         )
         affine = layer.w @ np.concatenate((x, y)) + layer.b
         assert out == pytest.approx(np.tanh(per_slice + affine), abs=1e-14)
@@ -202,13 +208,14 @@ class TestMarginLoss:
         return EventTuple(("bob",), ("threw",), ("ball",))
 
     def test_zero_model_sits_exactly_on_margin(self):
-        composer, _, store, _ = make_composer()
-        zero_params(store)
-        assert composer.margin_loss(EVENT, self.corrupted(), 0.0) == 1.0
+        model, _, _ = make_model()
+        zero_params(model.store)
+        assert event_loss(model, EVENT, self.corrupted(), 0.0) == 1.0
 
     def test_satisfied_margin_gives_zero(self):
         # pick U with g(E) = 2.0 and g(E_r) = 0.5 via a 2x2 Gram solve
-        composer, _, _, _ = make_composer(seed=6, k=4)
+        model, _, _ = make_model(seed=6, k=4)
+        composer = model.composer
         c_e = composer.embed_event(EVENT)
         c_r = composer.embed_event(self.corrupted())
         gram = np.array([[c_e @ c_e, c_e @ c_r], [c_r @ c_e, c_r @ c_r]])
@@ -216,23 +223,25 @@ class TestMarginLoss:
         composer.u[...] = coeffs[0] * c_e + coeffs[1] * c_r
         assert composer.score_event(EVENT) == pytest.approx(2.0, abs=1e-9)
         assert composer.score_event(self.corrupted()) == pytest.approx(0.5, abs=1e-9)
-        assert composer.margin_loss(EVENT, self.corrupted(), 0.0) == 0.0
+        assert event_loss(model, EVENT, self.corrupted(), 0.0) == 0.0
 
     def test_regularizer_counts_all_ones_matrix(self):
-        composer, _, store, _ = make_composer(d=1, k=2, n=1)
-        zero_params(store)
+        model, _, _ = make_model(d=1, k=2, n=1)
+        composer = model.composer
+        zero_params(model.store)
         composer.layer1.w[...] = 1.0  # 2 x 2 matrix of ones
         assert composer.regularization(0.0001) == pytest.approx(0.0004, abs=1e-18)
-        loss = composer.margin_loss(EVENT, self.corrupted(), 0.0001)
+        loss = event_loss(model, EVENT, self.corrupted(), 0.0001)
         assert loss == pytest.approx(1.0004, abs=1e-15)
 
     def test_loss_never_below_regularizer(self):
         for seed in range(5):
-            composer, vocab, _, rng = make_composer(seed=seed)
+            model, vocab, rng = make_model(seed=seed)
+            composer = model.composer
             e = random_event(vocab, rng)
             e_r = corrupt_event(e, vocab, rng)
             lam = 0.0001
-            loss = composer.margin_loss(e, e_r, lam)
+            loss = event_loss(model, e, e_r, lam)
             reg = composer.regularization(lam)
             assert loss >= reg
             hinge_zero = loss - reg == 0.0
@@ -256,7 +265,6 @@ class TestComposerGradients:
         model, vocab, rng = make_model(seed=seed, d=6, k=4, n=2)
         event = random_event(vocab, rng)
         corrupted = corrupt_event(event, vocab, rng)
-        composer = model.composer
         lam = 0.001
         params = {
             name: arr
@@ -266,11 +274,11 @@ class TestComposerGradients:
 
         def fn():
             model.store.zero_grads()
-            loss = composer.margin_loss(event, corrupted, lam, backprop=True)
+            loss = event_loss(model, event, corrupted, lam, backprop=True)
             return loss, model.store.snapshot_grads()
 
         error = grad_check(
-            fn, params, value_fn=lambda: composer.margin_loss(event, corrupted, lam)
+            fn, params, value_fn=lambda: event_loss(model, event, corrupted, lam)
         )
         assert error < 1e-4
 
@@ -284,11 +292,11 @@ class TestComposerGradients:
         diff = c_e - c_r
         composer.u[...] = 2.0 * diff / (diff @ diff)  # g(E) - g(E_r) = 2 > 1
         lam = 0.01
-        loss = composer.margin_loss(event, corrupted, lam, backprop=False)
+        loss = event_loss(model, event, corrupted, lam)
         assert loss == composer.regularization(lam)
 
         model.store.zero_grads()
-        composer.margin_loss(event, corrupted, lam, backprop=True)
+        event_loss(model, event, corrupted, lam, backprop=True)
         assert np.array_equal(model.store.grads["u"], np.zeros(4))
         assert np.array_equal(
             model.store.grads["embeddings"], np.zeros_like(composer.embeddings)
@@ -305,7 +313,7 @@ class TestComposerGradients:
 
         def fn():
             model.store.zero_grads()
-            loss = composer.margin_loss(event, corrupted, lam, backprop=True)
+            loss = event_loss(model, event, corrupted, lam, backprop=True)
             return loss, model.store.snapshot_grads()
 
         assert grad_check(fn, params) < 1e-4

@@ -62,6 +62,12 @@ class TestWordVectors:
         with pytest.raises(DataError, match=r"vec\.txt:1"):
             load_word_vectors(path)
 
+    @pytest.mark.parametrize("entry", ("nan", "inf", "-inf", "NaN", "Infinity"))
+    def test_non_finite_entry_reports_line(self, tmp_path, entry):
+        path = write(tmp_path, "vec.txt", f"a 1 0\n# comment\nb 0 {entry}\nc 1 1\n")
+        with pytest.raises(DataError, match=r"vec\.txt:3: non-finite"):
+            load_word_vectors(path)
+
     def test_extend_embeddings_adds_rows_in_range(self, tmp_path):
         path = write(tmp_path, "vec.txt", "a 1 0\nb 0 1\n")
         vocab, table = load_word_vectors(path)

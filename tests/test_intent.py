@@ -3,11 +3,11 @@ import pytest
 
 from eventemb.data import AnnotatedExample, Vocabulary
 from eventemb.gradcheck import grad_check
-from eventemb.intent import BiLstmEncoder, LstmCell, intent_loss, intent_loss_grads
+from eventemb.intent import BiLstmEncoder, LstmCell, intent_loss_grads
 from eventemb.params import ParameterStore
 from eventemb.trainer import Negatives, TrainingConfig, joint_loss
 from conftest import WORDS, make_model, random_event
-from oracles import scalar_lstm_step
+from oracles import intent_loss, scalar_lstm_step
 
 
 def make_encoder(seed=0, d=4, h=3, n_words=8, scale=1.0):
@@ -109,28 +109,35 @@ class TestEncodeIntent:
         assert not np.array_equal(full, prefix)
 
 
+def hinge(v_e, v_i, v_in):
+    """The production intent hinge, checked bit for bit against the oracle."""
+    loss = intent_loss_grads(v_e, v_i, v_in)[0]
+    assert loss == intent_loss(v_e, v_i, v_in)
+    return loss
+
+
 class TestIntentLoss:
     def test_perfect_separation(self):
         v_e = np.array([1.0, 0.0])
-        assert intent_loss(v_e, np.array([2.0, 0.0]), np.array([-3.0, 0.0])) == 0.0
+        assert hinge(v_e, np.array([2.0, 0.0]), np.array([-3.0, 0.0])) == 0.0
 
     def test_identical_negative_gives_exactly_one(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
             v_e = rng.standard_normal(4)
             v_i = rng.standard_normal(4)
-            assert intent_loss(v_e, v_i, v_i) == 1.0
+            assert hinge(v_e, v_i, v_i) == 1.0
 
     def test_hand_arithmetic(self):
         v_e = np.array([1.0, 0.0])
         v_i = np.array([0.2, np.sqrt(1 - 0.04)])
         v_in = np.array([0.5, np.sqrt(1 - 0.25)])
-        assert intent_loss(v_e, v_i, v_in) == pytest.approx(1.3, abs=1e-7)
+        assert hinge(v_e, v_i, v_in) == pytest.approx(1.3, abs=1e-7)
 
     def test_bounded_in_zero_three(self):
         rng = np.random.default_rng(2)
         for _ in range(200):
-            loss = intent_loss(
+            loss = hinge(
                 rng.standard_normal(5), rng.standard_normal(5), rng.standard_normal(5)
             )
             assert 0.0 <= loss <= 3.0
@@ -140,9 +147,9 @@ class TestIntentLoss:
         v_e = rng.standard_normal(6)
         v_i = rng.standard_normal(6)
         v_in = rng.standard_normal(6)
-        base = intent_loss(v_e, v_i, v_in)
+        base = hinge(v_e, v_i, v_in)
         for scale in (0.01, 0.5, 3.0, 1000.0):
-            assert intent_loss(scale * v_e, v_i, v_in) == pytest.approx(base, abs=1e-6)
+            assert hinge(scale * v_e, v_i, v_in) == pytest.approx(base, abs=1e-6)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_vector_gradients(self, seed):

@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 
 from eventemb.gradcheck import grad_check, random_projection
-from eventemb.ops import (
+from eventemb.ops import affine_tanh, cosine, sigmoid
+from oracles import (
     LowRankSlice,
-    affine_tanh,
     bilinear_lowrank,
     bilinear_lowrank_grads,
-    cosine,
-    sigmoid,
+    dense_bilinear,
+    dense_slice_matrix,
+    scalar_affine_tanh,
 )
-from oracles import dense_bilinear, dense_slice_matrix, scalar_affine_tanh
 
 
 def random_slice(rng, d, n):

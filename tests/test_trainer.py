@@ -12,7 +12,6 @@ from eventemb.data import (
     load_lexicon,
     load_word_vectors,
 )
-from eventemb.intent import intent_loss
 from eventemb.params import ParameterStore
 from eventemb.trainer import (
     EpochMetrics,
@@ -26,6 +25,7 @@ from eventemb.trainer import (
     train,
 )
 from conftest import make_model, random_event
+from oracles import intent_loss, margin_objective
 
 
 def tiny_config(**overrides):
@@ -79,7 +79,7 @@ class TestJointLoss:
             corrupted = corrupt_event(event, vocab, rng)
             example = AnnotatedExample(event, intent=("to", "run"), polarity=1)
             parts = joint_loss(model, example, Negatives(corrupted, None), cfg)
-            direct = model.composer.margin_loss(event, corrupted, cfg.lambda_l2)
+            direct = margin_objective(model.composer, event, corrupted, cfg.lambda_l2)
             assert parts.total == direct
             assert parts.intent is None and parts.sentiment is None
 
@@ -98,7 +98,7 @@ class TestJointLoss:
         negatives = Negatives(corrupted, ("run", "fast"))
         cfg = tiny_config(alpha=1.0, beta=1.0, gamma=1.0, lambda_l2=0.001)
 
-        l_event = model.composer.margin_loss(event, corrupted, cfg.lambda_l2)
+        l_event = margin_objective(model.composer, event, corrupted, cfg.lambda_l2)
         v_e = model.embed_event(event)
         l_intent = intent_loss(
             v_e,
