@@ -33,7 +33,7 @@ import numpy as np
 from .data import UNKNOWN_TOKEN, Vocabulary
 
 MAGIC = b"EVEMBCKP"
-VERSION = 1
+VERSION = 2
 
 
 class CheckpointError(ValueError):

@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from .data import EventTuple, Vocabulary
-from .ops import affine_tanh, affine_tanh_backward
 from .params import ParameterStore
 
 # arrays covered by the L2 regularizer, per layer (score head and word
@@ -63,16 +62,17 @@ class LowRankLayer:
         u = np.einsum("kdn,d->kn", self.left, x)
         v = np.einsum("knd,d->kn", self.right, y)
         bilinear = np.einsum("kn,kn->k", u, v) + self.diag @ (x * y)
-        out = affine_tanh(np.concatenate((x, y)), self.w, self.b, bilinear)
+        out = np.tanh(bilinear + self.w @ np.concatenate((x, y)) + self.b)
         return out, (x, y, u, v, out)
 
     def backward(self, dout: np.ndarray, cache: tuple) -> tuple[np.ndarray, np.ndarray]:
         """Accumulate parameter gradients, return (dx, dy)."""
         x, y, u, v, out = cache
         d = self.d_in
-        dpre, dz, dw, db = affine_tanh_backward(out, np.concatenate((x, y)), self.w, dout)
-        self.g_b += db
-        self.g_w += dw
+        dpre = dout * (1.0 - out * out)
+        dz = self.w.T @ dpre
+        self.g_b += dpre
+        self.g_w += np.outer(dpre, np.concatenate((x, y)))
         self.g_diag += np.outer(dpre, x * y)
         self.g_left += np.einsum("k,d,kn->kdn", dpre, x, v)
         self.g_right += np.einsum("k,kn,d->knd", dpre, u, y)

@@ -134,8 +134,8 @@ def load_word_vectors(path: str) -> tuple[Vocabulary, np.ndarray]:
     """Parse `word v1 ... vd` lines into a vocabulary and embedding table.
 
     The dimension is inferred from the first record; every later record must
-    match it, and every entry must be finite. The unknown row (index 0) is
-    the mean of all loaded rows.
+    match it, every entry must be finite, and no word may repeat once
+    lowercased. The unknown row (index 0) is the mean of all loaded rows.
     """
     words: list[str] = []
     rows: list[np.ndarray] = []
@@ -162,6 +162,13 @@ def load_word_vectors(path: str) -> tuple[Vocabulary, np.ndarray]:
     if dim is None:
         raise DataError(path, 0, "no word vectors found")
     vocab = Vocabulary(words)
+    if len(vocab) != len(words) + 1:
+        first = {UNKNOWN_TOKEN: 0}
+        for word, lineno in zip(words, linenos):
+            if word in first:
+                where = f"line {first[word]}" if first[word] else "the reserved unknown word"
+                raise DataError(path, lineno, f"word {word!r} repeats {where}")
+            first[word] = lineno
     table = np.empty((len(vocab), dim), dtype=np.float64)
     table[UNKNOWN_INDEX] = np.mean(rows, axis=0)
     for i, row in enumerate(rows, start=1):

@@ -15,11 +15,14 @@ from .data import Vocabulary
 from .ops import cosine_grads, sigmoid
 from .params import ParameterStore
 
-_GATES = ("i", "f", "o", "c")
-
 
 class LstmCell:
-    """Single-direction LSTM cell with input/forget/output/candidate gates."""
+    """Single-direction LSTM cell.
+
+    One weight matrix `w` of shape (4h, d+h) and one bias `b` of shape (4h,)
+    hold all four gates, stacked by rows in the order input, forget, output,
+    candidate: gate g (0..3) owns rows g*h .. (g+1)*h.
+    """
 
     def __init__(
         self,
@@ -33,15 +36,10 @@ class LstmCell:
         self.h = h
         self.prefix = prefix
         r = 1.0 / np.sqrt(d + h)
-        self.w: dict[str, np.ndarray] = {}
-        self.b: dict[str, np.ndarray] = {}
-        self.g_w: dict[str, np.ndarray] = {}
-        self.g_b: dict[str, np.ndarray] = {}
-        for gate in _GATES:
-            self.w[gate] = store.add(f"{prefix}.w_{gate}", rng.uniform(-r, r, (h, d + h)))
-            self.b[gate] = store.add(f"{prefix}.b_{gate}", np.zeros(h))
-            self.g_w[gate] = store.grad(f"{prefix}.w_{gate}")
-            self.g_b[gate] = store.grad(f"{prefix}.b_{gate}")
+        self.w = store.add(f"{prefix}.w", rng.uniform(-r, r, (4 * h, d + h)))
+        self.b = store.add(f"{prefix}.b", np.zeros(4 * h))
+        self.g_w = store.grad(f"{prefix}.w")
+        self.g_b = store.grad(f"{prefix}.b")
 
     def step(
         self, x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray
@@ -55,10 +53,9 @@ class LstmCell:
                 f"expected {(self.h,)}"
             )
         z = np.concatenate((x, h_prev))
-        gi = sigmoid(self.w["i"] @ z + self.b["i"])
-        gf = sigmoid(self.w["f"] @ z + self.b["f"])
-        go = sigmoid(self.w["o"] @ z + self.b["o"])
-        gc = np.tanh(self.w["c"] @ z + self.b["c"])
+        a = self.w @ z + self.b
+        gi, gf, go = np.split(sigmoid(a[: 3 * self.h]), 3)
+        gc = np.tanh(a[3 * self.h :])
         c = gf * c_prev + gi * gc
         tanh_c = np.tanh(c)
         h = go * tanh_c
@@ -70,18 +67,15 @@ class LstmCell:
         """Backward through one step; returns (dx, dh_prev, dc_prev)."""
         z, gi, gf, go, gc, c_prev, tanh_c = cache
         dc_total = dc + dh * go * (1.0 - tanh_c * tanh_c)
-        pre_grads = {
-            "i": dc_total * gc * gi * (1.0 - gi),
-            "f": dc_total * c_prev * gf * (1.0 - gf),
-            "o": dh * tanh_c * go * (1.0 - go),
-            "c": dc_total * gi * (1.0 - gc * gc),
-        }
-        dz = np.zeros_like(z)
-        for gate in _GATES:
-            da = pre_grads[gate]
-            self.g_w[gate] += np.outer(da, z)
-            self.g_b[gate] += da
-            dz += self.w[gate].T @ da
+        da = np.concatenate((
+            dc_total * gc * gi * (1.0 - gi),
+            dc_total * c_prev * gf * (1.0 - gf),
+            dh * tanh_c * go * (1.0 - go),
+            dc_total * gi * (1.0 - gc * gc),
+        ))
+        self.g_w += np.outer(da, z)
+        self.g_b += da
+        dz = self.w.T @ da
         return dz[: self.d], dz[self.d:], dc_total * gf
 
 

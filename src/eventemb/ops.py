@@ -1,9 +1,9 @@
 """Low-level numeric primitives shared by all model components.
 
 Everything here is double precision and operates on caller-owned numpy
-arrays. Each differentiable operation comes in two flavours: a plain
-forward (`f(...)`) and a gradient companion (`f_grads(...)`) returning the
-exact analytic derivatives that the finite-difference checker validates.
+arrays. `cosine` has a gradient companion, `cosine_grads`, returning the
+exact analytic derivatives that the finite-difference checker validates;
+the layers differentiate their own nonlinearities inline.
 """
 
 from __future__ import annotations
@@ -57,34 +57,3 @@ def cosine_grads(
     du = (v - c * nv * u / nu) / denom
     dv = (u - c * nu * v / nv) / denom
     return c, du, dv
-
-
-def affine_tanh(
-    x: np.ndarray, w: np.ndarray, b: np.ndarray, bilinear: np.ndarray
-) -> np.ndarray:
-    """tanh(bilinear + w @ x + b), the shared nonlinearity of every layer."""
-    x = np.asarray(x, dtype=np.float64)
-    k, m = w.shape
-    if x.shape != (m,):
-        raise ValueError(f"affine_tanh: x has shape {x.shape}, expected {(m,)}")
-    if b.shape != (k,):
-        raise ValueError(f"affine_tanh: b has shape {b.shape}, expected {(k,)}")
-    if bilinear.shape != (k,):
-        raise ValueError(
-            f"affine_tanh: bilinear has shape {bilinear.shape}, expected {(k,)}"
-        )
-    return np.tanh(bilinear + w @ x + b)
-
-
-def affine_tanh_backward(
-    out: np.ndarray, x: np.ndarray, w: np.ndarray, dout: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Backward for affine_tanh given its output.
-
-    Returns (d_bilinear, dx, dw, db); d_bilinear equals db since both are
-    pre-activation terms.
-    """
-    dpre = dout * (1.0 - out * out)
-    dw = np.outer(dpre, x)
-    dx = w.T @ dpre
-    return dpre, dx, dw, dpre.copy()

@@ -62,6 +62,8 @@ class TrainingConfig:
             value = getattr(self, name)
             if not (0.0 <= value <= 1.0):
                 raise ValueError(f"{name}={value} must lie in [0, 1]")
+        if self.alpha == self.beta == self.gamma == 0.0:
+            raise ValueError("alpha, beta and gamma are all 0: no loss term would train")
         if self.batch_size < 1:
             raise ValueError(f"batch_size={self.batch_size} must be >= 1")
         if self.epochs < 1:
@@ -272,8 +274,8 @@ def train(
     """Run the full training loop; returns the model and per-epoch metrics.
 
     Training examples are the bare corpus events plus the annotated examples
-    (polarities resolved through the lexicon). With `out_dir` set, one
-    checkpoint per epoch plus a tab-separated metrics log are written there.
+    (polarities resolved through the lexicon). With `out_dir` set, one checkpoint
+    per epoch, the last again as `final.ckpt`, and `metrics.tsv` go there.
     """
     config.validate()
     if not corpus and not annotations:
@@ -367,12 +369,5 @@ def train(
             )
 
     if out_dir is not None:
-        final = ckpt_io.Checkpoint(
-            config=config,
-            vocab_words=vocab.words,
-            arrays=model.store.params,
-            rng_state=rng.bit_generator.state,
-            epoch=config.epochs,
-        )
-        ckpt_io.save_checkpoint(os.path.join(out_dir, "final.ckpt"), final)
+        ckpt_io.save_checkpoint(os.path.join(out_dir, "final.ckpt"), snapshot)
     return model, history

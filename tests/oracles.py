@@ -51,17 +51,6 @@ def dense_compose(x, y, mats, w, b):
     return out
 
 
-def scalar_affine_tanh(x, w, b, bilinear):
-    k = w.shape[0]
-    out = np.zeros(k)
-    for i in range(k):
-        acc = bilinear[i] + b[i]
-        for j in range(w.shape[1]):
-            acc += w[i, j] * x[j]
-        out[i] = math.tanh(acc)
-    return out
-
-
 def scalar_mean_rows(rows):
     n = len(rows)
     dim = len(rows[0])
@@ -74,10 +63,11 @@ def scalar_mean_rows(rows):
     return out
 
 
-def scalar_lstm_step(x, h_prev, c_prev, weights, biases):
+def scalar_lstm_step(x, h_prev, c_prev, w, b):
     """One LSTM transition evaluated entry by entry.
 
-    weights/biases are dicts over gates 'i', 'f', 'o', 'c'.
+    w is (4h, d+h) and b is (4h,), gates stacked by rows in the order i, f,
+    o, c: gate g, unit r reads row g*h + r.
     """
 
     def sig(v):
@@ -86,19 +76,20 @@ def scalar_lstm_step(x, h_prev, c_prev, weights, biases):
     z = list(x) + list(h_prev)
     h_size = len(h_prev)
     gates = {}
-    for gate in ("i", "f", "o", "c"):
+    for g, gate in enumerate(("i", "f", "o", "c")):
         activ = []
-        for row in range(h_size):
-            acc = biases[gate][row]
+        for r in range(h_size):
+            row = g * h_size + r
+            acc = b[row]
             for col, value in enumerate(z):
-                acc += weights[gate][row, col] * value
+                acc += w[row, col] * value
             activ.append(math.tanh(acc) if gate == "c" else sig(acc))
         gates[gate] = activ
     c = np.zeros(h_size)
     h = np.zeros(h_size)
-    for row in range(h_size):
-        c[row] = gates["f"][row] * c_prev[row] + gates["i"][row] * gates["c"][row]
-        h[row] = gates["o"][row] * math.tanh(c[row])
+    for r in range(h_size):
+        c[r] = gates["f"][r] * c_prev[r] + gates["i"][r] * gates["c"][r]
+        h[r] = gates["o"][r] * math.tanh(c[r])
     return h, c
 
 

@@ -1,9 +1,11 @@
 import dataclasses
+import struct
 
 import numpy as np
 import pytest
 
 from eventemb.checkpoint import (
+    VERSION,
     Checkpoint,
     CheckpointError,
     build_model,
@@ -103,6 +105,13 @@ class TestCorruptionDetection:
         with pytest.raises(CheckpointError, match="version 99"):
             parse_checkpoint(bytes(data))
 
+    def test_version_1_rejected(self):
+        ckpt, _ = make_checkpoint()
+        data = bytearray(checkpoint_bytes(ckpt))
+        data[8] = 1  # the per-gate LSTM layout, before the gates were fused
+        with pytest.raises(CheckpointError, match="version 1$"):
+            parse_checkpoint(bytes(data))
+
     def test_invalid_config_rejected(self):
         ckpt, _ = make_checkpoint()
         bad = dataclasses.replace(ckpt, config=dataclasses.replace(ckpt.config, alpha=5.0))
@@ -121,6 +130,35 @@ class TestCorruptionDetection:
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load_checkpoint(str(tmp_path / "nope.ckpt"))
+
+
+class TestLayout:
+    def test_version_2_parameter_names_and_shapes(self):
+        # d=5, k=4, n=2, so h=2 and each LSTM direction is one (4h, d+h) block
+        ckpt, _ = make_checkpoint(d=5, k=4, n=2)
+        expected = [("embeddings", (13, 5))]
+        for prefix, d_in in (("layer1", 5), ("layer2", 5), ("layer3", 4)):
+            expected += [
+                (f"{prefix}.left", (4, d_in, 2)),
+                (f"{prefix}.right", (4, 2, d_in)),
+                (f"{prefix}.diag", (4, d_in)),
+                (f"{prefix}.w", (4, 2 * d_in)),
+                (f"{prefix}.b", (4,)),
+            ]
+        expected += [
+            ("u", (4,)),
+            ("lstm_fwd.w", (8, 7)),
+            ("lstm_fwd.b", (8,)),
+            ("lstm_bwd.w", (8, 7)),
+            ("lstm_bwd.b", (8,)),
+            ("sentiment.w", (2, 4)),
+            ("sentiment.b", (2,)),
+        ]
+        data = checkpoint_bytes(ckpt)
+        assert struct.unpack_from("<I", data, 8)[0] == VERSION == 2
+        loaded = parse_checkpoint(data).arrays
+        assert [(name, arr.shape) for name, arr in loaded.items()] == expected
+        assert len(loaded) == 23
 
 
 class TestShapeValidation:

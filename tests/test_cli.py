@@ -175,6 +175,19 @@ class TestTrainCommand:
         assert code == 1
         assert "momentum" in err and "bad.conf:1" in err
 
+    def test_all_zero_weights_fail_before_loading(self, capsys, tmp_path):
+        # the corpus does not exist: the config error must come first
+        code, _, err = run(
+            capsys,
+            "train",
+            "--corpus", str(tmp_path / "missing.txt"),
+            "--out", str(tmp_path / "run"),
+            "--alpha", "0", "--beta", "0", "--gamma", "0",
+        )
+        assert code == 1
+        assert "alpha, beta and gamma are all 0" in err
+        assert not (tmp_path / "run").exists()
+
     def test_malformed_corpus_reports_line(self, capsys, tmp_path):
         corpus = tmp_path / "bad.txt"
         corpus.write_text("a|b|c\nnot an event\n")

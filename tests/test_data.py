@@ -68,6 +68,21 @@ class TestWordVectors:
         with pytest.raises(DataError, match=r"vec\.txt:3: non-finite"):
             load_word_vectors(path)
 
+    def test_case_folded_repeat_names_both_lines(self, tmp_path):
+        path = write(tmp_path, "vec.txt", "a 1 2\nb 3 4\nA 5 6\n")
+        with pytest.raises(DataError, match=r"vec\.txt:3: word 'a' repeats line 1"):
+            load_word_vectors(path)
+
+    def test_exact_repeat_names_both_lines(self, tmp_path):
+        path = write(tmp_path, "vec.txt", "a 1 2\n# comment\nb 3 4\nb 5 6\n")
+        with pytest.raises(DataError, match=r"vec\.txt:4: word 'b' repeats line 3"):
+            load_word_vectors(path)
+
+    def test_unknown_token_is_reserved(self, tmp_path):
+        path = write(tmp_path, "vec.txt", "a 1 2\n<UNK> 3 4\n")
+        with pytest.raises(DataError, match=r"vec\.txt:2: word '<unk>' repeats the reserved"):
+            load_word_vectors(path)
+
     def test_extend_embeddings_adds_rows_in_range(self, tmp_path):
         path = write(tmp_path, "vec.txt", "a 1 0\nb 0 1\n")
         vocab, table = load_word_vectors(path)

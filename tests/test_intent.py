@@ -38,10 +38,26 @@ class TestLstmStep:
         cell, store = make_cell(d=2, h=2)
         for arr in store.params.values():
             arr[...] = 0.0
-        cell.b["f"][...] = 20.0
-        cell.b["i"][...] = -20.0
+        cell.b[2:4] = 20.0  # forget gate open
+        cell.b[0:2] = -20.0  # input gate shut
         c_prev = np.ones(2)
         _, c, _ = cell.step(np.zeros(2), np.zeros(2), c_prev)
+        assert np.all(np.abs(c - c_prev) < 1e-6)
+
+    def test_saturated_output_gate_exposes_or_hides_cell_state(self):
+        cell, store = make_cell(d=2, h=2)
+        for arr in store.params.values():
+            arr[...] = 0.0
+        cell.b[0:2] = -20.0  # input gate shut
+        cell.b[2:4] = 20.0  # forget gate open
+        cell.b[6:8] = 20.0  # candidate saturated, so a wrong gate order shows
+        c_prev = np.array([0.5, -1.0])
+        cell.b[4:6] = 20.0  # output gate open
+        h, _, _ = cell.step(np.zeros(2), np.zeros(2), c_prev)
+        assert np.all(np.abs(h - np.tanh(c_prev)) < 1e-6)
+        cell.b[4:6] = -20.0  # output gate shut
+        h, c, _ = cell.step(np.zeros(2), np.zeros(2), c_prev)
+        assert np.all(np.abs(h) < 1e-6)
         assert np.all(np.abs(c - c_prev) < 1e-6)
 
     def test_matches_scalar_oracle(self):
@@ -79,9 +95,8 @@ class TestEncodeIntent:
 
     def test_palindrome_with_tied_cells(self):
         encoder, _, _, _ = make_encoder(seed=5)
-        for gate in "ifoc":
-            encoder.backward_cell.w[gate][...] = encoder.forward_cell.w[gate]
-            encoder.backward_cell.b[gate][...] = encoder.forward_cell.b[gate]
+        encoder.backward_cell.w[...] = encoder.forward_cell.w
+        encoder.backward_cell.b[...] = encoder.forward_cell.b
         out = encoder.encode_intent(["to", "have", "to"])
         assert np.array_equal(out[:3], out[3:])
 
@@ -89,11 +104,10 @@ class TestEncodeIntent:
         enc_a, _, _, _ = make_encoder(seed=6)
         enc_b, _, _, _ = make_encoder(seed=6)
         # enc_b carries enc_a's cells with directions exchanged
-        for gate in "ifoc":
-            enc_b.forward_cell.w[gate][...] = enc_a.backward_cell.w[gate]
-            enc_b.forward_cell.b[gate][...] = enc_a.backward_cell.b[gate]
-            enc_b.backward_cell.w[gate][...] = enc_a.forward_cell.w[gate]
-            enc_b.backward_cell.b[gate][...] = enc_a.forward_cell.b[gate]
+        enc_b.forward_cell.w[...] = enc_a.backward_cell.w
+        enc_b.forward_cell.b[...] = enc_a.backward_cell.b
+        enc_b.backward_cell.w[...] = enc_a.forward_cell.w
+        enc_b.backward_cell.b[...] = enc_a.forward_cell.b
         words = ["alice", "threw", "ball"]
         reversed_out = enc_a.encode_intent(words[::-1])
         swapped_out = enc_b.encode_intent(words)

@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
+from eventemb.composer import LowRankLayer
 from eventemb.gradcheck import grad_check, random_projection
-from eventemb.ops import affine_tanh, cosine, sigmoid
+from eventemb.ops import cosine, sigmoid
+from eventemb.params import ParameterStore
 from oracles import (
     LowRankSlice,
     bilinear_lowrank,
     bilinear_lowrank_grads,
     dense_bilinear,
     dense_slice_matrix,
-    scalar_affine_tanh,
 )
 
 
@@ -58,48 +59,51 @@ class TestBilinearLowRank:
             LowRankSlice(np.zeros((3, 2)), np.zeros((2, 3)), np.zeros(4))
 
 
+def make_layer(d_in, k, n=1, seed=0):
+    return LowRankLayer(ParameterStore(), "layer", d_in, k, n, np.random.default_rng(seed))
+
+
 class TestAffineTanh:
+    """The tanh(bilinear + W [x; y] + b) output stage of LowRankLayer.forward."""
+
     def test_all_zero(self):
-        out = affine_tanh(np.zeros(4), np.zeros((3, 4)), np.zeros(3), np.zeros(3))
+        layer = make_layer(2, 3)
+        for arr in (layer.left, layer.right, layer.diag, layer.w, layer.b):
+            arr[...] = 0.0
+        rng = np.random.default_rng(5)
+        out = layer.forward(rng.standard_normal(2), rng.standard_normal(2))[0]
         assert np.array_equal(out, np.zeros(3))
 
     def test_saturation(self):
-        out = affine_tanh(np.zeros(2), np.zeros((3, 2)), np.zeros(3), np.full(3, 20.0))
+        layer = make_layer(2, 3)
+        for arr in (layer.left, layer.right, layer.w, layer.b):
+            arr[...] = 0.0
+        layer.diag[...] = 10.0  # bilinear value 20 on the all-ones inputs
+        out = layer.forward(np.ones(2), np.ones(2))[0]
         assert np.all(np.abs(out - 1.0) < 1e-6)
-
-    def test_matches_scalar_oracle(self):
-        rng = np.random.default_rng(5)
-        k, d = 3, 2
-        x = rng.standard_normal(2 * d)
-        w = rng.standard_normal((k, 2 * d))
-        b = rng.standard_normal(k)
-        bil = rng.standard_normal(k)
-        assert affine_tanh(x, w, b, bil) == pytest.approx(
-            scalar_affine_tanh(x, w, b, bil), abs=1e-14
-        )
 
     def test_outputs_strictly_inside_unit_interval(self):
         # strict bound holds below the float64 saturation point of tanh
         # (|pre-activation| < ~18); beyond it the value rounds to +/-1.0
         rng = np.random.default_rng(6)
         for _ in range(10):
-            out = affine_tanh(
-                rng.uniform(-1, 1, 4),
-                rng.uniform(-1, 1, (5, 4)),
-                rng.uniform(-1, 1, 5),
-                rng.uniform(-1, 1, 5) * 10,
-            )
+            layer = make_layer(2, 5)
+            for arr in (layer.left, layer.right, layer.w, layer.b):
+                arr[...] = rng.uniform(-1, 1, arr.shape)
+            layer.diag[...] = rng.uniform(-1, 1, layer.diag.shape) * 3
+            out = layer.forward(rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2))[0]
             assert np.all(out > -1.0) and np.all(out < 1.0)
 
     def test_outputs_never_leave_closed_interval(self):
-        out = affine_tanh(
-            np.full(4, 100.0), np.full((5, 4), 100.0), np.full(5, 100.0), np.full(5, 100.0)
-        )
+        layer = make_layer(2, 5)
+        for arr in (layer.left, layer.right, layer.diag, layer.w, layer.b):
+            arr[...] = 100.0
+        out = layer.forward(np.full(2, 100.0), np.full(2, 100.0))[0]
         assert np.all(out >= -1.0) and np.all(out <= 1.0)
 
     def test_dimension_error(self):
         with pytest.raises(ValueError, match="x has shape"):
-            affine_tanh(np.zeros(3), np.zeros((2, 4)), np.zeros(2), np.zeros(2))
+            make_layer(4, 2).forward(np.zeros(3), np.zeros(4))
 
 
 class TestGradCheck:

@@ -49,6 +49,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="n=20"):
             TrainingConfig(d=10, k=30, n=20).validate()
 
+    def test_all_zero_weights_rejected(self):
+        with pytest.raises(ValueError, match="alpha, beta and gamma are all 0"):
+            TrainingConfig(alpha=0.0, beta=0.0, gamma=0.0).validate()
+        TrainingConfig(alpha=0.0, beta=0.0, gamma=0.5).validate()
+
     def test_presets_match_ablation_rows(self):
         assert PRESETS["ntn"] == (1.0, 0.0, 0.0)
         assert PRESETS["ntn+int"] == (1.0, 1.0, 0.0)
@@ -313,3 +318,13 @@ class TestTrainLoop:
         assert len((out / "metrics.tsv").read_text().splitlines()[0].split("\t")) == 5
         for epoch in range(1, 5):
             assert (out / f"epoch-{epoch:04d}.ckpt").exists()
+
+    def test_final_checkpoint_is_the_last_epoch_checkpoint(self, synthetic_dir, tmp_path):
+        inputs = synthetic_inputs(synthetic_dir)
+        cfg = TrainingConfig(d=10, k=8, n=2, epochs=2, learning_rate=0.05,
+                             batch_size=10, seed=4)
+        out = tmp_path / "run"
+        train(cfg, out_dir=str(out), **inputs)
+        final = (out / "final.ckpt").read_bytes()
+        assert final == (out / f"epoch-{cfg.epochs:04d}.ckpt").read_bytes()
+        assert final != (out / "epoch-0001.ckpt").read_bytes()
