@@ -104,7 +104,7 @@ def _load_model(path: str):
 def _cmd_eval_hard(args: argparse.Namespace) -> int:
     model = _load_model(args.checkpoint)
     instances = data_io.load_hardsim(args.data)
-    accuracy = evaluate.hard_similarity_accuracy(instances, model.embed_event)
+    accuracy = evaluate.hard_similarity_accuracy(instances, model.embed_events)
     print(
         evaluate.format_report(
             "hard_similarity_accuracy", args.data, accuracy, len(instances)
@@ -116,7 +116,7 @@ def _cmd_eval_hard(args: argparse.Namespace) -> int:
 def _cmd_eval_transitive(args: argparse.Namespace) -> int:
     model = _load_model(args.checkpoint)
     instances = data_io.load_transitive(args.data)
-    rho = evaluate.evaluate_transitive(instances, model.embed_event)
+    rho = evaluate.evaluate_transitive(instances, model.embed_events)
     print(
         evaluate.format_report(
             "transitive_spearman_rho", args.data, rho, len(instances)
@@ -127,8 +127,7 @@ def _cmd_eval_transitive(args: argparse.Namespace) -> int:
 
 def _cmd_embed(args: argparse.Namespace) -> int:
     model = _load_model(args.checkpoint)
-    for event in data_io.load_corpus(args.events):
-        vec = model.embed_event(event)
+    for vec in model.embed_events(data_io.load_corpus(args.events)):
         print("\t".join(f"{x:.10g}" for x in vec))
     return 0
 
@@ -139,13 +138,12 @@ def _cmd_nn(args: argparse.Namespace) -> int:
     events = data_io.load_corpus(args.corpus)
     if not events:
         raise ValueError(f"{args.corpus}: no events to search")
-    query_vec = model.embed_event(query)
-    scored = [(cosine(query_vec, model.embed_event(e)), e) for e in events]
+    query_vec, *vecs = model.embed_events([query, *events])
+    scores = [cosine(query_vec, vec) for vec in vecs]
     # stable sort: ties keep input order
-    ranked = sorted(range(len(scored)), key=lambda i: -scored[i][0])
+    ranked = sorted(range(len(events)), key=lambda i: -scores[i])
     for i in ranked[: args.top]:
-        score, event = scored[i]
-        print(f"{score:.6f}\t{format_event(event)}")
+        print(f"{scores[i]:.6f}\t{format_event(events[i])}")
     return 0
 
 

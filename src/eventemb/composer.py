@@ -54,31 +54,36 @@ class LowRankLayer:
         self.prefix = prefix
 
     def forward(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, tuple]:
+        """(B, k) outputs for B row pairs x, y of shape (B, d_in), plus the cache."""
         d = self.d_in
-        if x.shape != (d,):
-            raise ValueError(f"{self.prefix}: x has shape {x.shape}, expected {(d,)}")
-        if y.shape != (d,):
-            raise ValueError(f"{self.prefix}: y has shape {y.shape}, expected {(d,)}")
-        u = np.einsum("kdn,d->kn", self.left, x)
-        v = np.einsum("knd,d->kn", self.right, y)
-        bilinear = np.einsum("kn,kn->k", u, v) + self.diag @ (x * y)
-        out = np.tanh(bilinear + self.w @ np.concatenate((x, y)) + self.b)
-        return out, (x, y, u, v, out)
+        for name, a in (("x", x), ("y", y)):
+            if a.ndim != 2 or a.shape[1] != d:
+                raise ValueError(f"{self.prefix}: {name} has shape {a.shape}, not (B, {d})")
+        # the factors as (d, k*n) and (k*n, d) matrices: both contractions are GEMMs
+        left = self.left.transpose(1, 0, 2).reshape(d, -1)
+        u = x @ left
+        v = y @ self.right.reshape(-1, d).T
+        bilinear = (u * v).reshape(len(x), self.k, self.n).sum(axis=2) + (x * y) @ self.diag.T
+        xy = np.concatenate((x, y), axis=1)
+        out = np.tanh(bilinear + xy @ self.w.T + self.b)
+        return out, (x, y, xy, left, u, v, out)
 
     def backward(self, dout: np.ndarray, cache: tuple) -> tuple[np.ndarray, np.ndarray]:
-        """Accumulate parameter gradients, return (dx, dy)."""
-        x, y, u, v, out = cache
-        d = self.d_in
+        """Accumulate parameter gradients summed over the rows, return (dx, dy)."""
+        x, y, xy, left, u, v, out = cache
+        d, k, n = self.d_in, self.k, self.n
         dpre = dout * (1.0 - out * out)
-        dz = self.w.T @ dpre
-        self.g_b += dpre
-        self.g_w += np.outer(dpre, np.concatenate((x, y)))
-        self.g_diag += np.outer(dpre, x * y)
-        self.g_left += np.einsum("k,d,kn->kdn", dpre, x, v)
-        self.g_right += np.einsum("k,kn,d->knd", dpre, u, y)
+        du = (dpre[:, :, None] * v.reshape(-1, k, n)).reshape(-1, k * n)
+        dv = (dpre[:, :, None] * u.reshape(-1, k, n)).reshape(-1, k * n)
+        dz = dpre @ self.w
+        self.g_b += dpre.sum(axis=0)
+        self.g_w += dpre.T @ xy
+        self.g_diag += dpre.T @ (x * y)
+        self.g_left += (x.T @ du).reshape(d, k, n).transpose(1, 0, 2)
+        self.g_right += (dv.T @ y).reshape(k, n, d)
         ddiag_scale = dpre @ self.diag
-        dx = dz[:d] + np.einsum("k,kdn,kn->d", dpre, self.left, v) + ddiag_scale * y
-        dy = dz[d:] + np.einsum("k,knd,kn->d", dpre, self.right, u) + ddiag_scale * x
+        dx = dz[:, :d] + du @ left.T + ddiag_scale * y
+        dy = dz[:, d:] + dv @ self.right.reshape(-1, d) + ddiag_scale * x
         return dx, dy
 
 
@@ -136,61 +141,35 @@ class EventComposer:
         rk = 1.0 / np.sqrt(k)
         self.u = store.add("u", rng.uniform(-rk, rk, k))
         self.g_u = store.grad("u")
-        self._store = store
 
-    # --- forward -----------------------------------------------------------
-
-    def embed(self, event: EventTuple) -> tuple[np.ndarray, tuple]:
-        """Event embedding C plus the cache needed for backprop."""
-        idx = tuple(
-            [self.vocab.index(w) for w in arg]
-            for arg in (event.actor, event.predicate, event.object)
-        )
-        a = self.embeddings[idx[0]].mean(axis=0)
-        p = self.embeddings[idx[1]].mean(axis=0)
-        o = self.embeddings[idx[2]].mean(axis=0)
+    def embed(self, events: list[EventTuple]) -> tuple[np.ndarray, tuple]:
+        """(B, k) embeddings C of B >= 1 events plus the cache for embed_backward;
+        one `np.add.reduceat` sums the word rows of all 3B arguments."""
+        args = [arg for e in events for arg in (e.actor, e.predicate, e.object)]
+        sizes = np.array([len(arg) for arg in args])
+        flat = np.array([self.vocab.index(w) for arg in args for w in arg])
+        means = np.add.reduceat(self.embeddings[flat], np.cumsum(sizes) - sizes, axis=0)
+        means /= sizes[:, None]
+        a, p, o = means[0::3], means[1::3], means[2::3]
         s1, cache1 = self.layer1.forward(a, p)
         s2, cache2 = self.layer2.forward(p, o)
         c, cache3 = self.layer3.forward(s1, s2)
-        return c, (idx, cache1, cache2, cache3)
+        return c, (flat, sizes, cache1, cache2, cache3)
 
     def embed_event(self, event: EventTuple) -> np.ndarray:
-        return self.embed(event)[0]
+        return self.embed([event])[0][0]
 
     def score_event(self, event: EventTuple) -> float:
-        return float(self.u @ self.embed(event)[0])
-
-    # --- backward ----------------------------------------------------------
-
-    def _scatter_argument_grad(self, indices: list[int], dvec: np.ndarray) -> None:
-        share = dvec / len(indices)
-        for i in indices:
-            self.g_embeddings[i] += share
+        return float(self.u @ self.embed_event(event))
 
     def embed_backward(self, dc: np.ndarray, cache: tuple) -> None:
-        """Backprop dL/dC through all layers into parameter and embedding grads."""
-        idx, cache1, cache2, cache3 = cache
+        """Backprop dL/dC (B, k) through all layers into parameter and embedding grads."""
+        flat, sizes, cache1, cache2, cache3 = cache
         ds1, ds2 = self.layer3.backward(dc, cache3)
         da, dp1 = self.layer1.backward(ds1, cache1)
         dp2, do = self.layer2.backward(ds2, cache2)
-        self._scatter_argument_grad(idx[0], da)
-        self._scatter_argument_grad(idx[1], dp1 + dp2)
-        self._scatter_argument_grad(idx[2], do)
-
-    # --- margin objective ----------------------------------------------------
-
-    def margin_parts(
-        self, c: np.ndarray, corrupted: EventTuple
-    ) -> tuple[float, float, float, np.ndarray, tuple]:
-        """Hinge term for a precomputed positive embedding C.
-
-        Returns (margin, g_e, g_r, C_r, corrupted cache).
-        """
-        g_e = float(self.u @ c)
-        c_r, cache_r = self.embed(corrupted)
-        g_r = float(self.u @ c_r)
-        margin = max(0.0, 1.0 - g_e + g_r)
-        return margin, g_e, g_r, c_r, cache_r
+        dargs = np.stack((da, dp1 + dp2, do), axis=1).reshape(-1, self.d) / sizes[:, None]
+        np.add.at(self.g_embeddings, flat, np.repeat(dargs, sizes, axis=0))
 
     def regularization(self, lambda_l2: float) -> float:
         """lambda * ||Phi||_2^2 over the composition-layer parameters only."""

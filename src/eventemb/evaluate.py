@@ -16,7 +16,8 @@ import numpy as np
 from .data import EventTuple, HardSimInstance, TransitiveSimInstance
 from .ops import cosine
 
-EmbedFn = Callable[[EventTuple], np.ndarray]
+# a list of N events -> their (N, k) embeddings, one row per event
+EmbedFn = Callable[[list[EventTuple]], np.ndarray]
 
 
 def hard_similarity_accuracy(
@@ -28,13 +29,9 @@ def hard_similarity_accuracy(
     """
     if not instances:
         raise ValueError("hard_similarity_accuracy: empty instance list")
-    correct = 0
-    for inst in instances:
-        sim = cosine(embed(inst.similar[0]), embed(inst.similar[1]))
-        dissim = cosine(embed(inst.dissimilar[0]), embed(inst.dissimilar[1]))
-        if sim > dissim:
-            correct += 1
-    return correct / len(instances)
+    events = [e for inst in instances for e in (*inst.similar, *inst.dissimilar)]
+    quads = embed(events).reshape(len(instances), 4, -1)
+    return sum(cosine(a, b) > cosine(c, d) for a, b, c, d in quads) / len(instances)
 
 
 def average_ranks(values: Sequence[float]) -> np.ndarray:
@@ -80,7 +77,8 @@ def evaluate_transitive(
     """Spearman correlation between per-pair cosines and the gold scores."""
     if not instances:
         raise ValueError("evaluate_transitive: empty instance list")
-    pred = [cosine(embed(inst.pair[0]), embed(inst.pair[1])) for inst in instances]
+    pairs = embed([e for inst in instances for e in inst.pair]).reshape(len(instances), 2, -1)
+    pred = [cosine(a, b) for a, b in pairs]
     gold = [inst.gold for inst in instances]
     return spearman_rho(pred, gold)
 

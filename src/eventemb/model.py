@@ -10,6 +10,11 @@ from .intent import BiLstmEncoder
 from .params import ParameterStore
 from .sentiment import SentimentHead
 
+# Events per composer call in `embed_events`. It bounds the per-layer
+# (rows, k, n) caches of inference to what one training batch of 128
+# positives and their 128 corrupted events already holds.
+EMBED_BLOCK = 256
+
 
 class JointModel:
     """All trainable components wired over one ParameterStore.
@@ -53,8 +58,14 @@ class JointModel:
 
     # Frozen-model conveniences used by evaluation and the CLI.
 
+    def embed_events(self, events: list[EventTuple]) -> np.ndarray:
+        """(N, k) embeddings of N events, composed EMBED_BLOCK events at a time."""
+        starts = range(0, len(events), EMBED_BLOCK)
+        blocks = [self.composer.embed(events[i : i + EMBED_BLOCK])[0] for i in starts]
+        return np.concatenate([np.empty((0, self.k)), *blocks])
+
     def embed_event(self, event: EventTuple) -> np.ndarray:
-        return self.composer.embed_event(event)
+        return self.embed_events([event])[0]
 
     def score_event(self, event: EventTuple) -> float:
         return self.composer.score_event(event)

@@ -12,10 +12,10 @@ from .params import ParameterStore
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Stable softmax via max subtraction."""
-    shifted = logits - logits.max()
+    """Stable softmax over the last axis via max subtraction."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum()
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def polarity_class(polarity: int) -> int:
@@ -36,25 +36,23 @@ class SentimentHead:
         self.g_b = store.grad("sentiment.b")
 
     def forward(self, v_e: np.ndarray) -> np.ndarray:
-        """Probability pair (negative, positive)."""
-        if v_e.shape != (self.k,):
-            raise ValueError(f"sentiment: input has shape {v_e.shape}, expected {(self.k,)}")
-        return softmax(self.w @ v_e + self.b)
-
-    def loss(self, v_e: np.ndarray, polarity: int) -> float:
-        probs = self.forward(v_e)
-        return float(-np.log(probs[polarity_class(polarity)]))
+        """(R, 2) probability pairs (negative, positive) for R rows of shape (R, k)."""
+        if v_e.ndim != 2 or v_e.shape[1] != self.k:
+            raise ValueError(f"sentiment: input has shape {v_e.shape}, expected (R, {self.k})")
+        return softmax(v_e @ self.w.T + self.b)
 
     def loss_backward(
-        self, v_e: np.ndarray, polarity: int, weight: float = 1.0
-    ) -> tuple[float, np.ndarray]:
-        """Cross-entropy loss and d(loss)/d(v_e); parameter grads accumulate."""
+        self, v_e: np.ndarray, polarities, weight: float = 1.0
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Per-row cross-entropy losses (R,) and d(weight * their sum)/d(v_e);
+        parameter gradients of the weighted sum accumulate."""
         probs = self.forward(v_e)
-        cls = polarity_class(polarity)
-        loss = float(-np.log(probs[cls]))
+        rows = np.arange(len(probs))
+        cls = [polarity_class(p) for p in polarities]
+        losses = -np.log(probs[rows, cls])
         dlogits = probs.copy()
-        dlogits[cls] -= 1.0
+        dlogits[rows, cls] -= 1.0
         dlogits *= weight
-        self.g_w += np.outer(dlogits, v_e)
-        self.g_b += dlogits
-        return loss, self.w.T @ dlogits
+        self.g_w += dlogits.T @ v_e
+        self.g_b += dlogits.sum(axis=0)
+        return losses, dlogits @ self.w

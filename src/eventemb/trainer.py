@@ -68,10 +68,10 @@ class TrainingConfig:
             raise ValueError(f"batch_size={self.batch_size} must be >= 1")
         if self.epochs < 1:
             raise ValueError(f"epochs={self.epochs} must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate={self.learning_rate} must be > 0")
-        if self.lambda_l2 < 0:
-            raise ValueError(f"lambda_l2={self.lambda_l2} must be >= 0")
+        if not (0 < self.learning_rate < np.inf):
+            raise ValueError(f"learning_rate={self.learning_rate} must be finite and > 0")
+        if not (0 <= self.lambda_l2 < np.inf):
+            raise ValueError(f"lambda_l2={self.lambda_l2} must be finite and >= 0")
         if self.corruption_target not in CORRUPTION_TARGETS:
             raise ValueError(
                 f"corruption_target={self.corruption_target!r} must be one of "
@@ -112,85 +112,95 @@ class Negatives:
 
 @dataclass(frozen=True)
 class LossParts:
-    """Joint loss value and its unweighted components (None = term skipped)."""
+    """Batch sums of the joint loss and of its unweighted terms, with the
+    number of examples each term covered."""
 
-    total: float
-    event: float | None
-    intent: float | None
-    sentiment: float | None
+    total: float = 0.0
+    event: float = 0.0
+    intent: float = 0.0
+    sentiment: float = 0.0
+    n_event: int = 0
+    n_intent: int = 0
+    n_sentiment: int = 0
+
+    def __add__(self, other: "LossParts") -> "LossParts":
+        pairs = zip(dataclasses.astuple(self), dataclasses.astuple(other))
+        return LossParts(*(a + b for a, b in pairs))
 
 
 def joint_loss(
     model: JointModel,
-    example: AnnotatedExample,
-    negatives: Negatives,
+    examples: Sequence[AnnotatedExample],
+    negatives: Sequence[Negatives],
     config: TrainingConfig,
-    backprop: bool = False,
 ) -> LossParts:
-    """Weighted combination of the three losses over one shared event forward.
+    """Weighted combination of the three losses over one batch; all gradients
+    accumulate into the model's ParameterStore.
 
-    A term participates only if its weight is positive and the example
-    carries the matching annotation; an example activating no term at all is
-    an error. With backprop=True all gradients accumulate into the model's
-    ParameterStore.
+    A term covers an example only if its weight is positive and the example
+    carries the matching annotation; an example that no term covers is an
+    error. The positives and their corrupted events share one composer
+    forward and backward, and the L2 term counts once per event example.
     """
     alpha, beta, gamma = config.alpha, config.beta, config.gamma
     use_event = alpha > 0.0
-    use_intent = beta > 0.0 and example.intent is not None
-    use_sentiment = gamma > 0.0 and example.polarity is not None
-    if not (use_event or use_intent or use_sentiment):
-        raise ValueError(
-            "example activates no loss term (weights "
-            f"alpha={alpha}, beta={beta}, gamma={gamma}; "
-            f"intent={'yes' if example.intent else 'no'}, "
-            f"polarity={example.polarity})"
-        )
+    intent_rows, sentiment_rows = [], []
+    for i, (example, negative) in enumerate(zip(examples, negatives, strict=True)):
+        use_intent = beta > 0.0 and example.intent is not None
+        use_sentiment = gamma > 0.0 and example.polarity is not None
+        if not (use_event or use_intent or use_sentiment):
+            raise ValueError(
+                f"example activates no loss term (weights alpha={alpha}, beta={beta}, "
+                f"gamma={gamma}; intent={'yes' if example.intent else 'no'}, "
+                f"polarity={example.polarity})"
+            )
+        if use_event and negative.corrupted_event is None:
+            raise ValueError("event term is active but no corrupted event was sampled")
+        if use_intent and negative.negative_intent is None:
+            raise ValueError("intent term is active but no negative intent was sampled")
+        intent_rows += [i] if use_intent else []
+        sentiment_rows += [i] if use_sentiment else []
 
-    c, cache = model.composer.embed(example.event)
-    dc = np.zeros_like(c) if backprop else None
-    total = 0.0
-    l_event = l_intent = l_sentiment = None
+    composer = model.composer
+    n_event = len(examples) if use_event else 0
+    corrupted = [neg.corrupted_event for neg in negatives] if use_event else []
+    c, cache = composer.embed([ex.event for ex in examples] + corrupted)
+    dc = np.zeros_like(c)
+    l_event = l_intent = l_sentiment = 0.0
 
     if use_event:
-        if negatives.corrupted_event is None:
-            raise ValueError("event term is active but no corrupted event was sampled")
-        margin, _, _, c_r, cache_r = model.composer.margin_parts(
-            c, negatives.corrupted_event
-        )
-        l_event = margin + model.composer.regularization(config.lambda_l2)
-        total += alpha * l_event
-        if backprop:
-            if margin > 0.0:
-                model.composer.g_u += alpha * (c_r - c)
-                model.composer.embed_backward(alpha * model.composer.u, cache_r)
-                dc -= alpha * model.composer.u
-            model.composer.regularization_backward(config.lambda_l2, alpha)
+        scores = c @ composer.u
+        margins = np.maximum(0.0, 1.0 - scores[:n_event] + scores[n_event:])
+        l_event = float(margins.sum()) + n_event * composer.regularization(config.lambda_l2)
+        # d(alpha * margin)/d(score): -alpha for a positive, +alpha for its
+        # corrupted event, 0 where the hinge is inactive
+        dscore = alpha * (margins > 0.0)
+        dscores = np.concatenate((-dscore, dscore))
+        composer.g_u += dscores @ c
+        dc += dscores[:, None] * composer.u
+        composer.regularization_backward(config.lambda_l2, alpha * n_event)
 
-    if use_intent:
-        if negatives.negative_intent is None:
-            raise ValueError("intent term is active but no negative intent was sampled")
-        v_i, cache_i = model.intent.encode(example.intent)
-        v_in, cache_in = model.intent.encode(negatives.negative_intent)
-        l_intent, d_ve, d_vi, d_vin = intent_loss_grads(c, v_i, v_in)
-        total += beta * l_intent
-        if backprop and l_intent > 0.0:
-            dc += beta * d_ve
+    for i in intent_rows:
+        v_i, cache_i = model.intent.encode(examples[i].intent)
+        v_in, cache_in = model.intent.encode(negatives[i].negative_intent)
+        loss, d_ve, d_vi, d_vin = intent_loss_grads(c[i], v_i, v_in)
+        l_intent += loss
+        if loss > 0.0:
+            dc[i] += beta * d_ve
             model.intent.encode_backward(beta * d_vi, cache_i)
             model.intent.encode_backward(beta * d_vin, cache_in)
 
-    if use_sentiment:
-        if backprop:
-            l_sentiment, d_vs = model.sentiment.loss_backward(
-                c, example.polarity, gamma
-            )
-            dc += d_vs
-        else:
-            l_sentiment = model.sentiment.loss(c, example.polarity)
-        total += gamma * l_sentiment
+    if sentiment_rows:
+        polarities = [examples[i].polarity for i in sentiment_rows]
+        losses, d_vs = model.sentiment.loss_backward(c[sentiment_rows], polarities, gamma)
+        l_sentiment = float(losses.sum())
+        dc[sentiment_rows] += d_vs
 
-    if backprop:
-        model.composer.embed_backward(dc, cache)
-    return LossParts(total, l_event, l_intent, l_sentiment)
+    composer.embed_backward(dc, cache)
+    total = alpha * l_event + beta * l_intent + gamma * l_sentiment
+    return LossParts(
+        total, l_event, l_intent, l_sentiment, n_event, len(intent_rows), len(sentiment_rows)
+    )
 
 
 def adagrad_step(store: ParameterStore, learning_rate: float) -> None:
@@ -309,47 +319,29 @@ def train(
     n_examples = len(examples)
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n_examples)
-        sums = {"event": 0.0, "intent": 0.0, "sentiment": 0.0, "total": 0.0}
-        counts = {"event": 0, "intent": 0, "sentiment": 0}
+        sums = LossParts()
         for start in range(0, n_examples, config.batch_size):
-            batch = order[start : start + config.batch_size]
-            for idx in batch:
-                example = examples[idx]
-                corrupted = None
+            batch = [examples[i] for i in order[start : start + config.batch_size]]
+            negatives = []
+            for example in batch:
+                corrupted = negative_intent = None
                 if config.alpha > 0.0:
                     corrupted = corrupt_event(
                         example.event, vocab, rng, config.corruption_target
                     )
-                negative_intent = None
                 if config.beta > 0.0 and example.intent is not None:
-                    negative_intent = sample_negative_intent(
-                        intent_pool, example.intent, rng
-                    )
-                parts = joint_loss(
-                    model,
-                    example,
-                    Negatives(corrupted, negative_intent),
-                    config,
-                    backprop=True,
-                )
-                sums["total"] += parts.total
-                for key, value in (
-                    ("event", parts.event),
-                    ("intent", parts.intent),
-                    ("sentiment", parts.sentiment),
-                ):
-                    if value is not None:
-                        sums[key] += value
-                        counts[key] += 1
+                    negative_intent = sample_negative_intent(intent_pool, example.intent, rng)
+                negatives.append(Negatives(corrupted, negative_intent))
+            sums += joint_loss(model, batch, negatives, config)
             model.store.scale_grads(1.0 / len(batch))
             adagrad_step(model.store, config.learning_rate)
 
         metrics = EpochMetrics(
             epoch=epoch,
-            event=sums["event"] / counts["event"] if counts["event"] else 0.0,
-            intent=sums["intent"] / counts["intent"] if counts["intent"] else 0.0,
-            sentiment=sums["sentiment"] / counts["sentiment"] if counts["sentiment"] else 0.0,
-            total=sums["total"] / n_examples,
+            event=sums.event / sums.n_event if sums.n_event else 0.0,
+            intent=sums.intent / sums.n_intent if sums.n_intent else 0.0,
+            sentiment=sums.sentiment / sums.n_sentiment if sums.n_sentiment else 0.0,
+            total=sums.total / n_examples,
         )
         history.append(metrics)
         if progress is not None:

@@ -217,9 +217,10 @@ def margin_objective(composer, event, corrupted, lambda_l2):
 
     Written out from the paper's formula over the composer's embeddings, so
     the `ntn` preset of the joint loss can be checked against it bit for bit.
+    As in joint_loss, both embeddings come from one two-row composer call and
+    are scored as C @ u: a one-row call, or u @ c, can differ in the last bits.
     """
-    g_e = float(composer.u @ composer.embed_event(event))
-    g_r = float(composer.u @ composer.embed_event(corrupted))
+    g_e, g_r = (float(g) for g in composer.embed([event, corrupted])[0] @ composer.u)
     return max(0.0, 1.0 - g_e + g_r) + composer.regularization(lambda_l2)
 
 

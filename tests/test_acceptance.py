@@ -46,12 +46,16 @@ def report(criterion, name, detail):
 
 class TestCriterion1GradientCorrectness:
     def test_all_loss_paths(self):
-        """Finite differences over every trainable parameter, all four paths.
+        """Finite differences over every trainable parameter, all four paths,
+        on a batch of one example and on a batch of three.
 
         The instance is chosen so every used gradient exceeds the central-
         difference noise floor (~4e-11 at loss scale ~3, step 1e-5) and both
         hinges are active far from their kinks; the comparison is then
-        numerically meaningful for every coordinate.
+        numerically meaningful for every coordinate. The batch of three mixes
+        annotations: intent and polarity, polarity only, intent only. A path
+        checks the sub-batch of the examples it covers, since joint_loss
+        rejects an example that no term covers.
         """
         started = time.time()
         model, vocab, rng = make_model(seed=104, n_words=12, d=6, k=4, n=2)
@@ -59,6 +63,16 @@ class TestCriterion1GradientCorrectness:
         corrupted = corrupt_event(event, vocab, rng)
         example = AnnotatedExample(event, intent=("to", "have", "fun"), polarity=-1)
         negatives = Negatives(corrupted, ("run", "fast", "bob"))
+        batch = [(example, negatives)]
+        for intent, polarity, negative_intent in (
+            (None, 1, None),
+            (("to", "run"), None, ("have", "cake")),
+        ):
+            other = random_event(vocab, rng)
+            batch.append((
+                AnnotatedExample(other, intent=intent, polarity=polarity),
+                Negatives(corrupt_event(other, vocab, rng), negative_intent),
+            ))
 
         paths = {
             "L_E": dict(alpha=1.0, beta=0.0, gamma=0.0),
@@ -67,24 +81,33 @@ class TestCriterion1GradientCorrectness:
             "joint": dict(alpha=1.0, beta=1.0, gamma=1.0),
         }
         worst = {}
-        for name, weights in paths.items():
-            cfg = TrainingConfig(d=6, k=4, n=2, lambda_l2=0.001, **weights)
+        for size in (1, 3):
+            for name, weights in paths.items():
+                cfg = TrainingConfig(d=6, k=4, n=2, lambda_l2=0.001, **weights)
+                covered = [
+                    (ex, neg) for ex, neg in batch[:size]
+                    if cfg.alpha > 0 or (cfg.beta > 0 and ex.intent)
+                    or (cfg.gamma > 0 and ex.polarity is not None)
+                ]
+                examples = [ex for ex, _ in covered]
+                negs = [neg for _, neg in covered]
 
-            def fn():
-                model.store.zero_grads()
-                parts = joint_loss(model, example, negatives, cfg, backprop=True)
-                return parts.total, model.store.snapshot_grads()
+                def fn():
+                    model.store.zero_grads()
+                    parts = joint_loss(model, examples, negs, cfg)
+                    return parts.total, model.store.snapshot_grads()
 
-            def value_only():
-                return joint_loss(model, example, negatives, cfg).total
+                def value_only():
+                    return joint_loss(model, examples, negs, cfg).total
 
-            error = grad_check(fn, model.store.params, step=1e-5, value_fn=value_only)
-            assert error < 1e-4, f"{name}: max relative error {error}"
-            worst[name] = error
-        # the margin must be active for the L_E check to mean anything
-        assert joint_loss(
-            model, example, negatives, TrainingConfig(d=6, k=4, n=2, beta=0, gamma=0, lambda_l2=0)
-        ).total > 0.0
+                error = grad_check(fn, model.store.params, step=1e-5, value_fn=value_only)
+                label = f"{name} B={len(examples)}"
+                assert error < 1e-4, f"{label}: max relative error {error}"
+                worst[label] = error
+        # every margin must be active for the L_E checks to mean anything
+        cfg = TrainingConfig(d=6, k=4, n=2, beta=0, gamma=0, lambda_l2=0)
+        for ex, neg in batch:
+            assert joint_loss(model, [ex], [neg], cfg).total > 0.0
 
         elapsed = time.time() - started
         assert elapsed < 30.0, f"gradient sweep took {elapsed:.1f}s"
@@ -110,7 +133,7 @@ class TestCriterion2LowRankDenseEquivalence:
             x = rng.standard_normal(d)
             y = rng.standard_normal(d)
             expected = dense_compose(x, y, mats, layer.w, layer.b)
-            got = layer.forward(x, y)[0]
+            got = layer.forward(x[None], y[None])[0][0]
             worst = max(worst, float(np.max(np.abs(got - expected))))
         assert worst < 1e-12, f"max deviation {worst}"
         report(2, "lowrank-dense-equivalence", f"100 instances, max dev {worst:.2e}")
@@ -126,7 +149,7 @@ class TestCriterion3AblationReductionIdentity:
             corrupted = corrupt_event(event, vocab, rng)
             # annotations present but ignored under the ntn preset
             example = AnnotatedExample(event, intent=("to", "run"), polarity=1)
-            joint = joint_loss(model, example, Negatives(corrupted, None), cfg)
+            joint = joint_loss(model, [example], [Negatives(corrupted, None)], cfg)
             direct = margin_objective(model.composer, event, corrupted, cfg.lambda_l2)
             assert joint.total == direct  # bit-identical
         report(3, "ablation-reduction-identity", "1000 examples bit-identical")
@@ -155,7 +178,7 @@ class TestCriterion4DeskScaleOverfit:
                 elapsed = time.time() - started
                 assert elapsed < 120.0, f"{preset} seed {seed} took {elapsed:.0f}s"
                 results[(preset, seed)] = hard_similarity_accuracy(
-                    hardsim, model.embed_event
+                    hardsim, model.embed_events
                 )
 
         for seed in (1, 2, 3):
@@ -195,15 +218,15 @@ class TestCriterion5MetricOracles:
         for _ in range(50):
             count = int(rng.integers(1, 10))
             vectors = {f"t{i}": rng.standard_normal(4) for i in range(4 * count)}
-            embed = lambda e: vectors[e.actor[0]]
+            embed = lambda events: np.array([vectors[e.actor[0]] for e in events])
             instances, sims, dissims = [], [], []
             for i in range(count):
                 a, b, c, d = (
                     EventTuple((f"t{4 * i + j}",), ("p",), ("o",)) for j in range(4)
                 )
                 instances.append(HardSimInstance((a, b), (c, d)))
-                sims.append(cosine(embed(a), embed(b)))
-                dissims.append(cosine(embed(c), embed(d)))
+                sims.append(cosine(*embed([a, b])))
+                dissims.append(cosine(*embed([c, d])))
             assert hard_similarity_accuracy(instances, embed) == hard_sim_by_counting(
                 sims, dissims
             )

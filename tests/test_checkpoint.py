@@ -118,6 +118,13 @@ class TestCorruptionDetection:
         with pytest.raises(CheckpointError, match="bad checkpoint config: alpha=5.0"):
             parse_checkpoint(checkpoint_bytes(bad))
 
+    def test_non_finite_config_rejected(self):
+        ckpt, _ = make_checkpoint()
+        config = dataclasses.replace(ckpt.config, learning_rate=np.nan)
+        bad = dataclasses.replace(ckpt, config=config)
+        with pytest.raises(CheckpointError, match="bad checkpoint config: learning_rate=nan"):
+            parse_checkpoint(checkpoint_bytes(bad))
+
     @pytest.mark.parametrize("value", (np.nan, np.inf, -np.inf))
     def test_non_finite_array_rejected(self, value):
         ckpt, _ = make_checkpoint()

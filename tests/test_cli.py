@@ -188,6 +188,20 @@ class TestTrainCommand:
         assert "alpha, beta and gamma are all 0" in err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("flag", ("--learning-rate", "--lambda-l2"))
+    def test_non_finite_value_fails_before_loading(self, capsys, tmp_path, flag):
+        # the corpus does not exist: the config error must come first
+        code, _, err = run(
+            capsys,
+            "train",
+            "--corpus", str(tmp_path / "missing.txt"),
+            "--out", str(tmp_path / "run"),
+            flag, "nan",
+        )
+        assert code == 1
+        assert f"{flag[2:].replace('-', '_')}=nan must be finite" in err
+        assert not (tmp_path / "run").exists()
+
     def test_malformed_corpus_reports_line(self, capsys, tmp_path):
         corpus = tmp_path / "bad.txt"
         corpus.write_text("a|b|c\nnot an event\n")
@@ -290,6 +304,19 @@ class TestEmbedCommand:
         assert all(len(row.split("\t")) == 8 for row in rows)
 
 
+    def test_comment_only_events_print_nothing(self, capsys, trained_dir, tmp_path):
+        events = tmp_path / "events.txt"
+        events.write_text("# no events\n")
+        code, out, _ = run(
+            capsys,
+            "embed",
+            "--checkpoint", str(trained_dir / "final.ckpt"),
+            "--events", str(events),
+        )
+        assert code == 0
+        assert out == ""
+
+
 class TestNnCommand:
     def test_query_in_corpus_ranks_first(self, capsys, trained_dir, synthetic_dir):
         code, out, _ = run(
@@ -304,6 +331,28 @@ class TestNnCommand:
         rows = out.splitlines()
         assert len(rows) == 5
         score, event = rows[0].split("\t")
+        assert event == "person_x|threw|bomb"
+        assert float(score) == pytest.approx(1.0, abs=1e-6)
+
+    def test_query_past_the_first_block_ranks_first(
+        self, capsys, trained_dir, synthetic_dir, tmp_path
+    ):
+        # 300 events: the query's only copy is the last, in the second block
+        # of the batched embedding
+        lines = (synthetic_dir / "corpus.txt").read_text().splitlines()
+        others = [line for line in lines if line != "person_x|threw|bomb"]
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("\n".join((others * 6)[:299] + ["person_x|threw|bomb"]) + "\n")
+        code, out, _ = run(
+            capsys,
+            "nn",
+            "--checkpoint", str(trained_dir / "final.ckpt"),
+            "--query", "person_x|threw|bomb",
+            "--corpus", str(corpus),
+            "--top", "3",
+        )
+        assert code == 0
+        score, event = out.splitlines()[0].split("\t")
         assert event == "person_x|threw|bomb"
         assert float(score) == pytest.approx(1.0, abs=1e-6)
 

@@ -4,6 +4,7 @@ import pytest
 from eventemb.composer import EventComposer, LowRankLayer, corrupt_event
 from eventemb.data import AnnotatedExample, EventTuple, Vocabulary
 from eventemb.gradcheck import grad_check, random_projection
+from eventemb.model import EMBED_BLOCK
 from eventemb.params import ParameterStore
 from eventemb.trainer import Negatives, TrainingConfig, joint_loss
 from conftest import WORDS, make_model, random_event
@@ -21,11 +22,14 @@ def make_composer(seed=0, d=4, k=3, n=2, n_words=8, scale=1.0):
     return composer, vocab, store, rng
 
 
-def event_loss(model, event, corrupted, lambda_l2, backprop=False):
-    """The event margin loss: joint_loss under the `ntn` weights (1, 0, 0)."""
+def event_loss(model, event, corrupted, lambda_l2):
+    """The event margin loss: joint_loss under the `ntn` weights (1, 0, 0).
+
+    Gradients accumulate into the model's store, as for every joint_loss call.
+    """
     config = TrainingConfig(lambda_l2=lambda_l2).with_preset("ntn")
     example = AnnotatedExample(event)
-    return joint_loss(model, example, Negatives(corrupted), config, backprop).total
+    return joint_loss(model, [example], [Negatives(corrupted)], config).total
 
 
 def zero_params(store):
@@ -40,8 +44,8 @@ class TestComposePair:
     def test_zero_params_give_zero_vector(self):
         composer, _, store, _ = make_composer()
         zero_params(store)
-        out = composer.layer1.forward(np.ones(4), np.ones(4))[0]
-        assert np.array_equal(out, np.zeros(3))
+        out = composer.layer1.forward(np.ones((2, 4)), np.ones((2, 4)))[0]
+        assert np.array_equal(out, np.zeros((2, 3)))
 
     def test_hand_computed_single_slice(self):
         composer, _, store, _ = make_composer(d=2, k=1, n=1)
@@ -51,21 +55,21 @@ class TestComposePair:
         layer.diag[...] = [0.5, -1.0]
         layer.w[...] = [[0.1, 0.2, 0.3, 0.4]]
         layer.b[...] = [-0.5]
-        x = np.array([1.0, 2.0])
-        y = np.array([3.0, -1.0])
+        x = np.array([[1.0, 2.0]])
+        y = np.array([[3.0, -1.0]])
         # bilinear: x' ([[2.5, 6], [0, -1]]) y = 3.5; affine: 1.0; bias -0.5
-        assert layer.forward(x, y)[0] == pytest.approx([np.tanh(4.0)], abs=1e-15)
+        assert layer.forward(x, y)[0][0] == pytest.approx([np.tanh(4.0)], abs=1e-15)
 
     def test_outputs_in_open_unit_interval(self):
         composer, _, _, rng = make_composer(seed=3)
-        for _ in range(5):
-            out = composer.layer1.forward(rng.standard_normal(4), rng.standard_normal(4))[0]
-            assert np.all(out > -1.0) and np.all(out < 1.0)
+        x, y = rng.standard_normal((2, 5, 4))
+        out = composer.layer1.forward(x, y)[0]
+        assert np.all(out > -1.0) and np.all(out < 1.0)
 
     def test_dimension_mismatch(self):
         composer, _, _, _ = make_composer()
         with pytest.raises(ValueError, match="x has shape"):
-            composer.layer1.forward(np.zeros(5), np.zeros(4))
+            composer.layer1.forward(np.zeros((1, 5)), np.zeros((1, 4)))
 
     def test_rank_bound_enforced(self):
         store = ParameterStore()
@@ -89,7 +93,7 @@ class TestDenseEquivalence:
             x = rng.standard_normal(d)
             y = rng.standard_normal(d)
             expected = dense_compose(x, y, mats, layer.w, layer.b)
-            assert layer.forward(x, y)[0] == pytest.approx(expected, abs=1e-12)
+            assert layer.forward(x[None], y[None])[0][0] == pytest.approx(expected, abs=1e-12)
 
 
 class TestEmbedEvent:
@@ -110,12 +114,12 @@ class TestEmbedEvent:
         composer, vocab, _, _ = make_composer(seed=7, d=4, k=3, n=2)
         event = EventTuple(("alice", "bob"), ("threw",), ("ball", "bomb"))
         table = composer.embeddings
-        a = average_argument(event.actor, table, vocab)
-        p = average_argument(event.predicate, table, vocab)
-        o = average_argument(event.object, table, vocab)
+        a = average_argument(event.actor, table, vocab)[None]
+        p = average_argument(event.predicate, table, vocab)[None]
+        o = average_argument(event.object, table, vocab)[None]
         s1 = composer.layer1.forward(a, p)[0]
         s2 = composer.layer2.forward(p, o)[0]
-        expected = composer.layer3.forward(s1, s2)[0]
+        expected = composer.layer3.forward(s1, s2)[0][0]
         assert np.array_equal(composer.embed_event(event), expected)
 
     def test_layer_bilinear_matches_per_slice_op(self):
@@ -124,7 +128,7 @@ class TestEmbedEvent:
         layer = composer.layer1
         x = rng.standard_normal(5)
         y = rng.standard_normal(5)
-        out, _ = layer.forward(x, y)
+        out = layer.forward(x[None], y[None])[0][0]
         per_slice = np.array(
             [bilinear_lowrank(x, y, layer_slice(layer, i)) for i in range(4)]
         )
@@ -139,6 +143,26 @@ class TestEmbedEvent:
             swapped = EventTuple(event.object, event.predicate, event.actor)
             delta = composer.embed_event(event) - composer.embed_event(swapped)
             assert np.linalg.norm(delta) >= 1e-3
+
+
+class TestEmbedEvents:
+    def test_blocks_match_row_by_row_in_input_order(self):
+        # 2 full blocks and a partial third: two block boundaries
+        model, vocab, rng = make_model(seed=31)
+        events = [random_event(vocab, rng) for _ in range(2 * EMBED_BLOCK + 45)]
+        batched = model.embed_events(events)
+        assert batched.shape == (len(events), model.k)
+        rows = np.array([model.embed_event(e) for e in events])
+        assert np.max(np.abs(batched - rows)) < 1e-12
+
+    def test_no_events_give_no_rows_without_composing(self, monkeypatch):
+        model, _, _ = make_model()
+
+        def refuse(events):
+            raise AssertionError("composer.embed called with no events")
+
+        monkeypatch.setattr(model.composer, "embed", refuse)
+        assert model.embed_events([]).shape == (0, model.k)
 
 
 class TestScoreEvent:
@@ -274,7 +298,7 @@ class TestComposerGradients:
 
         def fn():
             model.store.zero_grads()
-            loss = event_loss(model, event, corrupted, lam, backprop=True)
+            loss = event_loss(model, event, corrupted, lam)
             return loss, model.store.snapshot_grads()
 
         error = grad_check(
@@ -296,7 +320,7 @@ class TestComposerGradients:
         assert loss == composer.regularization(lam)
 
         model.store.zero_grads()
-        event_loss(model, event, corrupted, lam, backprop=True)
+        event_loss(model, event, corrupted, lam)
         assert np.array_equal(model.store.grads["u"], np.zeros(4))
         assert np.array_equal(
             model.store.grads["embeddings"], np.zeros_like(composer.embeddings)
@@ -313,23 +337,24 @@ class TestComposerGradients:
 
         def fn():
             model.store.zero_grads()
-            loss = event_loss(model, event, corrupted, lam, backprop=True)
+            loss = event_loss(model, event, corrupted, lam)
             return loss, model.store.snapshot_grads()
 
         assert grad_check(fn, params) < 1e-4
 
     @pytest.mark.parametrize("seed", range(5))
     def test_layer_forward_gradients_random_instances(self, seed):
-        # scalarize the vector output through a fixed random projection
+        # scalarize the (3, k) output of three rows through a fixed random
+        # projection; parameter gradients are sums over the rows
         rng = np.random.default_rng(seed)
         d = int(rng.integers(2, 9))
         k = int(rng.integers(1, 6))
         n = int(rng.integers(1, min(d, 3) + 1))
         store = ParameterStore()
         layer = LowRankLayer(store, "layer", d, k, n, rng)
-        x = rng.standard_normal(d)
-        y = rng.standard_normal(d)
-        proj = random_projection(k, rng)
+        x = rng.standard_normal((3, d))
+        y = rng.standard_normal((3, d))
+        proj = random_projection(3 * k, rng).reshape(3, k)
         params = dict(store.params) | {"x": x, "y": y}
 
         def fn():
@@ -339,6 +364,6 @@ class TestComposerGradients:
             grads = store.snapshot_grads()
             grads["x"] = dx
             grads["y"] = dy
-            return float(proj @ out), grads
+            return float(np.sum(proj * out)), grads
 
         assert grad_check(fn, params) < 1e-4

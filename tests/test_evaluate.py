@@ -18,7 +18,8 @@ def ev(tag):
 
 
 def table_embedder(mapping):
-    return lambda event: np.asarray(mapping[event.actor[0]], dtype=np.float64)
+    """An embed function over a list of events: one row per event, by actor."""
+    return lambda events: np.array([mapping[e.actor[0]] for e in events], dtype=np.float64)
 
 
 class TestCosine:
@@ -66,7 +67,7 @@ class TestHardSimilarity:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty instance list"):
-            hard_similarity_accuracy([], lambda e: np.zeros(2))
+            hard_similarity_accuracy([], lambda events: np.zeros((len(events), 2)))
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(3)
@@ -93,8 +94,8 @@ class TestHardSimilarity:
             for i in range(count):
                 a, b, c, d = (ev(f"t{4 * i + j}") for j in range(4))
                 instances.append(HardSimInstance((a, b), (c, d)))
-                sims.append(cosine(embed(a), embed(b)))
-                dissims.append(cosine(embed(c), embed(d)))
+                sims.append(cosine(*embed([a, b])))
+                dissims.append(cosine(*embed([c, d])))
             expected = hard_sim_by_counting(sims, dissims)
             assert hard_similarity_accuracy(instances, embed) == expected
 
@@ -156,7 +157,7 @@ class TestTransitive:
             [(("a", "b"), 1.0), (("c", "d"), 4.0), (("e", "f"), 7.0)]
         )
         with pytest.raises(ValueError, match="constant input"):
-            evaluate_transitive(instances, lambda e: np.array([1.0, 1.0]))
+            evaluate_transitive(instances, lambda events: np.ones((len(events), 2)))
 
     def test_gold_aligned_model_scores_one(self):
         vectors = {
@@ -177,14 +178,14 @@ class TestTransitive:
         instances = self.instances(
             [((f"t{2 * i}", f"t{2 * i + 1}"), golds[i]) for i in range(5)]
         )
-        pred = [cosine(embed(inst.pair[0]), embed(inst.pair[1])) for inst in instances]
+        pred = [cosine(*embed(list(inst.pair))) for inst in instances]
         assert evaluate_transitive(instances, embed) == pytest.approx(
             spearman_bruteforce(pred, golds), abs=1e-12
         )
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty instance list"):
-            evaluate_transitive([], lambda e: np.zeros(2))
+            evaluate_transitive([], lambda events: np.zeros((len(events), 2)))
 
 
 class TestReport:

@@ -223,10 +223,10 @@ class TestIntentGradientsEndToEnd:
 
         def fn():
             model.store.zero_grads()
-            parts = joint_loss(model, example, negatives, cfg, backprop=True)
+            parts = joint_loss(model, [example], [negatives], cfg)
             return parts.total, model.store.snapshot_grads()
 
         def value_only():
-            return joint_loss(model, example, negatives, cfg).total
+            return joint_loss(model, [example], [negatives], cfg).total
 
         assert grad_check(fn, model.store.params, value_fn=value_only) < 1e-4

@@ -71,15 +71,15 @@ class TestAffineTanh:
         for arr in (layer.left, layer.right, layer.diag, layer.w, layer.b):
             arr[...] = 0.0
         rng = np.random.default_rng(5)
-        out = layer.forward(rng.standard_normal(2), rng.standard_normal(2))[0]
-        assert np.array_equal(out, np.zeros(3))
+        out = layer.forward(rng.standard_normal((1, 2)), rng.standard_normal((1, 2)))[0]
+        assert np.array_equal(out, np.zeros((1, 3)))
 
     def test_saturation(self):
         layer = make_layer(2, 3)
         for arr in (layer.left, layer.right, layer.w, layer.b):
             arr[...] = 0.0
         layer.diag[...] = 10.0  # bilinear value 20 on the all-ones inputs
-        out = layer.forward(np.ones(2), np.ones(2))[0]
+        out = layer.forward(np.ones((1, 2)), np.ones((1, 2)))[0]
         assert np.all(np.abs(out - 1.0) < 1e-6)
 
     def test_outputs_strictly_inside_unit_interval(self):
@@ -91,19 +91,19 @@ class TestAffineTanh:
             for arr in (layer.left, layer.right, layer.w, layer.b):
                 arr[...] = rng.uniform(-1, 1, arr.shape)
             layer.diag[...] = rng.uniform(-1, 1, layer.diag.shape) * 3
-            out = layer.forward(rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2))[0]
+            out = layer.forward(rng.uniform(-1, 1, (1, 2)), rng.uniform(-1, 1, (1, 2)))[0]
             assert np.all(out > -1.0) and np.all(out < 1.0)
 
     def test_outputs_never_leave_closed_interval(self):
         layer = make_layer(2, 5)
         for arr in (layer.left, layer.right, layer.diag, layer.w, layer.b):
             arr[...] = 100.0
-        out = layer.forward(np.full(2, 100.0), np.full(2, 100.0))[0]
+        out = layer.forward(np.full((1, 2), 100.0), np.full((1, 2), 100.0))[0]
         assert np.all(out >= -1.0) and np.all(out <= 1.0)
 
     def test_dimension_error(self):
         with pytest.raises(ValueError, match="x has shape"):
-            make_layer(4, 2).forward(np.zeros(3), np.zeros(4))
+            make_layer(4, 2).forward(np.zeros((1, 3)), np.zeros((1, 4)))
 
 
 class TestGradCheck:

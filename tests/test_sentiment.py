@@ -20,13 +20,13 @@ class TestForward:
     def test_zero_parameters_give_uniform(self):
         head, store = make_head()
         store.params["sentiment.w"][...] = 0.0
-        assert np.array_equal(head.forward(np.ones(4)), [0.5, 0.5])
+        assert np.array_equal(head.forward(np.ones((2, 4))), [[0.5, 0.5], [0.5, 0.5]])
 
     def test_saturated_logits(self):
         head, _ = make_head(k=2)
         head.w[...] = 0.0
         head.b[...] = [20.0, -20.0]
-        probs = head.forward(np.zeros(2))
+        (probs,) = head.forward(np.zeros((1, 2)))
         assert abs(probs[0] - 1.0) < 1e-8
         assert abs(probs[1]) < 1e-8
 
@@ -35,23 +35,28 @@ class TestForward:
         rng = np.random.default_rng(5)
         v = rng.standard_normal(4)
         logits = head.w @ v + head.b
-        assert head.forward(v) == pytest.approx(softmax_scalar(list(logits)), abs=1e-14)
+        expected = softmax_scalar(list(logits))
+        assert head.forward(v[None])[0] == pytest.approx(expected, abs=1e-14)
 
     def test_probabilities_sum_to_one(self):
         head, _ = make_head(seed=3, k=4)
         rng = np.random.default_rng(6)
-        for _ in range(50):
-            probs = head.forward(rng.standard_normal(4) * 10)
-            assert abs(probs.sum() - 1.0) < 1e-12
+        probs = head.forward(rng.standard_normal((50, 4)) * 10)
+        assert np.all(np.abs(probs.sum(axis=1) - 1.0) < 1e-12)
 
     def test_dimension_error(self):
         head, _ = make_head(k=4)
         with pytest.raises(ValueError, match="input has shape"):
-            head.forward(np.zeros(5))
+            head.forward(np.zeros((1, 5)))
 
     def test_softmax_shift_invariance(self):
         logits = np.array([1.0, 3.0])
         assert softmax(logits) == pytest.approx(softmax(logits + 1000.0), abs=1e-12)
+
+
+def row_loss(head, v_e, polarity):
+    """The cross-entropy loss of one row, from the batched loss_backward."""
+    return float(head.loss_backward(v_e[None], [polarity])[0][0])
 
 
 class TestLoss:
@@ -59,26 +64,25 @@ class TestLoss:
         head, _ = make_head(k=2)
         head.w[...] = 0.0
         head.b[...] = [-30.0, 30.0]
-        assert head.loss(np.zeros(2), 1) < 1e-12
+        assert row_loss(head, np.zeros(2), 1) < 1e-12
 
     def test_uniform_gives_ln2(self):
         head, _ = make_head(k=3)
         head.w[...] = 0.0
         head.b[...] = 0.0
-        assert head.loss(np.zeros(3), 1) == pytest.approx(np.log(2.0), abs=1e-12)
+        assert row_loss(head, np.zeros(3), 1) == pytest.approx(np.log(2.0), abs=1e-12)
 
     def test_point_one_gives_ln_ten(self):
         head, _ = make_head(k=2)
         head.w[...] = 0.0
         head.b[...] = [np.log(0.9), np.log(0.1)]
-        assert head.loss(np.zeros(2), 1) == pytest.approx(-np.log(0.1), abs=1e-12)
+        assert row_loss(head, np.zeros(2), 1) == pytest.approx(-np.log(0.1), abs=1e-12)
 
     def test_loss_nonnegative(self):
         head, _ = make_head(seed=4, k=4)
         rng = np.random.default_rng(7)
-        for _ in range(50):
-            assert head.loss(rng.standard_normal(4), 1) >= 0.0
-            assert head.loss(rng.standard_normal(4), -1) >= 0.0
+        losses, _ = head.loss_backward(rng.standard_normal((100, 4)), [1, -1] * 50)
+        assert np.all(losses >= 0.0)
 
     def test_polarity_class_mapping(self):
         assert polarity_class(1) == 1
@@ -93,16 +97,17 @@ class TestSentimentGradients:
         rng = np.random.default_rng(seed)
         k = int(rng.integers(2, 6))
         head, store = make_head(seed=seed, k=k)
-        v = rng.standard_normal(k)
-        polarity = 1 if seed % 2 else -1
+        # three rows with mixed classes; the scalar is the weighted sum
+        v = rng.standard_normal((3, k))
+        polarities = [1, -1, 1] if seed % 2 else [-1, -1, 1]
         params = dict(store.params) | {"v": v}
 
         def fn():
             store.zero_grads()
-            loss, dv = head.loss_backward(v, polarity)
+            losses, dv = head.loss_backward(v, polarities, 0.5)
             grads = store.snapshot_grads()
             grads["v"] = dv
-            return loss, grads
+            return 0.5 * float(losses.sum()), grads
 
         assert grad_check(fn, params) < 1e-4
 
@@ -114,10 +119,10 @@ class TestSentimentGradients:
 
         def fn():
             model.store.zero_grads()
-            parts = joint_loss(model, example, negatives, cfg, backprop=True)
+            parts = joint_loss(model, [example], [negatives], cfg)
             return parts.total, model.store.snapshot_grads()
 
         def value_only():
-            return joint_loss(model, example, negatives, cfg).total
+            return joint_loss(model, [example], [negatives], cfg).total
 
         assert grad_check(fn, model.store.params, value_fn=value_only) < 1e-4

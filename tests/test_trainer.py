@@ -54,6 +54,13 @@ class TestConfig:
             TrainingConfig(alpha=0.0, beta=0.0, gamma=0.0).validate()
         TrainingConfig(alpha=0.0, beta=0.0, gamma=0.5).validate()
 
+    @pytest.mark.parametrize("field", ("learning_rate", "lambda_l2"))
+    @pytest.mark.parametrize("value", (float("nan"), float("inf")))
+    def test_non_finite_rate_and_l2_rejected(self, field, value):
+        config = dataclasses.replace(TrainingConfig(), **{field: value})
+        with pytest.raises(ValueError, match=f"{field}={value} must be finite"):
+            config.validate()
+
     def test_presets_match_ablation_rows(self):
         assert PRESETS["ntn"] == (1.0, 0.0, 0.0)
         assert PRESETS["ntn+int"] == (1.0, 1.0, 0.0)
@@ -83,17 +90,19 @@ class TestJointLoss:
             event = random_event(vocab, rng)
             corrupted = corrupt_event(event, vocab, rng)
             example = AnnotatedExample(event, intent=("to", "run"), polarity=1)
-            parts = joint_loss(model, example, Negatives(corrupted, None), cfg)
+            parts = joint_loss(model, [example], [Negatives(corrupted, None)], cfg)
             direct = margin_objective(model.composer, event, corrupted, cfg.lambda_l2)
             assert parts.total == direct
-            assert parts.intent is None and parts.sentiment is None
+            assert (parts.n_event, parts.n_intent, parts.n_sentiment) == (1, 0, 0)
 
     def test_intent_only_without_annotation_is_an_error(self):
         model, vocab, rng = make_model(seed=15)
         cfg = tiny_config(alpha=0.0, beta=1.0, gamma=0.0)
-        example = AnnotatedExample(random_event(vocab, rng))
+        annotated = AnnotatedExample(random_event(vocab, rng), intent=("to", "run"))
+        bare = AnnotatedExample(random_event(vocab, rng))
+        negatives = [Negatives(None, ("run", "fast")), Negatives(None, None)]
         with pytest.raises(ValueError, match="no loss term"):
-            joint_loss(model, example, Negatives(None, None), cfg)
+            joint_loss(model, [annotated, bare], negatives, cfg)
 
     def test_matches_sum_of_independent_heads(self):
         model, vocab, rng = make_model(seed=16, d=6, k=4, n=2)
@@ -104,30 +113,32 @@ class TestJointLoss:
         cfg = tiny_config(alpha=1.0, beta=1.0, gamma=1.0, lambda_l2=0.001)
 
         l_event = margin_objective(model.composer, event, corrupted, cfg.lambda_l2)
-        v_e = model.embed_event(event)
+        # the positive's row of the same two-row composer call joint_loss makes
+        v_e = model.composer.embed([event, corrupted])[0][0]
         l_intent = intent_loss(
             v_e,
             model.encode_intent(example.intent),
             model.encode_intent(negatives.negative_intent),
         )
-        l_sentiment = model.sentiment.loss(v_e, -1)
+        l_sentiment = model.sentiment.loss_backward(v_e[None], [-1])[0][0]
 
-        parts = joint_loss(model, example, negatives, cfg)
+        parts = joint_loss(model, [example], [negatives], cfg)
         assert parts.total == pytest.approx(l_event + l_intent + l_sentiment, abs=1e-12)
         assert parts.event == l_event
         assert parts.intent == l_intent
         assert parts.sentiment == l_sentiment
+        assert (parts.n_event, parts.n_intent, parts.n_sentiment) == (1, 1, 1)
 
     def test_missing_negatives_are_errors(self):
         model, vocab, rng = make_model(seed=17)
         event = random_event(vocab, rng)
         cfg = tiny_config()
         with pytest.raises(ValueError, match="no corrupted event"):
-            joint_loss(model, AnnotatedExample(event), Negatives(None, None), cfg)
+            joint_loss(model, [AnnotatedExample(event)], [Negatives(None, None)], cfg)
         example = AnnotatedExample(event, intent=("to", "run"))
         corrupted = corrupt_event(event, vocab, rng)
         with pytest.raises(ValueError, match="no negative intent"):
-            joint_loss(model, example, Negatives(corrupted, None), cfg)
+            joint_loss(model, [example], [Negatives(corrupted, None)], cfg)
 
 
 class TestAdagrad:
