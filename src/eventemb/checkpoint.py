@@ -55,7 +55,8 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-def checkpoint_bytes(ckpt: Checkpoint) -> bytes:
+def _serialized_parts(ckpt: Checkpoint) -> list:
+    """Head and body as byte buffers; a C-ordered float64 array is a view, not a copy."""
     header = json.dumps(
         {
             "config": ckpt.config.to_dict(),
@@ -74,19 +75,23 @@ def checkpoint_bytes(ckpt: Checkpoint) -> bytes:
         parts.append(encoded)
         parts.append(struct.pack("<I", arr.ndim))
         parts.append(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-        parts.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    body = b"".join(parts)
-    head = MAGIC + struct.pack("<II", VERSION, zlib.crc32(body)) + struct.pack(
-        "<Q", len(body)
-    )
-    return head + body
+        parts.append(np.ascontiguousarray(arr, dtype="<f8").reshape(-1).view(np.uint8))
+    crc = 0
+    for part in parts:
+        crc = zlib.crc32(part, crc)
+    head = MAGIC + struct.pack("<IIQ", VERSION, crc, sum(len(part) for part in parts))
+    return [head, *parts]
+
+
+def checkpoint_bytes(ckpt: Checkpoint) -> bytes:
+    return b"".join(_serialized_parts(ckpt))
 
 
 def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
     """Atomic write: the file appears complete or not at all."""
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
-        fh.write(checkpoint_bytes(ckpt))
+        fh.writelines(_serialized_parts(ckpt))
     os.replace(tmp, path)
 
 

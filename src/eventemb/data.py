@@ -115,7 +115,8 @@ class Vocabulary:
 
     def extended(self, tokens: Iterable[str]) -> "Vocabulary":
         """New vocabulary with unseen tokens appended in first-appearance order."""
-        vocab = Vocabulary(self._words[1:])
+        vocab = Vocabulary()
+        vocab._words, vocab._index = list(self._words), dict(self._index)
         for t in tokens:
             vocab._add(t)
         return vocab
@@ -196,16 +197,6 @@ def extend_embeddings(
         return extended, table
     fresh = rng.uniform(-init_range, init_range, size=(n_new, table.shape[1]))
     return extended, np.vstack([table, fresh])
-
-
-def average_argument(
-    words: Sequence[str], table: np.ndarray, vocab: Vocabulary
-) -> np.ndarray:
-    """Arithmetic mean of the word rows; unknown words use the unknown row."""
-    if not words:
-        raise ValueError("average_argument: empty word list")
-    rows = table[[vocab.index(w) for w in words]]
-    return rows.mean(axis=0)
 
 
 def derive_polarity(

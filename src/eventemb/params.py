@@ -38,10 +38,6 @@ class ParameterStore:
         for g in self.grads.values():
             g[...] = 0.0
 
-    def scale_grads(self, factor: float) -> None:
-        for g in self.grads.values():
-            g *= factor
-
     def snapshot_grads(self) -> dict[str, np.ndarray]:
         """Copies of all gradient buffers (used by the gradient checker)."""
         return {name: g.copy() for name, g in self.grads.items()}

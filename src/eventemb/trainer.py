@@ -203,16 +203,36 @@ def joint_loss(
     )
 
 
-def adagrad_step(store: ParameterStore, learning_rate: float) -> None:
-    """acc += g^2; theta -= lr * g / (sqrt(acc) + eps); gradients zeroed."""
+def _adagrad_update(
+    name: str, theta: np.ndarray, acc: np.ndarray, g: np.ndarray, lr: float, scale: float
+) -> None:
+    g *= scale
+    if not np.all(np.isfinite(g)):
+        raise FloatingPointError(f"non-finite gradient in parameter '{name}'")
+    acc += g * g
+    theta -= lr * g / (np.sqrt(acc) + ADAGRAD_EPS)
+
+
+def adagrad_step(store: ParameterStore, learning_rate: float, scale: float) -> None:
+    """g *= scale; acc += g^2; theta -= lr * g / (sqrt(acc) + eps); gradients zeroed.
+
+    Only the embedding rows with a non-zero gradient are updated: an all-zero
+    row is a fixed point (acc += 0, theta -= 0), so the result is bit-equal
+    to the dense rule, and a NaN or inf row is non-zero, so it is checked.
+    This holds because gradient buffers are zeroed to +0.0 and only added
+    to, so a skipped row never holds a -0.0 that would flip a -0.0 theta.
+    Every other array is small and updated whole, in place.
+    """
     for name, theta in store.params.items():
-        g = store.grads[name]
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError(f"non-finite gradient in parameter '{name}'")
-        acc = store.accums[name]
-        acc += g * g
-        theta -= learning_rate * g / (np.sqrt(acc) + ADAGRAD_EPS)
-        g[...] = 0.0
+        g, acc = store.grads[name], store.accums[name]
+        if name == "embeddings":
+            rows = np.flatnonzero(g.any(axis=1))
+            theta_rows, acc_rows = theta[rows], acc[rows]
+            _adagrad_update(name, theta_rows, acc_rows, g[rows], learning_rate, scale)
+            theta[rows], acc[rows], g[rows] = theta_rows, acc_rows, 0.0
+        else:
+            _adagrad_update(name, theta, acc, g, learning_rate, scale)
+            g[...] = 0.0
 
 
 def sample_negative_intent(
@@ -333,8 +353,7 @@ def train(
                     negative_intent = sample_negative_intent(intent_pool, example.intent, rng)
                 negatives.append(Negatives(corrupted, negative_intent))
             sums += joint_loss(model, batch, negatives, config)
-            model.store.scale_grads(1.0 / len(batch))
-            adagrad_step(model.store, config.learning_rate)
+            adagrad_step(model.store, config.learning_rate, 1.0 / len(batch))
 
         metrics = EpochMetrics(
             epoch=epoch,

@@ -63,6 +63,14 @@ def scalar_mean_rows(rows):
     return out
 
 
+def average_argument(words, table, vocab):
+    """Arithmetic mean of the word rows; unknown words use the unknown row."""
+    if not words:
+        raise ValueError("average_argument: empty word list")
+    rows = table[[vocab.index(w) for w in words]]
+    return rows.mean(axis=0)
+
+
 def scalar_lstm_step(x, h_prev, c_prev, w, b):
     """One LSTM transition evaluated entry by entry.
 
@@ -228,3 +236,16 @@ def intent_loss(v_e, v_i, v_i_neg):
     """Forward-only intent hinge: max(0, 1 - cos(v_e, v_i) + cos(v_e, v_i_neg))."""
     # grouped so that identical positive/negative intents give exactly 1.0
     return max(0.0, 1.0 - (cosine(v_e, v_i) - cosine(v_e, v_i_neg)))
+
+
+def dense_adagrad_step(store, learning_rate, scale, eps):
+    """The Adagrad step swept over every array whole, the table included."""
+    for name, theta in store.params.items():
+        g = store.grads[name]
+        g *= scale
+        if not np.all(np.isfinite(g)):
+            raise FloatingPointError(f"non-finite gradient in parameter '{name}'")
+        acc = store.accums[name]
+        acc += g * g
+        theta -= learning_rate * g / (np.sqrt(acc) + eps)
+        g[...] = 0.0

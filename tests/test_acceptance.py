@@ -238,10 +238,10 @@ class TestCriterion6AdagradHandTrace:
         store = ParameterStore()
         theta = store.add("theta", np.zeros(1))
         store.grads["theta"][...] = 3.0
-        adagrad_step(store, 1.0)
+        adagrad_step(store, 1.0, 1.0)
         assert store.accums["theta"][0] == 9.0
         store.grads["theta"][...] = 4.0
-        adagrad_step(store, 1.0)
+        adagrad_step(store, 1.0, 1.0)
         assert store.accums["theta"][0] == 25.0
         # -3/(3+1e-8) - 4/(5+1e-8): exact up to the specified epsilon guard
         assert abs(theta[0] - (-1.8)) < 1e-8

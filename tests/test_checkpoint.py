@@ -71,6 +71,25 @@ class TestRoundTrip:
         assert np.array_equal(restored.standard_normal(8), reference.standard_normal(8))
 
 
+class TestStreamedSave:
+    @pytest.mark.parametrize("shape", [(6, 4, 2), (100, 100, 10)])
+    def test_file_holds_checkpoint_bytes(self, tmp_path, shape):
+        ckpt, _ = make_checkpoint(d=shape[0], k=shape[1], n=shape[2])
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(str(path), ckpt)
+        assert path.read_bytes() == checkpoint_bytes(ckpt)
+        assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+
+    def test_saving_over_a_larger_checkpoint_replaces_it_whole(self, tmp_path):
+        big, _ = make_checkpoint(d=100, k=100, n=10)
+        small, _ = make_checkpoint(seed=1)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(str(path), big)
+        save_checkpoint(str(path), small)
+        assert path.read_bytes() == checkpoint_bytes(small)
+        assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+
+
 class TestCorruptionDetection:
     def test_truncation_by_one_byte(self, tmp_path):
         ckpt, _ = make_checkpoint()

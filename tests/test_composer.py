@@ -8,7 +8,13 @@ from eventemb.model import EMBED_BLOCK
 from eventemb.params import ParameterStore
 from eventemb.trainer import Negatives, TrainingConfig, joint_loss
 from conftest import WORDS, make_model, random_event
-from oracles import bilinear_lowrank, dense_compose, dense_slice_matrix, layer_slice
+from oracles import (
+    average_argument,
+    bilinear_lowrank,
+    dense_compose,
+    dense_slice_matrix,
+    layer_slice,
+)
 
 
 def make_composer(seed=0, d=4, k=3, n=2, n_words=8, scale=1.0):
@@ -109,8 +115,6 @@ class TestEmbedEvent:
         assert np.array_equal(a, b)
 
     def test_matches_chained_ops(self):
-        from eventemb.data import average_argument
-
         composer, vocab, _, _ = make_composer(seed=7, d=4, k=3, n=2)
         event = EventTuple(("alice", "bob"), ("threw",), ("ball", "bomb"))
         table = composer.embeddings

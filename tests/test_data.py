@@ -6,7 +6,6 @@ from eventemb.data import (
     DataError,
     EventTuple,
     Vocabulary,
-    average_argument,
     derive_polarity,
     extend_embeddings,
     format_annotation,
@@ -25,7 +24,7 @@ from eventemb.data import (
     save_transitive,
     tokenize,
 )
-from oracles import polarity_by_counting, scalar_mean_rows
+from oracles import average_argument, polarity_by_counting, scalar_mean_rows
 
 
 def write(tmp_path, name, text):
@@ -297,6 +296,13 @@ class TestVocabulary:
         assert bigger.index("a") == vocab.index("a")
         assert bigger.index("c") == 3
         assert len(bigger) == 5
+
+    def test_extended_leaves_the_original_unchanged(self):
+        vocab = Vocabulary(["a", "b"])
+        bigger = vocab.extended(["c", "b", "d", "c"])
+        assert vocab.words == ["<unk>", "a", "b"]
+        assert "c" not in vocab and vocab.index("d") == 0
+        assert bigger.words == ["<unk>", "a", "b", "c", "d"]
 
     def test_covers_all_training_tokens(self, synthetic_dir):
         # vocabulary built from corpus + annotations + vectors leaves no

@@ -14,6 +14,7 @@ from eventemb.data import (
 )
 from eventemb.params import ParameterStore
 from eventemb.trainer import (
+    ADAGRAD_EPS,
     EpochMetrics,
     Negatives,
     PRESETS,
@@ -25,7 +26,7 @@ from eventemb.trainer import (
     train,
 )
 from conftest import make_model, random_event
-from oracles import intent_loss, margin_objective
+from oracles import dense_adagrad_step, intent_loss, margin_objective
 
 
 def tiny_config(**overrides):
@@ -146,7 +147,7 @@ class TestAdagrad:
         store = ParameterStore()
         theta = store.add("theta", np.zeros(1))
         store.grads["theta"][...] = 1.0
-        adagrad_step(store, 0.1)
+        adagrad_step(store, 0.1, 1.0)
         assert theta[0] == pytest.approx(-0.1 * 1.0 / (1.0 + 1e-8), abs=1e-15)
         assert store.accums["theta"][0] == 1.0
         assert store.grads["theta"][0] == 0.0  # zeroed after the step
@@ -154,7 +155,7 @@ class TestAdagrad:
     def test_zero_gradient_changes_nothing(self):
         store = ParameterStore()
         theta = store.add("theta", np.full(3, 2.5))
-        adagrad_step(store, 0.1)
+        adagrad_step(store, 0.1, 1.0)
         assert np.array_equal(theta, np.full(3, 2.5))
         assert np.array_equal(store.accums["theta"], np.zeros(3))
 
@@ -163,10 +164,10 @@ class TestAdagrad:
         store = ParameterStore()
         theta = store.add("theta", np.zeros(1))
         store.grads["theta"][...] = 3.0
-        adagrad_step(store, 1.0)
+        adagrad_step(store, 1.0, 1.0)
         assert store.accums["theta"][0] == 9.0
         store.grads["theta"][...] = 4.0
-        adagrad_step(store, 1.0)
+        adagrad_step(store, 1.0, 1.0)
         assert store.accums["theta"][0] == 25.0
         assert abs(theta[0] - (-1.8)) < 1e-8  # exact up to the 1e-8 epsilon guard
 
@@ -175,7 +176,51 @@ class TestAdagrad:
         store.add("layer1.w", np.zeros(2))
         store.grads["layer1.w"][0] = np.nan
         with pytest.raises(FloatingPointError, match="layer1.w"):
-            adagrad_step(store, 0.1)
+            adagrad_step(store, 0.1, 1.0)
+
+    @staticmethod
+    def table_store(rng):
+        store = ParameterStore()
+        table = rng.standard_normal((50, 4))
+        table[[3, 7], 1:3] = -0.0
+        table[11, 0] = -0.0
+        store.add("embeddings", table)
+        store.add("layer1.w", rng.standard_normal((3, 2)))
+        store.add("u", np.array([0.5, -0.0, 0.0]))
+        return store
+
+    def test_sparse_table_step_bit_equals_dense_oracle(self):
+        rng = np.random.default_rng(3)
+        sparse, dense = self.table_store(rng), self.table_store(np.random.default_rng(3))
+        for step in range(10):
+            grads = {name: rng.standard_normal(g.shape) for name, g in sparse.grads.items()}
+            table_grad = grads["embeddings"]
+            table_grad[rng.random(50) < 0.8] = 0.0  # untouched rows
+            table_grad[3] = 0.0  # a touched row whose gradient came out exactly zero
+            table_grad[7, :2] = 0.0  # -0.0 parameters under a partly zero gradient
+            table_grad[11] = 0.0
+            table_grad[11, 0] = -5e-324  # -0.0 once scaled: turns theta's -0.0 into +0.0
+            grads["u"][1] = 0.0
+            for store in (sparse, dense):
+                for name, g in grads.items():
+                    store.grads[name][...] = g
+            adagrad_step(sparse, 0.1, 1.0 / 3.0)
+            dense_adagrad_step(dense, 0.1, 1.0 / 3.0, ADAGRAD_EPS)
+            for name in sparse.params:
+                for arrays in ("params", "accums", "grads"):
+                    got = getattr(sparse, arrays)[name].view(np.uint64)
+                    want = getattr(dense, arrays)[name].view(np.uint64)
+                    assert np.array_equal(got, want), (step, arrays, name)
+        assert np.signbit(sparse.params["embeddings"][3, 1:3]).all()
+        assert np.signbit(sparse.params["u"][1])
+        assert not np.signbit(sparse.params["embeddings"][11, 0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_table_gradient_names_embeddings(self, bad):
+        store = self.table_store(np.random.default_rng(0))
+        store.grads["embeddings"][17, 2] = bad
+        with pytest.raises(FloatingPointError, match="'embeddings'"):
+            adagrad_step(store, 0.1, 0.5)
 
     def test_accumulators_never_decrease(self):
         store = ParameterStore()
@@ -184,7 +229,7 @@ class TestAdagrad:
         previous = store.accums["theta"].copy()
         for _ in range(10):
             store.grads["theta"][...] = rng.standard_normal(4)
-            adagrad_step(store, 0.01)
+            adagrad_step(store, 0.01, 1.0)
             assert np.all(store.accums["theta"] >= previous)
             previous = store.accums["theta"].copy()
 
