@@ -17,7 +17,7 @@ from .params import ParameterStore
 
 
 class LstmCell:
-    """Single-direction LSTM cell.
+    """Single-direction LSTM cell over a batch of B rows.
 
     One weight matrix `w` of shape (4h, d+h) and one bias `b` of shape (4h,)
     hold all four gates, stacked by rows in the order input, forget, output,
@@ -43,40 +43,52 @@ class LstmCell:
 
     def step(
         self, x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, tuple]:
-        """One gated state transition; returns (h, c, cache)."""
-        if x.shape != (self.d,):
-            raise ValueError(f"{self.prefix}: input has shape {x.shape}, expected {(self.d,)}")
-        if h_prev.shape != (self.h,) or c_prev.shape != (self.h,):
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One gated transition of B rows x (B, d) from states (B, h).
+
+        Returns (h, c, gates); gates (B, 4h) holds the activated input,
+        forget, output and candidate gates, which the backward needs.
+        """
+        d, h = self.d, self.h
+        if x.ndim != 2 or x.shape[1] != d:
+            raise ValueError(f"{self.prefix}: input has shape {x.shape}, expected (B, {d})")
+        if h_prev.shape != (len(x), h) or c_prev.shape != (len(x), h):
             raise ValueError(
                 f"{self.prefix}: state has shape {h_prev.shape}/{c_prev.shape}, "
-                f"expected {(self.h,)}"
+                f"expected {(len(x), h)}"
             )
-        z = np.concatenate((x, h_prev))
-        a = self.w @ z + self.b
-        gi, gf, go = np.split(sigmoid(a[: 3 * self.h]), 3)
-        gc = np.tanh(a[3 * self.h :])
-        c = gf * c_prev + gi * gc
-        tanh_c = np.tanh(c)
-        h = go * tanh_c
-        return h, c, (z, gi, gf, go, gc, c_prev, tanh_c)
+        gates = np.concatenate((x, h_prev), axis=1) @ self.w.T + self.b
+        gates[:, : 3 * h] = sigmoid(gates[:, : 3 * h])
+        gates[:, 3 * h :] = np.tanh(gates[:, 3 * h :])
+        c = gates[:, h : 2 * h] * c_prev + gates[:, :h] * gates[:, 3 * h :]
+        return gates[:, 2 * h : 3 * h] * np.tanh(c), c, gates
 
     def step_backward(
-        self, dh: np.ndarray, dc: np.ndarray, cache: tuple
+        self,
+        dh: np.ndarray,
+        dc: np.ndarray,
+        x: np.ndarray,
+        h_prev: np.ndarray,
+        c_prev: np.ndarray,
+        gates: np.ndarray,
+        c: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Backward through one step; returns (dx, dh_prev, dc_prev)."""
-        z, gi, gf, go, gc, c_prev, tanh_c = cache
+        """Backward through one step from its inputs and outputs; accumulates
+        the weight gradients summed over the rows, returns (dx, dh_prev, dc_prev)."""
+        h = self.h
+        gi, gf, go, gc = (gates[:, j * h : (j + 1) * h] for j in range(4))
+        tanh_c = np.tanh(c)
         dc_total = dc + dh * go * (1.0 - tanh_c * tanh_c)
         da = np.concatenate((
             dc_total * gc * gi * (1.0 - gi),
             dc_total * c_prev * gf * (1.0 - gf),
             dh * tanh_c * go * (1.0 - go),
             dc_total * gi * (1.0 - gc * gc),
-        ))
-        self.g_w += np.outer(da, z)
-        self.g_b += da
-        dz = self.w.T @ da
-        return dz[: self.d], dz[self.d:], dc_total * gf
+        ), axis=1)
+        self.g_w += da.T @ np.concatenate((x, h_prev), axis=1)
+        self.g_b += da.sum(axis=0)
+        dz = da @ self.w
+        return dz[:, : self.d], dz[:, self.d :], dc_total * gf
 
 
 class BiLstmEncoder:
@@ -99,46 +111,59 @@ class BiLstmEncoder:
         self.h = h
         self.forward_cell = LstmCell(store, "lstm_fwd", d, h, rng)
         self.backward_cell = LstmCell(store, "lstm_bwd", d, h, rng)
+        self.cells = (self.forward_cell, self.backward_cell)
 
-    def _run_direction(
-        self, cell: LstmCell, indices: list[int]
-    ) -> tuple[np.ndarray, list[tuple]]:
-        h = np.zeros(self.h)
-        c = np.zeros(self.h)
-        caches = []
-        for i in indices:
-            h, c, cache = cell.step(self.embeddings[i], h, c)
-            caches.append(cache)
-        return h, caches
+    def encode(self, sentences) -> tuple[np.ndarray, list[tuple]]:
+        """(S, 2h) intent vectors of S word sequences, in input order, plus cache.
 
-    def encode(self, words) -> tuple[np.ndarray, tuple]:
-        """Concatenated final hidden states of both directions, plus cache."""
-        if not words:
-            raise ValueError("encode_intent: empty word list")
-        indices = [self.vocab.index(w) for w in words]
-        h_fwd, caches_fwd = self._run_direction(self.forward_cell, indices)
-        h_bwd, caches_bwd = self._run_direction(self.backward_cell, indices[::-1])
-        return np.concatenate((h_fwd, h_bwd)), (indices, caches_fwd, caches_bwd)
+        Sentences of equal token count form one group, so nothing is padded
+        or masked. A group of B sentences and T tokens runs time-major: each
+        step of each direction is one (B, d+h) @ (d+h, 4h) GEMM.
+        """
+        groups: dict[int, list[int]] = {}
+        indices = []
+        for s, words in enumerate(sentences):
+            if not words:
+                raise ValueError(f"intent encoder: empty word list in sentence {s}")
+            indices.append([self.vocab.index(w) for w in words])
+            groups.setdefault(len(words), []).append(s)
+        h = self.h
+        out = np.zeros((len(indices), 2 * h))
+        cache = []
+        for rows in groups.values():
+            idx = np.array([indices[s] for s in rows]).T
+            # tokens[r, t]: the (B,) word ids direction r reads at step t
+            tokens = np.stack((idx, idx[::-1]))
+            steps, size = idx.shape
+            hs = np.zeros((2, steps + 1, size, h))
+            cs = np.zeros((2, steps + 1, size, h))
+            gates = np.empty((2, steps, size, 4 * h))
+            for t in range(steps):
+                for r, cell in enumerate(self.cells):
+                    x = self.embeddings[tokens[r, t]]
+                    hs[r, t + 1], cs[r, t + 1], gates[r, t] = cell.step(x, hs[r, t], cs[r, t])
+            out[rows] = np.concatenate(hs[:, -1], axis=1)
+            cache.append((rows, tokens, hs, cs, gates))
+        return out, cache
 
     def encode_intent(self, words) -> np.ndarray:
-        return self.encode(words)[0]
+        return self.encode([words])[0][0]
 
-    def _backprop_direction(
-        self, cell: LstmCell, dh_final: np.ndarray, caches: list[tuple], indices: list[int]
-    ) -> None:
-        dh = dh_final
-        dc = np.zeros(self.h)
-        for t in range(len(caches) - 1, -1, -1):
-            dx, dh, dc = cell.step_backward(dh, dc, caches[t])
-            self.g_embeddings[indices[t]] += dx
-
-    def encode_backward(self, dvec: np.ndarray, cache: tuple) -> None:
-        """Backprop d(loss)/d(intent vector) through both directions."""
-        indices, caches_fwd, caches_bwd = cache
-        self._backprop_direction(self.forward_cell, dvec[: self.h], caches_fwd, indices)
-        self._backprop_direction(
-            self.backward_cell, dvec[self.h:], caches_bwd, indices[::-1]
-        )
+    def encode_backward(self, dvec: np.ndarray, cache: list[tuple]) -> None:
+        """Backprop d(loss)/d(intent vectors) (S, 2h) through both directions."""
+        h = self.h
+        for rows, tokens, hs, cs, gates in cache:
+            steps = tokens.shape[1]
+            dx = np.empty(tokens.shape + (self.d,))
+            for r, cell in enumerate(self.cells):
+                dh = dvec[rows, r * h : (r + 1) * h]
+                dc = np.zeros_like(dh)
+                for t in range(steps - 1, -1, -1):
+                    dx[r, t], dh, dc = cell.step_backward(
+                        dh, dc, self.embeddings[tokens[r, t]], hs[r, t], cs[r, t],
+                        gates[r, t], cs[r, t + 1],
+                    )
+            np.add.at(self.g_embeddings, tokens, dx)
 
 
 def intent_loss_grads(

@@ -33,11 +33,3 @@ class ParameterStore:
 
     def grad(self, name: str) -> np.ndarray:
         return self.grads[name]
-
-    def zero_grads(self) -> None:
-        for g in self.grads.values():
-            g[...] = 0.0
-
-    def snapshot_grads(self) -> dict[str, np.ndarray]:
-        """Copies of all gradient buffers (used by the gradient checker)."""
-        return {name: g.copy() for name, g in self.grads.items()}

@@ -140,6 +140,7 @@ def joint_loss(
     A term covers an example only if its weight is positive and the example
     carries the matching annotation; an example that no term covers is an
     error. The positives and their corrupted events share one composer
+    forward and backward, the intents and negative intents one encoder
     forward and backward, and the L2 term counts once per event example.
     """
     alpha, beta, gamma = config.alpha, config.beta, config.gamma
@@ -180,15 +181,22 @@ def joint_loss(
         dc += dscores[:, None] * composer.u
         composer.regularization_backward(config.lambda_l2, alpha * n_event)
 
-    for i in intent_rows:
-        v_i, cache_i = model.intent.encode(examples[i].intent)
-        v_in, cache_in = model.intent.encode(negatives[i].negative_intent)
-        loss, d_ve, d_vi, d_vin = intent_loss_grads(c[i], v_i, v_in)
-        l_intent += loss
-        if loss > 0.0:
-            dc[i] += beta * d_ve
-            model.intent.encode_backward(beta * d_vi, cache_i)
-            model.intent.encode_backward(beta * d_vin, cache_in)
+    if intent_rows:
+        # rows j and m + j hold example intent_rows[j]'s intent and its negative
+        m = len(intent_rows)
+        sentences = [examples[i].intent for i in intent_rows]
+        sentences += [negatives[i].negative_intent for i in intent_rows]
+        v, intent_cache = model.intent.encode(sentences)
+        dv = np.zeros_like(v)
+        for j, i in enumerate(intent_rows):
+            loss, d_ve, d_vi, d_vin = intent_loss_grads(c[i], v[j], v[m + j])
+            l_intent += loss
+            if loss > 0.0:
+                dc[i] += beta * d_ve
+                dv[j], dv[m + j] = beta * d_vi, beta * d_vin
+        model.intent.encode_backward(dv, intent_cache)
+        # free the encoder's step buffers before the composer backward allocates
+        del intent_cache
 
     if sentiment_rows:
         polarities = [examples[i].polarity for i in sentiment_rows]

@@ -1,6 +1,6 @@
-"""Central finite-difference gradient checker.
+"""Central finite-difference gradient checker for the tests.
 
-The differentiable-operation contract used throughout this package: an op
+The differentiable-operation contract used throughout eventemb: an op
 exposes a scalar forward value and exact analytic gradients for every
 input/parameter array it touches. The checker perturbs each coordinate of
 each array in place and compares central differences against the analytic

@@ -249,3 +249,25 @@ def dense_adagrad_step(store, learning_rate, scale, eps):
         acc += g * g
         theta -= learning_rate * g / (np.sqrt(acc) + eps)
         g[...] = 0.0
+
+
+def masked_sigmoid(x):
+    """The logistic function as two masked branches, each evaluated only where
+    its exp cannot overflow: 1 / (1 + e^-x) for x >= 0, e^x / (1 + e^x) below."""
+    out = np.empty_like(x, dtype=np.float64)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def zero_grads(store):
+    """Zero every gradient buffer of a ParameterStore in place."""
+    for g in store.grads.values():
+        g[...] = 0.0
+
+
+def snapshot_grads(store):
+    """Copies of all gradient buffers of a ParameterStore, for grad_check."""
+    return {name: g.copy() for name, g in store.grads.items()}

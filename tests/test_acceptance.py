@@ -27,16 +27,18 @@ from eventemb.data import (
     load_word_vectors,
 )
 from eventemb.evaluate import hard_similarity_accuracy, spearman_rho, cosine
-from eventemb.gradcheck import grad_check
 from eventemb.params import ParameterStore
 from eventemb.trainer import Negatives, TrainingConfig, adagrad_step, joint_loss, train
 from conftest import make_model, random_event
+from gradcheck import grad_check
 from oracles import (
     dense_compose,
     hard_sim_by_counting,
     margin_objective,
     polarity_by_counting,
+    snapshot_grads,
     spearman_bruteforce,
+    zero_grads,
 )
 
 
@@ -93,9 +95,9 @@ class TestCriterion1GradientCorrectness:
                 negs = [neg for _, neg in covered]
 
                 def fn():
-                    model.store.zero_grads()
+                    zero_grads(model.store)
                     parts = joint_loss(model, examples, negs, cfg)
-                    return parts.total, model.store.snapshot_grads()
+                    return parts.total, snapshot_grads(model.store)
 
                 def value_only():
                     return joint_loss(model, examples, negs, cfg).total

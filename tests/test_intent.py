@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from eventemb.data import AnnotatedExample, Vocabulary
-from eventemb.gradcheck import grad_check
 from eventemb.intent import BiLstmEncoder, LstmCell, intent_loss_grads
 from eventemb.params import ParameterStore
 from eventemb.trainer import Negatives, TrainingConfig, joint_loss
 from conftest import WORDS, make_model, random_event
-from oracles import intent_loss, scalar_lstm_step
+from gradcheck import grad_check, random_projection
+from oracles import intent_loss, scalar_lstm_step, snapshot_grads, zero_grads
 
 
 def make_encoder(seed=0, d=4, h=3, n_words=8, scale=1.0):
@@ -30,9 +30,9 @@ class TestLstmStep:
         cell, store = make_cell()
         for arr in store.params.values():
             arr[...] = 0.0
-        h, c, _ = cell.step(np.zeros(2), np.zeros(3), np.zeros(3))
-        assert np.array_equal(h, np.zeros(3))
-        assert np.array_equal(c, np.zeros(3))
+        h, c, _ = cell.step(np.zeros((2, 2)), np.zeros((2, 3)), np.zeros((2, 3)))
+        assert np.array_equal(h, np.zeros((2, 3)))
+        assert np.array_equal(c, np.zeros((2, 3)))
 
     def test_saturated_gates_carry_cell_state(self):
         cell, store = make_cell(d=2, h=2)
@@ -40,8 +40,8 @@ class TestLstmStep:
             arr[...] = 0.0
         cell.b[2:4] = 20.0  # forget gate open
         cell.b[0:2] = -20.0  # input gate shut
-        c_prev = np.ones(2)
-        _, c, _ = cell.step(np.zeros(2), np.zeros(2), c_prev)
+        c_prev = np.array([[1.0, 1.0], [-0.5, 2.0]])
+        _, c, _ = cell.step(np.zeros((2, 2)), np.zeros((2, 2)), c_prev)
         assert np.all(np.abs(c - c_prev) < 1e-6)
 
     def test_saturated_output_gate_exposes_or_hides_cell_state(self):
@@ -51,32 +51,39 @@ class TestLstmStep:
         cell.b[0:2] = -20.0  # input gate shut
         cell.b[2:4] = 20.0  # forget gate open
         cell.b[6:8] = 20.0  # candidate saturated, so a wrong gate order shows
-        c_prev = np.array([0.5, -1.0])
+        c_prev = np.array([[0.5, -1.0], [2.0, 0.25]])
         cell.b[4:6] = 20.0  # output gate open
-        h, _, _ = cell.step(np.zeros(2), np.zeros(2), c_prev)
+        h, _, _ = cell.step(np.zeros((2, 2)), np.zeros((2, 2)), c_prev)
         assert np.all(np.abs(h - np.tanh(c_prev)) < 1e-6)
         cell.b[4:6] = -20.0  # output gate shut
-        h, c, _ = cell.step(np.zeros(2), np.zeros(2), c_prev)
+        h, c, _ = cell.step(np.zeros((2, 2)), np.zeros((2, 2)), c_prev)
         assert np.all(np.abs(h) < 1e-6)
         assert np.all(np.abs(c - c_prev) < 1e-6)
 
     def test_matches_scalar_oracle(self):
         cell, _ = make_cell(seed=3, d=2, h=3)
         rng = np.random.default_rng(30)
-        x = rng.standard_normal(2)
-        h_prev = rng.standard_normal(3)
-        c_prev = rng.standard_normal(3)
+        x = rng.standard_normal((4, 2))
+        h_prev = rng.standard_normal((4, 3))
+        c_prev = rng.standard_normal((4, 3))
         h, c, _ = cell.step(x, h_prev, c_prev)
-        h_ref, c_ref = scalar_lstm_step(x, h_prev, c_prev, cell.w, cell.b)
-        assert h == pytest.approx(h_ref, abs=1e-14)
-        assert c == pytest.approx(c_ref, abs=1e-14)
+        for row in range(4):
+            h_ref, c_ref = scalar_lstm_step(x[row], h_prev[row], c_prev[row], cell.w, cell.b)
+            assert h[row] == pytest.approx(h_ref, abs=1e-14)
+            assert c[row] == pytest.approx(c_ref, abs=1e-14)
 
     def test_dimension_errors(self):
         cell, _ = make_cell(d=2, h=3)
-        with pytest.raises(ValueError, match="input has shape"):
-            cell.step(np.zeros(5), np.zeros(3), np.zeros(3))
-        with pytest.raises(ValueError, match="state has shape"):
-            cell.step(np.zeros(2), np.zeros(4), np.zeros(3))
+        with pytest.raises(ValueError, match=r"input has shape \(5,\), expected \(B, 2\)"):
+            cell.step(np.zeros(5), np.zeros((1, 3)), np.zeros((1, 3)))
+        with pytest.raises(ValueError, match=r"input has shape \(1, 5\), expected \(B, 2\)"):
+            cell.step(np.zeros((1, 5)), np.zeros((1, 3)), np.zeros((1, 3)))
+        with pytest.raises(ValueError, match=r"state has shape .*, expected \(2, 3\)"):
+            cell.step(np.zeros((2, 2)), np.zeros((2, 4)), np.zeros((2, 3)))
+        with pytest.raises(ValueError, match=r"state has shape .*, expected \(2, 3\)"):
+            cell.step(np.zeros((2, 2)), np.zeros((2, 3)), np.zeros((1, 3)))
+        with pytest.raises(ValueError, match=r"state has shape .*, expected \(2, 3\)"):
+            cell.step(np.zeros((2, 2)), np.zeros(3), np.zeros(3))
 
 
 class TestEncodeIntent:
@@ -113,6 +120,41 @@ class TestEncodeIntent:
         swapped_out = enc_b.encode_intent(words)
         assert np.array_equal(reversed_out[:3], swapped_out[3:])
         assert np.array_equal(reversed_out[3:], swapped_out[:3])
+
+    def test_empty_sentence_anywhere_in_a_batch_rejected(self):
+        encoder, _, _, _ = make_encoder()
+        for batch in ([[], ["to"]], [["to"], ["have", "fun"], []], [["to"], [], ["fun"]]):
+            with pytest.raises(ValueError, match="empty word list"):
+                encoder.encode(batch)
+
+    def test_no_sentences_give_no_rows(self):
+        encoder, _, _, _ = make_encoder(h=3)
+        vectors, cache = encoder.encode([])
+        assert vectors.shape == (0, 6)
+        encoder.encode_backward(vectors, cache)
+        assert not encoder.g_embeddings.any()
+
+    def test_batch_matches_scalar_chains_in_input_order(self):
+        encoder, vocab, _, _ = make_encoder(seed=8, d=4, h=3, n_words=16)
+        words = vocab.words[1:]
+        rng = np.random.default_rng(80)
+        sentences = [
+            [words[int(i)] for i in rng.integers(len(words), size=length)]
+            for length in (3, 1, 8, 2, 3, 5, 1, 4, 6, 7, 2, 8)
+        ]
+        sentences.insert(5, sentences[2])  # a repeated sentence
+        sentences.append(["to", "zebra", "fun"])  # "zebra" is out of vocabulary
+        vectors, _ = encoder.encode(sentences)
+        assert vectors.shape == (len(sentences), 6)
+        for row, sentence in enumerate(sentences):
+            ids = [vocab.index(w) for w in sentence]
+            halves = []
+            for cell, order in ((encoder.forward_cell, ids), (encoder.backward_cell, ids[::-1])):
+                h, c = np.zeros(3), np.zeros(3)
+                for i in order:
+                    h, c = scalar_lstm_step(encoder.embeddings[i], h, c, cell.w, cell.b)
+                halves.append(h)
+            assert vectors[row] == pytest.approx(np.concatenate(halves), abs=1e-12)
 
     def test_deterministic_and_length_covariant(self):
         encoder, _, _, _ = make_encoder(seed=7)
@@ -183,28 +225,29 @@ class TestIntentLoss:
 class TestLstmStepGradients:
     @pytest.mark.parametrize("seed", range(5))
     def test_random_small_instances(self, seed):
-        # scalarize (h, c) through fixed random projections
-        from eventemb.gradcheck import random_projection
-
+        # scalarize (h, c) of three rows through fixed random projections
         rng = np.random.default_rng(seed)
         d = int(rng.integers(1, 5))
         h = int(rng.integers(1, 5))
+        rows = 3
         store = ParameterStore()
         cell = LstmCell(store, "cell", d, h, rng)
-        x = rng.standard_normal(d)
-        h_prev = rng.standard_normal(h)
-        c_prev = rng.standard_normal(h)
-        proj_h = random_projection(h, rng)
-        proj_c = random_projection(h, rng)
+        x = rng.standard_normal((rows, d))
+        h_prev = rng.standard_normal((rows, h))
+        c_prev = rng.standard_normal((rows, h))
+        proj_h = random_projection(rows * h, rng).reshape(rows, h)
+        proj_c = random_projection(rows * h, rng).reshape(rows, h)
         params = dict(store.params) | {"x": x, "h_prev": h_prev, "c_prev": c_prev}
 
         def fn():
-            store.zero_grads()
-            h_out, c_out, cache = cell.step(x, h_prev, c_prev)
-            dx, dh_prev, dc_prev = cell.step_backward(proj_h, proj_c, cache)
-            grads = store.snapshot_grads()
+            zero_grads(store)
+            h_out, c_out, gates = cell.step(x, h_prev, c_prev)
+            dx, dh_prev, dc_prev = cell.step_backward(
+                proj_h, proj_c, x, h_prev, c_prev, gates, c_out
+            )
+            grads = snapshot_grads(store)
             grads.update({"x": dx, "h_prev": dh_prev, "c_prev": dc_prev})
-            return float(proj_h @ h_out + proj_c @ c_out), grads
+            return float(np.sum(proj_h * h_out) + np.sum(proj_c * c_out)), grads
 
         assert grad_check(fn, params) < 1e-4
 
@@ -222,9 +265,9 @@ class TestIntentGradientsEndToEnd:
         cfg = TrainingConfig(alpha=0.0, beta=1.0, gamma=0.0, d=4, k=6, n=2)
 
         def fn():
-            model.store.zero_grads()
+            zero_grads(model.store)
             parts = joint_loss(model, [example], [negatives], cfg)
-            return parts.total, model.store.snapshot_grads()
+            return parts.total, snapshot_grads(model.store)
 
         def value_only():
             return joint_loss(model, [example], [negatives], cfg).total

@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 
 from eventemb.composer import LowRankLayer
-from eventemb.gradcheck import grad_check, random_projection
 from eventemb.ops import cosine, sigmoid
 from eventemb.params import ParameterStore
+from gradcheck import grad_check, random_projection
 from oracles import (
     LowRankSlice,
     bilinear_lowrank,
     bilinear_lowrank_grads,
     dense_bilinear,
     dense_slice_matrix,
+    masked_sigmoid,
 )
 
 
@@ -179,6 +180,20 @@ class TestScalarHelpers:
     def test_sigmoid_matches_reference(self):
         x = np.linspace(-30, 30, 13)
         assert sigmoid(x) == pytest.approx(1.0 / (1.0 + np.exp(-x)), abs=1e-15)
+
+    def test_sigmoid_bit_equals_masked_oracle(self):
+        rng = np.random.default_rng(14)
+        big = np.finfo(np.float64).max
+        extremes = [0.0, -0.0, np.inf, -np.inf, -745.2, 745.2, -746.0, 710.0, -710.0,
+                    36.7, -36.7, 1e-300, -1e-300, 5e-324, -5e-324, big, -big]
+        x = np.concatenate((rng.standard_normal(2000) * 40, extremes))
+        assert np.array_equal(sigmoid(x).view(np.uint64), masked_sigmoid(x).view(np.uint64))
+        # the LSTM applies it to the strided (B, 3h) gate columns of a (B, 4h) block
+        block = (rng.standard_normal((21, 200)) * 10)[:, :150]
+        assert np.array_equal(
+            sigmoid(block).view(np.uint64), masked_sigmoid(block).view(np.uint64)
+        )
+        assert np.all(np.isnan(sigmoid(np.array([np.nan, -np.nan]))))
 
     def test_cosine_epsilon_guard(self):
         assert cosine(np.zeros(3), np.ones(3)) == 0.0

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from eventemb.data import AnnotatedExample
-from eventemb.gradcheck import grad_check
 from eventemb.params import ParameterStore
 from eventemb.sentiment import SentimentHead, polarity_class, softmax
 from eventemb.trainer import Negatives, TrainingConfig, joint_loss
 from conftest import make_model, random_event
-from oracles import softmax_scalar
+from gradcheck import grad_check
+from oracles import snapshot_grads, softmax_scalar, zero_grads
 
 
 def make_head(seed=0, k=4):
@@ -103,9 +103,9 @@ class TestSentimentGradients:
         params = dict(store.params) | {"v": v}
 
         def fn():
-            store.zero_grads()
+            zero_grads(store)
             losses, dv = head.loss_backward(v, polarities, 0.5)
-            grads = store.snapshot_grads()
+            grads = snapshot_grads(store)
             grads["v"] = dv
             return 0.5 * float(losses.sum()), grads
 
@@ -118,9 +118,9 @@ class TestSentimentGradients:
         negatives = Negatives(None, None)
 
         def fn():
-            model.store.zero_grads()
+            zero_grads(model.store)
             parts = joint_loss(model, [example], [negatives], cfg)
-            return parts.total, model.store.snapshot_grads()
+            return parts.total, snapshot_grads(model.store)
 
         def value_only():
             return joint_loss(model, [example], [negatives], cfg).total
