@@ -11,6 +11,8 @@ import dataclasses
 import os
 import sys
 
+import numpy as np
+
 from . import checkpoint as ckpt_io
 from . import data as data_io
 from . import evaluate, trainer
@@ -138,11 +140,10 @@ def _cmd_nn(args: argparse.Namespace) -> int:
     events = data_io.load_corpus(args.corpus)
     if not events:
         raise ValueError(f"{args.corpus}: no events to search")
-    query_vec, *vecs = model.embed_events([query, *events])
-    scores = [cosine(query_vec, vec) for vec in vecs]
+    vecs = model.embed_events([query, *events])
+    scores = cosine(np.broadcast_to(vecs[0], vecs[1:].shape), vecs[1:])
     # stable sort: ties keep input order
-    ranked = sorted(range(len(events)), key=lambda i: -scores[i])
-    for i in ranked[: args.top]:
+    for i in np.argsort(-scores, kind="stable")[: args.top]:
         print(f"{scores[i]:.6f}\t{format_event(events[i])}")
     return 0
 

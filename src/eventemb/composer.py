@@ -18,6 +18,9 @@ from .params import ParameterStore
 # embeddings are excluded)
 _REGULARIZED = ("left", "right", "diag", "w", "b")
 
+# Event arguments that training may corrupt to draw negative events.
+CORRUPTION_TARGETS = ("actor", "object")
+
 
 class LowRankLayer:
     """k bilinear slices in factored form plus an affine part and tanh.
@@ -99,7 +102,7 @@ def corrupt_event(
     original word at that position is redrawn, so the corrupted argument
     always differs.
     """
-    if target not in ("actor", "predicate", "object"):
+    if target not in CORRUPTION_TARGETS:
         raise ValueError(f"corrupt_event: unknown target argument '{target}'")
     if len(vocab) < 3:
         raise ValueError(
@@ -155,12 +158,6 @@ class EventComposer:
         s2, cache2 = self.layer2.forward(p, o)
         c, cache3 = self.layer3.forward(s1, s2)
         return c, (flat, sizes, cache1, cache2, cache3)
-
-    def embed_event(self, event: EventTuple) -> np.ndarray:
-        return self.embed([event])[0][0]
-
-    def score_event(self, event: EventTuple) -> float:
-        return float(self.u @ self.embed_event(event))
 
     def embed_backward(self, dc: np.ndarray, cache: tuple) -> None:
         """Backprop dL/dC (B, k) through all layers into parameter and embedding grads."""

@@ -31,22 +31,17 @@ def hard_similarity_accuracy(
         raise ValueError("hard_similarity_accuracy: empty instance list")
     events = [e for inst in instances for e in (*inst.similar, *inst.dissimilar)]
     quads = embed(events).reshape(len(instances), 4, -1)
-    return sum(cosine(a, b) > cosine(c, d) for a, b, c, d in quads) / len(instances)
+    wins = cosine(quads[:, 0], quads[:, 1]) > cosine(quads[:, 2], quads[:, 3])
+    return np.count_nonzero(wins) / len(instances)
 
 
 def average_ranks(values: Sequence[float]) -> np.ndarray:
     """1-based fractional ranks; tied values share the average of their ranks."""
-    a = np.asarray(values, dtype=np.float64)
-    order = np.argsort(a, kind="mergesort")
-    ranks = np.empty(a.size, dtype=np.float64)
-    i = 0
-    while i < a.size:
-        j = i
-        while j + 1 < a.size and a[order[j + 1]] == a[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    _, inverse, counts = np.unique(
+        np.asarray(values, dtype=np.float64), return_inverse=True, return_counts=True
+    )
+    # a group of c equal values ending at rank r shares rank r - (c - 1) / 2
+    return (np.cumsum(counts) - 0.5 * (counts - 1))[inverse]
 
 
 def spearman_rho(pred: Sequence[float], gold: Sequence[float]) -> float:
@@ -78,9 +73,8 @@ def evaluate_transitive(
     if not instances:
         raise ValueError("evaluate_transitive: empty instance list")
     pairs = embed([e for inst in instances for e in inst.pair]).reshape(len(instances), 2, -1)
-    pred = [cosine(a, b) for a, b in pairs]
     gold = [inst.gold for inst in instances]
-    return spearman_rho(pred, gold)
+    return spearman_rho(cosine(pairs[:, 0], pairs[:, 1]), gold)
 
 
 def format_report(metric: str, dataset_path: str, value: float, count: int) -> str:

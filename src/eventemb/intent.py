@@ -166,17 +166,17 @@ class BiLstmEncoder:
             np.add.at(self.g_embeddings, tokens, dx)
 
 
-def intent_loss_grads(
+def intent_hinge(
     v_e: np.ndarray, v_i: np.ndarray, v_i_neg: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """max(0, 1 - cos(v_e, v_i) + cos(v_e, v_i_neg)) plus its gradients.
-
-    Gradients w.r.t. all three vectors; all zero when the hinge is inactive.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Row-wise max(0, 1 - cos(v_e, v_i) + cos(v_e, v_i_neg)) over three (R, k)
+    blocks: (R,) losses plus the gradients w.r.t. all three blocks, with zero
+    rows where the hinge is inactive.
     """
     c_pos, d_e_pos, d_i = cosine_grads(v_e, v_i)
     c_neg, d_e_neg, d_in = cosine_grads(v_e, v_i_neg)
     # grouped so that identical positive/negative intents give exactly 1.0
     loss = 1.0 - (c_pos - c_neg)
-    if loss <= 0.0:
-        return 0.0, np.zeros_like(v_e), np.zeros_like(v_i), np.zeros_like(v_i_neg)
-    return loss, d_e_neg - d_e_pos, -d_i, d_in
+    inactive = loss <= 0.0
+    grads = (np.where(inactive[:, None], 0.0, g) for g in (d_e_neg - d_e_pos, -d_i, d_in))
+    return np.where(inactive, 0.0, loss), *grads

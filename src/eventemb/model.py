@@ -67,9 +67,6 @@ class JointModel:
     def embed_event(self, event: EventTuple) -> np.ndarray:
         return self.embed_events([event])[0]
 
-    def score_event(self, event: EventTuple) -> float:
-        return self.composer.score_event(event)
-
     def encode_intent(self, words) -> np.ndarray:
         return self.intent.encode_intent(words)
 

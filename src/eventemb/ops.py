@@ -1,9 +1,10 @@
 """Low-level numeric primitives shared by all model components.
 
 Everything here is double precision and operates on caller-owned numpy
-arrays. `cosine` has a gradient companion, `cosine_grads`, returning the
-exact analytic derivatives that the finite-difference checker validates;
-the layers differentiate their own nonlinearities inline.
+arrays. `cosine` works on (R, k) row blocks and has a gradient companion,
+`cosine_grads`, returning the exact analytic derivatives that the
+finite-difference checker validates; the layers differentiate their own
+nonlinearities inline.
 """
 
 from __future__ import annotations
@@ -18,39 +19,37 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
-def _cosine_parts(u, v, eps: float) -> tuple:
-    """(cosine, u, v, |u|, |v|, denominator), shared by cosine and cosine_grads.
-
-    u and v come back as float arrays. The denominator is None, and the
-    cosine 0.0, when either vector is all-zero.
-    """
+def _row_norms(u, v) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """u and v as float (R, k) blocks of one shape, plus their (R,) row norms."""
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
-        raise ValueError(f"cosine: length mismatch {u.shape} vs {v.shape}")
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        return 0.0, u, v, nu, nv, None
-    denom = nu * nv + eps
-    return float(np.dot(u, v) / denom), u, v, nu, nv, denom
+    if u.ndim != 2 or u.shape != v.shape:
+        raise ValueError(f"cosine: shape mismatch {u.shape} vs {v.shape}, expected (R, k) blocks")
+    return u, v, np.sqrt(np.vecdot(u, u)), np.sqrt(np.vecdot(v, v))
 
 
-def cosine(u: np.ndarray, v: np.ndarray, eps: float = 1e-8) -> float:
-    """Cosine similarity with an epsilon-guarded denominator.
+def cosine(u: np.ndarray, v: np.ndarray, eps: float = 1e-8) -> np.ndarray:
+    """(R,) cosines of the rows of two (R, k) blocks, epsilon-guarded.
 
-    Returns 0.0 when either vector is all-zero. Raises on length mismatch.
+    A row where either side is all-zero gets 0.0. Raises on a shape mismatch.
     """
-    return _cosine_parts(u, v, eps)[0]
+    u, v, nu, nv = _row_norms(u, v)
+    live = (nu != 0.0) & (nv != 0.0)
+    return np.divide(np.vecdot(u, v), nu * nv + eps, out=np.zeros(len(u)), where=live)
 
 
 def cosine_grads(
     u: np.ndarray, v: np.ndarray, eps: float = 1e-8
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Cosine similarity plus gradients w.r.t. both inputs (zero for a zero vector)."""
-    c, u, v, nu, nv, denom = _cosine_parts(u, v, eps)
-    if denom is None:
-        return c, np.zeros_like(u), np.zeros_like(v)
-    du = (v - c * nv * u / nu) / denom
-    dv = (u - c * nu * v / nv) / denom
-    return c, du, dv
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(R,) row cosines plus their (R, k) gradients w.r.t. both blocks; a row
+    where either side is all-zero gets zero gradients."""
+    u, v, nu, nv = _row_norms(u, v)
+    live = (nu != 0.0) & (nv != 0.0)
+    denom = nu * nv + eps
+    c = np.divide(np.vecdot(u, v), denom, out=np.zeros(len(u)), where=live)
+    cc, nu, nv, denom = c[:, None], nu[:, None], nv[:, None], denom[:, None]
+    # an all-zero row divides 0 by 0 here; its gradients are masked to zero below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        du = (v - cc * nv * u / nu) / denom
+        dv = (u - cc * nu * v / nv) / denom
+    return c, np.where(live[:, None], du, 0.0), np.where(live[:, None], dv, 0.0)

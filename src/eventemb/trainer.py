@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import checkpoint as ckpt_io
-from .composer import corrupt_event
+from .composer import CORRUPTION_TARGETS, corrupt_event
 from .data import (
     AnnotatedExample,
     EventTuple,
@@ -24,7 +24,7 @@ from .data import (
     derive_polarity,
     extend_embeddings,
 )
-from .intent import intent_loss_grads
+from .intent import intent_hinge
 from .model import JointModel
 from .params import ParameterStore
 
@@ -37,9 +37,6 @@ PRESETS: dict[str, tuple[float, float, float]] = {
     "ntn+senti": (1.0, 0.0, 1.0),
     "ntn+int+senti": (1.0, 1.0, 1.0),
 }
-
-# Event arguments that training may corrupt to draw negative events.
-CORRUPTION_TARGETS = ("actor", "object")
 
 
 @dataclass
@@ -187,14 +184,10 @@ def joint_loss(
         sentences = [examples[i].intent for i in intent_rows]
         sentences += [negatives[i].negative_intent for i in intent_rows]
         v, intent_cache = model.intent.encode(sentences)
-        dv = np.zeros_like(v)
-        for j, i in enumerate(intent_rows):
-            loss, d_ve, d_vi, d_vin = intent_loss_grads(c[i], v[j], v[m + j])
-            l_intent += loss
-            if loss > 0.0:
-                dc[i] += beta * d_ve
-                dv[j], dv[m + j] = beta * d_vi, beta * d_vin
-        model.intent.encode_backward(dv, intent_cache)
+        losses, d_ve, d_vi, d_vin = intent_hinge(c[intent_rows], v[:m], v[m:])
+        l_intent = float(losses.sum())
+        dc[intent_rows] += beta * d_ve
+        model.intent.encode_backward(beta * np.concatenate((d_vi, d_vin)), intent_cache)
         # free the encoder's step buffers before the composer backward allocates
         del intent_cache
 

@@ -12,7 +12,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from eventemb.ops import cosine
+
+def cosine(u, v, eps=1e-8):
+    """Cosine of two vectors with an epsilon-guarded denominator, one pair at
+    a time; 0.0 when either vector is all-zero."""
+    return cosine_grads(u, v, eps)[0]
+
+
+def cosine_grads(u, v, eps=1e-8):
+    """Cosine of two vectors plus its gradients w.r.t. both (zero for an
+    all-zero vector), written with np.dot and np.linalg.norm."""
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    if u.shape != v.shape:
+        raise ValueError(f"cosine: length mismatch {u.shape} vs {v.shape}")
+    nu = float(np.linalg.norm(u))
+    nv = float(np.linalg.norm(v))
+    if nu == 0.0 or nv == 0.0:
+        return 0.0, np.zeros_like(u), np.zeros_like(v)
+    denom = nu * nv + eps
+    c = float(np.dot(u, v) / denom)
+    return c, (v - c * nv * u / nu) / denom, (u - c * nu * v / nv) / denom
 
 
 def dense_slice_matrix(left, right, diag):

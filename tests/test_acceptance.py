@@ -26,12 +26,13 @@ from eventemb.data import (
     load_lexicon,
     load_word_vectors,
 )
-from eventemb.evaluate import hard_similarity_accuracy, spearman_rho, cosine
+from eventemb.evaluate import hard_similarity_accuracy, spearman_rho
 from eventemb.params import ParameterStore
 from eventemb.trainer import Negatives, TrainingConfig, adagrad_step, joint_loss, train
 from conftest import make_model, random_event
 from gradcheck import grad_check
 from oracles import (
+    cosine,
     dense_compose,
     hard_sim_by_counting,
     margin_objective,

@@ -356,6 +356,27 @@ class TestNnCommand:
         assert event == "person_x|threw|bomb"
         assert float(score) == pytest.approx(1.0, abs=1e-6)
 
+    def test_tied_events_keep_input_order(self, capsys, trained_dir, tmp_path):
+        # both actors are out of vocabulary, so the two events embed identically
+        for first, second in (("unseen_b", "unseen_a"), ("unseen_a", "unseen_b")):
+            corpus = tmp_path / "corpus.txt"
+            corpus.write_text(
+                f"person_x|threw|ball\n{first}|threw|bomb\nman|passed|car\n"
+                f"{second}|threw|bomb\n"
+            )
+            code, out, _ = run(
+                capsys,
+                "nn",
+                "--checkpoint", str(trained_dir / "final.ckpt"),
+                "--query", "unseen_c|threw|bomb",
+                "--corpus", str(corpus),
+                "--top", "2",
+            )
+            assert code == 0
+            (s1, e1), (s2, e2) = (row.split("\t") for row in out.splitlines())
+            assert (e1, e2) == (f"{first}|threw|bomb", f"{second}|threw|bomb")
+            assert s1 == s2
+
     def test_top_larger_than_corpus_returns_all(self, capsys, trained_dir, synthetic_dir):
         code, out, _ = run(
             capsys,

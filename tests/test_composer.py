@@ -48,6 +48,16 @@ def zero_params(store):
 EVENT = EventTuple(("alice",), ("threw",), ("ball",))
 
 
+def embed_one(composer, event):
+    """One event's embedding: the one-row case of the batched composer."""
+    return composer.embed([event])[0][0]
+
+
+def score(composer, events):
+    """Plausibility scores as joint_loss computes them: C @ u over one call."""
+    return composer.embed(events)[0] @ composer.u
+
+
 class TestComposePair:
     def test_zero_params_give_zero_vector(self):
         composer, _, store, _ = make_composer()
@@ -108,12 +118,12 @@ class TestEmbedEvent:
     def test_zero_model_embeds_to_zero(self):
         composer, _, store, _ = make_composer()
         zero_params(store)
-        assert np.array_equal(composer.embed_event(EVENT), np.zeros(3))
+        assert np.array_equal(embed_one(composer, EVENT), np.zeros(3))
 
     def test_deterministic(self):
         composer, _, _, _ = make_composer(seed=5)
-        a = composer.embed_event(EVENT)
-        b = composer.embed_event(EVENT)
+        a = embed_one(composer, EVENT)
+        b = embed_one(composer, EVENT)
         assert np.array_equal(a, b)
 
     def test_matches_chained_ops(self):
@@ -126,7 +136,7 @@ class TestEmbedEvent:
         s1 = composer.layer1.forward(a, p)[0]
         s2 = composer.layer2.forward(p, o)[0]
         expected = composer.layer3.forward(s1, s2)[0][0]
-        assert np.array_equal(composer.embed_event(event), expected)
+        assert np.array_equal(embed_one(composer, event), expected)
 
     def test_layer_bilinear_matches_per_slice_op(self):
         # the vectorized layer and the single-slice oracle agree slice by slice
@@ -147,7 +157,7 @@ class TestEmbedEvent:
             composer, vocab, _, rng = make_composer(seed=seed, d=6, k=4, n=2)
             event = random_event(vocab, rng)
             swapped = EventTuple(event.object, event.predicate, event.actor)
-            delta = composer.embed_event(event) - composer.embed_event(swapped)
+            delta = embed_one(composer, event) - embed_one(composer, swapped)
             assert np.linalg.norm(delta) >= 1e-3
 
 
@@ -175,20 +185,20 @@ class TestScoreEvent:
     def test_zero_head_scores_zero(self):
         composer, _, _, _ = make_composer(seed=2)
         composer.u[...] = 0.0
-        assert composer.score_event(EVENT) == 0.0
+        assert score(composer, [EVENT])[0] == 0.0
 
     def test_one_hot_head_picks_coordinate(self):
         composer, _, _, _ = make_composer(seed=2, k=3)
-        c = composer.embed_event(EVENT)
+        c = embed_one(composer, EVENT)
         for j in range(3):
             composer.u[...] = 0.0
             composer.u[j] = 1.0
-            assert composer.score_event(EVENT) == pytest.approx(c[j], abs=1e-15)
+            assert score(composer, [EVENT])[0] == pytest.approx(c[j], abs=1e-15)
 
     def test_matches_dot_product(self):
         composer, _, _, _ = make_composer(seed=4)
-        c = composer.embed_event(EVENT)
-        assert composer.score_event(EVENT) == pytest.approx(float(composer.u @ c), abs=1e-15)
+        c = embed_one(composer, EVENT)
+        assert score(composer, [EVENT])[0] == pytest.approx(float(composer.u @ c), abs=1e-15)
 
 
 class TestCorruptEvent:
@@ -229,8 +239,10 @@ class TestCorruptEvent:
             corrupt_event(EVENT, Vocabulary(["only"]), np.random.default_rng(0))
 
     def test_unknown_target_rejected(self):
-        with pytest.raises(ValueError, match="unknown target"):
-            corrupt_event(EVENT, Vocabulary(["a", "b"]), np.random.default_rng(0), "verb")
+        # the predicate is an event argument but never a corruption target
+        for target in ("verb", "predicate"):
+            with pytest.raises(ValueError, match="unknown target"):
+                corrupt_event(EVENT, Vocabulary(["a", "b"]), np.random.default_rng(0), target)
 
 
 class TestMarginLoss:
@@ -246,13 +258,12 @@ class TestMarginLoss:
         # pick U with g(E) = 2.0 and g(E_r) = 0.5 via a 2x2 Gram solve
         model, _, _ = make_model(seed=6, k=4)
         composer = model.composer
-        c_e = composer.embed_event(EVENT)
-        c_r = composer.embed_event(self.corrupted())
+        c_e = embed_one(composer, EVENT)
+        c_r = embed_one(composer, self.corrupted())
         gram = np.array([[c_e @ c_e, c_e @ c_r], [c_r @ c_e, c_r @ c_r]])
         coeffs = np.linalg.solve(gram, np.array([2.0, 0.5]))
         composer.u[...] = coeffs[0] * c_e + coeffs[1] * c_r
-        assert composer.score_event(EVENT) == pytest.approx(2.0, abs=1e-9)
-        assert composer.score_event(self.corrupted()) == pytest.approx(0.5, abs=1e-9)
+        assert score(composer, [EVENT, self.corrupted()]) == pytest.approx([2.0, 0.5], abs=1e-9)
         assert event_loss(model, EVENT, self.corrupted(), 0.0) == 0.0
 
     def test_regularizer_counts_all_ones_matrix(self):
@@ -275,7 +286,8 @@ class TestMarginLoss:
             reg = composer.regularization(lam)
             assert loss >= reg
             hinge_zero = loss - reg == 0.0
-            satisfied = composer.score_event(e) >= composer.score_event(e_r) + 1.0
+            g_e, g_r = score(composer, [e, e_r])
+            satisfied = g_e >= g_r + 1.0
             assert hinge_zero == satisfied
 
     def test_margin_excludes_embeddings_and_u_from_regularizer(self):
@@ -317,8 +329,8 @@ class TestComposerGradients:
         composer = model.composer
         event = random_event(vocab, rng)
         corrupted = corrupt_event(event, vocab, rng)
-        c_e = composer.embed_event(event)
-        c_r = composer.embed_event(corrupted)
+        c_e = embed_one(composer, event)
+        c_r = embed_one(composer, corrupted)
         diff = c_e - c_r
         composer.u[...] = 2.0 * diff / (diff @ diff)  # g(E) - g(E_r) = 2 > 1
         lam = 0.01

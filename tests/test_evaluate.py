@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eventemb.data import EventTuple, HardSimInstance, TransitiveSimInstance
 from eventemb.evaluate import (
     average_ranks,
-    cosine,
     evaluate_transitive,
     format_report,
     hard_similarity_accuracy,
     spearman_rho,
 )
-from oracles import hard_sim_by_counting, spearman_bruteforce
+from eventemb.ops import cosine
+from oracles import counting_ranks, hard_sim_by_counting, spearman_bruteforce
+from oracles import cosine as scalar_cosine
 
 
 def ev(tag):
@@ -23,25 +26,29 @@ def table_embedder(mapping):
 
 
 class TestCosine:
+    """Row-block cosine on one-row blocks."""
+
     def test_self_similarity(self):
-        v = np.array([3.0, 4.0])
-        assert cosine(v, v) == pytest.approx(1.0, abs=1e-9)
+        v = np.array([[3.0, 4.0]])
+        assert cosine(v, v) == pytest.approx([1.0], abs=1e-9)
 
     def test_orthogonal(self):
-        assert cosine(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
+        assert np.array_equal(cosine(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])), [0.0])
 
     def test_opposite(self):
         # the epsilon guard in the denominator costs ~1e-8 on unit vectors
-        assert cosine(np.array([1.0, 0.0]), np.array([-1.0, 0.0])) == pytest.approx(
-            -1.0, abs=1e-7
+        assert cosine(np.array([[1.0, 0.0]]), np.array([[-1.0, 0.0]])) == pytest.approx(
+            [-1.0], abs=1e-7
         )
 
     def test_zero_vector_rule(self):
-        assert cosine(np.zeros(2), np.array([1.0, 2.0])) == 0.0
+        assert np.array_equal(cosine(np.zeros((1, 2)), np.array([[1.0, 2.0]])), [0.0])
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="length mismatch"):
-            cosine(np.zeros(2), np.zeros(3))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            cosine(np.zeros((1, 2)), np.zeros((1, 3)))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            cosine(np.zeros(2), np.zeros(2))
 
 
 class TestHardSimilarity:
@@ -94,8 +101,8 @@ class TestHardSimilarity:
             for i in range(count):
                 a, b, c, d = (ev(f"t{4 * i + j}") for j in range(4))
                 instances.append(HardSimInstance((a, b), (c, d)))
-                sims.append(cosine(*embed([a, b])))
-                dissims.append(cosine(*embed([c, d])))
+                sims.append(scalar_cosine(*embed([a, b])))
+                dissims.append(scalar_cosine(*embed([c, d])))
             expected = hard_sim_by_counting(sims, dissims)
             assert hard_similarity_accuracy(instances, embed) == expected
 
@@ -145,6 +152,14 @@ class TestSpearman:
             [1.0, 2.5, 2.5, 4.0]
         )
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([-2.5, -1.0, -0.0, 0.0, 0.5, 1.0, 3.0]) | st.floats(
+        allow_nan=False, allow_infinity=False
+    ), max_size=40))
+    def test_average_ranks_equal_counting_oracle(self, values):
+        # few distinct values force ties, and -0.0 ties with 0.0
+        assert np.array_equal(average_ranks(values), counting_ranks(values))
+
 
 class TestTransitive:
     def instances(self, tags_scores):
@@ -178,7 +193,7 @@ class TestTransitive:
         instances = self.instances(
             [((f"t{2 * i}", f"t{2 * i + 1}"), golds[i]) for i in range(5)]
         )
-        pred = [cosine(*embed(list(inst.pair))) for inst in instances]
+        pred = [scalar_cosine(*embed(list(inst.pair))) for inst in instances]
         assert evaluate_transitive(instances, embed) == pytest.approx(
             spearman_bruteforce(pred, golds), abs=1e-12
         )

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from eventemb.data import AnnotatedExample, Vocabulary
-from eventemb.intent import BiLstmEncoder, LstmCell, intent_loss_grads
+from eventemb.intent import BiLstmEncoder, LstmCell, intent_hinge
 from eventemb.params import ParameterStore
 from eventemb.trainer import Negatives, TrainingConfig, joint_loss
 from conftest import WORDS, make_model, random_event
@@ -166,10 +166,12 @@ class TestEncodeIntent:
 
 
 def hinge(v_e, v_i, v_in):
-    """The production intent hinge, checked bit for bit against the oracle."""
-    loss = intent_loss_grads(v_e, v_i, v_in)[0]
-    assert loss == intent_loss(v_e, v_i, v_in)
-    return loss
+    """The production intent hinge on one-row blocks, checked bit for bit
+    against the oracle."""
+    loss = intent_hinge(v_e[None], v_i[None], v_in[None])[0]
+    assert loss.shape == (1,)
+    assert loss[0] == intent_loss(v_e, v_i, v_in)
+    return loss[0]
 
 
 class TestIntentLoss:
@@ -210,14 +212,45 @@ class TestIntentLoss:
     @pytest.mark.parametrize("seed", range(5))
     def test_vector_gradients(self, seed):
         rng = np.random.default_rng(seed)
-        v_e = rng.standard_normal(5)
-        v_i = rng.standard_normal(5)
-        v_in = rng.standard_normal(5)
+        v_e = rng.standard_normal(5)[None]
+        v_i = rng.standard_normal(5)[None]
+        v_in = rng.standard_normal(5)[None]
         params = {"v_e": v_e, "v_i": v_i, "v_in": v_in}
 
         def fn():
-            loss, d_e, d_i, d_in = intent_loss_grads(v_e, v_i, v_in)
-            return loss, {"v_e": d_e, "v_i": d_i, "v_in": d_in}
+            loss, d_e, d_i, d_in = intent_hinge(v_e, v_i, v_in)
+            return float(loss.sum()), {"v_e": d_e, "v_i": d_i, "v_in": d_in}
+
+        assert grad_check(fn, params) < 1e-4
+
+    def test_rows_match_oracle(self):
+        rng = np.random.default_rng(8)
+        v_e, v_i, v_in = rng.standard_normal((3, 40, 6))
+        v_in[:10] = v_i[:10]
+        v_e[10:15] = 0.0
+        losses = intent_hinge(v_e, v_i, v_in)[0]
+        assert np.array_equal(losses[:10], np.ones(10))
+        for r in range(40):
+            assert losses[r] == intent_loss(v_e[r], v_i[r], v_in[r])
+
+    def test_block_gradients_with_inactive_and_zero_rows(self):
+        # row 0 active, row 1 inactive (loss -1 before the clamp), row 2 an
+        # all-zero event row: active at loss 1 with zero gradients
+        rng = np.random.default_rng(11)
+        v_e = np.vstack((rng.standard_normal(4), [1.0, 0.0, 0.0, 0.0], np.zeros(4)))
+        v_i = np.vstack((rng.standard_normal(4), [2.0, 0.0, 0.0, 0.0], rng.standard_normal(4)))
+        v_in = np.vstack((v_e[0] + 0.1 * rng.standard_normal(4), [-1.0, 0.0, 0.0, 0.0],
+                          rng.standard_normal(4)))
+        losses, d_e, d_i, d_in = intent_hinge(v_e, v_i, v_in)
+        assert losses[0] > 0.0 and losses[1] == 0.0 and losses[2] == 1.0
+        assert not np.any(d_e[1:]) and not np.any(d_i[1:]) and not np.any(d_in[1:])
+        # the cosine has no derivative at a zero vector, so the zero event row
+        # is held out of the finite differences on v_e
+        params = {"v_e": v_e[:2], "v_i": v_i, "v_in": v_in}
+
+        def fn():
+            loss, d_e, d_i, d_in = intent_hinge(v_e, v_i, v_in)
+            return float(loss.sum()), {"v_e": d_e[:2], "v_i": d_i, "v_in": d_in}
 
         assert grad_check(fn, params) < 1e-4
 

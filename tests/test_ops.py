@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eventemb.composer import LowRankLayer
-from eventemb.ops import cosine, sigmoid
+from eventemb.ops import cosine, cosine_grads, sigmoid
 from eventemb.params import ParameterStore
 from gradcheck import grad_check, random_projection
+from oracles import cosine_grads as scalar_cosine_grads
 from oracles import (
     LowRankSlice,
     bilinear_lowrank,
@@ -196,5 +199,48 @@ class TestScalarHelpers:
         assert np.all(np.isnan(sigmoid(np.array([np.nan, -np.nan]))))
 
     def test_cosine_epsilon_guard(self):
-        assert cosine(np.zeros(3), np.ones(3)) == 0.0
-        assert cosine(np.ones(3), np.zeros(3)) == 0.0
+        assert np.array_equal(cosine(np.zeros((1, 3)), np.ones((1, 3))), [0.0])
+        assert np.array_equal(cosine(np.ones((1, 3)), np.zeros((1, 3))), [0.0])
+
+
+@st.composite
+def row_blocks(draw):
+    """Two (R, k) blocks laid out as callers pass them: contiguous rows,
+    strided columns of an (R, 4, k) block, fancy-indexed rows of a table, or
+    a stride-0 broadcast query row against a block. Some rows are all-zero."""
+    rows = draw(st.integers(1, 24))
+    k = draw(st.integers(1, 64))
+    layout = draw(st.sampled_from(("contiguous", "strided", "fancy", "broadcast")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-4, 4))
+    zero_u, zero_v = rng.random((2, rows)) < 0.2
+    if layout == "strided":
+        quads = rng.standard_normal(rows * 4 * k).reshape(rows, 4, k) * scale
+        i, j = rng.choice(4, size=2, replace=False)
+        u, v = quads[:, i], quads[:, j]
+    elif layout == "fancy":
+        table = rng.standard_normal((rows + 3, k)) * scale
+        u, v = table[rng.integers(0, rows + 3, (2, rows))]
+    else:
+        u, v = rng.standard_normal((2, rows, k)) * scale
+    u[zero_u] = 0.0
+    v[zero_v] = 0.0
+    if layout == "broadcast":
+        u = np.broadcast_to(u[0], u.shape)
+    return u, v
+
+
+class TestRowCosine:
+    """The (R, k) block cosine against the one-pair-at-a-time oracle, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(row_blocks())
+    def test_block_equals_scalar_oracle(self, blocks):
+        u, v = blocks
+        c, du, dv = cosine_grads(u, v)
+        assert np.array_equal(cosine(u, v), c)
+        for r in range(len(u)):
+            c_r, du_r, dv_r = scalar_cosine_grads(u[r], v[r])
+            assert c[r] == c_r
+            assert np.array_equal(du[r], du_r)
+            assert np.array_equal(dv[r], dv_r)
