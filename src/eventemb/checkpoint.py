@@ -16,13 +16,18 @@ Layout (all integers little-endian):
         float64 little-endian data, C order
 
 Any truncation or in-place corruption fails the length or CRC check, and
-an invalid config or a non-finite array is rejected too; a checkpoint
-either loads losslessly or raises CheckpointError.
+an invalid config, a malformed header field or array record, or a
+non-finite array is rejected too; a checkpoint either loads losslessly or
+raises CheckpointError.
+
+Loading reads the file once into one buffer and parses it in place: the
+arrays are views of that buffer, not copies.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import zlib
@@ -30,10 +35,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import UNKNOWN_TOKEN, Vocabulary
+from .data import Vocabulary
 
 MAGIC = b"EVEMBCKP"
 VERSION = 2
+HEAD = struct.Struct("<8sIIQ")  # magic, version, CRC of the body, body length
 
 
 class CheckpointError(ValueError):
@@ -79,7 +85,7 @@ def _serialized_parts(ckpt: Checkpoint) -> list:
     crc = 0
     for part in parts:
         crc = zlib.crc32(part, crc)
-    head = MAGIC + struct.pack("<IIQ", VERSION, crc, sum(len(part) for part in parts))
+    head = HEAD.pack(MAGIC, VERSION, crc, sum(len(part) for part in parts))
     return [head, *parts]
 
 
@@ -96,49 +102,35 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
 
 
 class _Cursor:
-    def __init__(self, data: bytes, path: str) -> None:
-        self.data = data
-        self.pos = 0
+    """Reads the body of a checkpoint at increasing offsets of one buffer."""
+
+    def __init__(self, view: memoryview, pos: int, path: str) -> None:
+        self.view = view
+        self.pos = pos
         self.path = path
 
-    def take(self, size: int) -> bytes:
-        if self.pos + size > len(self.data):
+    def take(self, size: int) -> int:
+        """Offset of the next `size` bytes, which the cursor then moves past."""
+        if size > len(self.view) - self.pos:
             raise CheckpointError(f"{self.path}: truncated checkpoint")
-        chunk = self.data[self.pos : self.pos + size]
         self.pos += size
-        return chunk
+        return self.pos - size
 
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack_from(fmt, self.view, self.take(struct.calcsize(fmt)))
 
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
+    def text(self) -> str:
+        (size,) = self.unpack("<I")
+        start = self.take(size)
+        return str(self.view[start : start + size], "utf-8")
 
 
-def parse_checkpoint(data: bytes, path: str = "<bytes>") -> Checkpoint:
+def _header_fields(header, path: str) -> tuple:
+    """The config, vocabulary, RNG state and epoch of a decoded JSON header."""
     from .trainer import TrainingConfig
 
-    if len(data) < len(MAGIC) + 16:
-        raise CheckpointError(f"{path}: truncated checkpoint")
-    if data[: len(MAGIC)] != MAGIC:
-        raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
-    version, crc = struct.unpack_from("<II", data, len(MAGIC))
-    if version != VERSION:
-        raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-    (body_len,) = struct.unpack_from("<Q", data, len(MAGIC) + 8)
-    body = data[len(MAGIC) + 16 :]
-    if len(body) != body_len:
-        raise CheckpointError(
-            f"{path}: body has {len(body)} bytes, header declares {body_len}"
-        )
-    if zlib.crc32(body) != crc:
-        raise CheckpointError(f"{path}: checksum mismatch (corrupted checkpoint)")
-
-    cur = _Cursor(body, path)
-    try:
-        header = json.loads(cur.take(cur.u32()).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"{path}: bad checkpoint header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: checkpoint header is not a JSON object")
     for key in ("config", "epoch", "rng_state", "vocab"):
         if key not in header:
             raise CheckpointError(f"{path}: checkpoint header lacks '{key}'")
@@ -147,52 +139,109 @@ def parse_checkpoint(data: bytes, path: str = "<bytes>") -> Checkpoint:
         config.validate()
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: bad checkpoint config: {exc}") from exc
+    # JSON decodes to exact types, and `type(...) is int` rejects a bool
+    vocab, epoch, rng_state = header["vocab"], header["epoch"], header["rng_state"]
+    if type(vocab) is not list or set(map(type, vocab)) - {str}:
+        raise CheckpointError(f"{path}: checkpoint field 'vocab' is not a list of strings")
+    if type(epoch) is not int:
+        raise CheckpointError(f"{path}: checkpoint field 'epoch' is not an integer: {epoch!r}")
+    if type(rng_state) is not dict:
+        raise CheckpointError(f"{path}: checkpoint field 'rng_state' is not a JSON object")
+    return config, vocab, rng_state, epoch
+
+
+def parse_checkpoint(data, path: str = "<bytes>") -> Checkpoint:
+    """Check and parse checkpoint bytes without copying the arrays.
+
+    `data` is any bytes-like object. Each array is a view of it: read-only
+    over `bytes`, writable over a writable buffer such as the one
+    `load_checkpoint` reads into.
+    """
+    view = memoryview(data).cast("B")
+    if len(view) < HEAD.size:
+        raise CheckpointError(f"{path}: truncated checkpoint")
+    magic, version, crc, body_len = HEAD.unpack_from(view)
+    if magic != MAGIC:
+        raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
+    if version != VERSION:
+        raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
+    if len(view) - HEAD.size != body_len:
+        raise CheckpointError(
+            f"{path}: body has {len(view) - HEAD.size} bytes, header declares {body_len}"
+        )
+    if zlib.crc32(view[HEAD.size :]) != crc:
+        raise CheckpointError(f"{path}: checksum mismatch (corrupted checkpoint)")
+
+    cur = _Cursor(view, HEAD.size, path)
+    try:
+        header = json.loads(cur.text())
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise CheckpointError(f"{path}: bad checkpoint header: {exc}") from exc
+    config, vocab, rng_state, epoch = _header_fields(header, path)
 
     arrays: dict[str, np.ndarray] = {}
-    count = cur.u32()
+    (count,) = cur.unpack("<I")
     for _ in range(count):
-        name = cur.take(cur.u32()).decode("utf-8")
-        ndim = cur.u32()
-        shape = tuple(cur.u64() for _ in range(ndim))
-        size = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        raw = cur.take(8 * size)
-        array = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
-        if not np.isfinite(array).all():
+        try:
+            name = cur.text()
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"{path}: bad array name: {exc}") from exc
+        if name in arrays:
+            raise CheckpointError(f"{path}: array '{name}' appears twice")
+        (ndim,) = cur.unpack("<I")
+        shape = cur.unpack(f"<{ndim}Q")
+        # Python integers: a product of u64 dims cannot overflow here
+        size = math.prod(shape)
+        if 8 * size > len(view) - cur.pos:
+            raise CheckpointError(
+                f"{path}: array '{name}' of shape {shape} overruns the checkpoint body"
+            )
+        array = np.frombuffer(view, "<f8", size, cur.take(8 * size)).reshape(shape)
+        # max propagates NaN and min and max reach any infinity: the check
+        # needs no temporary the size of the array
+        if size and not (np.isfinite(array.max()) and np.isfinite(array.min())):
             raise CheckpointError(f"{path}: array '{name}' holds non-finite values")
         arrays[name] = array
-    if cur.pos != len(body):
-        raise CheckpointError(f"{path}: {len(body) - cur.pos} trailing bytes in body")
+    if cur.pos != len(view):
+        raise CheckpointError(f"{path}: {len(view) - cur.pos} trailing bytes in body")
     return Checkpoint(
-        config=config,
-        vocab_words=list(header["vocab"]),
-        arrays=arrays,
-        rng_state=header["rng_state"],
-        epoch=int(header["epoch"]),
+        config=config, vocab_words=vocab, arrays=arrays, rng_state=rng_state, epoch=epoch
     )
 
 
 def load_checkpoint(path: str) -> Checkpoint:
+    """Read `path` once into a buffer that only the returned arrays view.
+
+    The arrays are writable, and no other object shares their memory, so
+    `build_model` can hand the table to the model without a copy.
+    """
     with open(path, "rb") as fh:
-        data = fh.read()
-    return parse_checkpoint(data, path)
+        size = os.fstat(fh.fileno()).st_size
+        # uninitialised, unlike bytearray(size): the read fills every byte
+        buffer = np.empty(size, dtype=np.uint8)
+        read = fh.readinto(buffer)
+    if read != size:
+        raise CheckpointError(f"{path}: read {read} of the file's {size} bytes")
+    return parse_checkpoint(buffer, path)
 
 
 def build_model(ckpt: Checkpoint):
     """Reconstruct a JointModel from a checkpoint.
 
-    Any array whose shape disagrees with the stored config raises
-    CheckpointError naming the array.
+    When the 'embeddings' array is at least half of the checkpoint's array
+    bytes, it becomes the model's table without a copy (the store copies it
+    only if it is read-only), so training the model changes that array too.
+    A smaller table, and every other array, is copied in. Any array whose
+    shape disagrees with the stored config raises CheckpointError naming
+    the array.
     """
     from .model import JointModel
 
     cfg = ckpt.config
-    if not ckpt.vocab_words or ckpt.vocab_words[0] != UNKNOWN_TOKEN:
-        raise CheckpointError(
-            f"checkpoint vocabulary must start with the {UNKNOWN_TOKEN!r} entry"
-        )
-    vocab = Vocabulary(ckpt.vocab_words[1:])
-    if len(vocab) != len(ckpt.vocab_words):
-        raise CheckpointError("checkpoint vocabulary contains duplicate words")
+    try:
+        vocab = Vocabulary.from_entries(ckpt.vocab_words)
+    except ValueError as exc:
+        raise CheckpointError(f"checkpoint {exc}") from exc
     embeddings = ckpt.arrays.get("embeddings")
     if embeddings is None:
         raise CheckpointError("checkpoint lacks the 'embeddings' array")
@@ -201,6 +250,11 @@ def build_model(ckpt: Checkpoint):
             f"array 'embeddings' has shape {embeddings.shape}, "
             f"expected {(len(vocab), cfg.d)}"
         )
+    # A view pins the whole read buffer. When the table is most of it (a
+    # GloVe-sized vocabulary) that saves copying the table; otherwise the
+    # pinned buffer would hold the other arrays, which are copied in, twice.
+    if 2 * embeddings.nbytes < sum(array.nbytes for array in ckpt.arrays.values()):
+        embeddings = embeddings.copy()
     model = JointModel(
         vocab, embeddings, cfg.d, cfg.k, cfg.n, np.random.default_rng(0)
     )

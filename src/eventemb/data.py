@@ -7,6 +7,7 @@ of each file type. Parsed structures are immutable and freely shareable.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -113,6 +114,22 @@ class Vocabulary:
     def words(self) -> list[str]:
         return list(self._words)
 
+    @classmethod
+    def from_entries(cls, entries: list[str]) -> "Vocabulary":
+        """The vocabulary whose index i holds entries[i], built in bulk.
+
+        `entries` must start with the unknown token; a repeated entry is a
+        ValueError.
+        """
+        if not entries or entries[0] != UNKNOWN_TOKEN:
+            raise ValueError(f"vocabulary must start with the {UNKNOWN_TOKEN!r} entry")
+        vocab = cls()
+        vocab._words = list(entries)
+        vocab._index = dict(zip(entries, range(len(entries))))
+        if len(vocab._index) != len(entries):
+            raise ValueError("vocabulary contains duplicate words")
+        return vocab
+
     def extended(self, tokens: Iterable[str]) -> "Vocabulary":
         """New vocabulary with unseen tokens appended in first-appearance order."""
         vocab = Vocabulary()
@@ -134,53 +151,65 @@ def _records(path: str) -> Iterable[tuple[int, str]]:
 def load_word_vectors(path: str) -> tuple[Vocabulary, np.ndarray]:
     """Parse `word v1 ... vd` lines into a vocabulary and embedding table.
 
-    The dimension is inferred from the first record; every later record must
-    match it, every entry must be finite, and no word may repeat once
-    lowercased. The unknown row (index 0) is the mean of all loaded rows.
+    The file is read once, and one `np.loadtxt` parses the value fields of
+    all records in bulk. The dimension is inferred from the first record;
+    every later record must match it, every entry must be finite, and no
+    word may repeat once lowercased. The unknown row (index 0) is the mean
+    of all loaded rows. When the bulk parse fails, the records are parsed
+    again one at a time only to name the file:line of the first bad one.
     """
     words: list[str] = []
-    rows: list[np.ndarray] = []
+    values: list[str] = []
     linenos: list[int] = []
-    dim: int | None = None
     for lineno, line in _records(path):
-        parts = line.split()
+        parts = line.split(None, 1)
         if len(parts) < 2:
             raise DataError(path, lineno, "expected a word followed by vector entries")
-        word = parts[0].lower()
-        try:
-            vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
-        except ValueError as exc:
-            raise DataError(path, lineno, f"bad vector entry: {exc}") from exc
-        if dim is None:
-            dim = vec.size
-        elif vec.size != dim:
-            raise DataError(
-                path, lineno, f"vector has {vec.size} entries, expected {dim}"
-            )
-        words.append(word)
-        rows.append(vec)
+        words.append(parts[0].lower())
+        values.append(parts[1])
         linenos.append(lineno)
-    if dim is None:
+    if not words:
         raise DataError(path, 0, "no word vectors found")
-    vocab = Vocabulary(words)
-    if len(vocab) != len(words) + 1:
+    try:
+        # the first record is parsed twice, so that row 0, the unknown
+        # entry, is part of the one table loadtxt allocates
+        table = np.loadtxt(
+            itertools.chain(values[:1], values), comments=None, quotechar=None, ndmin=2
+        )
+    except ValueError as exc:
+        raise _locate_bad_vector(path, linenos, values) from exc
+    del values
+    try:
+        vocab = Vocabulary.from_entries([UNKNOWN_TOKEN, *words])
+    except ValueError:
         first = {UNKNOWN_TOKEN: 0}
         for word, lineno in zip(words, linenos):
             if word in first:
                 where = f"line {first[word]}" if first[word] else "the reserved unknown word"
-                raise DataError(path, lineno, f"word {word!r} repeats {where}")
+                raise DataError(path, lineno, f"word {word!r} repeats {where}") from None
             first[word] = lineno
-    table = np.empty((len(vocab), dim), dtype=np.float64)
-    table[UNKNOWN_INDEX] = np.mean(rows, axis=0)
-    for i, row in enumerate(rows, start=1):
-        table[i] = row
     # max propagates NaN and min and max reach any infinity: the check needs
     # no temporary the size of the table
     loaded = table[1:]
     if not (np.isfinite(loaded.max()) and np.isfinite(loaded.min())):
         first_bad = int(np.argmin(np.isfinite(loaded).all(axis=1)))
         raise DataError(path, linenos[first_bad], "non-finite vector entry")
+    table[UNKNOWN_INDEX] = loaded.mean(axis=0)
     return vocab, table
+
+
+def _locate_bad_vector(path: str, linenos: list[int], values: list[str]) -> DataError:
+    """The error for the first record whose values the bulk parse rejects."""
+    dim = len(values[0].split())
+    for lineno, fields in zip(linenos, values):
+        try:
+            np.loadtxt([fields], comments=None, quotechar=None)
+        except ValueError as exc:
+            return DataError(path, lineno, f"bad vector entry: {exc}")
+        count = len(fields.split())
+        if count != dim:
+            return DataError(path, lineno, f"vector has {count} entries, expected {dim}")
+    return DataError(path, 0, "bulk parse failed on records that parse one at a time")
 
 
 def extend_embeddings(
@@ -190,11 +219,16 @@ def extend_embeddings(
     rng: np.random.Generator,
     init_range: float = 0.1,
 ) -> tuple[Vocabulary, np.ndarray]:
-    """Grow (vocab, table) to cover `tokens`; new rows init uniform [-r, r]."""
+    """Grow (vocab, table) to cover `tokens`; new rows init uniform [-r, r].
+
+    The returned table is always a new array, never `table` itself.
+    """
     extended = vocab.extended(tokens)
     n_new = len(extended) - len(vocab)
     if n_new == 0:
-        return extended, table
+        # the model's store takes the table it is given, so the caller's
+        # stays untouched only if this returns a fresh one
+        return extended, table.copy()
     fresh = rng.uniform(-init_range, init_range, size=(n_new, table.shape[1]))
     return extended, np.vstack([table, fresh])
 

@@ -38,18 +38,17 @@ class JointModel:
             raise ValueError(f"k={k} must be even: the intent hidden size is k/2")
         if not (1 <= n <= min(d, k)):
             raise ValueError(f"rank n={n} must satisfy 1 <= n <= min(d={d}, k={k})")
-        embeddings = np.ascontiguousarray(embeddings, dtype=np.float64)
-        if embeddings.shape != (len(vocab), d):
+        self.store = ParameterStore()
+        # the store takes the table without a copy (see ParameterStore)
+        table = self.store.add("embeddings", embeddings)
+        if table.shape != (len(vocab), d):
             raise ValueError(
-                f"embedding table has shape {embeddings.shape}, "
-                f"expected {(len(vocab), d)}"
+                f"embedding table has shape {table.shape}, expected {(len(vocab), d)}"
             )
         self.vocab = vocab
         self.d = d
         self.k = k
         self.n = n
-        self.store = ParameterStore()
-        table = self.store.add("embeddings", embeddings)
         table_grad = self.store.grad("embeddings")
         self.embeddings = table
         self.composer = EventComposer(self.store, vocab, table, table_grad, d, k, n, rng)
@@ -71,7 +70,11 @@ class JointModel:
         return self.intent.encode_intent(words)
 
     def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        """Overwrite all parameters from `arrays`; shapes must match exactly."""
+        """Overwrite all parameters from `arrays`; shapes must match exactly.
+
+        An array that already is the store's own (the table `build_model`
+        hands to the store) is skipped rather than copied onto itself.
+        """
         missing = set(self.store.params) - set(arrays)
         if missing:
             raise ValueError(f"missing parameter arrays: {sorted(missing)}")
@@ -80,6 +83,8 @@ class JointModel:
             raise ValueError(f"unknown parameter arrays: {sorted(extra)}")
         for name, current in self.store.params.items():
             incoming = arrays[name]
+            if incoming is current:
+                continue
             if incoming.shape != current.shape:
                 raise ValueError(
                     f"array '{name}' has shape {incoming.shape}, expected {current.shape}"

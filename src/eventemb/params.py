@@ -13,6 +13,14 @@ class ParameterStore:
     makes checkpoint layout and optimizer sweeps deterministic. Components
     keep direct references to the arrays; updates happen in place so the
     references stay valid for the lifetime of the model.
+
+    Ownership: `add` takes the array it is given, without a copy, and
+    training writes into it. A caller that must keep its own array passes
+    a copy. An array that cannot be trained in place (read-only, not
+    float64 or not C-contiguous) is copied, so the store never writes into
+    memory it was not handed: a table viewed over immutable checkpoint
+    bytes becomes a private copy, one viewed over the buffer that
+    `load_checkpoint` alone holds is taken as it is.
     """
 
     def __init__(self) -> None:
@@ -23,12 +31,12 @@ class ParameterStore:
     def add(self, name: str, array: np.ndarray) -> np.ndarray:
         if name in self.params:
             raise ValueError(f"parameter '{name}' registered twice")
-        # always copy: the store owns its parameter memory, so training can
-        # never mutate a caller-held array in place
-        array = np.array(array, dtype=np.float64, order="C")
+        array = np.require(array, dtype=np.float64, requirements=("C", "W"))
         self.params[name] = array
-        self.grads[name] = np.zeros_like(array)
-        self.accums[name] = np.zeros_like(array)
+        # np.zeros gets zeroed pages from the allocator: a frozen model never
+        # touches the table's gradient and accumulator
+        self.grads[name] = np.zeros(array.shape)
+        self.accums[name] = np.zeros(array.shape)
         return array
 
     def grad(self, name: str) -> np.ndarray:

@@ -291,3 +291,47 @@ def zero_grads(store):
 def snapshot_grads(store):
     """Copies of all gradient buffers of a ParameterStore, for grad_check."""
     return {name: g.copy() for name, g in store.grads.items()}
+
+
+def load_word_vectors_by_line(path):
+    """The word-vector reader as one `float()` per entry and one row per line:
+    the per-line parser the bulk `load_word_vectors` replaced, which must give
+    a bit-equal vocabulary and table."""
+    from eventemb.data import UNKNOWN_INDEX, UNKNOWN_TOKEN, DataError, Vocabulary
+
+    words, rows, linenos = [], [], []
+    dim = None
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.rstrip("\n")
+            if not line.strip() or line.lstrip().startswith("#"):
+                continue
+            parts = line.split()
+            if len(parts) < 2:
+                raise DataError(path, lineno, "expected a word followed by vector entries")
+            try:
+                vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
+            except ValueError as exc:
+                raise DataError(path, lineno, f"bad vector entry: {exc}") from exc
+            if dim is None:
+                dim = vec.size
+            elif vec.size != dim:
+                raise DataError(path, lineno, f"vector has {vec.size} entries, expected {dim}")
+            words.append(parts[0].lower())
+            rows.append(vec)
+            linenos.append(lineno)
+    if dim is None:
+        raise DataError(path, 0, "no word vectors found")
+    first = {UNKNOWN_TOKEN: 0}
+    for word, lineno in zip(words, linenos):
+        if word in first:
+            where = f"line {first[word]}" if first[word] else "the reserved unknown word"
+            raise DataError(path, lineno, f"word {word!r} repeats {where}")
+        first[word] = lineno
+    for row, lineno in zip(rows, linenos):
+        if not np.isfinite(row).all():
+            raise DataError(path, lineno, "non-finite vector entry")
+    table = np.empty((len(words) + 1, dim), dtype=np.float64)
+    table[UNKNOWN_INDEX] = np.mean(rows, axis=0)
+    table[1:] = rows
+    return Vocabulary(words), table

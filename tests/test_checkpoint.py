@@ -1,10 +1,17 @@
 import dataclasses
+import json
 import struct
+import threading
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from eventemb import cli
 from eventemb.checkpoint import (
+    MAGIC,
     VERSION,
     Checkpoint,
     CheckpointError,
@@ -14,8 +21,10 @@ from eventemb.checkpoint import (
     parse_checkpoint,
     save_checkpoint,
 )
-from eventemb.data import EventTuple
-from eventemb.trainer import TrainingConfig
+from eventemb.data import EventTuple, Vocabulary
+from eventemb.model import JointModel
+from eventemb.params import ParameterStore
+from eventemb.trainer import TrainingConfig, adagrad_step
 from conftest import make_model, random_event
 
 
@@ -205,3 +214,227 @@ class TestShapeValidation:
         ckpt.vocab_words = ckpt.vocab_words[1:]
         with pytest.raises(CheckpointError, match="must start with"):
             build_model(ckpt)
+
+
+SMALL = checkpoint_bytes(make_checkpoint()[0])
+
+
+class TestDamagedBytes:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, len(SMALL) - 1))
+    def test_any_truncation_raises_checkpoint_error(self, size):
+        with pytest.raises(CheckpointError):
+            parse_checkpoint(SMALL[:size])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, len(SMALL) - 1), st.integers(1, 255))
+    def test_any_single_byte_flip_raises_checkpoint_error(self, pos, xor):
+        data = bytearray(SMALL)
+        data[pos] ^= xor
+        with pytest.raises(CheckpointError):
+            parse_checkpoint(bytes(data))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 7),
+        st.sampled_from([2, 4, 6]),
+        st.integers(1, 2),
+        st.integers(0, 10**6),
+    )
+    def test_save_load_save_is_byte_identical(self, seed, d, k, n, epoch):
+        model, vocab, rng = make_model(seed=seed % 1000, d=d, k=k, n=n)
+        ckpt = Checkpoint(
+            config=TrainingConfig(d=d, k=k, n=n, seed=seed),
+            vocab_words=vocab.words,
+            arrays=model.store.params,
+            rng_state=rng.bit_generator.state,
+            epoch=epoch,
+        )
+        first = checkpoint_bytes(ckpt)
+        assert checkpoint_bytes(parse_checkpoint(first)) == first
+
+
+def craft(header, arrays):
+    """Checkpoint bytes with a valid CRC around any JSON header (or raw
+    header bytes) and any (name bytes, dims, data bytes) arrays."""
+    head = header if isinstance(header, bytes) else json.dumps(header).encode("utf-8")
+    body = struct.pack("<I", len(head)) + head + struct.pack("<I", len(arrays))
+    for name, dims, data in arrays:
+        body += struct.pack("<I", len(name)) + name
+        body += struct.pack(f"<I{len(dims)}Q", len(dims), *dims) + data
+    return MAGIC + struct.pack("<IIQ", VERSION, zlib.crc32(body), len(body)) + body
+
+
+def valid_header():
+    ckpt, _ = make_checkpoint()
+    return {
+        "config": ckpt.config.to_dict(),
+        "epoch": 3,
+        "rng_state": ckpt.rng_state,
+        "vocab": ckpt.vocab_words,
+    }
+
+
+ONE_ARRAY = [(b"u", (2,), struct.pack("<2d", 0.5, -1.0))]
+
+
+class TestCraftedCheckpoints:
+    """Bodies with a valid CRC that a writer never produces."""
+
+    def test_crafted_baseline_parses(self):
+        ckpt = parse_checkpoint(craft(valid_header(), ONE_ARRAY))
+        assert ckpt.epoch == 3 and list(ckpt.arrays["u"]) == [0.5, -1.0]
+
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("vocab", 5, "field 'vocab' is not a list of strings"),
+            ("vocab", ["<unk>", 7], "field 'vocab' is not a list of strings"),
+            ("epoch", "x", "field 'epoch' is not an integer: 'x'"),
+            ("epoch", 2.5, "field 'epoch' is not an integer"),
+            ("epoch", True, "field 'epoch' is not an integer"),
+            ("rng_state", [1], "field 'rng_state' is not a JSON object"),
+            ("config", 5, "bad checkpoint config"),
+        ],
+    )
+    def test_bad_header_field_is_named(self, field, value, match):
+        header = valid_header()
+        header[field] = value
+        with pytest.raises(CheckpointError, match=match):
+            parse_checkpoint(craft(header, ONE_ARRAY))
+
+    def test_header_that_is_not_an_object(self):
+        with pytest.raises(CheckpointError, match="header is not a JSON object"):
+            parse_checkpoint(craft([1, 2], ONE_ARRAY))
+
+    def test_header_nested_past_the_recursion_limit(self):
+        deep = b"[" * 100_000 + b"]" * 100_000
+        with pytest.raises(CheckpointError, match="bad checkpoint header"):
+            parse_checkpoint(craft(deep, ONE_ARRAY))
+
+    @pytest.mark.parametrize("dims", [(2**62, 4), (2**32, 2**32), (2**63, 2)])
+    def test_overflowing_dims_name_the_array(self, dims):
+        # np.prod of (2**62, 4) wraps to 0 in int64
+        arrays = [(b"layer1.w", dims, b"\0" * 64)]
+        with pytest.raises(CheckpointError, match="array 'layer1.w' of shape .* overruns"):
+            parse_checkpoint(craft(valid_header(), arrays))
+
+    def test_repeated_array_name(self):
+        with pytest.raises(CheckpointError, match="array 'u' appears twice"):
+            parse_checkpoint(craft(valid_header(), ONE_ARRAY * 2))
+
+    def test_name_that_is_not_utf8(self):
+        arrays = [(b"\xff\xfe", (1,), b"\0" * 8)]
+        with pytest.raises(CheckpointError, match="bad array name"):
+            parse_checkpoint(craft(valid_header(), arrays))
+
+    def test_cli_reports_a_crafted_checkpoint_without_a_traceback(self, tmp_path, capsys):
+        header = valid_header()
+        header["vocab"] = 5
+        path = tmp_path / "crafted.ckpt"
+        path.write_bytes(craft(header, ONE_ARRAY))
+        code = cli.main(["embed", "--checkpoint", str(path), "--events", str(path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'vocab'" in err and "Traceback" not in err
+
+
+def large_table_checkpoint(seed=0):
+    """A checkpoint whose table is most of its array bytes."""
+    rng = np.random.default_rng(seed)
+    vocab = Vocabulary([f"w{i}" for i in range(299)])
+    model = JointModel(vocab, rng.standard_normal((300, 6)), 6, 4, 2, rng)
+    config = TrainingConfig(d=6, k=4, n=2)
+    return Checkpoint(config, vocab.words, model.store.params, rng.bit_generator.state, 1)
+
+
+class TestOwnership:
+    """The store takes the arrays it is given; nothing trains into memory
+    that someone else holds."""
+
+    def test_store_takes_a_writable_array_without_a_copy(self):
+        store = ParameterStore()
+        table = np.arange(6.0).reshape(3, 2)
+        assert store.add("embeddings", table) is table
+
+    def test_store_copies_a_read_only_array(self):
+        data = np.arange(6.0).tobytes()
+        view = np.frombuffer(data, dtype=np.float64)
+        owned = ParameterStore().add("embeddings", view)
+        assert owned.flags.writeable and not np.shares_memory(owned, view)
+
+    def test_a_large_loaded_table_becomes_the_model_table(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(str(path), large_table_checkpoint())
+        loaded = load_checkpoint(str(path))
+        assert all(arr.flags.writeable for arr in loaded.arrays.values())
+        rebuilt = build_model(loaded)
+        assert rebuilt.embeddings is loaded.arrays["embeddings"]
+        for name, arr in rebuilt.store.params.items():
+            if name != "embeddings":
+                assert not np.shares_memory(arr, loaded.arrays[name]), name
+
+    def test_a_small_loaded_table_is_copied(self, tmp_path):
+        # a view would keep the whole read buffer alive for a table that
+        # is the smaller part of it
+        ckpt, _ = make_checkpoint()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(str(path), ckpt)
+        loaded = load_checkpoint(str(path))
+        rebuilt = build_model(loaded)
+        for name, arr in rebuilt.store.params.items():
+            assert not np.shares_memory(arr, loaded.arrays[name]), name
+
+    def test_training_a_loaded_model_leaves_the_file_alone(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(str(path), large_table_checkpoint())
+        on_disk = path.read_bytes()
+        loaded = load_checkpoint(str(path))
+        model = build_model(loaded)
+        assert model.embeddings is loaded.arrays["embeddings"]
+        before = model.embeddings.copy()
+        for grad in model.store.grads.values():
+            grad[...] = 1.0
+        adagrad_step(model.store, 0.1, 1.0)
+        assert not np.array_equal(model.embeddings, before)
+        assert path.read_bytes() == on_disk
+        assert checkpoint_bytes(load_checkpoint(str(path))) == on_disk
+
+    def test_model_from_immutable_bytes_trains_on_its_own_copy(self):
+        data = checkpoint_bytes(large_table_checkpoint())
+        parsed = parse_checkpoint(data)
+        assert not parsed.arrays["embeddings"].flags.writeable
+        model = build_model(parsed)
+        assert not np.shares_memory(model.embeddings, parsed.arrays["embeddings"])
+        for grad in model.store.grads.values():
+            grad[...] = 1.0
+        adagrad_step(model.store, 0.1, 1.0)
+        assert checkpoint_bytes(parse_checkpoint(data)) == data
+        assert checkpoint_bytes(parsed) == data
+
+
+class TestFrozenInferenceThreads:
+    def test_four_threads_embed_bit_equal_to_a_serial_call(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(str(path), large_table_checkpoint(seed=5))
+        model = build_model(load_checkpoint(str(path)))
+        rng = np.random.default_rng(1)
+        # more than one 256-event block per call
+        events = [random_event(model.vocab, rng, max_words=3) for _ in range(600)]
+        serial = model.embed_events(events)
+        results = [None] * 4
+        barrier = threading.Barrier(4)
+
+        def work(slot):
+            barrier.wait()
+            results[slot] = [model.embed_events(events) for _ in range(3)]
+
+        threads = [threading.Thread(target=work, args=(slot,)) for slot in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        for runs in results:
+            for got in runs:
+                assert np.array_equal(got.view(np.uint64), serial.view(np.uint64))

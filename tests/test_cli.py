@@ -1,8 +1,14 @@
+import contextlib
 import dataclasses
+import io
+import os
 import re
+import tempfile
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eventemb.checkpoint import load_checkpoint
 from eventemb.cli import _build_config, build_parser, main, parse_config_file
@@ -427,3 +433,33 @@ class TestConfigParser:
         path.write_text("alpha 0.5\n")
         with pytest.raises(DataError, match="key = value"):
             parse_config_file(str(path))
+
+
+CONFIG_KEYS = [f.name for f in dataclasses.fields(TrainingConfig)] + ["bogus", ""]
+CONFIG_VALUES = ["1", "0", "-1", "0.5", "1e400", "nan", "-inf", "1_0", "x", "", "object",
+                 "actor", "3.0", "99999999999999999999", "٣"]
+
+
+class TestConfigFuzz:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.one_of(
+        st.tuples(st.sampled_from(CONFIG_KEYS), st.sampled_from(CONFIG_VALUES)).map(
+            lambda kv: f"{kv[0]} = {kv[1]}"),
+        st.sampled_from(["", "# comment", "no equals sign", "= 1", "a = b = c"]),
+        st.text(max_size=12).map(lambda t: t.replace("\r", "").replace("\n", "")),
+    ), max_size=6))
+    def test_any_config_file_exits_1_or_2_without_a_traceback(self, lines):
+        # the corpus is missing, so a config that builds fails on loading it
+        with tempfile.TemporaryDirectory() as tmp:
+            config = os.path.join(tmp, "config.txt")
+            with open(config, "w", encoding="utf-8") as fh:
+                fh.write("\n".join(lines) + "\n")
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                try:
+                    code = main(["train", "--corpus", os.path.join(tmp, "missing.txt"),
+                                 "--out", os.path.join(tmp, "out"), "--config", config])
+                except SystemExit as exc:
+                    code = exc.code
+        assert code in (1, 2)
+        assert "Traceback" not in err.getvalue()

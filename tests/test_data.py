@@ -1,10 +1,18 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eventemb.data import (
+    UNKNOWN_TOKEN,
     AnnotatedExample,
     DataError,
     EventTuple,
+    HardSimInstance,
+    TransitiveSimInstance,
     Vocabulary,
     derive_polarity,
     extend_embeddings,
@@ -24,7 +32,12 @@ from eventemb.data import (
     save_transitive,
     tokenize,
 )
-from oracles import average_argument, polarity_by_counting, scalar_mean_rows
+from oracles import (
+    average_argument,
+    load_word_vectors_by_line,
+    polarity_by_counting,
+    scalar_mean_rows,
+)
 
 
 def write(tmp_path, name, text):
@@ -81,6 +94,42 @@ class TestWordVectors:
         path = write(tmp_path, "vec.txt", "a 1 2\n<UNK> 3 4\n")
         with pytest.raises(DataError, match=r"vec\.txt:2: word '<unk>' repeats the reserved"):
             load_word_vectors(path)
+
+    def test_hash_inside_a_word_is_kept(self, tmp_path):
+        path = write(tmp_path, "vec.txt", "# comment\nc# 1 2\n  # indented comment\na#b 3 4\n")
+        vocab, table = load_word_vectors(path)
+        assert vocab.words == [UNKNOWN_TOKEN, "c#", "a#b"]
+        assert np.array_equal(table[vocab.index("a#b")], [3.0, 4.0])
+
+    def test_any_whitespace_between_fields(self, tmp_path):
+        path = write(tmp_path, "vec.txt", "a\t1  2 \t\nb \x0b3\x0c4\r\n")
+        vocab, table = load_word_vectors(path)
+        assert np.array_equal(table[1:], [[1.0, 2.0], [3.0, 4.0]])
+
+    @pytest.mark.parametrize("entry", ("1_0", "0x1", "\u0661", "1,5"))
+    def test_only_plain_ascii_numbers(self, tmp_path, entry):
+        # float() accepts the first and the third (an Arabic-Indic one);
+        # the bulk parser does not
+        path = write(tmp_path, "vec.txt", f"a 1 0\nb 0 {entry}\n")
+        with pytest.raises(DataError, match=r"vec\.txt:2: bad vector entry"):
+            load_word_vectors(path)
+
+    def test_record_without_values(self, tmp_path):
+        path = write(tmp_path, "vec.txt", "a 1 0\nlonely   \n")
+        with pytest.raises(DataError, match=r"vec\.txt:2: expected a word followed"):
+            load_word_vectors(path)
+
+    def test_one_dimensional_vectors(self, tmp_path):
+        path = write(tmp_path, "vec.txt", "a 1\nb 3\n")
+        vocab, table = load_word_vectors(path)
+        assert table.shape == (3, 1) and np.array_equal(table[:, 0], [2.0, 1.0, 3.0])
+
+    def test_extend_embeddings_returns_a_fresh_table(self, tmp_path):
+        path = write(tmp_path, "vec.txt", "a 1 0\nb 0 1\n")
+        vocab, table = load_word_vectors(path)
+        vocab2, table2 = extend_embeddings(vocab, table, ["a", "b"], np.random.default_rng(0))
+        assert len(vocab2) == len(vocab)
+        assert np.array_equal(table2, table) and not np.shares_memory(table2, table)
 
     def test_extend_embeddings_adds_rows_in_range(self, tmp_path):
         path = write(tmp_path, "vec.txt", "a 1 0\nb 0 1\n")
@@ -332,3 +381,155 @@ class TestEventTupleInvariants:
     def test_annotated_example_defaults(self):
         ex = AnnotatedExample(EventTuple(("a",), ("p",), ("o",)))
         assert ex.intent is None and ex.emotion_words is None and ex.polarity is None
+
+
+# --- property tests of the readers ---------------------------------------------
+
+WORD_CHARS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJ0123456789_-'.<>#éßΣ"
+FIELD_SPACE = st.text(" \t\x0b\x0c", min_size=1, max_size=3)
+FLOAT_FORMATS = (repr, "{:.17g}".format, "{:e}".format, "{:.4f}".format)
+
+
+def _word():
+    # a leading '#' would make the line a comment
+    return st.text(WORD_CHARS, min_size=1, max_size=6).filter(lambda w: w[0] != "#")
+
+
+@st.composite
+def vector_files(draw):
+    """(file bytes, 1-based line of each record) of a valid vectors file."""
+    dim = draw(st.integers(1, 5))
+    words = draw(
+        st.lists(_word(), min_size=1, max_size=15, unique_by=str.lower).filter(
+            lambda ws: UNKNOWN_TOKEN not in {w.lower() for w in ws}
+        )
+    )
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    filler = st.sampled_from(["", "   ", "\t", "# a comment", "  #indented 1 2", "#"])
+    lines, linenos = [], []
+    for word in words:
+        lines += draw(st.lists(filler, max_size=2))
+        values = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                               min_size=dim, max_size=dim))
+        fmt = draw(st.sampled_from(FLOAT_FORMATS))
+        record = draw(st.sampled_from(["", " ", "\t"])) + word
+        for value in values:
+            record += draw(FIELD_SPACE) + fmt(value)
+        record += draw(st.sampled_from(["", " ", "\t "]))
+        lines.append(record)
+        linenos.append(len(lines))
+    lines += draw(st.lists(filler, max_size=2))
+    tail = draw(st.sampled_from(["", newline]))
+    return (newline.join(lines) + tail).encode("utf-8"), linenos
+
+
+def _load_both(data, loader):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "vec.txt")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        results = []
+        for load in (loader, load_word_vectors_by_line):
+            try:
+                results.append(load(path))
+            except DataError as exc:
+                results.append(str(exc).replace(path, "vec.txt"))
+        return results
+
+
+class TestWordVectorProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(vector_files())
+    def test_bulk_parse_bit_equals_the_per_line_parser(self, file):
+        (vocab, table), (ref_vocab, ref_table) = _load_both(file[0], load_word_vectors)
+        assert vocab.words == ref_vocab.words
+        assert table.shape == ref_table.shape
+        assert np.array_equal(table.view(np.uint64), ref_table.view(np.uint64))
+
+    @settings(max_examples=200, deadline=None)
+    @given(vector_files(), st.data())
+    def test_a_malformed_record_names_its_line(self, file, data):
+        text, linenos = file
+        lines = text.decode("utf-8").split("\n")
+        i = data.draw(st.integers(0, len(linenos) - 1))
+        kind = data.draw(st.sampled_from(["entry", "nonfinite", "count", "repeat"]))
+        if kind in ("count", "repeat") and i == 0:
+            i = len(linenos) - 1
+            if i == 0:
+                kind = "entry"
+        record = lines[linenos[i] - 1].rstrip("\r")
+        if kind == "entry":
+            record += " " + data.draw(st.sampled_from(["zap", "1_0", "0x1", "1,5", "--1"]))
+        elif kind == "nonfinite":
+            fields = record.split()
+            fields[data.draw(st.integers(1, len(fields) - 1))] = data.draw(
+                st.sampled_from(["nan", "inf", "-Infinity", "NaN"])
+            )
+            record = " ".join(fields)
+        elif kind == "count":
+            record += " 1.5"
+        else:
+            earlier = lines[linenos[data.draw(st.integers(0, i - 1))] - 1].split()[0]
+            if earlier.upper().lower() == earlier.lower():  # not so for 'ß'
+                earlier = earlier.upper()
+            record = " ".join([earlier, *record.split()[1:]])
+        lines[linenos[i] - 1] = record
+        got, want = _load_both("\n".join(lines).encode("utf-8"), load_word_vectors)
+        assert isinstance(got, str), "a malformed record was accepted"
+        assert got.startswith(f"vec.txt:{linenos[i]}: ")
+        if kind == "entry":
+            assert "bad vector entry" in got
+        else:
+            # the dimension, finite and repeat checks keep their messages
+            assert got == want
+
+
+TOKEN = st.text("abcdefghijklmnopqrstuvwxyz0123456789_'", min_size=1, max_size=5)
+ARGUMENT = st.lists(TOKEN, min_size=1, max_size=3).map(tuple)
+EVENT = st.builds(EventTuple, ARGUMENT, ARGUMENT, ARGUMENT)
+
+
+def _round_trip(save, load, records):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "file.txt")
+        save(path, records)
+        return load(path)
+
+
+class TestRoundTripProperties:
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(EVENT, max_size=8))
+    def test_corpus(self, events):
+        assert _round_trip(save_corpus, load_corpus, events) == events
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.lists(
+            st.builds(
+                AnnotatedExample,
+                EVENT,
+                st.none() | ARGUMENT.filter(lambda words: words != ("-",)),
+                st.none() | ARGUMENT,
+            ).filter(lambda ex: ex.intent is not None or ex.emotion_words is not None),
+            max_size=8,
+        )
+    )
+    def test_annotations(self, examples):
+        assert _round_trip(save_annotations, load_annotations, examples) == examples
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.builds(HardSimInstance, st.tuples(EVENT, EVENT), st.tuples(EVENT, EVENT)),
+                    max_size=6))
+    def test_hardsim(self, instances):
+        assert _round_trip(save_hardsim, load_hardsim, instances) == instances
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.builds(TransitiveSimInstance, st.tuples(EVENT, EVENT),
+                              st.integers(100, 700).map(lambda g: g / 100)), max_size=6))
+    def test_transitive(self, instances):
+        assert _round_trip(save_transitive, load_transitive, instances) == instances
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.dictionaries(TOKEN, st.sampled_from([1, -1]), max_size=8))
+    def test_lexicon(self, lexicon):
+        assert _round_trip(save_lexicon, load_lexicon, lexicon) == lexicon

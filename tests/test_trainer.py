@@ -293,6 +293,21 @@ class TestTrainLoop:
         assert hist_a == hist_b
         assert (out_a / "final.ckpt").read_bytes() == (out_b / "final.ckpt").read_bytes()
 
+    def test_shared_word_vectors_are_not_trained_in_place(self, synthetic_dir, tmp_path):
+        # every corpus word has a vector, so extend_embeddings adds no row;
+        # the model must still train a copy of the caller's table
+        vectors = load_word_vectors(str(synthetic_dir / "vectors.txt"))
+        corpus = load_corpus(str(synthetic_dir / "corpus.txt"))
+        assert all(word in vectors[0] for event in corpus for word in event.words())
+        table = vectors[1].copy()
+        cfg = TrainingConfig(d=10, k=8, n=2, epochs=2, learning_rate=0.05,
+                             batch_size=10, seed=5).with_preset("ntn")
+        for run in ("a", "b"):
+            train(cfg, corpus, word_vectors=vectors, out_dir=str(tmp_path / run))
+            assert np.array_equal(vectors[1], table)
+        for name in ("epoch-0001.ckpt", "epoch-0002.ckpt", "final.ckpt"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
     def test_margin_loss_decreases_on_separable_events(self):
         rng = np.random.default_rng(1)
         events = [
