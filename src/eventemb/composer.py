@@ -12,11 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .data import EventTuple, Vocabulary
-from .params import ParameterStore
-
-# arrays covered by the L2 regularizer, per layer (score head and word
-# embeddings are excluded)
-_REGULARIZED = ("left", "right", "diag", "w", "b")
+from .params import TABLE, ParameterStore
 
 # Event arguments that training may corrupt to draw negative events.
 CORRUPTION_TARGETS = ("actor", "object")
@@ -49,11 +45,11 @@ class LowRankLayer:
         self.diag = store.add(f"{prefix}.diag", np.zeros((k, d_in)))
         self.w = store.add(f"{prefix}.w", rng.uniform(-r, r, (k, 2 * d_in)))
         self.b = store.add(f"{prefix}.b", rng.uniform(-r, r, k))
-        self.g_left = store.grad(f"{prefix}.left")
-        self.g_right = store.grad(f"{prefix}.right")
-        self.g_diag = store.grad(f"{prefix}.diag")
-        self.g_w = store.grad(f"{prefix}.w")
-        self.g_b = store.grad(f"{prefix}.b")
+        self.g_left = store.grads[f"{prefix}.left"]
+        self.g_right = store.grads[f"{prefix}.right"]
+        self.g_diag = store.grads[f"{prefix}.diag"]
+        self.g_w = store.grads[f"{prefix}.w"]
+        self.g_b = store.grads[f"{prefix}.b"]
         self.prefix = prefix
 
     def forward(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, tuple]:
@@ -120,30 +116,33 @@ def corrupt_event(
 
 
 class EventComposer:
-    """The full three-layer composer with its linear scoring head."""
+    """The full three-layer composer with its linear scoring head, over the
+    word table registered in the store."""
 
     def __init__(
         self,
         store: ParameterStore,
         vocab: Vocabulary,
-        embeddings: np.ndarray,
-        embeddings_grad: np.ndarray,
         d: int,
         k: int,
         n: int,
         rng: np.random.Generator,
     ) -> None:
         self.vocab = vocab
-        self.embeddings = embeddings
-        self.g_embeddings = embeddings_grad
+        self.embeddings, self.g_embeddings = store.params[TABLE], store.grads[TABLE]
         self.d = d
         self.k = k
+        start = store.flat_params.size
         self.layer1 = LowRankLayer(store, "layer1", d, k, n, rng)
         self.layer2 = LowRankLayer(store, "layer2", d, k, n, rng)
         self.layer3 = LowRankLayer(store, "layer3", k, k, n, rng)
+        # the L2 term covers the layers' 15 arrays (not the score head or the
+        # table), registered back to back: one slice of the flat buffers
+        self.l2_params = store.flat_params[start:]
+        self.l2_grads = store.flat_grads[start:]
         rk = 1.0 / np.sqrt(k)
         self.u = store.add("u", rng.uniform(-rk, rk, k))
-        self.g_u = store.grad("u")
+        self.g_u = store.grads["u"]
 
     def embed(self, events: list[EventTuple]) -> tuple[np.ndarray, tuple]:
         """(B, k) embeddings C of B >= 1 events plus the cache for embed_backward;
@@ -170,15 +169,7 @@ class EventComposer:
 
     def regularization(self, lambda_l2: float) -> float:
         """lambda * ||Phi||_2^2 over the composition-layer parameters only."""
-        total = 0.0
-        for layer in (self.layer1, self.layer2, self.layer3):
-            for name in _REGULARIZED:
-                arr = getattr(layer, name)
-                total += float(np.dot(arr.reshape(-1), arr.reshape(-1)))
-        return lambda_l2 * total
+        return lambda_l2 * float(np.dot(self.l2_params, self.l2_params))
 
     def regularization_backward(self, lambda_l2: float, weight: float = 1.0) -> None:
-        scale = 2.0 * lambda_l2 * weight
-        for layer in (self.layer1, self.layer2, self.layer3):
-            for name in _REGULARIZED:
-                getattr(layer, f"g_{name}")[...] += scale * getattr(layer, name)
+        self.l2_grads += (2.0 * lambda_l2 * weight) * self.l2_params

@@ -155,7 +155,8 @@ def load_word_vectors(path: str) -> tuple[Vocabulary, np.ndarray]:
     all records in bulk. The dimension is inferred from the first record;
     every later record must match it, every entry must be finite, and no
     word may repeat once lowercased. The unknown row (index 0) is the mean
-    of all loaded rows. When the bulk parse fails, the records are parsed
+    of all loaded rows, taken over pre-scaled entries in a column whose plain
+    sum would overflow. When the bulk parse fails, the records are parsed
     again one at a time only to name the file:line of the first bad one.
     """
     words: list[str] = []
@@ -194,7 +195,12 @@ def load_word_vectors(path: str) -> tuple[Vocabulary, np.ndarray]:
     if not (np.isfinite(loaded.max()) and np.isfinite(loaded.min())):
         first_bad = int(np.argmin(np.isfinite(loaded).all(axis=1)))
         raise DataError(path, linenos[first_bad], "non-finite vector entry")
-    table[UNKNOWN_INDEX] = loaded.mean(axis=0)
+    with np.errstate(over="ignore"):
+        table[UNKNOWN_INDEX] = loaded.mean(axis=0)
+    # where a column's sum overflows, sum its entries divided by the row
+    # count first: that sum cannot pass the largest entry
+    over = ~np.isfinite(table[UNKNOWN_INDEX])
+    table[UNKNOWN_INDEX, over] = (loaded[:, over] / len(loaded)).sum(axis=0)
     return vocab, table
 
 

@@ -13,11 +13,11 @@ import numpy as np
 
 from .data import Vocabulary
 from .ops import cosine_grads, sigmoid
-from .params import ParameterStore
+from .params import TABLE, ParameterStore
 
 
 class LstmCell:
-    """Single-direction LSTM cell over a batch of B rows.
+    """The parameters of one LSTM direction.
 
     One weight matrix `w` of shape (4h, d+h) and one bias `b` of shape (4h,)
     hold all four gates, stacked by rows in the order input, forget, output,
@@ -32,93 +32,99 @@ class LstmCell:
         h: int,
         rng: np.random.Generator,
     ) -> None:
-        self.d = d
-        self.h = h
-        self.prefix = prefix
         r = 1.0 / np.sqrt(d + h)
         self.w = store.add(f"{prefix}.w", rng.uniform(-r, r, (4 * h, d + h)))
         self.b = store.add(f"{prefix}.b", np.zeros(4 * h))
-        self.g_w = store.grad(f"{prefix}.w")
-        self.g_b = store.grad(f"{prefix}.b")
+        self.g_w = store.grads[f"{prefix}.w"]
+        self.g_b = store.grads[f"{prefix}.b"]
 
-    def step(
-        self, x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One gated transition of B rows x (B, d) from states (B, h).
 
-        Returns (h, c, gates); gates (B, 4h) holds the activated input,
-        forget, output and candidate gates, which the backward needs.
-        """
-        d, h = self.d, self.h
-        if x.ndim != 2 or x.shape[1] != d:
-            raise ValueError(f"{self.prefix}: input has shape {x.shape}, expected (B, {d})")
-        if h_prev.shape != (len(x), h) or c_prev.shape != (len(x), h):
-            raise ValueError(
-                f"{self.prefix}: state has shape {h_prev.shape}/{c_prev.shape}, "
-                f"expected {(len(x), h)}"
-            )
-        gates = np.concatenate((x, h_prev), axis=1) @ self.w.T + self.b
-        gates[:, : 3 * h] = sigmoid(gates[:, : 3 * h])
-        gates[:, 3 * h :] = np.tanh(gates[:, 3 * h :])
-        c = gates[:, h : 2 * h] * c_prev + gates[:, :h] * gates[:, 3 * h :]
-        return gates[:, 2 * h : 3 * h] * np.tanh(c), c, gates
+def lstm_step(
+    w: np.ndarray, b: np.ndarray, x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One gated transition of B rows x (..., B, d) from states (..., B, h).
 
-    def step_backward(
-        self,
-        dh: np.ndarray,
-        dc: np.ndarray,
-        x: np.ndarray,
-        h_prev: np.ndarray,
-        c_prev: np.ndarray,
-        gates: np.ndarray,
-        c: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Backward through one step from its inputs and outputs; accumulates
-        the weight gradients summed over the rows, returns (dx, dh_prev, dc_prev)."""
-        h = self.h
-        gi, gf, go, gc = (gates[:, j * h : (j + 1) * h] for j in range(4))
-        tanh_c = np.tanh(c)
-        dc_total = dc + dh * go * (1.0 - tanh_c * tanh_c)
-        da = np.concatenate((
-            dc_total * gc * gi * (1.0 - gi),
-            dc_total * c_prev * gf * (1.0 - gf),
-            dh * tanh_c * go * (1.0 - go),
-            dc_total * gi * (1.0 - gc * gc),
-        ), axis=1)
-        self.g_w += da.T @ np.concatenate((x, h_prev), axis=1)
-        self.g_b += da.sum(axis=0)
-        dz = da @ self.w
-        return dz[:, : self.d], dz[:, self.d :], dc_total * gf
+    The leading axes of the weights w (..., 4h, d+h) and biases b (..., 4h)
+    stack directions: each runs its own rows through one GEMM. Returns
+    (h, c, gates); gates (..., B, 4h) holds the activated input, forget,
+    output and candidate gates, which the backward needs.
+    """
+    h = b.shape[-1] // 4
+    d = w.shape[-1] - h
+    if x.ndim != w.ndim or x.shape[:-2] != w.shape[:-2] or x.shape[-1] != d:
+        expected = ", ".join(["R"] * (w.ndim - 2) + ["B", str(d)])
+        raise ValueError(f"LSTM step: input has shape {x.shape}, expected ({expected})")
+    if h_prev.shape != x.shape[:-1] + (h,) or c_prev.shape != h_prev.shape:
+        raise ValueError(
+            f"LSTM step: state has shape {h_prev.shape}/{c_prev.shape}, "
+            f"expected {x.shape[:-1] + (h,)}"
+        )
+    z = np.concatenate((x, h_prev), axis=-1)
+    gates = np.matmul(z, w.swapaxes(-1, -2)) + b[..., None, :]
+    gates[..., : 3 * h] = sigmoid(gates[..., : 3 * h])
+    gates[..., 3 * h :] = np.tanh(gates[..., 3 * h :])
+    c = gates[..., h : 2 * h] * c_prev + gates[..., :h] * gates[..., 3 * h :]
+    return gates[..., 2 * h : 3 * h] * np.tanh(c), c, gates
+
+
+def lstm_step_backward(
+    w: np.ndarray,
+    dh: np.ndarray,
+    dc: np.ndarray,
+    x: np.ndarray,
+    h_prev: np.ndarray,
+    c_prev: np.ndarray,
+    gates: np.ndarray,
+    c: np.ndarray,
+) -> tuple[np.ndarray, ...]:
+    """Backward through one `lstm_step` from its inputs and outputs:
+    (dx, dh_prev, dc_prev, dw, db), the weight gradients summed over the rows."""
+    h = gates.shape[-1] // 4
+    gi, gf, go, gc = (gates[..., j * h : (j + 1) * h] for j in range(4))
+    tanh_c = np.tanh(c)
+    dc_total = dc + dh * go * (1.0 - tanh_c * tanh_c)
+    da = np.concatenate((
+        dc_total * gc * gi * (1.0 - gi),
+        dc_total * c_prev * gf * (1.0 - gf),
+        dh * tanh_c * go * (1.0 - go),
+        dc_total * gi * (1.0 - gc * gc),
+    ), axis=-1)
+    dw = np.matmul(da.swapaxes(-1, -2), np.concatenate((x, h_prev), axis=-1))
+    dz = np.matmul(da, w)
+    d = x.shape[-1]
+    return dz[..., :d], dz[..., d:], dc_total * gf, dw, da.sum(axis=-2)
 
 
 class BiLstmEncoder:
-    """Two LSTM directions over the shared embedding table."""
+    """Two LSTM directions over the word table registered in the store."""
 
     def __init__(
         self,
         store: ParameterStore,
         vocab: Vocabulary,
-        embeddings: np.ndarray,
-        embeddings_grad: np.ndarray,
         d: int,
         h: int,
         rng: np.random.Generator,
     ) -> None:
         self.vocab = vocab
-        self.embeddings = embeddings
-        self.g_embeddings = embeddings_grad
+        self.embeddings, self.g_embeddings = store.params[TABLE], store.grads[TABLE]
         self.d = d
         self.h = h
         self.forward_cell = LstmCell(store, "lstm_fwd", d, h, rng)
         self.backward_cell = LstmCell(store, "lstm_bwd", d, h, rng)
         self.cells = (self.forward_cell, self.backward_cell)
 
+    def _stacked(self, name: str) -> np.ndarray:
+        """Both directions' array `name` stacked on a leading direction axis."""
+        return np.stack([getattr(cell, name) for cell in self.cells])
+
     def encode(self, sentences) -> tuple[np.ndarray, list[tuple]]:
         """(S, 2h) intent vectors of S word sequences, in input order, plus cache.
 
         Sentences of equal token count form one group, so nothing is padded
-        or masked. A group of B sentences and T tokens runs time-major: each
-        step of each direction is one (B, d+h) @ (d+h, 4h) GEMM.
+        or masked. A group of B sentences and T tokens runs time-major, both
+        directions stacked: each step is one `lstm_step` of a (2, B, d+h)
+        input, whose GEMM runs one (B, d+h) @ (d+h, 4h) product per direction.
         """
         groups: dict[int, list[int]] = {}
         indices = []
@@ -128,6 +134,7 @@ class BiLstmEncoder:
             indices.append([self.vocab.index(w) for w in words])
             groups.setdefault(len(words), []).append(s)
         h = self.h
+        w, b = self._stacked("w"), self._stacked("b")
         out = np.zeros((len(indices), 2 * h))
         cache = []
         for rows in groups.values():
@@ -135,14 +142,14 @@ class BiLstmEncoder:
             # tokens[r, t]: the (B,) word ids direction r reads at step t
             tokens = np.stack((idx, idx[::-1]))
             steps, size = idx.shape
-            hs = np.zeros((2, steps + 1, size, h))
-            cs = np.zeros((2, steps + 1, size, h))
-            gates = np.empty((2, steps, size, 4 * h))
+            # states and gates time-major: [t] is both directions' (2, B, .) block
+            hs = np.zeros((steps + 1, 2, size, h))
+            cs = np.zeros((steps + 1, 2, size, h))
+            gates = np.empty((steps, 2, size, 4 * h))
             for t in range(steps):
-                for r, cell in enumerate(self.cells):
-                    x = self.embeddings[tokens[r, t]]
-                    hs[r, t + 1], cs[r, t + 1], gates[r, t] = cell.step(x, hs[r, t], cs[r, t])
-            out[rows] = np.concatenate(hs[:, -1], axis=1)
+                x = self.embeddings[tokens[:, t]]
+                hs[t + 1], cs[t + 1], gates[t] = lstm_step(w, b, x, hs[t], cs[t])
+            out[rows] = np.concatenate(hs[-1], axis=1)
             cache.append((rows, tokens, hs, cs, gates))
         return out, cache
 
@@ -152,18 +159,26 @@ class BiLstmEncoder:
     def encode_backward(self, dvec: np.ndarray, cache: list[tuple]) -> None:
         """Backprop d(loss)/d(intent vectors) (S, 2h) through both directions."""
         h = self.h
+        w = self._stacked("w")
+        # the weight gradients accumulate in stacked copies, written back once
+        g_w, g_b = self._stacked("g_w"), self._stacked("g_b")
         for rows, tokens, hs, cs, gates in cache:
             steps = tokens.shape[1]
             dx = np.empty(tokens.shape + (self.d,))
-            for r, cell in enumerate(self.cells):
-                dh = dvec[rows, r * h : (r + 1) * h]
-                dc = np.zeros_like(dh)
-                for t in range(steps - 1, -1, -1):
-                    dx[r, t], dh, dc = cell.step_backward(
-                        dh, dc, self.embeddings[tokens[r, t]], hs[r, t], cs[r, t],
-                        gates[r, t], cs[r, t + 1],
-                    )
+            dh = dvec[rows].reshape(-1, 2, h).swapaxes(0, 1)
+            dc = np.zeros_like(dh)
+            for t in range(steps - 1, -1, -1):
+                x = self.embeddings[tokens[:, t]]
+                dx[:, t], dh, dc, dw, db = lstm_step_backward(
+                    w, dh, dc, x, hs[t], cs[t], gates[t], cs[t + 1]
+                )
+                g_w += dw
+                g_b += db
+            # direction-major scatter: the table gradient sums in a fixed order
             np.add.at(self.g_embeddings, tokens, dx)
+        for r, cell in enumerate(self.cells):
+            cell.g_w[...] = g_w[r]
+            cell.g_b[...] = g_b[r]
 
 
 def intent_hinge(

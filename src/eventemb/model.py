@@ -7,13 +7,21 @@ import numpy as np
 from .composer import EventComposer
 from .data import EventTuple, Vocabulary
 from .intent import BiLstmEncoder
-from .params import ParameterStore
+from .params import TABLE, ParameterStore
 from .sentiment import SentimentHead
 
 # Events per composer call in `embed_events`. It bounds the per-layer
 # (rows, k, n) caches of inference to what one training batch of 128
 # positives and their 128 corrupted events already holds.
 EMBED_BLOCK = 256
+
+
+def dense_size(d: int, k: int, n: int) -> int:
+    """Entries of the arrays the components register besides the table: three
+    composition layers, `u`, two LSTM directions of size k/2, the sentiment head."""
+    h = k // 2
+    layers = sum(k * (2 * n * d_in + 3 * d_in + 1) for d_in in (d, d, k))
+    return layers + k + 2 * 4 * h * (d + h + 1) + 2 * k + 2
 
 
 class JointModel:
@@ -38,9 +46,10 @@ class JointModel:
             raise ValueError(f"k={k} must be even: the intent hidden size is k/2")
         if not (1 <= n <= min(d, k)):
             raise ValueError(f"rank n={n} must satisfy 1 <= n <= min(d={d}, k={k})")
-        self.store = ParameterStore()
-        # the store takes the table without a copy (see ParameterStore)
-        table = self.store.add("embeddings", embeddings)
+        self.store = ParameterStore(dense_size(d, k, n))
+        # the store takes the table without a copy (see ParameterStore); the
+        # composer and the intent encoder read it from there
+        table = self.store.add(TABLE, embeddings)
         if table.shape != (len(vocab), d):
             raise ValueError(
                 f"embedding table has shape {table.shape}, expected {(len(vocab), d)}"
@@ -49,10 +58,9 @@ class JointModel:
         self.d = d
         self.k = k
         self.n = n
-        table_grad = self.store.grad("embeddings")
         self.embeddings = table
-        self.composer = EventComposer(self.store, vocab, table, table_grad, d, k, n, rng)
-        self.intent = BiLstmEncoder(self.store, vocab, table, table_grad, d, k // 2, rng)
+        self.composer = EventComposer(self.store, vocab, d, k, n, rng)
+        self.intent = BiLstmEncoder(self.store, vocab, d, k // 2, rng)
         self.sentiment = SentimentHead(self.store, k, rng)
 
     # Frozen-model conveniences used by evaluation and the CLI.

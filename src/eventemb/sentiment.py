@@ -32,8 +32,8 @@ class SentimentHead:
         self.k = k
         self.w = store.add("sentiment.w", rng.uniform(-r, r, (2, k)))
         self.b = store.add("sentiment.b", np.zeros(2))
-        self.g_w = store.grad("sentiment.w")
-        self.g_b = store.grad("sentiment.b")
+        self.g_w = store.grads["sentiment.w"]
+        self.g_b = store.grads["sentiment.b"]
 
     def forward(self, v_e: np.ndarray) -> np.ndarray:
         """(R, 2) probability pairs (negative, positive) for R rows of shape (R, k)."""

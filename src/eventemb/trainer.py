@@ -8,6 +8,7 @@ baseline margin objective, bit for bit.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import os
 from dataclasses import dataclass
@@ -26,9 +27,13 @@ from .data import (
 )
 from .intent import intent_hinge
 from .model import JointModel
-from .params import ParameterStore
+from .params import TABLE, ParameterStore
 
 ADAGRAD_EPS = 1e-8
+# Entries per block of an Adagrad update: a block's temporaries (256 KiB
+# each) stay in cache, where those of a whole paper-shape flat buffer
+# (6 MB each) do not.
+ADAGRAD_BLOCK = 1 << 15
 
 # Ablation presets: (alpha, beta, gamma) weightings of the three loss terms.
 PRESETS: dict[str, tuple[float, float, float]] = {
@@ -121,8 +126,8 @@ class LossParts:
     n_sentiment: int = 0
 
     def __add__(self, other: "LossParts") -> "LossParts":
-        pairs = zip(dataclasses.astuple(self), dataclasses.astuple(other))
-        return LossParts(*(a + b for a, b in pairs))
+        fields = self.__dataclass_fields__
+        return LossParts(*(getattr(self, f) + getattr(other, f) for f in fields))
 
 
 def joint_loss(
@@ -204,36 +209,44 @@ def joint_loss(
     )
 
 
-def _adagrad_update(
-    name: str, theta: np.ndarray, acc: np.ndarray, g: np.ndarray, lr: float, scale: float
-) -> None:
+def _adagrad_update(theta, acc, g, lr: float, scale: float) -> bool:
+    """The update in place on C-contiguous arrays; False, with only g
+    changed, where g * scale is not finite."""
     g *= scale
     if not np.all(np.isfinite(g)):
-        raise FloatingPointError(f"non-finite gradient in parameter '{name}'")
-    acc += g * g
-    theta -= lr * g / (np.sqrt(acc) + ADAGRAD_EPS)
+        return False
+    theta, acc, g = theta.reshape(-1), acc.reshape(-1), g.reshape(-1)
+    for start in range(0, g.size, ADAGRAD_BLOCK):
+        block = slice(start, start + ADAGRAD_BLOCK)
+        acc[block] += g[block] * g[block]
+        theta[block] -= lr * g[block] / (np.sqrt(acc[block]) + ADAGRAD_EPS)
+    return True
 
 
 def adagrad_step(store: ParameterStore, learning_rate: float, scale: float) -> None:
     """g *= scale; acc += g^2; theta -= lr * g / (sqrt(acc) + eps); gradients zeroed.
 
-    Only the embedding rows with a non-zero gradient are updated: an all-zero
-    row is a fixed point (acc += 0, theta -= 0), so the result is bit-equal
-    to the dense rule, and a NaN or inf row is non-zero, so it is checked.
-    This holds because gradient buffers are zeroed to +0.0 and only added
-    to, so a skipped row never holds a -0.0 that would flip a -0.0 theta.
-    Every other array is small and updated whole, in place.
+    The rule is elementwise, so it runs as two updates: one over the store's
+    flat buffers, which hold every array but the table, and one over the
+    table rows with a non-zero gradient. An all-zero row is a fixed point
+    (acc += 0, theta -= 0), so skipping it is bit-equal to the dense rule,
+    and a NaN or inf row is non-zero, so it is checked. This holds because
+    gradient buffers are zeroed to +0.0 and only added to, so a skipped row
+    never holds a -0.0 that would flip a -0.0 theta. A non-finite gradient
+    raises naming the first parameter that holds one, found only then.
     """
-    for name, theta in store.params.items():
-        g, acc = store.grads[name], store.accums[name]
-        if name == "embeddings":
-            rows = np.flatnonzero(g.any(axis=1))
-            theta_rows, acc_rows = theta[rows], acc[rows]
-            _adagrad_update(name, theta_rows, acc_rows, g[rows], learning_rate, scale)
-            theta[rows], acc[rows], g[rows] = theta_rows, acc_rows, 0.0
-        else:
-            _adagrad_update(name, theta, acc, g, learning_rate, scale)
-            g[...] = 0.0
+    if TABLE in store.params:
+        theta, g, acc = store.params[TABLE], store.grads[TABLE], store.accums[TABLE]
+        rows = np.flatnonzero(g.any(axis=1))
+        theta_rows, acc_rows = theta[rows], acc[rows]
+        if not _adagrad_update(theta_rows, acc_rows, g[rows], learning_rate, scale):
+            raise FloatingPointError(f"non-finite gradient in parameter '{TABLE}'")
+        theta[rows], acc[rows], g[rows] = theta_rows, acc_rows, 0.0
+    g = store.flat_grads
+    if not _adagrad_update(store.flat_params, store.flat_accums, g, learning_rate, scale):
+        name = next(n for n, a in store.grads.items() if not np.all(np.isfinite(a)))
+        raise FloatingPointError(f"non-finite gradient in parameter '{name}'")
+    g[...] = 0.0
 
 
 def sample_negative_intent(
@@ -306,7 +319,7 @@ def train(
 
     Training examples are the bare corpus events plus the annotated examples
     (polarities resolved through the lexicon). With `out_dir` set, one checkpoint
-    per epoch, the last again as `final.ckpt`, and `metrics.tsv` go there.
+    per epoch, `final.ckpt` (a hard link to the last) and `metrics.tsv` go there.
     """
     config.validate()
     if not corpus and not annotations:
@@ -376,10 +389,18 @@ def train(
                 rng_state=rng.bit_generator.state,
                 epoch=epoch,
             )
-            ckpt_io.save_checkpoint(
-                os.path.join(out_dir, f"epoch-{epoch:04d}.ckpt"), snapshot
-            )
+            last = os.path.join(out_dir, f"epoch-{epoch:04d}.ckpt")
+            ckpt_io.save_checkpoint(last, snapshot)
 
     if out_dir is not None:
-        ckpt_io.save_checkpoint(os.path.join(out_dir, "final.ckpt"), snapshot)
+        # final.ckpt is a hard link to the last epoch's file, put in place
+        # atomically; the snapshot is written again only if linking fails
+        final = os.path.join(out_dir, "final.ckpt")
+        try:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(final + ".tmp")
+            os.link(last, final + ".tmp")
+            os.replace(final + ".tmp", final)
+        except OSError:
+            ckpt_io.save_checkpoint(final, snapshot)
     return model, history

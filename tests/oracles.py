@@ -5,12 +5,17 @@ matrices are materialized, math is done in scalar loops, and ranks are
 computed by counting comparisons. The single-slice bilinear form checks the
 k-slice einsums of LowRankLayer one slice at a time, and the forward-only
 objectives restate the paper's loss formulas that the joint loss must match.
+The per-array Adagrad step and the per-direction encoder are the unpacked
+forms of the flat-buffer step and the stacked LSTM, which must equal them
+bit for bit.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from eventemb.ops import sigmoid
 
 
 def cosine(u, v, eps=1e-8):
@@ -332,6 +337,108 @@ def load_word_vectors_by_line(path):
         if not np.isfinite(row).all():
             raise DataError(path, lineno, "non-finite vector entry")
     table = np.empty((len(words) + 1, dim), dtype=np.float64)
-    table[UNKNOWN_INDEX] = np.mean(rows, axis=0)
     table[1:] = rows
+    # the reader's unknown-row rule: the mean, of pre-scaled entries in a
+    # column whose plain sum overflows
+    with np.errstate(over="ignore"):
+        mean = np.mean(rows, axis=0)
+    over = ~np.isfinite(mean)
+    mean[over] = (table[1:, over] / len(rows)).sum(axis=0)
+    table[UNKNOWN_INDEX] = mean
     return Vocabulary(words), table
+
+
+def per_array_adagrad_step(store, learning_rate, scale, eps):
+    """The Adagrad step as one update per registered array, in registration
+    order; the table's covers only its rows with a non-zero gradient."""
+
+    def update(name, theta, acc, g):
+        g *= scale
+        if not np.all(np.isfinite(g)):
+            raise FloatingPointError(f"non-finite gradient in parameter '{name}'")
+        acc += g * g
+        theta -= learning_rate * g / (np.sqrt(acc) + eps)
+
+    for name, theta in store.params.items():
+        g, acc = store.grads[name], store.accums[name]
+        if name == "embeddings":
+            rows = np.flatnonzero(g.any(axis=1))
+            theta_rows, acc_rows = theta[rows], acc[rows]
+            update(name, theta_rows, acc_rows, g[rows])
+            theta[rows], acc[rows], g[rows] = theta_rows, acc_rows, 0.0
+        else:
+            update(name, theta, acc, g)
+            g[...] = 0.0
+
+
+def _cell_step(cell, x, h_prev, c_prev):
+    """One direction's LSTM step on (B, d) rows: one (B, d+h) @ (d+h, 4h) GEMM."""
+    h = cell.b.shape[0] // 4
+    gates = np.concatenate((x, h_prev), axis=1) @ cell.w.T + cell.b
+    gates[:, : 3 * h] = sigmoid(gates[:, : 3 * h])
+    gates[:, 3 * h :] = np.tanh(gates[:, 3 * h :])
+    c = gates[:, h : 2 * h] * c_prev + gates[:, :h] * gates[:, 3 * h :]
+    return gates[:, 2 * h : 3 * h] * np.tanh(c), c, gates
+
+
+def _cell_step_backward(cell, dh, dc, x, h_prev, c_prev, gates, c):
+    """Backward of `_cell_step`, accumulating into the cell's gradients."""
+    h = cell.b.shape[0] // 4
+    gi, gf, go, gc = (gates[:, j * h : (j + 1) * h] for j in range(4))
+    tanh_c = np.tanh(c)
+    dc_total = dc + dh * go * (1.0 - tanh_c * tanh_c)
+    da = np.concatenate((
+        dc_total * gc * gi * (1.0 - gi),
+        dc_total * c_prev * gf * (1.0 - gf),
+        dh * tanh_c * go * (1.0 - go),
+        dc_total * gi * (1.0 - gc * gc),
+    ), axis=1)
+    cell.g_w += da.T @ np.concatenate((x, h_prev), axis=1)
+    cell.g_b += da.sum(axis=0)
+    dz = da @ cell.w
+    d = x.shape[1]
+    return dz[:, :d], dz[:, d:], dc_total * gf
+
+
+def per_direction_encode(encoder, sentences):
+    """`BiLstmEncoder.encode` with each direction stepped on its own: one
+    (B, d+h) GEMM per step and direction, over the same exact-length groups."""
+    groups, indices = {}, []
+    for s, words in enumerate(sentences):
+        indices.append([encoder.vocab.index(w) for w in words])
+        groups.setdefault(len(words), []).append(s)
+    h = encoder.h
+    out = np.zeros((len(indices), 2 * h))
+    cache = []
+    for rows in groups.values():
+        idx = np.array([indices[s] for s in rows]).T
+        tokens = np.stack((idx, idx[::-1]))
+        steps, size = idx.shape
+        hs = np.zeros((2, steps + 1, size, h))
+        cs = np.zeros((2, steps + 1, size, h))
+        gates = np.empty((2, steps, size, 4 * h))
+        for t in range(steps):
+            for r, cell in enumerate(encoder.cells):
+                x = encoder.embeddings[tokens[r, t]]
+                hs[r, t + 1], cs[r, t + 1], gates[r, t] = _cell_step(cell, x, hs[r, t], cs[r, t])
+        out[rows] = np.concatenate(hs[:, -1], axis=1)
+        cache.append((rows, tokens, hs, cs, gates))
+    return out, cache
+
+
+def per_direction_encode_backward(encoder, dvec, cache):
+    """Backward of `per_direction_encode`: each direction's steps in turn,
+    then one direction-major scatter into the table gradient per group."""
+    h = encoder.h
+    for rows, tokens, hs, cs, gates in cache:
+        steps = tokens.shape[1]
+        dx = np.empty(tokens.shape + (encoder.d,))
+        for r, cell in enumerate(encoder.cells):
+            dh = dvec[rows, r * h : (r + 1) * h]
+            dc = np.zeros_like(dh)
+            for t in range(steps - 1, -1, -1):
+                dx[r, t], dh, dc = _cell_step_backward(
+                    cell, dh, dc, encoder.embeddings[tokens[r, t]], hs[r, t], cs[r, t],
+                    gates[r, t], cs[r, t + 1],
+                )
+        np.add.at(encoder.g_embeddings, tokens, dx)

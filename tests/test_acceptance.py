@@ -125,7 +125,7 @@ class TestCriterion2LowRankDenseEquivalence:
         for _ in range(100):
             d = int(rng.integers(2, 9))
             k = int(rng.integers(1, 6))
-            store = ParameterStore()
+            store = ParameterStore(1000)
             layer = LowRankLayer(store, "layer", d, k, d, rng)
             mats = rng.standard_normal((k, d, d))
             diag = rng.standard_normal((k, d))
@@ -238,7 +238,7 @@ class TestCriterion5MetricOracles:
 
 class TestCriterion6AdagradHandTrace:
     def test_two_step_trace(self):
-        store = ParameterStore()
+        store = ParameterStore(1)
         theta = store.add("theta", np.zeros(1))
         store.grads["theta"][...] = 3.0
         adagrad_step(store, 1.0, 1.0)

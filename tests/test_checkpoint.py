@@ -354,14 +354,14 @@ class TestOwnership:
     that someone else holds."""
 
     def test_store_takes_a_writable_array_without_a_copy(self):
-        store = ParameterStore()
+        store = ParameterStore(0)
         table = np.arange(6.0).reshape(3, 2)
         assert store.add("embeddings", table) is table
 
     def test_store_copies_a_read_only_array(self):
         data = np.arange(6.0).tobytes()
         view = np.frombuffer(data, dtype=np.float64)
-        owned = ParameterStore().add("embeddings", view)
+        owned = ParameterStore(0).add("embeddings", view)
         assert owned.flags.writeable and not np.shares_memory(owned, view)
 
     def test_a_large_loaded_table_becomes_the_model_table(self, tmp_path):

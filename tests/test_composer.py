@@ -22,11 +22,9 @@ from oracles import (
 def make_composer(seed=0, d=4, k=3, n=2, n_words=8, scale=1.0):
     rng = np.random.default_rng(seed)
     vocab = Vocabulary(WORDS[:n_words])
-    store = ParameterStore()
-    table = store.add("embeddings", rng.uniform(-scale, scale, (len(vocab), d)))
-    composer = EventComposer(
-        store, vocab, table, store.grad("embeddings"), d, k, n, rng
-    )
+    store = ParameterStore(1000)
+    store.add("embeddings", rng.uniform(-scale, scale, (len(vocab), d)))
+    composer = EventComposer(store, vocab, d, k, n, rng)
     return composer, vocab, store, rng
 
 
@@ -90,7 +88,7 @@ class TestComposePair:
             composer.layer1.forward(np.zeros((1, 5)), np.zeros((1, 4)))
 
     def test_rank_bound_enforced(self):
-        store = ParameterStore()
+        store = ParameterStore(1000)
         with pytest.raises(ValueError, match="rank n=5"):
             LowRankLayer(store, "layer", 4, 3, 5, np.random.default_rng(0))
 
@@ -102,7 +100,7 @@ class TestDenseEquivalence:
         for _ in range(10):
             d = int(rng.integers(2, 9))
             k = int(rng.integers(1, 5))
-            store = ParameterStore()
+            store = ParameterStore(1000)
             layer = LowRankLayer(store, "layer", d, k, d, rng)
             mats = rng.standard_normal((k, d, d))
             layer.left[...] = mats
@@ -368,7 +366,7 @@ class TestComposerGradients:
         d = int(rng.integers(2, 9))
         k = int(rng.integers(1, 6))
         n = int(rng.integers(1, min(d, 3) + 1))
-        store = ParameterStore()
+        store = ParameterStore(1000)
         layer = LowRankLayer(store, "layer", d, k, n, rng)
         x = rng.standard_normal((3, d))
         y = rng.standard_normal((3, d))

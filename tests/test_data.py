@@ -1,5 +1,6 @@
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -53,6 +54,14 @@ class TestWordVectors:
         assert len(vocab) == 3
         assert table.shape == (3, 2)
         assert np.array_equal(table[0], [0.5, 0.5])  # unknown row = mean
+
+    def test_unknown_row_mean_of_huge_entries_stays_finite(self, tmp_path):
+        # 1e308 + 1e308 overflows; the mean of the column does not
+        path = write(tmp_path, "vec.txt", "a 1e308 1\nb 1e308 2\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, table = load_word_vectors(path)
+        assert np.array_equal(table[0], [1e308, 1.5])
 
     def test_lookup_round_trip(self, tmp_path):
         path = write(tmp_path, "vec.txt", "a 1 0\nb 0 1\n")

@@ -1,28 +1,40 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eventemb.data import AnnotatedExample, Vocabulary
-from eventemb.intent import BiLstmEncoder, LstmCell, intent_hinge
+from eventemb.intent import (
+    BiLstmEncoder, LstmCell, intent_hinge, lstm_step, lstm_step_backward,
+)
 from eventemb.params import ParameterStore
 from eventemb.trainer import Negatives, TrainingConfig, joint_loss
 from conftest import WORDS, make_model, random_event
 from gradcheck import grad_check, random_projection
-from oracles import intent_loss, scalar_lstm_step, snapshot_grads, zero_grads
+from oracles import (
+    intent_loss, per_direction_encode, per_direction_encode_backward, scalar_lstm_step,
+    snapshot_grads, zero_grads,
+)
 
 
 def make_encoder(seed=0, d=4, h=3, n_words=8, scale=1.0):
     rng = np.random.default_rng(seed)
     vocab = Vocabulary(WORDS[:n_words])
-    store = ParameterStore()
-    table = store.add("embeddings", rng.uniform(-scale, scale, (len(vocab), d)))
-    encoder = BiLstmEncoder(store, vocab, table, store.grad("embeddings"), d, h, rng)
+    store = ParameterStore(1000)
+    store.add("embeddings", rng.uniform(-scale, scale, (len(vocab), d)))
+    encoder = BiLstmEncoder(store, vocab, d, h, rng)
     return encoder, vocab, store, rng
 
 
 def make_cell(seed=0, d=2, h=3):
-    store = ParameterStore()
+    store = ParameterStore(1000)
     cell = LstmCell(store, "cell", d, h, np.random.default_rng(seed))
     return cell, store
+
+
+def step(cell, x, h_prev, c_prev):
+    """`lstm_step` of one direction: the cell's unstacked weights."""
+    return lstm_step(cell.w, cell.b, x, h_prev, c_prev)
 
 
 class TestLstmStep:
@@ -30,7 +42,7 @@ class TestLstmStep:
         cell, store = make_cell()
         for arr in store.params.values():
             arr[...] = 0.0
-        h, c, _ = cell.step(np.zeros((2, 2)), np.zeros((2, 3)), np.zeros((2, 3)))
+        h, c, _ = step(cell, np.zeros((2, 2)), np.zeros((2, 3)), np.zeros((2, 3)))
         assert np.array_equal(h, np.zeros((2, 3)))
         assert np.array_equal(c, np.zeros((2, 3)))
 
@@ -41,7 +53,7 @@ class TestLstmStep:
         cell.b[2:4] = 20.0  # forget gate open
         cell.b[0:2] = -20.0  # input gate shut
         c_prev = np.array([[1.0, 1.0], [-0.5, 2.0]])
-        _, c, _ = cell.step(np.zeros((2, 2)), np.zeros((2, 2)), c_prev)
+        _, c, _ = step(cell, np.zeros((2, 2)), np.zeros((2, 2)), c_prev)
         assert np.all(np.abs(c - c_prev) < 1e-6)
 
     def test_saturated_output_gate_exposes_or_hides_cell_state(self):
@@ -53,10 +65,10 @@ class TestLstmStep:
         cell.b[6:8] = 20.0  # candidate saturated, so a wrong gate order shows
         c_prev = np.array([[0.5, -1.0], [2.0, 0.25]])
         cell.b[4:6] = 20.0  # output gate open
-        h, _, _ = cell.step(np.zeros((2, 2)), np.zeros((2, 2)), c_prev)
+        h, _, _ = step(cell, np.zeros((2, 2)), np.zeros((2, 2)), c_prev)
         assert np.all(np.abs(h - np.tanh(c_prev)) < 1e-6)
         cell.b[4:6] = -20.0  # output gate shut
-        h, c, _ = cell.step(np.zeros((2, 2)), np.zeros((2, 2)), c_prev)
+        h, c, _ = step(cell, np.zeros((2, 2)), np.zeros((2, 2)), c_prev)
         assert np.all(np.abs(h) < 1e-6)
         assert np.all(np.abs(c - c_prev) < 1e-6)
 
@@ -66,7 +78,7 @@ class TestLstmStep:
         x = rng.standard_normal((4, 2))
         h_prev = rng.standard_normal((4, 3))
         c_prev = rng.standard_normal((4, 3))
-        h, c, _ = cell.step(x, h_prev, c_prev)
+        h, c, _ = step(cell, x, h_prev, c_prev)
         for row in range(4):
             h_ref, c_ref = scalar_lstm_step(x[row], h_prev[row], c_prev[row], cell.w, cell.b)
             assert h[row] == pytest.approx(h_ref, abs=1e-14)
@@ -75,15 +87,26 @@ class TestLstmStep:
     def test_dimension_errors(self):
         cell, _ = make_cell(d=2, h=3)
         with pytest.raises(ValueError, match=r"input has shape \(5,\), expected \(B, 2\)"):
-            cell.step(np.zeros(5), np.zeros((1, 3)), np.zeros((1, 3)))
+            step(cell, np.zeros(5), np.zeros((1, 3)), np.zeros((1, 3)))
         with pytest.raises(ValueError, match=r"input has shape \(1, 5\), expected \(B, 2\)"):
-            cell.step(np.zeros((1, 5)), np.zeros((1, 3)), np.zeros((1, 3)))
+            step(cell, np.zeros((1, 5)), np.zeros((1, 3)), np.zeros((1, 3)))
         with pytest.raises(ValueError, match=r"state has shape .*, expected \(2, 3\)"):
-            cell.step(np.zeros((2, 2)), np.zeros((2, 4)), np.zeros((2, 3)))
+            step(cell, np.zeros((2, 2)), np.zeros((2, 4)), np.zeros((2, 3)))
         with pytest.raises(ValueError, match=r"state has shape .*, expected \(2, 3\)"):
-            cell.step(np.zeros((2, 2)), np.zeros((2, 3)), np.zeros((1, 3)))
+            step(cell, np.zeros((2, 2)), np.zeros((2, 3)), np.zeros((1, 3)))
         with pytest.raises(ValueError, match=r"state has shape .*, expected \(2, 3\)"):
-            cell.step(np.zeros((2, 2)), np.zeros(3), np.zeros(3))
+            step(cell, np.zeros((2, 2)), np.zeros(3), np.zeros(3))
+
+
+    def test_stacked_dimension_errors(self):
+        cell, _ = make_cell(d=2, h=3)
+        w, b = np.stack((cell.w, cell.w)), np.stack((cell.b, cell.b))
+        states = np.zeros((2, 1, 3))
+        for x in (np.zeros((1, 2)), np.zeros((3, 1, 2)), np.zeros((2, 1, 5))):
+            with pytest.raises(ValueError, match=r"input has shape .*, expected \(R, B, 2\)"):
+                lstm_step(w, b, x, states, states)
+        with pytest.raises(ValueError, match=r"state has shape .*, expected \(2, 1, 3\)"):
+            lstm_step(w, b, np.zeros((2, 1, 2)), np.zeros((1, 1, 3)), states)
 
 
 class TestEncodeIntent:
@@ -163,6 +186,39 @@ class TestEncodeIntent:
         prefix = encoder.encode_intent(["to", "have"])
         assert np.array_equal(full, again)
         assert not np.array_equal(full, prefix)
+
+
+class TestStackedDirections:
+    """The encoder steps both directions as one stack; the oracle steps each
+    on its own, as one (B, d+h) GEMM per direction and step."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(1, 4),
+        st.integers(1, 3),
+        # ids into an 11-entry vocabulary: words repeat within and across sentences
+        st.lists(st.lists(st.integers(0, 10), min_size=1, max_size=6), min_size=1, max_size=12),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_vectors_and_gradients_bit_equal_the_per_direction_oracle(self, d, h, ids, seed):
+        runs = []
+        for encode, backward in (
+            (BiLstmEncoder.encode, BiLstmEncoder.encode_backward),
+            (per_direction_encode, per_direction_encode_backward),
+        ):
+            encoder, vocab, store, rng = make_encoder(seed=seed, d=d, h=h, n_words=10)
+            # gradients already hold values, as after an earlier backward
+            for g in store.grads.values():
+                g[...] = rng.standard_normal(g.shape)
+            sentences = [[vocab.word(i) for i in sentence] for sentence in ids]
+            vectors, cache = encode(encoder, sentences)
+            backward(encoder, rng.standard_normal(vectors.shape), cache)
+            runs.append((vectors, snapshot_grads(store)))
+        (vectors, grads), (want_vectors, want_grads) = runs
+        assert np.array_equal(vectors, want_vectors)
+        assert grads.keys() == want_grads.keys()
+        for name, g in grads.items():
+            assert np.array_equal(g, want_grads[name]), name
 
 
 def hinge(v_e, v_i, v_in):
@@ -263,7 +319,7 @@ class TestLstmStepGradients:
         d = int(rng.integers(1, 5))
         h = int(rng.integers(1, 5))
         rows = 3
-        store = ParameterStore()
+        store = ParameterStore(1000)
         cell = LstmCell(store, "cell", d, h, rng)
         x = rng.standard_normal((rows, d))
         h_prev = rng.standard_normal((rows, h))
@@ -273,13 +329,11 @@ class TestLstmStepGradients:
         params = dict(store.params) | {"x": x, "h_prev": h_prev, "c_prev": c_prev}
 
         def fn():
-            zero_grads(store)
-            h_out, c_out, gates = cell.step(x, h_prev, c_prev)
-            dx, dh_prev, dc_prev = cell.step_backward(
-                proj_h, proj_c, x, h_prev, c_prev, gates, c_out
+            h_out, c_out, gates = step(cell, x, h_prev, c_prev)
+            dx, dh_prev, dc_prev, dw, db = lstm_step_backward(
+                cell.w, proj_h, proj_c, x, h_prev, c_prev, gates, c_out
             )
-            grads = snapshot_grads(store)
-            grads.update({"x": dx, "h_prev": dh_prev, "c_prev": dc_prev})
+            grads = {"cell.w": dw, "cell.b": db, "x": dx, "h_prev": dh_prev, "c_prev": dc_prev}
             return float(np.sum(proj_h * h_out) + np.sum(proj_c * c_out)), grads
 
         assert grad_check(fn, params) < 1e-4

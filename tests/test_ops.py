@@ -64,7 +64,7 @@ class TestBilinearLowRank:
 
 
 def make_layer(d_in, k, n=1, seed=0):
-    return LowRankLayer(ParameterStore(), "layer", d_in, k, n, np.random.default_rng(seed))
+    return LowRankLayer(ParameterStore(1000), "layer", d_in, k, n, np.random.default_rng(seed))
 
 
 class TestAffineTanh:

@@ -1,3 +1,8 @@
+import json
+from pathlib import Path
+
+import pytest
+
 import eventemb
 
 
@@ -7,3 +12,18 @@ def test_every_public_name_imports():
     for name in eventemb.__all__:
         assert name in namespace, name
         assert namespace[name] is getattr(eventemb, name)
+
+
+ROOT = Path(__file__).resolve().parent.parent
+SUMMARY_KEYS = {"unit", "parent_median", "change_median", "parent_iqr", "change_better_pairs"}
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda path: path.name)
+def test_bench_records_share_one_layout(path):
+    record = json.loads(path.read_text(encoding="utf-8"))
+    for key in ("change", "parent_commit", "command", "protocol", "machine", "summary", "pairs"):
+        assert key in record, key
+    assert len(record["pairs"]) >= 10
+    assert record["summary"]
+    for metric, entry in record["summary"].items():
+        assert SUMMARY_KEYS <= entry.keys(), metric

@@ -11,7 +11,7 @@ from oracles import snapshot_grads, softmax_scalar, zero_grads
 
 
 def make_head(seed=0, k=4):
-    store = ParameterStore()
+    store = ParameterStore(1000)
     head = SentimentHead(store, k, np.random.default_rng(seed))
     return head, store
 

@@ -1,4 +1,6 @@
 import dataclasses
+import errno
+import os
 
 import numpy as np
 import pytest
@@ -12,10 +14,12 @@ from eventemb.data import (
     load_lexicon,
     load_word_vectors,
 )
+from eventemb.model import dense_size
 from eventemb.params import ParameterStore
 from eventemb.trainer import (
     ADAGRAD_EPS,
     EpochMetrics,
+    LossParts,
     Negatives,
     PRESETS,
     TrainingConfig,
@@ -26,7 +30,7 @@ from eventemb.trainer import (
     train,
 )
 from conftest import make_model, random_event
-from oracles import dense_adagrad_step, intent_loss, margin_objective
+from oracles import dense_adagrad_step, intent_loss, margin_objective, per_array_adagrad_step
 
 
 def tiny_config(**overrides):
@@ -142,9 +146,17 @@ class TestJointLoss:
             joint_loss(model, [example], [Negatives(corrupted, None)], cfg)
 
 
+class TestLossParts:
+    def test_sum_adds_field_by_field(self):
+        total = LossParts(1.5, 0.5, 0.25, 0.75, 4, 2, 1) + LossParts(2.0, 1.0, 0.5, 0.5, 3, 1, 0)
+        assert total == LossParts(3.5, 1.5, 0.75, 1.25, 7, 3, 1)
+        assert [type(v) for v in dataclasses.astuple(total)] == [float] * 4 + [int] * 3
+        assert LossParts() + total == total
+
+
 class TestAdagrad:
     def test_first_step(self):
-        store = ParameterStore()
+        store = ParameterStore(1)
         theta = store.add("theta", np.zeros(1))
         store.grads["theta"][...] = 1.0
         adagrad_step(store, 0.1, 1.0)
@@ -153,7 +165,7 @@ class TestAdagrad:
         assert store.grads["theta"][0] == 0.0  # zeroed after the step
 
     def test_zero_gradient_changes_nothing(self):
-        store = ParameterStore()
+        store = ParameterStore(3)
         theta = store.add("theta", np.full(3, 2.5))
         adagrad_step(store, 0.1, 1.0)
         assert np.array_equal(theta, np.full(3, 2.5))
@@ -161,7 +173,7 @@ class TestAdagrad:
 
     def test_two_step_hand_trace(self):
         # g=3 then g=4 at lr=1: steps 3/sqrt(9) and 4/sqrt(25), total -1.8
-        store = ParameterStore()
+        store = ParameterStore(1)
         theta = store.add("theta", np.zeros(1))
         store.grads["theta"][...] = 3.0
         adagrad_step(store, 1.0, 1.0)
@@ -172,7 +184,7 @@ class TestAdagrad:
         assert abs(theta[0] - (-1.8)) < 1e-8  # exact up to the 1e-8 epsilon guard
 
     def test_nonfinite_gradient_names_parameter(self):
-        store = ParameterStore()
+        store = ParameterStore(2)
         store.add("layer1.w", np.zeros(2))
         store.grads["layer1.w"][0] = np.nan
         with pytest.raises(FloatingPointError, match="layer1.w"):
@@ -180,7 +192,7 @@ class TestAdagrad:
 
     @staticmethod
     def table_store(rng):
-        store = ParameterStore()
+        store = ParameterStore(9)
         table = rng.standard_normal((50, 4))
         table[[3, 7], 1:3] = -0.0
         table[11, 0] = -0.0
@@ -222,8 +234,33 @@ class TestAdagrad:
         with pytest.raises(FloatingPointError, match="'embeddings'"):
             adagrad_step(store, 0.1, 0.5)
 
+    def test_flat_step_bit_equals_the_per_array_oracle(self):
+        flat, per_array = make_model(seed=5)[0].store, make_model(seed=5)[0].store
+        rng = np.random.default_rng(6)
+        for step in range(5):
+            for name, g in flat.grads.items():
+                value = rng.standard_normal(g.shape)
+                if name == "embeddings":
+                    value[rng.random(len(value)) < 0.5] = 0.0
+                g[...] = per_array.grads[name][...] = value
+            adagrad_step(flat, 0.1, 0.25)
+            per_array_adagrad_step(per_array, 0.1, 0.25, ADAGRAD_EPS)
+            for arrays in ("params", "accums", "grads"):
+                for name, got in getattr(flat, arrays).items():
+                    want = getattr(per_array, arrays)[name]
+                    assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (
+                        step, arrays, name
+                    )
+
+    @pytest.mark.parametrize("name", ["layer1.left", "layer3.b", "u", "lstm_bwd.w", "sentiment.b"])
+    def test_nonfinite_flat_gradient_names_its_array(self, name):
+        store = make_model(seed=2)[0].store
+        store.grads[name].reshape(-1)[-1] = np.inf
+        with pytest.raises(FloatingPointError, match=f"'{name}'"):
+            adagrad_step(store, 0.1, 1.0)
+
     def test_accumulators_never_decrease(self):
-        store = ParameterStore()
+        store = ParameterStore(4)
         store.add("theta", np.zeros(4))
         rng = np.random.default_rng(0)
         previous = store.accums["theta"].copy()
@@ -232,6 +269,50 @@ class TestAdagrad:
             adagrad_step(store, 0.01, 1.0)
             assert np.all(store.accums["theta"] >= previous)
             previous = store.accums["theta"].copy()
+
+
+def address(array):
+    return array.__array_interface__["data"][0]
+
+
+class TestFlatStore:
+    def test_dense_arrays_are_views_of_the_flat_buffers_in_registration_order(self):
+        store = make_model(d=6, k=4, n=2)[0].store
+        names = list(store.params)
+        assert names[0] == "embeddings" and len(names) == 23
+        for arrays, flat in (
+            (store.params, store.flat_params),
+            (store.grads, store.flat_grads),
+            (store.accums, store.flat_accums),
+        ):
+            offset = 0
+            for name in names[1:]:
+                assert address(arrays[name]) == address(flat) + 8 * offset, name
+                assert np.shares_memory(arrays[name], flat), name
+                offset += arrays[name].size
+            # the buffers hold nothing else, and the table lives outside them
+            assert offset == flat.size == dense_size(6, 4, 2)
+            assert not np.shares_memory(arrays["embeddings"], flat)
+
+    def test_store_refuses_an_array_past_its_capacity(self):
+        store = ParameterStore(5)
+        store.add("a", np.ones(3))
+        with pytest.raises(ValueError, match="'b' overflows"):
+            store.add("b", np.ones(3))
+        assert store.flat_params.size == 3
+
+    def test_l2_slice_holds_exactly_the_fifteen_layer_arrays(self):
+        composer = make_model(d=6, k=4, n=2)[0].composer
+        layers = (composer.layer1, composer.layer2, composer.layer3)
+        names = ("left", "right", "diag", "w", "b")
+        for l2, prefix in ((composer.l2_params, ""), (composer.l2_grads, "g_")):
+            arrays = [getattr(layer, prefix + name) for layer in layers for name in names]
+            assert l2.size == sum(a.size for a in arrays)
+            assert address(l2) == address(arrays[0])
+            assert all(np.shares_memory(l2, a) for a in arrays)
+            assert not np.shares_memory(l2, getattr(composer, prefix + "u"))
+        values = [getattr(layer, name).reshape(-1) for layer in layers for name in names]
+        assert np.array_equal(composer.l2_params, np.concatenate(values))
 
 
 class TestNegativeSampling:
@@ -389,6 +470,38 @@ class TestTrainLoop:
         assert len((out / "metrics.tsv").read_text().splitlines()[0].split("\t")) == 5
         for epoch in range(1, 5):
             assert (out / f"epoch-{epoch:04d}.ckpt").exists()
+
+    def test_final_checkpoint_links_the_last_epoch_checkpoint(self, synthetic_dir, tmp_path):
+        # a temp file left by an interrupted run does not stop the link, and a
+        # second run into the same directory leaves the same bytes
+        inputs = synthetic_inputs(synthetic_dir)
+        cfg = TrainingConfig(d=10, k=8, n=2, epochs=2, learning_rate=0.05,
+                             batch_size=10, seed=4)
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "final.ckpt.tmp").write_bytes(b"partial")
+        train(cfg, out_dir=str(out), **inputs)
+        assert os.path.samefile(out / "final.ckpt", out / "epoch-0002.ckpt")
+        first = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert sorted(first) == ["epoch-0001.ckpt", "epoch-0002.ckpt", "final.ckpt", "metrics.tsv"]
+        train(cfg, out_dir=str(out), **inputs)
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == first
+
+    def test_final_checkpoint_is_written_where_links_are_refused(
+        self, synthetic_dir, tmp_path, monkeypatch
+    ):
+        def refuse(src, dst):
+            raise OSError(errno.EPERM, "hard links not supported", dst)
+
+        monkeypatch.setattr(os, "link", refuse)
+        inputs = synthetic_inputs(synthetic_dir)
+        cfg = TrainingConfig(d=10, k=8, n=2, epochs=2, learning_rate=0.05,
+                             batch_size=10, seed=4)
+        out = tmp_path / "run"
+        train(cfg, out_dir=str(out), **inputs)
+        assert not os.path.samefile(out / "final.ckpt", out / "epoch-0002.ckpt")
+        assert (out / "final.ckpt").read_bytes() == (out / "epoch-0002.ckpt").read_bytes()
+        assert not (out / "final.ckpt.tmp").exists()
 
     def test_final_checkpoint_is_the_last_epoch_checkpoint(self, synthetic_dir, tmp_path):
         inputs = synthetic_inputs(synthetic_dir)
