@@ -36,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Vocabulary
+from .params import TABLE
 
 MAGIC = b"EVEMBCKP"
 VERSION = 2
@@ -55,12 +56,6 @@ class Checkpoint:
     epoch: int
 
 
-def _json_default(obj):
-    if isinstance(obj, np.integer):
-        return int(obj)
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
 def _serialized_parts(ckpt: Checkpoint) -> list:
     """Head and body as byte buffers; a C-ordered float64 array is a view, not a copy."""
     header = json.dumps(
@@ -72,7 +67,6 @@ def _serialized_parts(ckpt: Checkpoint) -> list:
         },
         sort_keys=True,
         separators=(",", ":"),
-        default=_json_default,
     ).encode("utf-8")
     parts = [struct.pack("<I", len(header)), header, struct.pack("<I", len(ckpt.arrays))]
     for name, arr in ckpt.arrays.items():
@@ -242,24 +236,14 @@ def build_model(ckpt: Checkpoint):
         vocab = Vocabulary.from_entries(ckpt.vocab_words)
     except ValueError as exc:
         raise CheckpointError(f"checkpoint {exc}") from exc
-    embeddings = ckpt.arrays.get("embeddings")
-    if embeddings is None:
-        raise CheckpointError("checkpoint lacks the 'embeddings' array")
-    if embeddings.shape != (len(vocab), cfg.d):
-        raise CheckpointError(
-            f"array 'embeddings' has shape {embeddings.shape}, "
-            f"expected {(len(vocab), cfg.d)}"
-        )
+    arrays = dict(ckpt.arrays)
+    table = arrays.get(TABLE)
     # A view pins the whole read buffer. When the table is most of it (a
     # GloVe-sized vocabulary) that saves copying the table; otherwise the
     # pinned buffer would hold the other arrays, which are copied in, twice.
-    if 2 * embeddings.nbytes < sum(array.nbytes for array in ckpt.arrays.values()):
-        embeddings = embeddings.copy()
-    model = JointModel(
-        vocab, embeddings, cfg.d, cfg.k, cfg.n, np.random.default_rng(0)
-    )
+    if table is not None and 2 * table.nbytes < sum(a.nbytes for a in arrays.values()):
+        arrays[TABLE] = table.copy()
     try:
-        model.load_arrays(ckpt.arrays)
+        return JointModel(vocab, cfg.d, cfg.k, cfg.n, arrays)
     except ValueError as exc:
         raise CheckpointError(str(exc)) from exc
-    return model

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .data import EventTuple, Vocabulary
-from .params import TABLE, ParameterStore
+from .params import TABLE, Layout, ParameterStore
 
 # Event arguments that training may corrupt to draw negative events.
 CORRUPTION_TARGETS = ("actor", "object")
@@ -25,31 +25,24 @@ class LowRankLayer:
     bilinear values are added to W [x; y] + b before the nonlinearity.
     """
 
-    def __init__(
-        self,
-        store: ParameterStore,
-        prefix: str,
-        d_in: int,
-        k: int,
-        n: int,
-        rng: np.random.Generator,
-    ) -> None:
-        if not (1 <= n <= d_in):
-            raise ValueError(f"{prefix}: rank n={n} must satisfy 1 <= n <= d_in={d_in}")
-        self.d_in = d_in
-        self.k = k
-        self.n = n
+    @staticmethod
+    def layout(prefix: str, d_in: int, k: int, n: int) -> Layout:
         r = 1.0 / np.sqrt(d_in)
-        self.left = store.add(f"{prefix}.left", rng.uniform(-r, r, (k, d_in, n)))
-        self.right = store.add(f"{prefix}.right", rng.uniform(-r, r, (k, n, d_in)))
-        self.diag = store.add(f"{prefix}.diag", np.zeros((k, d_in)))
-        self.w = store.add(f"{prefix}.w", rng.uniform(-r, r, (k, 2 * d_in)))
-        self.b = store.add(f"{prefix}.b", rng.uniform(-r, r, k))
-        self.g_left = store.grads[f"{prefix}.left"]
-        self.g_right = store.grads[f"{prefix}.right"]
-        self.g_diag = store.grads[f"{prefix}.diag"]
-        self.g_w = store.grads[f"{prefix}.w"]
-        self.g_b = store.grads[f"{prefix}.b"]
+        return {
+            f"{prefix}.left": ((k, d_in, n), r),
+            f"{prefix}.right": ((k, n, d_in), r),
+            f"{prefix}.diag": ((k, d_in), 0.0),
+            f"{prefix}.w": ((k, 2 * d_in), r),
+            f"{prefix}.b": ((k,), r),
+        }
+
+    def __init__(self, store: ParameterStore, prefix: str) -> None:
+        names = [f"{prefix}.{a}" for a in ("left", "right", "diag", "w", "b")]
+        self.left, self.right, self.diag, self.w, self.b = (store.params[a] for a in names)
+        self.g_left, self.g_right, self.g_diag, self.g_w, self.g_b = (
+            store.grads[a] for a in names
+        )
+        self.k, self.d_in, self.n = self.left.shape
         self.prefix = prefix
 
     def forward(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, tuple]:
@@ -117,32 +110,30 @@ def corrupt_event(
 
 class EventComposer:
     """The full three-layer composer with its linear scoring head, over the
-    word table registered in the store."""
+    word table held in the store."""
 
-    def __init__(
-        self,
-        store: ParameterStore,
-        vocab: Vocabulary,
-        d: int,
-        k: int,
-        n: int,
-        rng: np.random.Generator,
-    ) -> None:
+    @staticmethod
+    def layout(d: int, k: int, n: int) -> Layout:
+        return {
+            **LowRankLayer.layout("layer1", d, k, n),
+            **LowRankLayer.layout("layer2", d, k, n),
+            **LowRankLayer.layout("layer3", k, k, n),
+            "u": ((k,), 1.0 / np.sqrt(k)),
+        }
+
+    def __init__(self, store: ParameterStore, vocab: Vocabulary) -> None:
         self.vocab = vocab
         self.embeddings, self.g_embeddings = store.params[TABLE], store.grads[TABLE]
-        self.d = d
-        self.k = k
-        start = store.flat_params.size
-        self.layer1 = LowRankLayer(store, "layer1", d, k, n, rng)
-        self.layer2 = LowRankLayer(store, "layer2", d, k, n, rng)
-        self.layer3 = LowRankLayer(store, "layer3", k, k, n, rng)
+        self.layer1, self.layer2, self.layer3 = (
+            LowRankLayer(store, prefix) for prefix in ("layer1", "layer2", "layer3")
+        )
+        self.u, self.g_u = store.params["u"], store.grads["u"]
+        self.d = self.embeddings.shape[1]
         # the L2 term covers the layers' 15 arrays (not the score head or the
-        # table), registered back to back: one slice of the flat buffers
-        self.l2_params = store.flat_params[start:]
-        self.l2_grads = store.flat_grads[start:]
-        rk = 1.0 / np.sqrt(k)
-        self.u = store.add("u", rng.uniform(-rk, rk, k))
-        self.g_u = store.grads["u"]
+        # table), which lead the layout: one slice of the flat buffers
+        size = sum(a.size for name, a in store.params.items() if name.startswith("layer"))
+        self.l2_params = store.flat_params[:size]
+        self.l2_grads = store.flat_grads[:size]
 
     def embed(self, events: list[EventTuple]) -> tuple[np.ndarray, tuple]:
         """(B, k) embeddings C of B >= 1 events plus the cache for embed_backward;

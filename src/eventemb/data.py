@@ -279,12 +279,6 @@ def load_corpus(path: str) -> list[EventTuple]:
     return [parse_event(line, path, lineno) for lineno, line in _records(path)]
 
 
-def save_corpus(path: str, events: Iterable[EventTuple]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for e in events:
-            fh.write(format_event(e) + "\n")
-
-
 def load_annotations(path: str) -> list[AnnotatedExample]:
     """`event<TAB>intent or -<TAB>comma-separated emotion words or -` lines."""
     examples = []
@@ -315,18 +309,6 @@ def load_annotations(path: str) -> list[AnnotatedExample]:
     return examples
 
 
-def format_annotation(example: AnnotatedExample) -> str:
-    intent = " ".join(example.intent) if example.intent else "-"
-    emotions = ",".join(example.emotion_words) if example.emotion_words else "-"
-    return f"{format_event(example.event)}\t{intent}\t{emotions}"
-
-
-def save_annotations(path: str, examples: Iterable[AnnotatedExample]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for ex in examples:
-            fh.write(format_annotation(ex) + "\n")
-
-
 def load_hardsim(path: str) -> list[HardSimInstance]:
     """Four tab-separated events per line: similar pair, then dissimilar pair."""
     instances = []
@@ -339,13 +321,6 @@ def load_hardsim(path: str) -> list[HardSimInstance]:
         e1, e2, e3, e4 = (parse_event(f, path, lineno) for f in fields)
         instances.append(HardSimInstance(similar=(e1, e2), dissimilar=(e3, e4)))
     return instances
-
-
-def save_hardsim(path: str, instances: Iterable[HardSimInstance]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for inst in instances:
-            events = (*inst.similar, *inst.dissimilar)
-            fh.write("\t".join(format_event(e) for e in events) + "\n")
 
 
 def load_transitive(path: str) -> list[TransitiveSimInstance]:
@@ -370,14 +345,6 @@ def load_transitive(path: str) -> list[TransitiveSimInstance]:
     return instances
 
 
-def save_transitive(path: str, instances: Iterable[TransitiveSimInstance]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for inst in instances:
-            fh.write(
-                f"{format_event(inst.pair[0])}\t{format_event(inst.pair[1])}\t{inst.gold:g}\n"
-            )
-
-
 def load_lexicon(path: str) -> dict[str, int]:
     """`word<TAB>+1|-1` lines; later duplicates override earlier ones."""
     lexicon: dict[str, int] = {}
@@ -399,9 +366,3 @@ def load_lexicon(path: str) -> dict[str, int]:
             raise DataError(path, lineno, "lexicon record has an empty word")
         lexicon[word] = polarity
     return lexicon
-
-
-def save_lexicon(path: str, lexicon: dict[str, int]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for word, polarity in lexicon.items():
-            fh.write(f"{word}\t{'+1' if polarity > 0 else '-1'}\n")

@@ -13,7 +13,7 @@ import numpy as np
 
 from .data import Vocabulary
 from .ops import cosine_grads, sigmoid
-from .params import TABLE, ParameterStore
+from .params import TABLE, Layout, ParameterStore
 
 
 class LstmCell:
@@ -24,19 +24,16 @@ class LstmCell:
     candidate: gate g (0..3) owns rows g*h .. (g+1)*h.
     """
 
-    def __init__(
-        self,
-        store: ParameterStore,
-        prefix: str,
-        d: int,
-        h: int,
-        rng: np.random.Generator,
-    ) -> None:
-        r = 1.0 / np.sqrt(d + h)
-        self.w = store.add(f"{prefix}.w", rng.uniform(-r, r, (4 * h, d + h)))
-        self.b = store.add(f"{prefix}.b", np.zeros(4 * h))
-        self.g_w = store.grads[f"{prefix}.w"]
-        self.g_b = store.grads[f"{prefix}.b"]
+    @staticmethod
+    def layout(prefix: str, d: int, h: int) -> Layout:
+        return {
+            f"{prefix}.w": ((4 * h, d + h), 1.0 / np.sqrt(d + h)),
+            f"{prefix}.b": ((4 * h,), 0.0),
+        }
+
+    def __init__(self, store: ParameterStore, prefix: str) -> None:
+        self.w, self.b = store.params[f"{prefix}.w"], store.params[f"{prefix}.b"]
+        self.g_w, self.g_b = store.grads[f"{prefix}.w"], store.grads[f"{prefix}.b"]
 
 
 def lstm_step(
@@ -96,23 +93,20 @@ def lstm_step_backward(
 
 
 class BiLstmEncoder:
-    """Two LSTM directions over the word table registered in the store."""
+    """Two LSTM directions over the word table held in the store."""
 
-    def __init__(
-        self,
-        store: ParameterStore,
-        vocab: Vocabulary,
-        d: int,
-        h: int,
-        rng: np.random.Generator,
-    ) -> None:
+    @staticmethod
+    def layout(d: int, h: int) -> Layout:
+        return {**LstmCell.layout("lstm_fwd", d, h), **LstmCell.layout("lstm_bwd", d, h)}
+
+    def __init__(self, store: ParameterStore, vocab: Vocabulary) -> None:
         self.vocab = vocab
         self.embeddings, self.g_embeddings = store.params[TABLE], store.grads[TABLE]
-        self.d = d
-        self.h = h
-        self.forward_cell = LstmCell(store, "lstm_fwd", d, h, rng)
-        self.backward_cell = LstmCell(store, "lstm_bwd", d, h, rng)
+        self.forward_cell = LstmCell(store, "lstm_fwd")
+        self.backward_cell = LstmCell(store, "lstm_bwd")
         self.cells = (self.forward_cell, self.backward_cell)
+        self.d = self.embeddings.shape[1]
+        self.h = self.forward_cell.b.size // 4
 
     def _stacked(self, name: str) -> np.ndarray:
         """Both directions' array `name` stacked on a leading direction axis."""

@@ -7,7 +7,7 @@ import numpy as np
 from .composer import EventComposer
 from .data import EventTuple, Vocabulary
 from .intent import BiLstmEncoder
-from .params import TABLE, ParameterStore
+from .params import TABLE, Layout, ParameterStore
 from .sentiment import SentimentHead
 
 # Events per composer call in `embed_events`. It bounds the per-layer
@@ -16,52 +16,57 @@ from .sentiment import SentimentHead
 EMBED_BLOCK = 256
 
 
-def dense_size(d: int, k: int, n: int) -> int:
-    """Entries of the arrays the components register besides the table: three
-    composition layers, `u`, two LSTM directions of size k/2, the sentiment head."""
-    h = k // 2
-    layers = sum(k * (2 * n * d_in + 3 * d_in + 1) for d_in in (d, d, k))
-    return layers + k + 2 * 4 * h * (d + h + 1) + 2 * k + 2
+def layout(d: int, k: int, n: int) -> Layout:
+    """Every array but the table, in checkpoint order: the three composition
+    layers first (the L2 slice), then `u`, the two LSTM directions of size
+    k/2 and the sentiment head."""
+    return {
+        **EventComposer.layout(d, k, n),
+        **BiLstmEncoder.layout(d, k // 2),
+        **SentimentHead.layout(k),
+    }
 
 
 class JointModel:
     """All trainable components wired over one ParameterStore.
 
     The embedding table is shared: event arguments and intent sentences
-    both read (and fine-tune) the same word vectors. Construction order is
-    fixed so that parameter initialization is a deterministic function of
-    the rng seed.
+    both read (and fine-tune) the same word vectors. `arrays` holds the
+    table and every array of `layout(d, k, n)`, by name: a new model's
+    initial arrays or a checkpoint's. The store takes the table without a
+    copy (see ParameterStore) and copies the rest.
     """
 
     def __init__(
-        self,
-        vocab: Vocabulary,
-        embeddings: np.ndarray,
-        d: int,
-        k: int,
-        n: int,
-        rng: np.random.Generator,
+        self, vocab: Vocabulary, d: int, k: int, n: int, arrays: dict[str, np.ndarray]
     ) -> None:
         if k % 2 != 0:
             raise ValueError(f"k={k} must be even: the intent hidden size is k/2")
         if not (1 <= n <= min(d, k)):
             raise ValueError(f"rank n={n} must satisfy 1 <= n <= min(d={d}, k={k})")
-        self.store = ParameterStore(dense_size(d, k, n))
-        # the store takes the table without a copy (see ParameterStore); the
-        # composer and the intent encoder read it from there
-        table = self.store.add(TABLE, embeddings)
-        if table.shape != (len(vocab), d):
-            raise ValueError(
-                f"embedding table has shape {table.shape}, expected {(len(vocab), d)}"
-            )
+        shapes = {TABLE: (len(vocab), d)}
+        shapes.update((name, shape) for name, (shape, _) in layout(d, k, n).items())
+        missing = shapes.keys() - arrays.keys()
+        if missing:
+            raise ValueError(f"missing parameter arrays: {sorted(missing)}")
+        extra = arrays.keys() - shapes.keys()
+        if extra:
+            raise ValueError(f"unknown parameter arrays: {sorted(extra)}")
+        for name, shape in shapes.items():
+            if arrays[name].shape != shape:
+                raise ValueError(
+                    f"array '{name}' has shape {arrays[name].shape}, expected {shape}"
+                )
+        # in layout order, whatever the order of `arrays`
+        self.store = ParameterStore({name: arrays[name] for name in shapes})
         self.vocab = vocab
         self.d = d
         self.k = k
         self.n = n
-        self.embeddings = table
-        self.composer = EventComposer(self.store, vocab, d, k, n, rng)
-        self.intent = BiLstmEncoder(self.store, vocab, d, k // 2, rng)
-        self.sentiment = SentimentHead(self.store, k, rng)
+        self.embeddings = self.store.params[TABLE]
+        self.composer = EventComposer(self.store, vocab)
+        self.intent = BiLstmEncoder(self.store, vocab)
+        self.sentiment = SentimentHead(self.store)
 
     # Frozen-model conveniences used by evaluation and the CLI.
 
@@ -76,25 +81,3 @@ class JointModel:
 
     def encode_intent(self, words) -> np.ndarray:
         return self.intent.encode_intent(words)
-
-    def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        """Overwrite all parameters from `arrays`; shapes must match exactly.
-
-        An array that already is the store's own (the table `build_model`
-        hands to the store) is skipped rather than copied onto itself.
-        """
-        missing = set(self.store.params) - set(arrays)
-        if missing:
-            raise ValueError(f"missing parameter arrays: {sorted(missing)}")
-        extra = set(arrays) - set(self.store.params)
-        if extra:
-            raise ValueError(f"unknown parameter arrays: {sorted(extra)}")
-        for name, current in self.store.params.items():
-            incoming = arrays[name]
-            if incoming is current:
-                continue
-            if incoming.shape != current.shape:
-                raise ValueError(
-                    f"array '{name}' has shape {incoming.shape}, expected {current.shape}"
-                )
-            current[...] = incoming

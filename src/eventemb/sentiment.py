@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .params import ParameterStore
+from .params import Layout, ParameterStore
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -27,13 +27,14 @@ def polarity_class(polarity: int) -> int:
 
 
 class SentimentHead:
-    def __init__(self, store: ParameterStore, k: int, rng: np.random.Generator) -> None:
-        r = 1.0 / np.sqrt(k)
-        self.k = k
-        self.w = store.add("sentiment.w", rng.uniform(-r, r, (2, k)))
-        self.b = store.add("sentiment.b", np.zeros(2))
-        self.g_w = store.grads["sentiment.w"]
-        self.g_b = store.grads["sentiment.b"]
+    @staticmethod
+    def layout(k: int) -> Layout:
+        return {"sentiment.w": ((2, k), 1.0 / np.sqrt(k)), "sentiment.b": ((2,), 0.0)}
+
+    def __init__(self, store: ParameterStore) -> None:
+        self.w, self.b = store.params["sentiment.w"], store.params["sentiment.b"]
+        self.g_w, self.g_b = store.grads["sentiment.w"], store.grads["sentiment.b"]
+        self.k = self.w.shape[1]
 
     def forward(self, v_e: np.ndarray) -> np.ndarray:
         """(R, 2) probability pairs (negative, positive) for R rows of shape (R, k)."""

@@ -26,8 +26,8 @@ from .data import (
     extend_embeddings,
 )
 from .intent import intent_hinge
-from .model import JointModel
-from .params import TABLE, ParameterStore
+from .model import JointModel, layout
+from .params import TABLE, ParameterStore, initial_arrays
 
 ADAGRAD_EPS = 1e-8
 # Entries per block of an Adagrad update: a block's temporaries (256 KiB
@@ -60,6 +60,16 @@ class TrainingConfig:
     corruption_target: str = "actor"
 
     def validate(self) -> None:
+        # each field has exactly the type of its default, except that a float
+        # field also takes an int; a bool is neither
+        for field in dataclasses.fields(self):
+            value, kind = getattr(self, field.name), type(field.default)
+            if kind is float:
+                ok = isinstance(value, (int, float)) and type(value) is not bool
+            else:
+                ok = type(value) is kind
+            if not ok:
+                raise ValueError(f"{field.name}={value!r} is not of type {kind.__name__}")
         for name in ("alpha", "beta", "gamma"):
             value = getattr(self, name)
             if not (0.0 <= value <= 1.0):
@@ -339,7 +349,10 @@ def train(
         base_vocab = Vocabulary()
         base_table = np.zeros((1, config.d))
     vocab, table = extend_embeddings(base_vocab, base_table, _collect_tokens(examples), rng)
-    model = JointModel(vocab, table, config.d, config.k, config.n, rng)
+    model = JointModel(
+        vocab, config.d, config.k, config.n,
+        {TABLE: table, **initial_arrays(layout(config.d, config.k, config.n), rng)},
+    )
 
     intent_pool = [ex.intent for ex in examples if ex.intent is not None]
     metrics_path = None

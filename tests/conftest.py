@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from eventemb.data import EventTuple, Vocabulary
-from eventemb.model import JointModel
+from eventemb.model import JointModel, layout
+from eventemb.params import TABLE, ParameterStore, initial_arrays
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SYNTHETIC_DIR = REPO_ROOT / "data" / "synthetic"
@@ -20,8 +21,14 @@ def make_model(seed=0, n_words=12, d=6, k=4, n=2, scale=1.0):
     rng = np.random.default_rng(seed)
     vocab = Vocabulary(WORDS[:n_words])
     table = rng.uniform(-scale, scale, (len(vocab), d))
-    model = JointModel(vocab, table, d, k, n, rng)
+    model = JointModel(vocab, d, k, n, {TABLE: table, **initial_arrays(layout(d, k, n), rng)})
     return model, vocab, rng
+
+
+def make_store(component_layout, rng, **extra):
+    """A store of the `extra` arrays (such as the table), then of the arrays of
+    `component_layout`, drawn from `rng` as a new model draws them."""
+    return ParameterStore({**extra, **initial_arrays(component_layout, rng)})
 
 
 def random_event(vocab, rng, max_words=2):

@@ -7,14 +7,19 @@ k-slice einsums of LowRankLayer one slice at a time, and the forward-only
 objectives restate the paper's loss formulas that the joint loss must match.
 The per-array Adagrad step and the per-direction encoder are the unpacked
 forms of the flat-buffer step and the stacked LSTM, which must equal them
-bit for bit.
+bit for bit. The file writers at the end invert the loaders for round-trip
+tests.
 """
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
+from eventemb.data import (
+    AnnotatedExample, EventTuple, HardSimInstance, TransitiveSimInstance, format_event,
+)
 from eventemb.ops import sigmoid
 
 
@@ -349,8 +354,8 @@ def load_word_vectors_by_line(path):
 
 
 def per_array_adagrad_step(store, learning_rate, scale, eps):
-    """The Adagrad step as one update per registered array, in registration
-    order; the table's covers only its rows with a non-zero gradient."""
+    """The Adagrad step as one update per named array, in the store's order;
+    the table's covers only its rows with a non-zero gradient."""
 
     def update(name, theta, acc, g):
         g *= scale
@@ -442,3 +447,45 @@ def per_direction_encode_backward(encoder, dvec, cache):
                     gates[r, t], cs[r, t + 1],
                 )
         np.add.at(encoder.g_embeddings, tokens, dx)
+
+
+# File writers: the inverses of the loaders, for round-trip tests.
+
+
+def save_corpus(path: str, events: Iterable[EventTuple]) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for e in events:
+            fh.write(format_event(e) + "\n")
+
+
+def format_annotation(example: AnnotatedExample) -> str:
+    intent = " ".join(example.intent) if example.intent else "-"
+    emotions = ",".join(example.emotion_words) if example.emotion_words else "-"
+    return f"{format_event(example.event)}\t{intent}\t{emotions}"
+
+
+def save_annotations(path: str, examples: Iterable[AnnotatedExample]) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for ex in examples:
+            fh.write(format_annotation(ex) + "\n")
+
+
+def save_hardsim(path: str, instances: Iterable[HardSimInstance]) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for inst in instances:
+            events = (*inst.similar, *inst.dissimilar)
+            fh.write("\t".join(format_event(e) for e in events) + "\n")
+
+
+def save_transitive(path: str, instances: Iterable[TransitiveSimInstance]) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for inst in instances:
+            fh.write(
+                f"{format_event(inst.pair[0])}\t{format_event(inst.pair[1])}\t{inst.gold:g}\n"
+            )
+
+
+def save_lexicon(path: str, lexicon: dict[str, int]) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for word, polarity in lexicon.items():
+            fh.write(f"{word}\t{'+1' if polarity > 0 else '-1'}\n")

@@ -29,7 +29,7 @@ from eventemb.data import (
 from eventemb.evaluate import hard_similarity_accuracy, spearman_rho
 from eventemb.params import ParameterStore
 from eventemb.trainer import Negatives, TrainingConfig, adagrad_step, joint_loss, train
-from conftest import make_model, random_event
+from conftest import make_model, make_store, random_event
 from gradcheck import grad_check
 from oracles import (
     cosine,
@@ -125,8 +125,7 @@ class TestCriterion2LowRankDenseEquivalence:
         for _ in range(100):
             d = int(rng.integers(2, 9))
             k = int(rng.integers(1, 6))
-            store = ParameterStore(1000)
-            layer = LowRankLayer(store, "layer", d, k, d, rng)
+            layer = LowRankLayer(make_store(LowRankLayer.layout("layer", d, k, d), rng), "layer")
             mats = rng.standard_normal((k, d, d))
             diag = rng.standard_normal((k, d))
             # left = M - diag(diag), right = I reconstructs M exactly
@@ -238,8 +237,8 @@ class TestCriterion5MetricOracles:
 
 class TestCriterion6AdagradHandTrace:
     def test_two_step_trace(self):
-        store = ParameterStore(1)
-        theta = store.add("theta", np.zeros(1))
+        store = ParameterStore({"theta": np.zeros(1)})
+        theta = store.params["theta"]
         store.grads["theta"][...] = 3.0
         adagrad_step(store, 1.0, 1.0)
         assert store.accums["theta"][0] == 9.0

@@ -22,8 +22,8 @@ from eventemb.checkpoint import (
     save_checkpoint,
 )
 from eventemb.data import EventTuple, Vocabulary
-from eventemb.model import JointModel
-from eventemb.params import ParameterStore
+from eventemb.model import JointModel, layout
+from eventemb.params import TABLE, ParameterStore, initial_arrays
 from eventemb.trainer import TrainingConfig, adagrad_step
 from conftest import make_model, random_event
 
@@ -209,6 +209,32 @@ class TestShapeValidation:
         with pytest.raises(CheckpointError, match="missing parameter arrays.*u"):
             build_model(ckpt)
 
+    @pytest.mark.parametrize(
+        "name, array, match",
+        [
+            ("layer4.w", np.zeros((4, 12)), r"unknown parameter arrays: \['layer4.w'\]"),
+            # one row short of the 13-word vocabulary
+            ("embeddings", np.zeros((12, 6)), r"'embeddings' has shape \(12, 6\), expected \(13"),
+        ],
+    )
+    def test_unknown_array_or_wrong_table_shape_rejected(self, name, array, match):
+        ckpt, _ = make_checkpoint(d=6)
+        arrays = {**ckpt.arrays, name: array}
+        with pytest.raises(CheckpointError, match=match):
+            build_model(dataclasses.replace(ckpt, arrays=arrays))
+
+    def test_build_model_draws_nothing(self, monkeypatch):
+        ckpt, model = make_checkpoint()
+        data = checkpoint_bytes(ckpt)
+
+        def no_generator(*args):
+            raise AssertionError("build_model made a random generator")
+
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        rebuilt = build_model(parse_checkpoint(data))
+        for name, array in model.store.params.items():
+            assert np.array_equal(rebuilt.store.params[name], array), name
+
     def test_vocabulary_must_start_with_unknown(self):
         ckpt, _ = make_checkpoint()
         ckpt.vocab_words = ckpt.vocab_words[1:]
@@ -277,6 +303,7 @@ def valid_header():
 
 
 ONE_ARRAY = [(b"u", (2,), struct.pack("<2d", 0.5, -1.0))]
+CONFIG = valid_header()["config"]
 
 
 class TestCraftedCheckpoints:
@@ -296,6 +323,13 @@ class TestCraftedCheckpoints:
             ("epoch", True, "field 'epoch' is not an integer"),
             ("rng_state", [1], "field 'rng_state' is not a JSON object"),
             ("config", 5, "bad checkpoint config"),
+            ("config", dict(CONFIG, d=6.0), "bad checkpoint config: d=6.0 is not of type int"),
+            ("config", dict(CONFIG, batch_size=1.5), "bad checkpoint config: batch_size=1.5"),
+            ("config", dict(CONFIG, epochs=2.5), "bad checkpoint config: epochs=2.5"),
+            ("config", dict(CONFIG, seed="x"), "bad checkpoint config: seed='x'"),
+            ("config", dict(CONFIG, n=True), "bad checkpoint config: n=True"),
+            ("config", dict(CONFIG, alpha=False), "bad checkpoint config: alpha=False"),
+            ("config", dict(CONFIG, corruption_target=1), "bad checkpoint config"),
         ],
     )
     def test_bad_header_field_is_named(self, field, value, match):
@@ -339,12 +373,23 @@ class TestCraftedCheckpoints:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "'vocab'" in err and "Traceback" not in err
 
+    def test_cli_reports_a_wrong_typed_config_field_without_a_traceback(self, tmp_path, capsys):
+        header = valid_header()
+        header["config"]["d"] = 6.0
+        path = tmp_path / "crafted.ckpt"
+        path.write_bytes(craft(header, ONE_ARRAY))
+        code = cli.main(["embed", "--checkpoint", str(path), "--events", str(path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "d=6.0" in err and "Traceback" not in err
+
 
 def large_table_checkpoint(seed=0):
     """A checkpoint whose table is most of its array bytes."""
     rng = np.random.default_rng(seed)
     vocab = Vocabulary([f"w{i}" for i in range(299)])
-    model = JointModel(vocab, rng.standard_normal((300, 6)), 6, 4, 2, rng)
+    arrays = {TABLE: rng.standard_normal((300, 6)), **initial_arrays(layout(6, 4, 2), rng)}
+    model = JointModel(vocab, 6, 4, 2, arrays)
     config = TrainingConfig(d=6, k=4, n=2)
     return Checkpoint(config, vocab.words, model.store.params, rng.bit_generator.state, 1)
 
@@ -354,14 +399,13 @@ class TestOwnership:
     that someone else holds."""
 
     def test_store_takes_a_writable_array_without_a_copy(self):
-        store = ParameterStore(0)
         table = np.arange(6.0).reshape(3, 2)
-        assert store.add("embeddings", table) is table
+        assert ParameterStore({"embeddings": table}).params["embeddings"] is table
 
     def test_store_copies_a_read_only_array(self):
         data = np.arange(6.0).tobytes()
         view = np.frombuffer(data, dtype=np.float64)
-        owned = ParameterStore(0).add("embeddings", view)
+        owned = ParameterStore({"embeddings": view}).params["embeddings"]
         assert owned.flags.writeable and not np.shares_memory(owned, view)
 
     def test_a_large_loaded_table_becomes_the_model_table(self, tmp_path):

@@ -4,9 +4,8 @@ import pytest
 from eventemb.composer import EventComposer, LowRankLayer, corrupt_event
 from eventemb.data import AnnotatedExample, EventTuple, Vocabulary
 from eventemb.model import EMBED_BLOCK
-from eventemb.params import ParameterStore
 from eventemb.trainer import Negatives, TrainingConfig, joint_loss
-from conftest import WORDS, make_model, random_event
+from conftest import WORDS, make_model, make_store, random_event
 from gradcheck import grad_check, random_projection
 from oracles import (
     average_argument,
@@ -22,9 +21,9 @@ from oracles import (
 def make_composer(seed=0, d=4, k=3, n=2, n_words=8, scale=1.0):
     rng = np.random.default_rng(seed)
     vocab = Vocabulary(WORDS[:n_words])
-    store = ParameterStore(1000)
-    store.add("embeddings", rng.uniform(-scale, scale, (len(vocab), d)))
-    composer = EventComposer(store, vocab, d, k, n, rng)
+    table = rng.uniform(-scale, scale, (len(vocab), d))
+    store = make_store(EventComposer.layout(d, k, n), rng, embeddings=table)
+    composer = EventComposer(store, vocab)
     return composer, vocab, store, rng
 
 
@@ -88,9 +87,8 @@ class TestComposePair:
             composer.layer1.forward(np.zeros((1, 5)), np.zeros((1, 4)))
 
     def test_rank_bound_enforced(self):
-        store = ParameterStore(1000)
         with pytest.raises(ValueError, match="rank n=5"):
-            LowRankLayer(store, "layer", 4, 3, 5, np.random.default_rng(0))
+            make_model(d=4, k=6, n=5)
 
 
 class TestDenseEquivalence:
@@ -100,8 +98,7 @@ class TestDenseEquivalence:
         for _ in range(10):
             d = int(rng.integers(2, 9))
             k = int(rng.integers(1, 5))
-            store = ParameterStore(1000)
-            layer = LowRankLayer(store, "layer", d, k, d, rng)
+            layer = LowRankLayer(make_store(LowRankLayer.layout("layer", d, k, d), rng), "layer")
             mats = rng.standard_normal((k, d, d))
             layer.left[...] = mats
             layer.right[...] = np.broadcast_to(np.eye(d), (k, d, d))
@@ -366,8 +363,8 @@ class TestComposerGradients:
         d = int(rng.integers(2, 9))
         k = int(rng.integers(1, 6))
         n = int(rng.integers(1, min(d, 3) + 1))
-        store = ParameterStore(1000)
-        layer = LowRankLayer(store, "layer", d, k, n, rng)
+        store = make_store(LowRankLayer.layout("layer", d, k, n), rng)
+        layer = LowRankLayer(store, "layer")
         x = rng.standard_normal((3, d))
         y = rng.standard_normal((3, d))
         proj = random_projection(3 * k, rng).reshape(3, k)

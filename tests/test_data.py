@@ -17,7 +17,6 @@ from eventemb.data import (
     Vocabulary,
     derive_polarity,
     extend_embeddings,
-    format_annotation,
     format_event,
     load_annotations,
     load_corpus,
@@ -26,17 +25,18 @@ from eventemb.data import (
     load_transitive,
     load_word_vectors,
     parse_event,
+    tokenize,
+)
+from oracles import (
+    average_argument,
+    format_annotation,
+    load_word_vectors_by_line,
+    polarity_by_counting,
     save_annotations,
     save_corpus,
     save_hardsim,
     save_lexicon,
     save_transitive,
-    tokenize,
-)
-from oracles import (
-    average_argument,
-    load_word_vectors_by_line,
-    polarity_by_counting,
     scalar_mean_rows,
 )
 

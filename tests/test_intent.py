@@ -7,9 +7,8 @@ from eventemb.data import AnnotatedExample, Vocabulary
 from eventemb.intent import (
     BiLstmEncoder, LstmCell, intent_hinge, lstm_step, lstm_step_backward,
 )
-from eventemb.params import ParameterStore
 from eventemb.trainer import Negatives, TrainingConfig, joint_loss
-from conftest import WORDS, make_model, random_event
+from conftest import WORDS, make_model, make_store, random_event
 from gradcheck import grad_check, random_projection
 from oracles import (
     intent_loss, per_direction_encode, per_direction_encode_backward, scalar_lstm_step,
@@ -20,15 +19,15 @@ from oracles import (
 def make_encoder(seed=0, d=4, h=3, n_words=8, scale=1.0):
     rng = np.random.default_rng(seed)
     vocab = Vocabulary(WORDS[:n_words])
-    store = ParameterStore(1000)
-    store.add("embeddings", rng.uniform(-scale, scale, (len(vocab), d)))
-    encoder = BiLstmEncoder(store, vocab, d, h, rng)
+    table = rng.uniform(-scale, scale, (len(vocab), d))
+    store = make_store(BiLstmEncoder.layout(d, h), rng, embeddings=table)
+    encoder = BiLstmEncoder(store, vocab)
     return encoder, vocab, store, rng
 
 
 def make_cell(seed=0, d=2, h=3):
-    store = ParameterStore(1000)
-    cell = LstmCell(store, "cell", d, h, np.random.default_rng(seed))
+    store = make_store(LstmCell.layout("cell", d, h), np.random.default_rng(seed))
+    cell = LstmCell(store, "cell")
     return cell, store
 
 
@@ -319,8 +318,8 @@ class TestLstmStepGradients:
         d = int(rng.integers(1, 5))
         h = int(rng.integers(1, 5))
         rows = 3
-        store = ParameterStore(1000)
-        cell = LstmCell(store, "cell", d, h, rng)
+        store = make_store(LstmCell.layout("cell", d, h), rng)
+        cell = LstmCell(store, "cell")
         x = rng.standard_normal((rows, d))
         h_prev = rng.standard_normal((rows, h))
         c_prev = rng.standard_normal((rows, h))

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from eventemb.composer import LowRankLayer
 from eventemb.ops import cosine, cosine_grads, sigmoid
-from eventemb.params import ParameterStore
+from conftest import make_store
 from gradcheck import grad_check, random_projection
 from oracles import cosine_grads as scalar_cosine_grads
 from oracles import (
@@ -64,7 +64,8 @@ class TestBilinearLowRank:
 
 
 def make_layer(d_in, k, n=1, seed=0):
-    return LowRankLayer(ParameterStore(1000), "layer", d_in, k, n, np.random.default_rng(seed))
+    store = make_store(LowRankLayer.layout("layer", d_in, k, n), np.random.default_rng(seed))
+    return LowRankLayer(store, "layer")
 
 
 class TestAffineTanh:

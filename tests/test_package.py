@@ -1,4 +1,6 @@
+import ast
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,27 @@ def test_every_public_name_imports():
 
 
 ROOT = Path(__file__).resolve().parent.parent
+# used only by tests, on purpose: the entry point, and the in-memory checkpoint
+# format that tests compare the streamed save with
+UNUSED_IN_SRC = {*eventemb.__all__, "main", "checkpoint_bytes"}
+
+
+def test_every_src_definition_has_a_caller_outside_tests():
+    """Test-only code lives in tests/: each top-level function or class of a
+    src/eventemb module is named in src/ or perfbench/ beyond its definition."""
+    text = "\n".join(
+        path.read_text(encoding="utf-8")
+        for folder in ("src", "perfbench")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+    )
+    unused = []
+    for module in sorted((ROOT / "src" / "eventemb").glob("*.py")):
+        for node in ast.parse(module.read_text(encoding="utf-8")).body:
+            kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            if isinstance(node, kinds) and node.name not in UNUSED_IN_SRC:
+                if len(re.findall(rf"\b{node.name}\b", text)) < 2:
+                    unused.append(f"{module.name}:{node.name}")
+    assert unused == []
 SUMMARY_KEYS = {"unit", "parent_median", "change_median", "parent_iqr", "change_better_pairs"}
 
 

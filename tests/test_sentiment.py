@@ -2,17 +2,16 @@ import numpy as np
 import pytest
 
 from eventemb.data import AnnotatedExample
-from eventemb.params import ParameterStore
 from eventemb.sentiment import SentimentHead, polarity_class, softmax
 from eventemb.trainer import Negatives, TrainingConfig, joint_loss
-from conftest import make_model, random_event
+from conftest import make_model, make_store, random_event
 from gradcheck import grad_check
 from oracles import snapshot_grads, softmax_scalar, zero_grads
 
 
 def make_head(seed=0, k=4):
-    store = ParameterStore(1000)
-    head = SentimentHead(store, k, np.random.default_rng(seed))
+    store = make_store(SentimentHead.layout(k), np.random.default_rng(seed))
+    head = SentimentHead(store)
     return head, store
 
 

@@ -14,7 +14,7 @@ from eventemb.data import (
     load_lexicon,
     load_word_vectors,
 )
-from eventemb.model import dense_size
+from eventemb.model import layout
 from eventemb.params import ParameterStore
 from eventemb.trainer import (
     ADAGRAD_EPS,
@@ -65,6 +65,23 @@ class TestConfig:
         config = dataclasses.replace(TrainingConfig(), **{field: value})
         with pytest.raises(ValueError, match=f"{field}={value} must be finite"):
             config.validate()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("d", 6.0), ("batch_size", 1.5), ("epochs", 2.5), ("seed", "x"), ("n", True),
+         ("alpha", False), ("learning_rate", "0.1"), ("corruption_target", 1)],
+    )
+    def test_wrong_typed_field_rejected(self, field, value):
+        config = dataclasses.replace(TrainingConfig(), **{field: value})
+        with pytest.raises(ValueError, match=f"{field}={value!r} is not of type"):
+            config.validate()
+
+    def test_float_fields_take_ints(self):
+        TrainingConfig(alpha=1, learning_rate=1, lambda_l2=0).validate()
+
+    def test_train_rejects_a_float_dimension(self):
+        with pytest.raises(ValueError, match="d=6.0 is not of type int"):
+            train(tiny_config(d=6.0), [EventTuple(("a",), ("b",), ("c",))])
 
     def test_presets_match_ablation_rows(self):
         assert PRESETS["ntn"] == (1.0, 0.0, 0.0)
@@ -156,8 +173,8 @@ class TestLossParts:
 
 class TestAdagrad:
     def test_first_step(self):
-        store = ParameterStore(1)
-        theta = store.add("theta", np.zeros(1))
+        store = ParameterStore({"theta": np.zeros(1)})
+        theta = store.params["theta"]
         store.grads["theta"][...] = 1.0
         adagrad_step(store, 0.1, 1.0)
         assert theta[0] == pytest.approx(-0.1 * 1.0 / (1.0 + 1e-8), abs=1e-15)
@@ -165,16 +182,16 @@ class TestAdagrad:
         assert store.grads["theta"][0] == 0.0  # zeroed after the step
 
     def test_zero_gradient_changes_nothing(self):
-        store = ParameterStore(3)
-        theta = store.add("theta", np.full(3, 2.5))
+        store = ParameterStore({"theta": np.full(3, 2.5)})
+        theta = store.params["theta"]
         adagrad_step(store, 0.1, 1.0)
         assert np.array_equal(theta, np.full(3, 2.5))
         assert np.array_equal(store.accums["theta"], np.zeros(3))
 
     def test_two_step_hand_trace(self):
         # g=3 then g=4 at lr=1: steps 3/sqrt(9) and 4/sqrt(25), total -1.8
-        store = ParameterStore(1)
-        theta = store.add("theta", np.zeros(1))
+        store = ParameterStore({"theta": np.zeros(1)})
+        theta = store.params["theta"]
         store.grads["theta"][...] = 3.0
         adagrad_step(store, 1.0, 1.0)
         assert store.accums["theta"][0] == 9.0
@@ -184,22 +201,21 @@ class TestAdagrad:
         assert abs(theta[0] - (-1.8)) < 1e-8  # exact up to the 1e-8 epsilon guard
 
     def test_nonfinite_gradient_names_parameter(self):
-        store = ParameterStore(2)
-        store.add("layer1.w", np.zeros(2))
+        store = ParameterStore({"layer1.w": np.zeros(2)})
         store.grads["layer1.w"][0] = np.nan
         with pytest.raises(FloatingPointError, match="layer1.w"):
             adagrad_step(store, 0.1, 1.0)
 
     @staticmethod
     def table_store(rng):
-        store = ParameterStore(9)
         table = rng.standard_normal((50, 4))
         table[[3, 7], 1:3] = -0.0
         table[11, 0] = -0.0
-        store.add("embeddings", table)
-        store.add("layer1.w", rng.standard_normal((3, 2)))
-        store.add("u", np.array([0.5, -0.0, 0.0]))
-        return store
+        return ParameterStore({
+            "embeddings": table,
+            "layer1.w": rng.standard_normal((3, 2)),
+            "u": np.array([0.5, -0.0, 0.0]),
+        })
 
     def test_sparse_table_step_bit_equals_dense_oracle(self):
         rng = np.random.default_rng(3)
@@ -260,8 +276,7 @@ class TestAdagrad:
             adagrad_step(store, 0.1, 1.0)
 
     def test_accumulators_never_decrease(self):
-        store = ParameterStore(4)
-        store.add("theta", np.zeros(4))
+        store = ParameterStore({"theta": np.zeros(4)})
         rng = np.random.default_rng(0)
         previous = store.accums["theta"].copy()
         for _ in range(10):
@@ -279,27 +294,21 @@ class TestFlatStore:
     def test_dense_arrays_are_views_of_the_flat_buffers_in_registration_order(self):
         store = make_model(d=6, k=4, n=2)[0].store
         names = list(store.params)
-        assert names[0] == "embeddings" and len(names) == 23
+        assert names == ["embeddings", *layout(6, 4, 2)] and len(names) == 23
         for arrays, flat in (
             (store.params, store.flat_params),
             (store.grads, store.flat_grads),
             (store.accums, store.flat_accums),
         ):
             offset = 0
-            for name in names[1:]:
+            for name, (shape, _) in layout(6, 4, 2).items():
+                assert arrays[name].shape == shape, name
                 assert address(arrays[name]) == address(flat) + 8 * offset, name
                 assert np.shares_memory(arrays[name], flat), name
                 offset += arrays[name].size
             # the buffers hold nothing else, and the table lives outside them
-            assert offset == flat.size == dense_size(6, 4, 2)
+            assert offset == flat.size
             assert not np.shares_memory(arrays["embeddings"], flat)
-
-    def test_store_refuses_an_array_past_its_capacity(self):
-        store = ParameterStore(5)
-        store.add("a", np.ones(3))
-        with pytest.raises(ValueError, match="'b' overflows"):
-            store.add("b", np.ones(3))
-        assert store.flat_params.size == 3
 
     def test_l2_slice_holds_exactly_the_fifteen_layer_arrays(self):
         composer = make_model(d=6, k=4, n=2)[0].composer
