@@ -79,33 +79,39 @@ class LowRankLayer:
         return dx, dy
 
 
-def corrupt_event(
-    event: EventTuple,
-    vocab: Vocabulary,
-    rng: np.random.Generator,
-    target: str = "actor",
-) -> EventTuple:
-    """Replace every word of the target argument with a random dictionary word.
+def code_events(vocab: Vocabulary, events: list[EventTuple]) -> tuple[np.ndarray, np.ndarray]:
+    """The flat word ids of the 3B arguments of B events, actor, predicate and
+    object in turn, and the (3B,) argument sizes; an unknown word gets id 0."""
+    args = [arg for e in events for arg in (e.actor, e.predicate, e.object)]
+    sizes = np.array([len(arg) for arg in args])
+    return np.array([vocab.index(w) for arg in args for w in arg]), sizes
 
-    Draws are uniform over the non-unknown vocabulary; a draw equal to the
-    original word at that position is redrawn, so the corrupted argument
-    always differs.
+
+def corrupt_event(
+    ids: np.ndarray, sizes: np.ndarray, n_words: int, rng: np.random.Generator,
+    target: str = "actor",
+) -> np.ndarray:
+    """A copy of one event's ids, coded by `code_events`, with each word of the
+    target argument replaced by a random id. Draws are uniform over the ids
+    1 .. n_words - 1, never the unknown id 0; a draw equal to the original id
+    at that position is redrawn, so the corrupted argument always differs.
     """
     if target not in CORRUPTION_TARGETS:
         raise ValueError(f"corrupt_event: unknown target argument '{target}'")
-    if len(vocab) < 3:
+    if n_words < 3:
         raise ValueError(
-            f"corrupt_event: vocabulary has {len(vocab) - 1} usable words, need at least 2"
+            f"corrupt_event: vocabulary has {n_words - 1} usable words, need at least 2"
         )
-    original = getattr(event, target)
-    replaced = []
-    for word in original:
+    argument = 0 if target == "actor" else 2
+    start = sum(sizes[:argument])
+    corrupted = np.array(ids)
+    for j in range(start, start + sizes[argument]):
         while True:
-            candidate = vocab.word(int(rng.integers(1, len(vocab))))
-            if candidate != word:
+            candidate = int(rng.integers(1, n_words))
+            if candidate != ids[j]:
                 break
-        replaced.append(candidate)
-    return event.replace_argument(target, replaced)
+        corrupted[j] = candidate
+    return corrupted
 
 
 class EventComposer:
@@ -121,8 +127,7 @@ class EventComposer:
             "u": ((k,), 1.0 / np.sqrt(k)),
         }
 
-    def __init__(self, store: ParameterStore, vocab: Vocabulary) -> None:
-        self.vocab = vocab
+    def __init__(self, store: ParameterStore) -> None:
         self.embeddings, self.g_embeddings = store.params[TABLE], store.grads[TABLE]
         self.layer1, self.layer2, self.layer3 = (
             LowRankLayer(store, prefix) for prefix in ("layer1", "layer2", "layer3")
@@ -135,28 +140,26 @@ class EventComposer:
         self.l2_params = store.flat_params[:size]
         self.l2_grads = store.flat_grads[:size]
 
-    def embed(self, events: list[EventTuple]) -> tuple[np.ndarray, tuple]:
-        """(B, k) embeddings C of B >= 1 events plus the cache for embed_backward;
-        one `np.add.reduceat` sums the word rows of all 3B arguments."""
-        args = [arg for e in events for arg in (e.actor, e.predicate, e.object)]
-        sizes = np.array([len(arg) for arg in args])
-        flat = np.array([self.vocab.index(w) for arg in args for w in arg])
-        means = np.add.reduceat(self.embeddings[flat], np.cumsum(sizes) - sizes, axis=0)
+    def embed(self, ids: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, tuple]:
+        """(B, k) embeddings C of B >= 1 events coded by `code_events`, plus the
+        cache for embed_backward; one `np.add.reduceat` sums the word rows of
+        all 3B arguments."""
+        means = np.add.reduceat(self.embeddings[ids], np.cumsum(sizes) - sizes, axis=0)
         means /= sizes[:, None]
         a, p, o = means[0::3], means[1::3], means[2::3]
         s1, cache1 = self.layer1.forward(a, p)
         s2, cache2 = self.layer2.forward(p, o)
         c, cache3 = self.layer3.forward(s1, s2)
-        return c, (flat, sizes, cache1, cache2, cache3)
+        return c, (ids, sizes, cache1, cache2, cache3)
 
     def embed_backward(self, dc: np.ndarray, cache: tuple) -> None:
         """Backprop dL/dC (B, k) through all layers into parameter and embedding grads."""
-        flat, sizes, cache1, cache2, cache3 = cache
+        ids, sizes, cache1, cache2, cache3 = cache
         ds1, ds2 = self.layer3.backward(dc, cache3)
         da, dp1 = self.layer1.backward(ds1, cache1)
         dp2, do = self.layer2.backward(ds2, cache2)
         dargs = np.stack((da, dp1 + dp2, do), axis=1).reshape(-1, self.d) / sizes[:, None]
-        np.add.at(self.g_embeddings, flat, np.repeat(dargs, sizes, axis=0))
+        np.add.at(self.g_embeddings, ids, np.repeat(dargs, sizes, axis=0))
 
     def regularization(self, lambda_l2: float) -> float:
         """lambda * ||Phi||_2^2 over the composition-layer parameters only."""

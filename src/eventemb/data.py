@@ -15,6 +15,8 @@ import numpy as np
 
 UNKNOWN_TOKEN = "<unk>"
 UNKNOWN_INDEX = 0
+# Half-width of the uniform initialisation of a word that has no vector.
+NEW_ROW_RANGE = 0.1
 
 
 class DataError(ValueError):
@@ -47,26 +49,14 @@ class EventTuple:
     def words(self) -> tuple[str, ...]:
         return self.actor + self.predicate + self.object
 
-    def replace_argument(self, argument: str, words: Sequence[str]) -> "EventTuple":
-        if argument not in ("actor", "predicate", "object"):
-            raise ValueError(f"unknown event argument '{argument}'")
-        parts = {
-            "actor": self.actor,
-            "predicate": self.predicate,
-            "object": self.object,
-        }
-        parts[argument] = tuple(words)
-        return EventTuple(parts["actor"], parts["predicate"], parts["object"])
-
 
 @dataclass(frozen=True)
 class AnnotatedExample:
-    """An event plus optional intent sentence and emotion words / polarity."""
+    """An event plus optional intent sentence and emotion words."""
 
     event: EventTuple
     intent: tuple[str, ...] | None = None
     emotion_words: tuple[str, ...] | None = None
-    polarity: int | None = None
 
 
 @dataclass(frozen=True)
@@ -100,9 +90,6 @@ class Vocabulary:
 
     def index(self, word: str) -> int:
         return self._index.get(word, UNKNOWN_INDEX)
-
-    def word(self, index: int) -> str:
-        return self._words[index]
 
     def __contains__(self, word: str) -> bool:
         return word in self._index
@@ -146,6 +133,15 @@ def _records(path: str) -> Iterable[tuple[int, str]]:
             if not line.strip() or line.lstrip().startswith("#"):
                 continue
             yield lineno, line
+
+
+def _fields(path: str, count: int, need: str) -> Iterable[tuple[int, list[str]]]:
+    """The tab-separated fields of each record, which must number `count`."""
+    for lineno, line in _records(path):
+        fields = line.split("\t")
+        if len(fields) != count:
+            raise DataError(path, lineno, f"{need}, got {len(fields)}")
+        yield lineno, fields
 
 
 def load_word_vectors(path: str) -> tuple[Vocabulary, np.ndarray]:
@@ -219,13 +215,10 @@ def _locate_bad_vector(path: str, linenos: list[int], values: list[str]) -> Data
 
 
 def extend_embeddings(
-    vocab: Vocabulary,
-    table: np.ndarray,
-    tokens: Iterable[str],
-    rng: np.random.Generator,
-    init_range: float = 0.1,
+    vocab: Vocabulary, table: np.ndarray, tokens: Iterable[str], rng: np.random.Generator
 ) -> tuple[Vocabulary, np.ndarray]:
-    """Grow (vocab, table) to cover `tokens`; new rows init uniform [-r, r].
+    """Grow (vocab, table) to cover `tokens`; new rows init uniform in [-r, r],
+    r = NEW_ROW_RANGE.
 
     The returned table is always a new array, never `table` itself.
     """
@@ -235,7 +228,7 @@ def extend_embeddings(
         # the model's store takes the table it is given, so the caller's
         # stays untouched only if this returns a fresh one
         return extended, table.copy()
-    fresh = rng.uniform(-init_range, init_range, size=(n_new, table.shape[1]))
+    fresh = rng.uniform(-NEW_ROW_RANGE, NEW_ROW_RANGE, size=(n_new, table.shape[1]))
     return extended, np.vstack([table, fresh])
 
 
@@ -282,12 +275,7 @@ def load_corpus(path: str) -> list[EventTuple]:
 def load_annotations(path: str) -> list[AnnotatedExample]:
     """`event<TAB>intent or -<TAB>comma-separated emotion words or -` lines."""
     examples = []
-    for lineno, line in _records(path):
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise DataError(
-                path, lineno, f"annotation needs 3 tab-separated fields, got {len(fields)}"
-            )
+    for lineno, fields in _fields(path, 3, "annotation needs 3 tab-separated fields"):
         event = parse_event(fields[0], path, lineno)
         intent = None if fields[1].strip() == "-" else tokenize(fields[1])
         if intent == ():
@@ -312,12 +300,7 @@ def load_annotations(path: str) -> list[AnnotatedExample]:
 def load_hardsim(path: str) -> list[HardSimInstance]:
     """Four tab-separated events per line: similar pair, then dissimilar pair."""
     instances = []
-    for lineno, line in _records(path):
-        fields = line.split("\t")
-        if len(fields) != 4:
-            raise DataError(
-                path, lineno, f"hard-similarity record needs 4 events, got {len(fields)}"
-            )
+    for lineno, fields in _fields(path, 4, "hard-similarity record needs 4 events"):
         e1, e2, e3, e4 = (parse_event(f, path, lineno) for f in fields)
         instances.append(HardSimInstance(similar=(e1, e2), dissimilar=(e3, e4)))
     return instances
@@ -326,13 +309,8 @@ def load_hardsim(path: str) -> list[HardSimInstance]:
 def load_transitive(path: str) -> list[TransitiveSimInstance]:
     """Two tab-separated events plus a gold score in [1, 7] per line."""
     instances = []
-    for lineno, line in _records(path):
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise DataError(
-                path, lineno,
-                f"transitive record needs 2 events and a gold score, got {len(fields)} fields",
-            )
+    need = "transitive record needs 3 tab-separated fields (2 events and a gold score)"
+    for lineno, fields in _fields(path, 3, need):
         e1 = parse_event(fields[0], path, lineno)
         e2 = parse_event(fields[1], path, lineno)
         try:
@@ -348,12 +326,7 @@ def load_transitive(path: str) -> list[TransitiveSimInstance]:
 def load_lexicon(path: str) -> dict[str, int]:
     """`word<TAB>+1|-1` lines; later duplicates override earlier ones."""
     lexicon: dict[str, int] = {}
-    for lineno, line in _records(path):
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise DataError(
-                path, lineno, f"lexicon record needs 2 tab-separated fields, got {len(fields)}"
-            )
+    for lineno, fields in _fields(path, 2, "lexicon record needs 2 tab-separated fields"):
         word = fields[0].strip().lower()
         value = fields[1].strip()
         if value in ("+1", "1"):

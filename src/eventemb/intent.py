@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import Vocabulary
 from .ops import cosine_grads, sigmoid
 from .params import TABLE, Layout, ParameterStore
 
@@ -99,8 +98,7 @@ class BiLstmEncoder:
     def layout(d: int, h: int) -> Layout:
         return {**LstmCell.layout("lstm_fwd", d, h), **LstmCell.layout("lstm_bwd", d, h)}
 
-    def __init__(self, store: ParameterStore, vocab: Vocabulary) -> None:
-        self.vocab = vocab
+    def __init__(self, store: ParameterStore) -> None:
         self.embeddings, self.g_embeddings = store.params[TABLE], store.grads[TABLE]
         self.forward_cell = LstmCell(store, "lstm_fwd")
         self.backward_cell = LstmCell(store, "lstm_bwd")
@@ -113,7 +111,7 @@ class BiLstmEncoder:
         return np.stack([getattr(cell, name) for cell in self.cells])
 
     def encode(self, sentences) -> tuple[np.ndarray, list[tuple]]:
-        """(S, 2h) intent vectors of S word sequences, in input order, plus cache.
+        """(S, 2h) intent vectors of S word-id sequences, in input order, plus cache.
 
         Sentences of equal token count form one group, so nothing is padded
         or masked. A group of B sentences and T tokens runs time-major, both
@@ -121,18 +119,16 @@ class BiLstmEncoder:
         input, whose GEMM runs one (B, d+h) @ (d+h, 4h) product per direction.
         """
         groups: dict[int, list[int]] = {}
-        indices = []
-        for s, words in enumerate(sentences):
-            if not words:
+        for s, ids in enumerate(sentences):
+            if len(ids) == 0:
                 raise ValueError(f"intent encoder: empty word list in sentence {s}")
-            indices.append([self.vocab.index(w) for w in words])
-            groups.setdefault(len(words), []).append(s)
+            groups.setdefault(len(ids), []).append(s)
         h = self.h
         w, b = self._stacked("w"), self._stacked("b")
-        out = np.zeros((len(indices), 2 * h))
+        out = np.zeros((len(sentences), 2 * h))
         cache = []
         for rows in groups.values():
-            idx = np.array([indices[s] for s in rows]).T
+            idx = np.array([sentences[s] for s in rows]).T
             # tokens[r, t]: the (B,) word ids direction r reads at step t
             tokens = np.stack((idx, idx[::-1]))
             steps, size = idx.shape
@@ -146,9 +142,6 @@ class BiLstmEncoder:
             out[rows] = np.concatenate(hs[-1], axis=1)
             cache.append((rows, tokens, hs, cs, gates))
         return out, cache
-
-    def encode_intent(self, words) -> np.ndarray:
-        return self.encode([words])[0][0]
 
     def encode_backward(self, dvec: np.ndarray, cache: list[tuple]) -> None:
         """Backprop d(loss)/d(intent vectors) (S, 2h) through both directions."""

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .composer import EventComposer
+from .composer import EventComposer, code_events
 from .data import EventTuple, Vocabulary
 from .intent import BiLstmEncoder
 from .params import TABLE, Layout, ParameterStore
@@ -64,20 +64,18 @@ class JointModel:
         self.k = k
         self.n = n
         self.embeddings = self.store.params[TABLE]
-        self.composer = EventComposer(self.store, vocab)
-        self.intent = BiLstmEncoder(self.store, vocab)
+        self.composer = EventComposer(self.store)
+        self.intent = BiLstmEncoder(self.store)
         self.sentiment = SentimentHead(self.store)
 
     # Frozen-model conveniences used by evaluation and the CLI.
 
     def embed_events(self, events: list[EventTuple]) -> np.ndarray:
-        """(N, k) embeddings of N events, composed EMBED_BLOCK events at a time."""
+        """(N, k) embeddings of N events, coded and composed EMBED_BLOCK events at a time."""
         starts = range(0, len(events), EMBED_BLOCK)
-        blocks = [self.composer.embed(events[i : i + EMBED_BLOCK])[0] for i in starts]
+        coded = (code_events(self.vocab, events[i : i + EMBED_BLOCK]) for i in starts)
+        blocks = [self.composer.embed(ids, sizes)[0] for ids, sizes in coded]
         return np.concatenate([np.empty((0, self.k)), *blocks])
 
     def embed_event(self, event: EventTuple) -> np.ndarray:
         return self.embed_events([event])[0]
-
-    def encode_intent(self, words) -> np.ndarray:
-        return self.intent.encode_intent(words)

@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
+# Added to the product of the row norms in every cosine denominator.
+COSINE_EPS = 1e-8
+
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function: 1 / (1 + e^-x) for x >= 0 and
@@ -28,24 +31,22 @@ def _row_norms(u, v) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return u, v, np.sqrt(np.vecdot(u, u)), np.sqrt(np.vecdot(v, v))
 
 
-def cosine(u: np.ndarray, v: np.ndarray, eps: float = 1e-8) -> np.ndarray:
+def cosine(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """(R,) cosines of the rows of two (R, k) blocks, epsilon-guarded.
 
     A row where either side is all-zero gets 0.0. Raises on a shape mismatch.
     """
     u, v, nu, nv = _row_norms(u, v)
     live = (nu != 0.0) & (nv != 0.0)
-    return np.divide(np.vecdot(u, v), nu * nv + eps, out=np.zeros(len(u)), where=live)
+    return np.divide(np.vecdot(u, v), nu * nv + COSINE_EPS, out=np.zeros(len(u)), where=live)
 
 
-def cosine_grads(
-    u: np.ndarray, v: np.ndarray, eps: float = 1e-8
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def cosine_grads(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(R,) row cosines plus their (R, k) gradients w.r.t. both blocks; a row
     where either side is all-zero gets zero gradients."""
     u, v, nu, nv = _row_norms(u, v)
     live = (nu != 0.0) & (nv != 0.0)
-    denom = nu * nv + eps
+    denom = nu * nv + COSINE_EPS
     c = np.divide(np.vecdot(u, v), denom, out=np.zeros(len(u)), where=live)
     cc, nu, nv, denom = c[:, None], nu[:, None], nv[:, None], denom[:, None]
     # an all-zero row divides 0 by 0 here; its gradients are masked to zero below

@@ -12,18 +12,19 @@ import contextlib
 import dataclasses
 import os
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import checkpoint as ckpt_io
-from .composer import CORRUPTION_TARGETS, corrupt_event
+from .composer import CORRUPTION_TARGETS, code_events, corrupt_event
 from .data import (
     AnnotatedExample,
     EventTuple,
     Vocabulary,
     derive_polarity,
     extend_embeddings,
+    format_event,
 )
 from .intent import intent_hinge
 from .model import JointModel, layout
@@ -34,6 +35,9 @@ ADAGRAD_EPS = 1e-8
 # each) stay in cache, where those of a whole paper-shape flat buffer
 # (6 MB each) do not.
 ADAGRAD_BLOCK = 1 << 15
+
+# Draws before `sample_negative_intent` gives up on finding a distinct intent.
+NEGATIVE_INTENT_TRIES = 10000
 
 # Ablation presets: (alpha, beta, gamma) weightings of the three loss terms.
 PRESETS: dict[str, tuple[float, float, float]] = {
@@ -115,11 +119,23 @@ class TrainingConfig:
 
 
 @dataclass(frozen=True)
-class Negatives:
-    """Per-visit negative samples: corrupted event and incorrect intent."""
+class CodedExample:
+    """A training example as vocabulary ids: its event's ids and (3,)
+    argument sizes as `code_events` codes them, plus the intent ids and the
+    lexicon polarity where the loss weights use them (None otherwise)."""
 
-    corrupted_event: EventTuple | None = None
-    negative_intent: tuple[str, ...] | None = None
+    ids: np.ndarray
+    sizes: np.ndarray
+    intent: tuple[int, ...] | None = None
+    polarity: int | None = None
+
+
+@dataclass(frozen=True)
+class Negatives:
+    """Per-visit negative samples as ids: corrupted event and incorrect intent."""
+
+    corrupted_event: np.ndarray | None = None
+    negative_intent: tuple[int, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -142,7 +158,7 @@ class LossParts:
 
 def joint_loss(
     model: JointModel,
-    examples: Sequence[AnnotatedExample],
+    examples: Sequence[CodedExample],
     negatives: Sequence[Negatives],
     config: TrainingConfig,
 ) -> LossParts:
@@ -150,34 +166,30 @@ def joint_loss(
     accumulate into the model's ParameterStore.
 
     A term covers an example only if its weight is positive and the example
-    carries the matching annotation; an example that no term covers is an
-    error. The positives and their corrupted events share one composer
-    forward and backward, the intents and negative intents one encoder
-    forward and backward, and the L2 term counts once per event example.
+    carries the matching annotation. The positives and their corrupted events
+    share one composer forward and backward, the intents and negative intents
+    one encoder forward and backward, and the L2 term counts once per event
+    example.
     """
     alpha, beta, gamma = config.alpha, config.beta, config.gamma
+    if len(negatives) != len(examples):
+        raise ValueError(f"{len(examples)} examples but {len(negatives)} negative samples")
     use_event = alpha > 0.0
-    intent_rows, sentiment_rows = [], []
-    for i, (example, negative) in enumerate(zip(examples, negatives, strict=True)):
-        use_intent = beta > 0.0 and example.intent is not None
-        use_sentiment = gamma > 0.0 and example.polarity is not None
-        if not (use_event or use_intent or use_sentiment):
-            raise ValueError(
-                f"example activates no loss term (weights alpha={alpha}, beta={beta}, "
-                f"gamma={gamma}; intent={'yes' if example.intent else 'no'}, "
-                f"polarity={example.polarity})"
-            )
-        if use_event and negative.corrupted_event is None:
-            raise ValueError("event term is active but no corrupted event was sampled")
-        if use_intent and negative.negative_intent is None:
-            raise ValueError("intent term is active but no negative intent was sampled")
-        intent_rows += [i] if use_intent else []
-        sentiment_rows += [i] if use_sentiment else []
+    intent_rows = [i for i, ex in enumerate(examples) if beta > 0.0 and ex.intent is not None]
+    sentiment_rows = [
+        i for i, ex in enumerate(examples) if gamma > 0.0 and ex.polarity is not None
+    ]
+    if use_event and any(neg.corrupted_event is None for neg in negatives):
+        raise ValueError("event term is active but no corrupted event was sampled")
+    if any(negatives[i].negative_intent is None for i in intent_rows):
+        raise ValueError("intent term is active but no negative intent was sampled")
 
     composer = model.composer
     n_event = len(examples) if use_event else 0
-    corrupted = [neg.corrupted_event for neg in negatives] if use_event else []
-    c, cache = composer.embed([ex.event for ex in examples] + corrupted)
+    ids = [ex.ids for ex in examples]
+    ids += [neg.corrupted_event for neg in negatives] if use_event else []
+    sizes = [ex.sizes for ex in examples] * (2 if use_event else 1)
+    c, cache = composer.embed(np.concatenate(ids), np.concatenate(sizes))
     dc = np.zeros_like(c)
     l_event = l_intent = l_sentiment = 0.0
 
@@ -260,34 +272,41 @@ def adagrad_step(store: ParameterStore, learning_rate: float, scale: float) -> N
 
 
 def sample_negative_intent(
-    pool: Sequence[tuple[str, ...]],
-    true_intent: tuple[str, ...],
-    rng: np.random.Generator,
-    max_tries: int = 10000,
-) -> tuple[str, ...]:
-    """Uniform draw from the annotated intents, resampled on textual identity."""
+    pool: Sequence[tuple[int, ...]], true_intent: tuple[int, ...], rng: np.random.Generator
+) -> tuple[int, ...]:
+    """Uniform draw from the annotated intents' ids, resampled while it equals
+    the true intent: within one vocabulary, on textual identity."""
     if not pool:
         raise ValueError("cannot sample a negative intent from an empty pool")
-    for _ in range(max_tries):
+    for _ in range(NEGATIVE_INTENT_TRIES):
         candidate = pool[int(rng.integers(len(pool)))]
         if candidate != true_intent:
             return candidate
-    raise ValueError(
-        "cannot sample a negative intent textually distinct from the true one"
-    )
+    raise ValueError("cannot sample a negative intent textually distinct from the true one")
 
 
-def resolve_polarities(
-    annotations: Iterable[AnnotatedExample], lexicon: dict[str, int] | None
-) -> list[AnnotatedExample]:
-    """Fill in each example's polarity from its emotion words via the lexicon."""
-    resolved = []
-    for ex in annotations:
-        polarity = None
-        if ex.emotion_words and lexicon is not None:
+def code_examples(
+    examples: Sequence[AnnotatedExample],
+    vocab: Vocabulary,
+    lexicon: dict[str, int] | None,
+    config: TrainingConfig,
+) -> list[CodedExample]:
+    """Each example as vocabulary ids, with its polarity taken from its
+    emotion words through the lexicon. An intent is coded only where beta is
+    positive and a polarity only where gamma is; an example that then
+    activates no loss term is an error."""
+    coded = []
+    for ex in examples:
+        intent = polarity = None
+        if config.beta > 0.0 and ex.intent is not None:
+            intent = tuple(vocab.index(w) for w in ex.intent)
+        if config.gamma > 0.0 and ex.emotion_words and lexicon is not None:
             polarity = derive_polarity(ex.emotion_words, lexicon)
-        resolved.append(dataclasses.replace(ex, polarity=polarity))
-    return resolved
+        if config.alpha == 0.0 and intent is None and polarity is None:
+            weights = f"alpha={config.alpha}, beta={config.beta}, gamma={config.gamma}"
+            raise ValueError(f"{format_event(ex.event)}: activates no loss term ({weights})")
+        coded.append(CodedExample(*code_events(vocab, [ex.event]), intent, polarity))
+    return coded
 
 
 def _collect_tokens(examples: Sequence[AnnotatedExample]) -> list[str]:
@@ -327,16 +346,16 @@ def train(
 ) -> tuple[JointModel, list[EpochMetrics]]:
     """Run the full training loop; returns the model and per-epoch metrics.
 
-    Training examples are the bare corpus events plus the annotated examples
-    (polarities resolved through the lexicon). With `out_dir` set, one checkpoint
-    per epoch, `final.ckpt` (a hard link to the last) and `metrics.tsv` go there.
+    Training examples are the bare corpus events plus the annotated examples,
+    coded once by `code_examples`, before anything is written. With `out_dir`
+    set, one checkpoint per epoch, `final.ckpt` (a hard link to the last) and
+    `metrics.tsv` go there.
     """
     config.validate()
     if not corpus and not annotations:
         raise ValueError("empty training data: no corpus events and no annotations")
 
-    examples = [AnnotatedExample(event=e) for e in corpus]
-    examples.extend(resolve_polarities(annotations, lexicon))
+    annotated = [AnnotatedExample(event=e) for e in corpus] + list(annotations)
 
     rng = np.random.default_rng(config.seed)
     if word_vectors is not None:
@@ -348,7 +367,8 @@ def train(
     else:
         base_vocab = Vocabulary()
         base_table = np.zeros((1, config.d))
-    vocab, table = extend_embeddings(base_vocab, base_table, _collect_tokens(examples), rng)
+    vocab, table = extend_embeddings(base_vocab, base_table, _collect_tokens(annotated), rng)
+    examples = code_examples(annotated, vocab, lexicon, config)
     model = JointModel(
         vocab, config.d, config.k, config.n,
         {TABLE: table, **initial_arrays(layout(config.d, config.k, config.n), rng)},
@@ -374,9 +394,9 @@ def train(
                 corrupted = negative_intent = None
                 if config.alpha > 0.0:
                     corrupted = corrupt_event(
-                        example.event, vocab, rng, config.corruption_target
+                        example.ids, example.sizes, len(vocab), rng, config.corruption_target
                     )
-                if config.beta > 0.0 and example.intent is not None:
+                if example.intent is not None:
                     negative_intent = sample_negative_intent(intent_pool, example.intent, rng)
                 negatives.append(Negatives(corrupted, negative_intent))
             sums += joint_loss(model, batch, negatives, config)

@@ -3,9 +3,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from eventemb.composer import code_events
 from eventemb.data import EventTuple, Vocabulary
 from eventemb.model import JointModel, layout
 from eventemb.params import TABLE, ParameterStore, initial_arrays
+from eventemb.trainer import CodedExample
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SYNTHETIC_DIR = REPO_ROOT / "data" / "synthetic"
@@ -35,6 +37,25 @@ def random_event(vocab, rng, max_words=2):
     words = vocab.words[1:]
     pick = lambda: [words[int(rng.integers(len(words)))] for _ in range(int(rng.integers(1, max_words + 1)))]
     return EventTuple(tuple(pick()), tuple(pick()), tuple(pick()))
+
+
+def word_ids(vocab, words):
+    """Words as the vocabulary ids that the intent encoder and negative
+    sampling take."""
+    return tuple(vocab.index(w) for w in words)
+
+
+def coded(vocab, event, intent=None, polarity=None):
+    """A training example as `joint_loss` takes it: the event's ids and sizes,
+    the intent's ids and the polarity."""
+    intent_ids = None if intent is None else word_ids(vocab, intent)
+    return CodedExample(*code_events(vocab, [event]), intent_ids, polarity)
+
+
+def decode(vocab, ids):
+    """The words of a sequence of vocabulary ids."""
+    words = vocab.words
+    return tuple(words[i] for i in ids)
 
 
 @pytest.fixture

@@ -250,15 +250,18 @@ def bilinear_lowrank_grads(a, p, slc):
     return value, grads
 
 
-def margin_objective(composer, event, corrupted, lambda_l2):
-    """Forward-only `ntn` objective: max(0, 1 - u.C + u.C_r) + lambda ||Phi||^2.
+def margin_objective(composer, example, corrupted, lambda_l2):
+    """Forward-only `ntn` objective: max(0, 1 - u.C + u.C_r) + lambda ||Phi||^2
+    of a coded example and its corrupted event's ids.
 
     Written out from the paper's formula over the composer's embeddings, so
     the `ntn` preset of the joint loss can be checked against it bit for bit.
     As in joint_loss, both embeddings come from one two-row composer call and
     are scored as C @ u: a one-row call, or u @ c, can differ in the last bits.
     """
-    g_e, g_r = (float(g) for g in composer.embed([event, corrupted])[0] @ composer.u)
+    ids = np.concatenate((example.ids, corrupted))
+    sizes = np.concatenate((example.sizes, example.sizes))
+    g_e, g_r = (float(g) for g in composer.embed(ids, sizes)[0] @ composer.u)
     return max(0.0, 1.0 - g_e + g_r) + composer.regularization(lambda_l2)
 
 
@@ -408,15 +411,14 @@ def _cell_step_backward(cell, dh, dc, x, h_prev, c_prev, gates, c):
 def per_direction_encode(encoder, sentences):
     """`BiLstmEncoder.encode` with each direction stepped on its own: one
     (B, d+h) GEMM per step and direction, over the same exact-length groups."""
-    groups, indices = {}, []
-    for s, words in enumerate(sentences):
-        indices.append([encoder.vocab.index(w) for w in words])
-        groups.setdefault(len(words), []).append(s)
+    groups = {}
+    for s, ids in enumerate(sentences):
+        groups.setdefault(len(ids), []).append(s)
     h = encoder.h
-    out = np.zeros((len(indices), 2 * h))
+    out = np.zeros((len(sentences), 2 * h))
     cache = []
     for rows in groups.values():
-        idx = np.array([indices[s] for s in rows]).T
+        idx = np.array([sentences[s] for s in rows]).T
         tokens = np.stack((idx, idx[::-1]))
         steps, size = idx.shape
         hs = np.zeros((2, steps + 1, size, h))

@@ -8,7 +8,7 @@ semantic signal, so the margin objective alone cannot untangle the traps;
 the intent and sentiment annotations can. Fillers pad the corpus to ~60
 events.
 
-Regenerate the committed copy with:  python -m eventemb.synthetic data/synthetic
+Regenerate the committed copy with:  python tests/synthetic.py data/synthetic
 """
 
 from __future__ import annotations
@@ -243,7 +243,7 @@ def write_all(out_dir: str, seed: int = VECTOR_SEED) -> dict[str, str]:
 def main(argv: list[str] | None = None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 1:
-        print("usage: python -m eventemb.synthetic OUT_DIR", file=sys.stderr)
+        print("usage: python tests/synthetic.py OUT_DIR", file=sys.stderr)
         return 2
     paths = write_all(args[0])
     for name in sorted(paths):

@@ -18,7 +18,6 @@ from eventemb.checkpoint import (
 )
 from eventemb.composer import LowRankLayer, corrupt_event
 from eventemb.data import (
-    AnnotatedExample,
     derive_polarity,
     load_annotations,
     load_corpus,
@@ -29,7 +28,7 @@ from eventemb.data import (
 from eventemb.evaluate import hard_similarity_accuracy, spearman_rho
 from eventemb.params import ParameterStore
 from eventemb.trainer import Negatives, TrainingConfig, adagrad_step, joint_loss, train
-from conftest import make_model, make_store, random_event
+from conftest import coded, make_model, make_store, random_event, word_ids
 from gradcheck import grad_check
 from oracles import (
     cosine,
@@ -57,24 +56,23 @@ class TestCriterion1GradientCorrectness:
         hinges are active far from their kinks; the comparison is then
         numerically meaningful for every coordinate. The batch of three mixes
         annotations: intent and polarity, polarity only, intent only. A path
-        checks the sub-batch of the examples it covers, since joint_loss
+        checks the sub-batch of the examples it covers, since training
         rejects an example that no term covers.
         """
         started = time.time()
         model, vocab, rng = make_model(seed=104, n_words=12, d=6, k=4, n=2)
-        event = random_event(vocab, rng)
-        corrupted = corrupt_event(event, vocab, rng)
-        example = AnnotatedExample(event, intent=("to", "have", "fun"), polarity=-1)
-        negatives = Negatives(corrupted, ("run", "fast", "bob"))
+        example = coded(vocab, random_event(vocab, rng), ("to", "have", "fun"), -1)
+        corrupted = corrupt_event(example.ids, example.sizes, len(vocab), rng)
+        negatives = Negatives(corrupted, word_ids(vocab, ("run", "fast", "bob")))
         batch = [(example, negatives)]
         for intent, polarity, negative_intent in (
             (None, 1, None),
-            (("to", "run"), None, ("have", "cake")),
+            (("to", "run"), None, word_ids(vocab, ("have", "cake"))),
         ):
-            other = random_event(vocab, rng)
+            other = coded(vocab, random_event(vocab, rng), intent, polarity)
             batch.append((
-                AnnotatedExample(other, intent=intent, polarity=polarity),
-                Negatives(corrupt_event(other, vocab, rng), negative_intent),
+                other,
+                Negatives(corrupt_event(other.ids, other.sizes, len(vocab), rng), negative_intent),
             ))
 
         paths = {
@@ -147,12 +145,11 @@ class TestCriterion3AblationReductionIdentity:
         cfg = TrainingConfig(alpha=1.0, beta=0.0, gamma=0.0, lambda_l2=0.0001,
                              d=6, k=4, n=2)
         for _ in range(1000):
-            event = random_event(vocab, rng)
-            corrupted = corrupt_event(event, vocab, rng)
             # annotations present but ignored under the ntn preset
-            example = AnnotatedExample(event, intent=("to", "run"), polarity=1)
+            example = coded(vocab, random_event(vocab, rng), ("to", "run"), polarity=1)
+            corrupted = corrupt_event(example.ids, example.sizes, len(vocab), rng)
             joint = joint_loss(model, [example], [Negatives(corrupted, None)], cfg)
-            direct = margin_objective(model.composer, event, corrupted, cfg.lambda_l2)
+            direct = margin_objective(model.composer, example, corrupted, cfg.lambda_l2)
             assert joint.total == direct  # bit-identical
         report(3, "ablation-reduction-identity", "1000 examples bit-identical")
 

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from eventemb.composer import EventComposer, LowRankLayer, corrupt_event
-from eventemb.data import AnnotatedExample, EventTuple, Vocabulary
+from eventemb.composer import EventComposer, LowRankLayer, code_events, corrupt_event
+from eventemb.data import EventTuple, Vocabulary
 from eventemb.model import EMBED_BLOCK
 from eventemb.trainer import Negatives, TrainingConfig, joint_loss
-from conftest import WORDS, make_model, make_store, random_event
+from conftest import WORDS, coded, decode, make_model, make_store, random_event
 from gradcheck import grad_check, random_projection
 from oracles import (
     average_argument,
@@ -23,18 +23,27 @@ def make_composer(seed=0, d=4, k=3, n=2, n_words=8, scale=1.0):
     vocab = Vocabulary(WORDS[:n_words])
     table = rng.uniform(-scale, scale, (len(vocab), d))
     store = make_store(EventComposer.layout(d, k, n), rng, embeddings=table)
-    composer = EventComposer(store, vocab)
+    composer = EventComposer(store)
     return composer, vocab, store, rng
 
 
-def event_loss(model, event, corrupted, lambda_l2):
-    """The event margin loss: joint_loss under the `ntn` weights (1, 0, 0).
+def event_loss(model, vocab, event, corrupted, lambda_l2):
+    """The event margin loss of two events with equal argument sizes:
+    joint_loss under the `ntn` weights (1, 0, 0).
 
     Gradients accumulate into the model's store, as for every joint_loss call.
     """
     config = TrainingConfig(lambda_l2=lambda_l2).with_preset("ntn")
-    example = AnnotatedExample(event)
-    return joint_loss(model, [example], [Negatives(corrupted)], config).total
+    negatives = Negatives(coded(vocab, corrupted).ids)
+    return joint_loss(model, [coded(vocab, event)], [negatives], config).total
+
+
+def corrupt(vocab, event, rng, target="actor"):
+    """`corrupt_event` on one event's words: the corrupted event's words."""
+    ids, sizes = code_events(vocab, [event])
+    words = decode(vocab, corrupt_event(ids, sizes, len(vocab), rng, target))
+    split = np.cumsum(sizes)
+    return EventTuple(words[: split[0]], words[split[0] : split[1]], words[split[1] :])
 
 
 def zero_params(store):
@@ -45,14 +54,14 @@ def zero_params(store):
 EVENT = EventTuple(("alice",), ("threw",), ("ball",))
 
 
-def embed_one(composer, event):
+def embed_one(composer, vocab, event):
     """One event's embedding: the one-row case of the batched composer."""
-    return composer.embed([event])[0][0]
+    return composer.embed(*code_events(vocab, [event]))[0][0]
 
 
-def score(composer, events):
+def score(composer, vocab, events):
     """Plausibility scores as joint_loss computes them: C @ u over one call."""
-    return composer.embed(events)[0] @ composer.u
+    return composer.embed(*code_events(vocab, events))[0] @ composer.u
 
 
 class TestComposePair:
@@ -111,14 +120,14 @@ class TestDenseEquivalence:
 
 class TestEmbedEvent:
     def test_zero_model_embeds_to_zero(self):
-        composer, _, store, _ = make_composer()
+        composer, vocab, store, _ = make_composer()
         zero_params(store)
-        assert np.array_equal(embed_one(composer, EVENT), np.zeros(3))
+        assert np.array_equal(embed_one(composer, vocab, EVENT), np.zeros(3))
 
     def test_deterministic(self):
-        composer, _, _, _ = make_composer(seed=5)
-        a = embed_one(composer, EVENT)
-        b = embed_one(composer, EVENT)
+        composer, vocab, _, _ = make_composer(seed=5)
+        a = embed_one(composer, vocab, EVENT)
+        b = embed_one(composer, vocab, EVENT)
         assert np.array_equal(a, b)
 
     def test_matches_chained_ops(self):
@@ -131,7 +140,7 @@ class TestEmbedEvent:
         s1 = composer.layer1.forward(a, p)[0]
         s2 = composer.layer2.forward(p, o)[0]
         expected = composer.layer3.forward(s1, s2)[0][0]
-        assert np.array_equal(embed_one(composer, event), expected)
+        assert np.array_equal(embed_one(composer, vocab, event), expected)
 
     def test_layer_bilinear_matches_per_slice_op(self):
         # the vectorized layer and the single-slice oracle agree slice by slice
@@ -152,7 +161,7 @@ class TestEmbedEvent:
             composer, vocab, _, rng = make_composer(seed=seed, d=6, k=4, n=2)
             event = random_event(vocab, rng)
             swapped = EventTuple(event.object, event.predicate, event.actor)
-            delta = embed_one(composer, event) - embed_one(composer, swapped)
+            delta = embed_one(composer, vocab, event) - embed_one(composer, vocab, swapped)
             assert np.linalg.norm(delta) >= 1e-3
 
 
@@ -169,7 +178,7 @@ class TestEmbedEvents:
     def test_no_events_give_no_rows_without_composing(self, monkeypatch):
         model, _, _ = make_model()
 
-        def refuse(events):
+        def refuse(ids, sizes):
             raise AssertionError("composer.embed called with no events")
 
         monkeypatch.setattr(model.composer, "embed", refuse)
@@ -178,66 +187,99 @@ class TestEmbedEvents:
 
 class TestScoreEvent:
     def test_zero_head_scores_zero(self):
-        composer, _, _, _ = make_composer(seed=2)
+        composer, vocab, _, _ = make_composer(seed=2)
         composer.u[...] = 0.0
-        assert score(composer, [EVENT])[0] == 0.0
+        assert score(composer, vocab, [EVENT])[0] == 0.0
 
     def test_one_hot_head_picks_coordinate(self):
-        composer, _, _, _ = make_composer(seed=2, k=3)
-        c = embed_one(composer, EVENT)
+        composer, vocab, _, _ = make_composer(seed=2, k=3)
+        c = embed_one(composer, vocab, EVENT)
         for j in range(3):
             composer.u[...] = 0.0
             composer.u[j] = 1.0
-            assert score(composer, [EVENT])[0] == pytest.approx(c[j], abs=1e-15)
+            assert score(composer, vocab, [EVENT])[0] == pytest.approx(c[j], abs=1e-15)
 
     def test_matches_dot_product(self):
-        composer, _, _, _ = make_composer(seed=4)
-        c = embed_one(composer, EVENT)
-        assert score(composer, [EVENT])[0] == pytest.approx(float(composer.u @ c), abs=1e-15)
+        composer, vocab, _, _ = make_composer(seed=4)
+        c = embed_one(composer, vocab, EVENT)
+        assert score(composer, vocab, [EVENT])[0] == pytest.approx(float(composer.u @ c), abs=1e-15)
 
 
 class TestCorruptEvent:
+    # ids of the vocabulary ["a", "b", "p", "o"]: a=1, b=2, p=3, o=4
     def test_redraw_rule_and_untouched_arguments(self):
-        vocab = Vocabulary(["a", "b", "p", "o"])
         rng = np.random.default_rng(0)
-        event = EventTuple(("a",), ("p",), ("o",))
+        ids, sizes = np.array([1, 3, 4]), np.array([1, 1, 1])
         for _ in range(200):
-            corrupted = corrupt_event(event, vocab, rng)
-            assert corrupted.actor[0] in {"b", "p", "o"}
-            assert corrupted.predicate == event.predicate
-            assert corrupted.object == event.object
+            corrupted = corrupt_event(ids, sizes, 5, rng)
+            assert corrupted[0] in {2, 3, 4}
+            assert corrupted[1:].tolist() == [3, 4]
+        assert ids.tolist() == [1, 3, 4]
+
+    def test_multiword_arguments(self):
+        # "a b | p | o a": only the words of the target argument are replaced,
+        # each one redrawn against the id at its own position
+        rng = np.random.default_rng(3)
+        ids, sizes = np.array([1, 2, 3, 4, 1]), np.array([2, 1, 2])
+        for target, span in (("actor", slice(0, 2)), ("object", slice(3, 5))):
+            for _ in range(100):
+                corrupted = corrupt_event(ids, sizes, 5, rng, target)
+                assert np.all(corrupted[span] != ids[span])
+                assert np.all((corrupted[span] >= 1) & (corrupted[span] <= 4))
+                rest = np.ones(5, dtype=bool)
+                rest[span] = False
+                assert np.array_equal(corrupted[rest], ids[rest])
 
     def test_object_target(self):
-        vocab = Vocabulary(["a", "b", "p", "o"])
         rng = np.random.default_rng(0)
-        event = EventTuple(("a",), ("p",), ("o",))
-        corrupted = corrupt_event(event, vocab, rng, target="object")
-        assert corrupted.actor == event.actor
-        assert corrupted.object[0] != "o"
+        corrupted = corrupt_event(np.array([1, 3, 4]), np.array([1, 1, 1]), 5, rng, "object")
+        assert corrupted[:2].tolist() == [1, 3]
+        assert corrupted[2] != 4
+
+    def test_same_draws_as_the_word_rule(self):
+        # ids are equal exactly when words are, and the unknown id 0 is never
+        # drawn: the rule on ids takes the same draws as the rule on words did
+        vocab = Vocabulary(WORDS)
+        words_rng, ids_rng = np.random.default_rng(12), np.random.default_rng(12)
+        for _ in range(100):
+            event = random_event(vocab, words_rng)
+            ids_rng.bit_generator.state = words_rng.bit_generator.state
+            replaced = []
+            for word in event.actor:
+                while True:
+                    candidate = vocab.words[int(words_rng.integers(1, len(vocab)))]
+                    if candidate != word:
+                        break
+                replaced.append(candidate)
+            ids, sizes = code_events(vocab, [event])
+            corrupted = corrupt_event(ids, sizes, len(vocab), ids_rng)
+            assert decode(vocab, corrupted) == tuple(replaced) + event.predicate + event.object
+            assert ids_rng.bit_generator.state == words_rng.bit_generator.state
 
     def test_replacement_frequencies_near_uniform(self):
-        words = [f"w{i}" for i in range(10)]
-        vocab = Vocabulary(words)  # size 11 with the unknown entry
+        # ids 1..10 are w0..w9, an 11-entry vocabulary with the unknown entry
         rng = np.random.default_rng(99)
-        event = EventTuple(("w0",), ("w1",), ("w2",))
-        counts = {w: 0 for w in words[1:]}
+        ids, sizes = np.array([1, 2, 3]), np.array([1, 1, 1])
+        counts = {i: 0 for i in range(2, 11)}
         draws = 10000
         for _ in range(draws):
-            counts[corrupt_event(event, vocab, rng).actor[0]] += 1
+            counts[int(corrupt_event(ids, sizes, 11, rng)[0])] += 1
         p = 1.0 / 9.0
         sigma = np.sqrt(draws * p * (1 - p))
-        for w, count in counts.items():
-            assert abs(count - draws * p) <= 3 * sigma, (w, count)
+        for i, count in counts.items():
+            assert abs(count - draws * p) <= 3 * sigma, (i, count)
 
     def test_small_vocabulary_rejected(self):
+        # a one-word vocabulary: the unknown entry and "only"
         with pytest.raises(ValueError, match="need at least 2"):
-            corrupt_event(EVENT, Vocabulary(["only"]), np.random.default_rng(0))
+            corrupt_event(np.array([1, 1, 1]), np.ones(3, int), 2, np.random.default_rng(0))
 
     def test_unknown_target_rejected(self):
         # the predicate is an event argument but never a corruption target
+        ids, sizes = np.array([1, 2, 1]), np.ones(3, int)
         for target in ("verb", "predicate"):
             with pytest.raises(ValueError, match="unknown target"):
-                corrupt_event(EVENT, Vocabulary(["a", "b"]), np.random.default_rng(0), target)
+                corrupt_event(ids, sizes, 3, np.random.default_rng(0), target)
 
 
 class TestMarginLoss:
@@ -245,29 +287,30 @@ class TestMarginLoss:
         return EventTuple(("bob",), ("threw",), ("ball",))
 
     def test_zero_model_sits_exactly_on_margin(self):
-        model, _, _ = make_model()
+        model, vocab, _ = make_model()
         zero_params(model.store)
-        assert event_loss(model, EVENT, self.corrupted(), 0.0) == 1.0
+        assert event_loss(model, vocab, EVENT, self.corrupted(), 0.0) == 1.0
 
     def test_satisfied_margin_gives_zero(self):
         # pick U with g(E) = 2.0 and g(E_r) = 0.5 via a 2x2 Gram solve
-        model, _, _ = make_model(seed=6, k=4)
+        model, vocab, _ = make_model(seed=6, k=4)
         composer = model.composer
-        c_e = embed_one(composer, EVENT)
-        c_r = embed_one(composer, self.corrupted())
+        c_e = embed_one(composer, vocab, EVENT)
+        c_r = embed_one(composer, vocab, self.corrupted())
         gram = np.array([[c_e @ c_e, c_e @ c_r], [c_r @ c_e, c_r @ c_r]])
         coeffs = np.linalg.solve(gram, np.array([2.0, 0.5]))
         composer.u[...] = coeffs[0] * c_e + coeffs[1] * c_r
-        assert score(composer, [EVENT, self.corrupted()]) == pytest.approx([2.0, 0.5], abs=1e-9)
-        assert event_loss(model, EVENT, self.corrupted(), 0.0) == 0.0
+        scores = score(composer, vocab, [EVENT, self.corrupted()])
+        assert scores == pytest.approx([2.0, 0.5], abs=1e-9)
+        assert event_loss(model, vocab, EVENT, self.corrupted(), 0.0) == 0.0
 
     def test_regularizer_counts_all_ones_matrix(self):
-        model, _, _ = make_model(d=1, k=2, n=1)
+        model, vocab, _ = make_model(d=1, k=2, n=1)
         composer = model.composer
         zero_params(model.store)
         composer.layer1.w[...] = 1.0  # 2 x 2 matrix of ones
         assert composer.regularization(0.0001) == pytest.approx(0.0004, abs=1e-18)
-        loss = event_loss(model, EVENT, self.corrupted(), 0.0001)
+        loss = event_loss(model, vocab, EVENT, self.corrupted(), 0.0001)
         assert loss == pytest.approx(1.0004, abs=1e-15)
 
     def test_loss_never_below_regularizer(self):
@@ -275,13 +318,13 @@ class TestMarginLoss:
             model, vocab, rng = make_model(seed=seed)
             composer = model.composer
             e = random_event(vocab, rng)
-            e_r = corrupt_event(e, vocab, rng)
+            e_r = corrupt(vocab, e, rng)
             lam = 0.0001
-            loss = event_loss(model, e, e_r, lam)
+            loss = event_loss(model, vocab, e, e_r, lam)
             reg = composer.regularization(lam)
             assert loss >= reg
             hinge_zero = loss - reg == 0.0
-            g_e, g_r = score(composer, [e, e_r])
+            g_e, g_r = score(composer, vocab, [e, e_r])
             satisfied = g_e >= g_r + 1.0
             assert hinge_zero == satisfied
 
@@ -301,7 +344,7 @@ class TestComposerGradients:
     def test_margin_loss_end_to_end(self, seed):
         model, vocab, rng = make_model(seed=seed, d=6, k=4, n=2)
         event = random_event(vocab, rng)
-        corrupted = corrupt_event(event, vocab, rng)
+        corrupted = corrupt(vocab, event, rng)
         lam = 0.001
         params = {
             name: arr
@@ -311,11 +354,11 @@ class TestComposerGradients:
 
         def fn():
             zero_grads(model.store)
-            loss = event_loss(model, event, corrupted, lam)
+            loss = event_loss(model, vocab, event, corrupted, lam)
             return loss, snapshot_grads(model.store)
 
         error = grad_check(
-            fn, params, value_fn=lambda: event_loss(model, event, corrupted, lam)
+            fn, params, value_fn=lambda: event_loss(model, vocab, event, corrupted, lam)
         )
         assert error < 1e-4
 
@@ -323,17 +366,17 @@ class TestComposerGradients:
         model, vocab, rng = make_model(seed=9, d=6, k=4, n=2)
         composer = model.composer
         event = random_event(vocab, rng)
-        corrupted = corrupt_event(event, vocab, rng)
-        c_e = embed_one(composer, event)
-        c_r = embed_one(composer, corrupted)
+        corrupted = corrupt(vocab, event, rng)
+        c_e = embed_one(composer, vocab, event)
+        c_r = embed_one(composer, vocab, corrupted)
         diff = c_e - c_r
         composer.u[...] = 2.0 * diff / (diff @ diff)  # g(E) - g(E_r) = 2 > 1
         lam = 0.01
-        loss = event_loss(model, event, corrupted, lam)
+        loss = event_loss(model, vocab, event, corrupted, lam)
         assert loss == composer.regularization(lam)
 
         zero_grads(model.store)
-        event_loss(model, event, corrupted, lam)
+        event_loss(model, vocab, event, corrupted, lam)
         assert np.array_equal(model.store.grads["u"], np.zeros(4))
         assert np.array_equal(
             model.store.grads["embeddings"], np.zeros_like(composer.embeddings)
@@ -350,7 +393,7 @@ class TestComposerGradients:
 
         def fn():
             zero_grads(model.store)
-            loss = event_loss(model, event, corrupted, lam)
+            loss = event_loss(model, vocab, event, corrupted, lam)
             return loss, snapshot_grads(model.store)
 
         assert grad_check(fn, params) < 1e-4

@@ -251,7 +251,6 @@ class TestAnnotations:
         (example,) = load_annotations(path)
         assert example.intent == ("to", "bloodshed")
         assert example.emotion_words == ("angry", "hateful")
-        assert example.polarity is None  # derived later via the lexicon
 
     def test_multiword_emotion_items_flatten(self, tmp_path):
         path = write(tmp_path, "a.txt", "a|b|c\t-\tsad, be regretful, feel sorry, afraid\n")
@@ -389,7 +388,7 @@ class TestEventTupleInvariants:
 
     def test_annotated_example_defaults(self):
         ex = AnnotatedExample(EventTuple(("a",), ("p",), ("o",)))
-        assert ex.intent is None and ex.emotion_words is None and ex.polarity is None
+        assert ex.intent is None and ex.emotion_words is None
 
 
 # --- property tests of the readers ---------------------------------------------

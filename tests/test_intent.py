@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eventemb.data import AnnotatedExample, Vocabulary
+from eventemb.data import Vocabulary
 from eventemb.intent import (
     BiLstmEncoder, LstmCell, intent_hinge, lstm_step, lstm_step_backward,
 )
 from eventemb.trainer import Negatives, TrainingConfig, joint_loss
-from conftest import WORDS, make_model, make_store, random_event
+from conftest import WORDS, coded, make_model, make_store, random_event, word_ids
 from gradcheck import grad_check, random_projection
 from oracles import (
     intent_loss, per_direction_encode, per_direction_encode_backward, scalar_lstm_step,
@@ -21,8 +21,13 @@ def make_encoder(seed=0, d=4, h=3, n_words=8, scale=1.0):
     vocab = Vocabulary(WORDS[:n_words])
     table = rng.uniform(-scale, scale, (len(vocab), d))
     store = make_store(BiLstmEncoder.layout(d, h), rng, embeddings=table)
-    encoder = BiLstmEncoder(store, vocab)
+    encoder = BiLstmEncoder(store)
     return encoder, vocab, store, rng
+
+
+def encode_words(encoder, vocab, words):
+    """The intent vector of one sentence given as words."""
+    return encoder.encode([word_ids(vocab, words)])[0][0]
 
 
 def make_cell(seed=0, d=2, h=3):
@@ -110,27 +115,27 @@ class TestLstmStep:
 
 class TestEncodeIntent:
     def test_single_word_zero_weights(self):
-        encoder, _, store, _ = make_encoder()
+        encoder, vocab, store, _ = make_encoder()
         for name, arr in store.params.items():
             if name != "embeddings":
                 arr[...] = 0.0
-        out = encoder.encode_intent(["alice"])
+        out = encode_words(encoder, vocab, ["alice"])
         assert np.array_equal(out, np.zeros(6))
 
     def test_empty_input_rejected(self):
         encoder, _, _, _ = make_encoder()
         with pytest.raises(ValueError, match="empty word list"):
-            encoder.encode_intent([])
+            encoder.encode([()])
 
     def test_palindrome_with_tied_cells(self):
-        encoder, _, _, _ = make_encoder(seed=5)
+        encoder, vocab, _, _ = make_encoder(seed=5)
         encoder.backward_cell.w[...] = encoder.forward_cell.w
         encoder.backward_cell.b[...] = encoder.forward_cell.b
-        out = encoder.encode_intent(["to", "have", "to"])
+        out = encode_words(encoder, vocab, ["to", "have", "to"])
         assert np.array_equal(out[:3], out[3:])
 
     def test_reversal_swaps_direction_roles(self):
-        enc_a, _, _, _ = make_encoder(seed=6)
+        enc_a, vocab, _, _ = make_encoder(seed=6)
         enc_b, _, _, _ = make_encoder(seed=6)
         # enc_b carries enc_a's cells with directions exchanged
         enc_b.forward_cell.w[...] = enc_a.backward_cell.w
@@ -138,14 +143,14 @@ class TestEncodeIntent:
         enc_b.backward_cell.w[...] = enc_a.forward_cell.w
         enc_b.backward_cell.b[...] = enc_a.forward_cell.b
         words = ["alice", "threw", "ball"]
-        reversed_out = enc_a.encode_intent(words[::-1])
-        swapped_out = enc_b.encode_intent(words)
+        reversed_out = encode_words(enc_a, vocab, words[::-1])
+        swapped_out = encode_words(enc_b, vocab, words)
         assert np.array_equal(reversed_out[:3], swapped_out[3:])
         assert np.array_equal(reversed_out[3:], swapped_out[:3])
 
     def test_empty_sentence_anywhere_in_a_batch_rejected(self):
         encoder, _, _, _ = make_encoder()
-        for batch in ([[], ["to"]], [["to"], ["have", "fun"], []], [["to"], [], ["fun"]]):
+        for batch in ([[], [1]], [[1], [2, 3], []], [[1], [], [3]]):
             with pytest.raises(ValueError, match="empty word list"):
                 encoder.encode(batch)
 
@@ -166,7 +171,7 @@ class TestEncodeIntent:
         ]
         sentences.insert(5, sentences[2])  # a repeated sentence
         sentences.append(["to", "zebra", "fun"])  # "zebra" is out of vocabulary
-        vectors, _ = encoder.encode(sentences)
+        vectors, _ = encoder.encode([word_ids(vocab, sentence) for sentence in sentences])
         assert vectors.shape == (len(sentences), 6)
         for row, sentence in enumerate(sentences):
             ids = [vocab.index(w) for w in sentence]
@@ -179,10 +184,10 @@ class TestEncodeIntent:
             assert vectors[row] == pytest.approx(np.concatenate(halves), abs=1e-12)
 
     def test_deterministic_and_length_covariant(self):
-        encoder, _, _, _ = make_encoder(seed=7)
-        full = encoder.encode_intent(["to", "have", "fun"])
-        again = encoder.encode_intent(["to", "have", "fun"])
-        prefix = encoder.encode_intent(["to", "have"])
+        encoder, vocab, _, _ = make_encoder(seed=7)
+        full = encode_words(encoder, vocab, ["to", "have", "fun"])
+        again = encode_words(encoder, vocab, ["to", "have", "fun"])
+        prefix = encode_words(encoder, vocab, ["to", "have"])
         assert np.array_equal(full, again)
         assert not np.array_equal(full, prefix)
 
@@ -205,12 +210,11 @@ class TestStackedDirections:
             (BiLstmEncoder.encode, BiLstmEncoder.encode_backward),
             (per_direction_encode, per_direction_encode_backward),
         ):
-            encoder, vocab, store, rng = make_encoder(seed=seed, d=d, h=h, n_words=10)
+            encoder, _, store, rng = make_encoder(seed=seed, d=d, h=h, n_words=10)
             # gradients already hold values, as after an earlier backward
             for g in store.grads.values():
                 g[...] = rng.standard_normal(g.shape)
-            sentences = [[vocab.word(i) for i in sentence] for sentence in ids]
-            vectors, cache = encode(encoder, sentences)
+            vectors, cache = encode(encoder, ids)
             backward(encoder, rng.standard_normal(vectors.shape), cache)
             runs.append((vectors, snapshot_grads(store)))
         (vectors, grads), (want_vectors, want_grads) = runs
@@ -344,10 +348,8 @@ class TestIntentGradientsEndToEnd:
         # h=3 (k=6), d=4, sequence length 3; beta-only joint loss exercises
         # the full path: cell weights, word vectors and the upstream composer
         model, vocab, rng = make_model(seed=seed, n_words=12, d=4, k=6, n=2)
-        example = AnnotatedExample(
-            random_event(vocab, rng), intent=("to", "have", "fun")
-        )
-        negatives = Negatives(None, ("run", "fast", "bob"))
+        example = coded(vocab, random_event(vocab, rng), intent=("to", "have", "fun"))
+        negatives = Negatives(None, word_ids(vocab, ("run", "fast", "bob")))
         cfg = TrainingConfig(alpha=0.0, beta=1.0, gamma=0.0, d=4, k=6, n=2)
 
         def fn():

@@ -23,21 +23,29 @@ UNUSED_IN_SRC = {*eventemb.__all__, "main", "checkpoint_bytes"}
 
 
 def test_every_src_definition_has_a_caller_outside_tests():
-    """Test-only code lives in tests/: each top-level function or class of a
-    src/eventemb module is named in src/ or perfbench/ beyond its definition."""
+    """Test-only code lives in tests/: each function, method or class that a
+    src/eventemb module defines, at any depth, is named in src/ or perfbench/
+    beyond its definitions at least as often as it is defined. A name defined
+    twice with one caller (a method that only forwards to its namesake) fails.
+    Dunder methods are called by Python itself and are exempt."""
     text = "\n".join(
         path.read_text(encoding="utf-8")
         for folder in ("src", "perfbench")
         for path in sorted((ROOT / folder).rglob("*.py"))
     )
-    unused = []
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    definitions = {}
     for module in sorted((ROOT / "src" / "eventemb").glob("*.py")):
-        for node in ast.parse(module.read_text(encoding="utf-8")).body:
-            kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            if isinstance(node, kinds) and node.name not in UNUSED_IN_SRC:
-                if len(re.findall(rf"\b{node.name}\b", text)) < 2:
-                    unused.append(f"{module.name}:{node.name}")
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+            if isinstance(node, kinds) and not re.fullmatch(r"__\w+__", node.name):
+                definitions.setdefault(node.name, []).append(f"{module.name}:{node.name}")
+    unused = [
+        where for name, where in sorted(definitions.items())
+        if name not in UNUSED_IN_SRC and len(re.findall(rf"\b{name}\b", text)) < 2 * len(where)
+    ]
     assert unused == []
+
+
 SUMMARY_KEYS = {"unit", "parent_median", "change_median", "parent_iqr", "change_better_pairs"}
 
 

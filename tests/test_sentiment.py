@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from eventemb.data import AnnotatedExample
 from eventemb.sentiment import SentimentHead, polarity_class, softmax
 from eventemb.trainer import Negatives, TrainingConfig, joint_loss
-from conftest import make_model, make_store, random_event
+from conftest import coded, make_model, make_store, random_event
 from gradcheck import grad_check
 from oracles import snapshot_grads, softmax_scalar, zero_grads
 
@@ -112,7 +111,7 @@ class TestSentimentGradients:
 
     def test_through_composer_end_to_end(self):
         model, vocab, rng = make_model(seed=10, d=6, k=4, n=2)
-        example = AnnotatedExample(random_event(vocab, rng), polarity=-1)
+        example = coded(vocab, random_event(vocab, rng), polarity=-1)
         cfg = TrainingConfig(alpha=0.0, beta=0.0, gamma=1.0, d=6, k=4, n=2)
         negatives = Negatives(None, None)
 

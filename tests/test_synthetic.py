@@ -1,6 +1,5 @@
 import filecmp
 
-from eventemb import synthetic
 from eventemb.data import (
     load_annotations,
     load_corpus,
@@ -9,6 +8,7 @@ from eventemb.data import (
     load_transitive,
     load_word_vectors,
 )
+import synthetic
 
 
 class TestGenerator:

@@ -9,6 +9,7 @@ from eventemb.composer import corrupt_event
 from eventemb.data import (
     AnnotatedExample,
     EventTuple,
+    Vocabulary,
     load_annotations,
     load_corpus,
     load_lexicon,
@@ -24,12 +25,12 @@ from eventemb.trainer import (
     PRESETS,
     TrainingConfig,
     adagrad_step,
+    code_examples,
     joint_loss,
-    resolve_polarities,
     sample_negative_intent,
     train,
 )
-from conftest import make_model, random_event
+from conftest import coded, make_model, random_event, word_ids
 from oracles import dense_adagrad_step, intent_loss, margin_objective, per_array_adagrad_step
 
 
@@ -109,38 +110,41 @@ class TestJointLoss:
         model, vocab, rng = make_model(seed=14, d=6, k=4, n=2)
         cfg = tiny_config(alpha=1.0, beta=0.0, gamma=0.0, lambda_l2=0.0001)
         for _ in range(25):
-            event = random_event(vocab, rng)
-            corrupted = corrupt_event(event, vocab, rng)
-            example = AnnotatedExample(event, intent=("to", "run"), polarity=1)
+            example = coded(vocab, random_event(vocab, rng), intent=("to", "run"), polarity=1)
+            corrupted = corrupt_event(example.ids, example.sizes, len(vocab), rng)
             parts = joint_loss(model, [example], [Negatives(corrupted, None)], cfg)
-            direct = margin_objective(model.composer, event, corrupted, cfg.lambda_l2)
+            direct = margin_objective(model.composer, example, corrupted, cfg.lambda_l2)
             assert parts.total == direct
             assert (parts.n_event, parts.n_intent, parts.n_sentiment) == (1, 0, 0)
 
     def test_intent_only_without_annotation_is_an_error(self):
-        model, vocab, rng = make_model(seed=15)
+        # checked once per run, when the examples are coded
+        _, vocab, rng = make_model(seed=15)
         cfg = tiny_config(alpha=0.0, beta=1.0, gamma=0.0)
         annotated = AnnotatedExample(random_event(vocab, rng), intent=("to", "run"))
         bare = AnnotatedExample(random_event(vocab, rng))
-        negatives = [Negatives(None, ("run", "fast")), Negatives(None, None)]
+        code_examples([annotated], vocab, None, cfg)
         with pytest.raises(ValueError, match="no loss term"):
-            joint_loss(model, [annotated, bare], negatives, cfg)
+            code_examples([annotated, bare], vocab, None, cfg)
+        with pytest.raises(ValueError, match="no loss term"):
+            train(cfg, [bare.event], [annotated])
 
     def test_matches_sum_of_independent_heads(self):
         model, vocab, rng = make_model(seed=16, d=6, k=4, n=2)
         event = random_event(vocab, rng)
-        corrupted = corrupt_event(event, vocab, rng)
-        example = AnnotatedExample(event, intent=("to", "have", "fun"), polarity=-1)
-        negatives = Negatives(corrupted, ("run", "fast"))
+        example = coded(vocab, event, intent=("to", "have", "fun"), polarity=-1)
+        corrupted = corrupt_event(example.ids, example.sizes, len(vocab), rng)
+        negatives = Negatives(corrupted, word_ids(vocab, ("run", "fast")))
         cfg = tiny_config(alpha=1.0, beta=1.0, gamma=1.0, lambda_l2=0.001)
 
-        l_event = margin_objective(model.composer, event, corrupted, cfg.lambda_l2)
+        l_event = margin_objective(model.composer, example, corrupted, cfg.lambda_l2)
         # the positive's row of the same two-row composer call joint_loss makes
-        v_e = model.composer.embed([event, corrupted])[0][0]
+        ids = np.concatenate((example.ids, corrupted))
+        v_e = model.composer.embed(ids, np.tile(example.sizes, 2))[0][0]
         l_intent = intent_loss(
             v_e,
-            model.encode_intent(example.intent),
-            model.encode_intent(negatives.negative_intent),
+            model.intent.encode([example.intent])[0][0],
+            model.intent.encode([negatives.negative_intent])[0][0],
         )
         l_sentiment = model.sentiment.loss_backward(v_e[None], [-1])[0][0]
 
@@ -156,9 +160,9 @@ class TestJointLoss:
         event = random_event(vocab, rng)
         cfg = tiny_config()
         with pytest.raises(ValueError, match="no corrupted event"):
-            joint_loss(model, [AnnotatedExample(event)], [Negatives(None, None)], cfg)
-        example = AnnotatedExample(event, intent=("to", "run"))
-        corrupted = corrupt_event(event, vocab, rng)
+            joint_loss(model, [coded(vocab, event)], [Negatives(None, None)], cfg)
+        example = coded(vocab, event, intent=("to", "run"))
+        corrupted = corrupt_event(example.ids, example.sizes, len(vocab), rng)
         with pytest.raises(ValueError, match="no negative intent"):
             joint_loss(model, [example], [Negatives(corrupted, None)], cfg)
 
@@ -325,23 +329,28 @@ class TestFlatStore:
 
 
 class TestNegativeSampling:
+    # intents as id tuples: (5, 1) is "to win", (5, 2) "to rest"
     def test_resamples_on_textual_identity(self):
-        pool = [("to", "win"), ("to", "rest")]
+        pool = [(5, 1), (5, 2)]
         rng = np.random.default_rng(0)
         for _ in range(50):
-            assert sample_negative_intent(pool, ("to", "win"), rng) == ("to", "rest")
+            assert sample_negative_intent(pool, (5, 1), rng) == (5, 2)
 
     def test_all_identical_pool_rejected(self):
-        pool = [("to", "win")] * 3
+        pool = [(5, 1)] * 3
         with pytest.raises(ValueError, match="textually distinct"):
-            sample_negative_intent(pool, ("to", "win"), np.random.default_rng(0), max_tries=50)
+            sample_negative_intent(pool, (5, 1), np.random.default_rng(0))
 
     def test_empty_pool_rejected(self):
         with pytest.raises(ValueError, match="empty pool"):
-            sample_negative_intent([], ("to", "win"), np.random.default_rng(0))
+            sample_negative_intent([], (5, 1), np.random.default_rng(0))
 
 
 class TestResolvePolarities:
+    """Coding an example resolves its polarity from its emotion words."""
+
+    VOCAB = Vocabulary(["a", "b", "c", "to", "win"])
+
     def test_polarity_derivation(self):
         lexicon = {"happy": 1, "sad": -1}
         event = EventTuple(("a",), ("b",), ("c",))
@@ -351,15 +360,31 @@ class TestResolvePolarities:
             AnnotatedExample(event, emotion_words=("happy", "sad")),
             AnnotatedExample(event, intent=("to", "win")),
         ]
-        resolved = resolve_polarities(examples, lexicon)
+        resolved = code_examples(examples, self.VOCAB, lexicon, TrainingConfig())
         assert [ex.polarity for ex in resolved] == [1, -1, None, None]
+        assert [ex.intent for ex in resolved] == [None, None, None, (4, 5)]
+        assert all(ex.ids.tolist() == [1, 2, 3] for ex in resolved)
 
     def test_no_lexicon_means_no_polarity(self):
         event = EventTuple(("a",), ("b",), ("c",))
-        (resolved,) = resolve_polarities(
-            [AnnotatedExample(event, emotion_words=("happy",))], None
+        (resolved,) = code_examples(
+            [AnnotatedExample(event, emotion_words=("happy",))], self.VOCAB, None,
+            TrainingConfig(),
         )
         assert resolved.polarity is None
+
+    def test_annotations_of_zero_weight_terms_are_not_coded(self):
+        event = EventTuple(("a",), ("b",), ("c",))
+        example = AnnotatedExample(event, intent=("to", "win"), emotion_words=("happy",))
+        (resolved,) = code_examples(
+            [example], self.VOCAB, {"happy": 1}, TrainingConfig().with_preset("ntn")
+        )
+        assert resolved.intent is None and resolved.polarity is None
+
+    def test_polarity_is_not_an_annotation_field(self):
+        # a polarity comes only from emotion words and the lexicon
+        with pytest.raises(TypeError):
+            AnnotatedExample(EventTuple(("a",), ("b",), ("c",)), polarity=1)
 
 
 def synthetic_inputs(synthetic_dir):
@@ -495,6 +520,23 @@ class TestTrainLoop:
         assert sorted(first) == ["epoch-0001.ckpt", "epoch-0002.ckpt", "final.ckpt", "metrics.tsv"]
         train(cfg, out_dir=str(out), **inputs)
         assert {path.name: path.read_bytes() for path in out.iterdir()} == first
+
+    def test_rejected_run_leaves_the_previous_run_untouched(self, synthetic_dir, tmp_path):
+        # the corpus events carry no intent, so an intent-only run is rejected,
+        # before it creates or writes anything in its output directory
+        inputs = synthetic_inputs(synthetic_dir)
+        cfg = TrainingConfig(d=10, k=8, n=2, epochs=2, learning_rate=0.05,
+                             batch_size=10, seed=4)
+        out = tmp_path / "run"
+        train(cfg, out_dir=str(out), **inputs)
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert len(before["metrics.tsv"].splitlines()) == 2
+        intent_only = dataclasses.replace(cfg, alpha=0.0, beta=1.0, gamma=0.0)
+        for target in (out, tmp_path / "new"):
+            with pytest.raises(ValueError, match="activates no loss term"):
+                train(intent_only, out_dir=str(target), **inputs)
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+        assert not (tmp_path / "new").exists()
 
     def test_final_checkpoint_is_written_where_links_are_refused(
         self, synthetic_dir, tmp_path, monkeypatch
