@@ -39,7 +39,7 @@ from .data import Vocabulary
 from .params import TABLE
 
 MAGIC = b"EVEMBCKP"
-VERSION = 2
+VERSION = 3
 HEAD = struct.Struct("<8sIIQ")  # magic, version, CRC of the body, body length
 
 

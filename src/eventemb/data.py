@@ -220,14 +220,12 @@ def extend_embeddings(
     """Grow (vocab, table) to cover `tokens`; new rows init uniform in [-r, r],
     r = NEW_ROW_RANGE.
 
-    The returned table is always a new array, never `table` itself.
+    The returned table is always a new array, never `table` itself: the
+    model's store trains the table it is given in place, and `np.vstack`
+    copies even when there are no new rows (and then draws nothing).
     """
     extended = vocab.extended(tokens)
     n_new = len(extended) - len(vocab)
-    if n_new == 0:
-        # the model's store takes the table it is given, so the caller's
-        # stays untouched only if this returns a fresh one
-        return extended, table.copy()
     fresh = rng.uniform(-NEW_ROW_RANGE, NEW_ROW_RANGE, size=(n_new, table.shape[1]))
     return extended, np.vstack([table, fresh])
 

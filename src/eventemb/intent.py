@@ -15,26 +15,6 @@ from .ops import cosine_grads, sigmoid
 from .params import TABLE, Layout, ParameterStore
 
 
-class LstmCell:
-    """The parameters of one LSTM direction.
-
-    One weight matrix `w` of shape (4h, d+h) and one bias `b` of shape (4h,)
-    hold all four gates, stacked by rows in the order input, forget, output,
-    candidate: gate g (0..3) owns rows g*h .. (g+1)*h.
-    """
-
-    @staticmethod
-    def layout(prefix: str, d: int, h: int) -> Layout:
-        return {
-            f"{prefix}.w": ((4 * h, d + h), 1.0 / np.sqrt(d + h)),
-            f"{prefix}.b": ((4 * h,), 0.0),
-        }
-
-    def __init__(self, store: ParameterStore, prefix: str) -> None:
-        self.w, self.b = store.params[f"{prefix}.w"], store.params[f"{prefix}.b"]
-        self.g_w, self.g_b = store.grads[f"{prefix}.w"], store.grads[f"{prefix}.b"]
-
-
 def lstm_step(
     w: np.ndarray, b: np.ndarray, x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -92,23 +72,27 @@ def lstm_step_backward(
 
 
 class BiLstmEncoder:
-    """Two LSTM directions over the word table held in the store."""
+    """Two LSTM directions over the word table held in the store.
+
+    Both directions live in one stacked weight `lstm.w` (2, 4h, d+h) and
+    bias `lstm.b` (2, 4h): direction 0 reads left to right, direction 1
+    right to left. Each direction's rows stack its four gates in the order
+    input, forget, output, candidate: gate g (0..3) owns rows g*h .. (g+1)*h.
+    """
 
     @staticmethod
     def layout(d: int, h: int) -> Layout:
-        return {**LstmCell.layout("lstm_fwd", d, h), **LstmCell.layout("lstm_bwd", d, h)}
+        return {
+            "lstm.w": ((2, 4 * h, d + h), 1.0 / np.sqrt(d + h)),
+            "lstm.b": ((2, 4 * h), 0.0),
+        }
 
     def __init__(self, store: ParameterStore) -> None:
         self.embeddings, self.g_embeddings = store.params[TABLE], store.grads[TABLE]
-        self.forward_cell = LstmCell(store, "lstm_fwd")
-        self.backward_cell = LstmCell(store, "lstm_bwd")
-        self.cells = (self.forward_cell, self.backward_cell)
+        self.w, self.b = store.params["lstm.w"], store.params["lstm.b"]
+        self.g_w, self.g_b = store.grads["lstm.w"], store.grads["lstm.b"]
         self.d = self.embeddings.shape[1]
-        self.h = self.forward_cell.b.size // 4
-
-    def _stacked(self, name: str) -> np.ndarray:
-        """Both directions' array `name` stacked on a leading direction axis."""
-        return np.stack([getattr(cell, name) for cell in self.cells])
+        self.h = self.b.shape[1] // 4
 
     def encode(self, sentences) -> tuple[np.ndarray, list[tuple]]:
         """(S, 2h) intent vectors of S word-id sequences, in input order, plus cache.
@@ -124,7 +108,6 @@ class BiLstmEncoder:
                 raise ValueError(f"intent encoder: empty word list in sentence {s}")
             groups.setdefault(len(ids), []).append(s)
         h = self.h
-        w, b = self._stacked("w"), self._stacked("b")
         out = np.zeros((len(sentences), 2 * h))
         cache = []
         for rows in groups.values():
@@ -138,7 +121,7 @@ class BiLstmEncoder:
             gates = np.empty((steps, 2, size, 4 * h))
             for t in range(steps):
                 x = self.embeddings[tokens[:, t]]
-                hs[t + 1], cs[t + 1], gates[t] = lstm_step(w, b, x, hs[t], cs[t])
+                hs[t + 1], cs[t + 1], gates[t] = lstm_step(self.w, self.b, x, hs[t], cs[t])
             out[rows] = np.concatenate(hs[-1], axis=1)
             cache.append((rows, tokens, hs, cs, gates))
         return out, cache
@@ -146,9 +129,6 @@ class BiLstmEncoder:
     def encode_backward(self, dvec: np.ndarray, cache: list[tuple]) -> None:
         """Backprop d(loss)/d(intent vectors) (S, 2h) through both directions."""
         h = self.h
-        w = self._stacked("w")
-        # the weight gradients accumulate in stacked copies, written back once
-        g_w, g_b = self._stacked("g_w"), self._stacked("g_b")
         for rows, tokens, hs, cs, gates in cache:
             steps = tokens.shape[1]
             dx = np.empty(tokens.shape + (self.d,))
@@ -157,15 +137,12 @@ class BiLstmEncoder:
             for t in range(steps - 1, -1, -1):
                 x = self.embeddings[tokens[:, t]]
                 dx[:, t], dh, dc, dw, db = lstm_step_backward(
-                    w, dh, dc, x, hs[t], cs[t], gates[t], cs[t + 1]
+                    self.w, dh, dc, x, hs[t], cs[t], gates[t], cs[t + 1]
                 )
-                g_w += dw
-                g_b += db
+                self.g_w += dw
+                self.g_b += db
             # direction-major scatter: the table gradient sums in a fixed order
             np.add.at(self.g_embeddings, tokens, dx)
-        for r, cell in enumerate(self.cells):
-            cell.g_w[...] = g_w[r]
-            cell.g_b[...] = g_b[r]
 
 
 def intent_hinge(

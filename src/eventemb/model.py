@@ -18,8 +18,8 @@ EMBED_BLOCK = 256
 
 def layout(d: int, k: int, n: int) -> Layout:
     """Every array but the table, in checkpoint order: the three composition
-    layers first (the L2 slice), then `u`, the two LSTM directions of size
-    k/2 and the sentiment head."""
+    layers first (the L2 slice), then `u`, the stacked LSTM directions of
+    size k/2 and the sentiment head."""
     return {
         **EventComposer.layout(d, k, n),
         **BiLstmEncoder.layout(d, k // 2),

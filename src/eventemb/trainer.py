@@ -84,6 +84,8 @@ class TrainingConfig:
             raise ValueError(f"batch_size={self.batch_size} must be >= 1")
         if self.epochs < 1:
             raise ValueError(f"epochs={self.epochs} must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed={self.seed} must be >= 0")
         if not (0 < self.learning_rate < np.inf):
             raise ValueError(f"learning_rate={self.learning_rate} must be finite and > 0")
         if not (0 <= self.lambda_l2 < np.inf):
@@ -375,6 +377,11 @@ def train(
     )
 
     intent_pool = [ex.intent for ex in examples if ex.intent is not None]
+    if len(set(intent_pool)) == 1:
+        words = " ".join(vocab.words[i] for i in intent_pool[0])
+        raise ValueError(
+            f"cannot sample a negative intent: every annotated intent is '{words}'"
+        )
     metrics_path = None
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)

@@ -379,19 +379,19 @@ def per_array_adagrad_step(store, learning_rate, scale, eps):
             g[...] = 0.0
 
 
-def _cell_step(cell, x, h_prev, c_prev):
+def _cell_step(w, b, x, h_prev, c_prev):
     """One direction's LSTM step on (B, d) rows: one (B, d+h) @ (d+h, 4h) GEMM."""
-    h = cell.b.shape[0] // 4
-    gates = np.concatenate((x, h_prev), axis=1) @ cell.w.T + cell.b
+    h = b.shape[0] // 4
+    gates = np.concatenate((x, h_prev), axis=1) @ w.T + b
     gates[:, : 3 * h] = sigmoid(gates[:, : 3 * h])
     gates[:, 3 * h :] = np.tanh(gates[:, 3 * h :])
     c = gates[:, h : 2 * h] * c_prev + gates[:, :h] * gates[:, 3 * h :]
     return gates[:, 2 * h : 3 * h] * np.tanh(c), c, gates
 
 
-def _cell_step_backward(cell, dh, dc, x, h_prev, c_prev, gates, c):
-    """Backward of `_cell_step`, accumulating into the cell's gradients."""
-    h = cell.b.shape[0] // 4
+def _cell_step_backward(w, g_w, g_b, dh, dc, x, h_prev, c_prev, gates, c):
+    """Backward of `_cell_step`, accumulating into the direction's gradients."""
+    h = g_b.shape[0] // 4
     gi, gf, go, gc = (gates[:, j * h : (j + 1) * h] for j in range(4))
     tanh_c = np.tanh(c)
     dc_total = dc + dh * go * (1.0 - tanh_c * tanh_c)
@@ -401,9 +401,9 @@ def _cell_step_backward(cell, dh, dc, x, h_prev, c_prev, gates, c):
         dh * tanh_c * go * (1.0 - go),
         dc_total * gi * (1.0 - gc * gc),
     ), axis=1)
-    cell.g_w += da.T @ np.concatenate((x, h_prev), axis=1)
-    cell.g_b += da.sum(axis=0)
-    dz = da @ cell.w
+    g_w += da.T @ np.concatenate((x, h_prev), axis=1)
+    g_b += da.sum(axis=0)
+    dz = da @ w
     d = x.shape[1]
     return dz[:, :d], dz[:, d:], dc_total * gf
 
@@ -425,9 +425,11 @@ def per_direction_encode(encoder, sentences):
         cs = np.zeros((2, steps + 1, size, h))
         gates = np.empty((2, steps, size, 4 * h))
         for t in range(steps):
-            for r, cell in enumerate(encoder.cells):
+            for r in range(2):
                 x = encoder.embeddings[tokens[r, t]]
-                hs[r, t + 1], cs[r, t + 1], gates[r, t] = _cell_step(cell, x, hs[r, t], cs[r, t])
+                hs[r, t + 1], cs[r, t + 1], gates[r, t] = _cell_step(
+                    encoder.w[r], encoder.b[r], x, hs[r, t], cs[r, t]
+                )
         out[rows] = np.concatenate(hs[:, -1], axis=1)
         cache.append((rows, tokens, hs, cs, gates))
     return out, cache
@@ -440,13 +442,13 @@ def per_direction_encode_backward(encoder, dvec, cache):
     for rows, tokens, hs, cs, gates in cache:
         steps = tokens.shape[1]
         dx = np.empty(tokens.shape + (encoder.d,))
-        for r, cell in enumerate(encoder.cells):
+        for r in range(2):
             dh = dvec[rows, r * h : (r + 1) * h]
             dc = np.zeros_like(dh)
             for t in range(steps - 1, -1, -1):
                 dx[r, t], dh, dc = _cell_step_backward(
-                    cell, dh, dc, encoder.embeddings[tokens[r, t]], hs[r, t], cs[r, t],
-                    gates[r, t], cs[r, t + 1],
+                    encoder.w[r], encoder.g_w[r], encoder.g_b[r], dh, dc,
+                    encoder.embeddings[tokens[r, t]], hs[r, t], cs[r, t], gates[r, t], cs[r, t + 1],
                 )
         np.add.at(encoder.g_embeddings, tokens, dx)
 

@@ -140,6 +140,13 @@ class TestCorruptionDetection:
         with pytest.raises(CheckpointError, match="version 1$"):
             parse_checkpoint(bytes(data))
 
+    def test_version_2_rejected(self):
+        ckpt, _ = make_checkpoint()
+        data = bytearray(checkpoint_bytes(ckpt))
+        data[8] = 2  # each LSTM direction as its own arrays, before they were stacked
+        with pytest.raises(CheckpointError, match="version 2$"):
+            parse_checkpoint(bytes(data))
+
     def test_invalid_config_rejected(self):
         ckpt, _ = make_checkpoint()
         bad = dataclasses.replace(ckpt, config=dataclasses.replace(ckpt.config, alpha=5.0))
@@ -168,8 +175,8 @@ class TestCorruptionDetection:
 
 
 class TestLayout:
-    def test_version_2_parameter_names_and_shapes(self):
-        # d=5, k=4, n=2, so h=2 and each LSTM direction is one (4h, d+h) block
+    def test_version_3_parameter_names_and_shapes(self):
+        # d=5, k=4, n=2, so h=2 and the LSTM directions stack as (2, 4h, d+h)
         ckpt, _ = make_checkpoint(d=5, k=4, n=2)
         expected = [("embeddings", (13, 5))]
         for prefix, d_in in (("layer1", 5), ("layer2", 5), ("layer3", 4)):
@@ -182,18 +189,16 @@ class TestLayout:
             ]
         expected += [
             ("u", (4,)),
-            ("lstm_fwd.w", (8, 7)),
-            ("lstm_fwd.b", (8,)),
-            ("lstm_bwd.w", (8, 7)),
-            ("lstm_bwd.b", (8,)),
+            ("lstm.w", (2, 8, 7)),
+            ("lstm.b", (2, 8)),
             ("sentiment.w", (2, 4)),
             ("sentiment.b", (2,)),
         ]
         data = checkpoint_bytes(ckpt)
-        assert struct.unpack_from("<I", data, 8)[0] == VERSION == 2
+        assert struct.unpack_from("<I", data, 8)[0] == VERSION == 3
         loaded = parse_checkpoint(data).arrays
         assert [(name, arr.shape) for name, arr in loaded.items()] == expected
-        assert len(loaded) == 23
+        assert len(loaded) == 21
 
 
 class TestShapeValidation:
@@ -330,6 +335,7 @@ class TestCraftedCheckpoints:
             ("config", dict(CONFIG, n=True), "bad checkpoint config: n=True"),
             ("config", dict(CONFIG, alpha=False), "bad checkpoint config: alpha=False"),
             ("config", dict(CONFIG, corruption_target=1), "bad checkpoint config"),
+            ("config", dict(CONFIG, seed=-1), "bad checkpoint config: seed=-1 must be >= 0"),
         ],
     )
     def test_bad_header_field_is_named(self, field, value, match):

@@ -136,9 +136,13 @@ class TestWordVectors:
     def test_extend_embeddings_returns_a_fresh_table(self, tmp_path):
         path = write(tmp_path, "vec.txt", "a 1 0\nb 0 1\n")
         vocab, table = load_word_vectors(path)
-        vocab2, table2 = extend_embeddings(vocab, table, ["a", "b"], np.random.default_rng(0))
+        rng = np.random.default_rng(0)
+        vocab2, table2 = extend_embeddings(vocab, table, ["a", "b"], rng)
         assert len(vocab2) == len(vocab)
         assert np.array_equal(table2, table) and not np.shares_memory(table2, table)
+        assert table2.dtype == np.float64 and table2.flags.c_contiguous
+        # with no new rows nothing is drawn: the generator's stream is unchanged
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
     def test_extend_embeddings_adds_rows_in_range(self, tmp_path):
         path = write(tmp_path, "vec.txt", "a 1 0\nb 0 1\n")

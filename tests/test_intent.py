@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 
 from eventemb.data import Vocabulary
 from eventemb.intent import (
-    BiLstmEncoder, LstmCell, intent_hinge, lstm_step, lstm_step_backward,
+    BiLstmEncoder, intent_hinge, lstm_step, lstm_step_backward,
 )
+from eventemb.params import initial_arrays
 from eventemb.trainer import Negatives, TrainingConfig, joint_loss
 from conftest import WORDS, coded, make_model, make_store, random_event, word_ids
 from gradcheck import grad_check, random_projection
@@ -30,87 +31,90 @@ def encode_words(encoder, vocab, words):
     return encoder.encode([word_ids(vocab, words)])[0][0]
 
 
-def make_cell(seed=0, d=2, h=3):
-    store = make_store(LstmCell.layout("cell", d, h), np.random.default_rng(seed))
-    cell = LstmCell(store, "cell")
-    return cell, store
-
-
-def step(cell, x, h_prev, c_prev):
-    """`lstm_step` of one direction: the cell's unstacked weights."""
-    return lstm_step(cell.w, cell.b, x, h_prev, c_prev)
+def zero_cell(d=2, h=3):
+    """One direction's all-zero weight (4h, d+h) and bias (4h,)."""
+    return np.zeros((4 * h, d + h)), np.zeros(4 * h)
 
 
 class TestLstmStep:
     def test_all_zero_gives_zero_hidden(self):
-        cell, store = make_cell()
-        for arr in store.params.values():
-            arr[...] = 0.0
-        h, c, _ = step(cell, np.zeros((2, 2)), np.zeros((2, 3)), np.zeros((2, 3)))
+        w, b = zero_cell()
+        h, c, _ = lstm_step(w, b, np.zeros((2, 2)), np.zeros((2, 3)), np.zeros((2, 3)))
         assert np.array_equal(h, np.zeros((2, 3)))
         assert np.array_equal(c, np.zeros((2, 3)))
 
     def test_saturated_gates_carry_cell_state(self):
-        cell, store = make_cell(d=2, h=2)
-        for arr in store.params.values():
-            arr[...] = 0.0
-        cell.b[2:4] = 20.0  # forget gate open
-        cell.b[0:2] = -20.0  # input gate shut
+        w, b = zero_cell(d=2, h=2)
+        b[2:4] = 20.0  # forget gate open
+        b[0:2] = -20.0  # input gate shut
         c_prev = np.array([[1.0, 1.0], [-0.5, 2.0]])
-        _, c, _ = step(cell, np.zeros((2, 2)), np.zeros((2, 2)), c_prev)
+        _, c, _ = lstm_step(w, b, np.zeros((2, 2)), np.zeros((2, 2)), c_prev)
         assert np.all(np.abs(c - c_prev) < 1e-6)
 
     def test_saturated_output_gate_exposes_or_hides_cell_state(self):
-        cell, store = make_cell(d=2, h=2)
-        for arr in store.params.values():
-            arr[...] = 0.0
-        cell.b[0:2] = -20.0  # input gate shut
-        cell.b[2:4] = 20.0  # forget gate open
-        cell.b[6:8] = 20.0  # candidate saturated, so a wrong gate order shows
+        w, b = zero_cell(d=2, h=2)
+        b[0:2] = -20.0  # input gate shut
+        b[2:4] = 20.0  # forget gate open
+        b[6:8] = 20.0  # candidate saturated, so a wrong gate order shows
         c_prev = np.array([[0.5, -1.0], [2.0, 0.25]])
-        cell.b[4:6] = 20.0  # output gate open
-        h, _, _ = step(cell, np.zeros((2, 2)), np.zeros((2, 2)), c_prev)
+        b[4:6] = 20.0  # output gate open
+        h, _, _ = lstm_step(w, b, np.zeros((2, 2)), np.zeros((2, 2)), c_prev)
         assert np.all(np.abs(h - np.tanh(c_prev)) < 1e-6)
-        cell.b[4:6] = -20.0  # output gate shut
-        h, c, _ = step(cell, np.zeros((2, 2)), np.zeros((2, 2)), c_prev)
+        b[4:6] = -20.0  # output gate shut
+        h, c, _ = lstm_step(w, b, np.zeros((2, 2)), np.zeros((2, 2)), c_prev)
         assert np.all(np.abs(h) < 1e-6)
         assert np.all(np.abs(c - c_prev) < 1e-6)
 
     def test_matches_scalar_oracle(self):
-        cell, _ = make_cell(seed=3, d=2, h=3)
+        # direction 0 of a new encoder's stacked arrays
+        arrays = initial_arrays(BiLstmEncoder.layout(2, 3), np.random.default_rng(3))
+        w, b = arrays["lstm.w"][0], arrays["lstm.b"][0]
         rng = np.random.default_rng(30)
         x = rng.standard_normal((4, 2))
         h_prev = rng.standard_normal((4, 3))
         c_prev = rng.standard_normal((4, 3))
-        h, c, _ = step(cell, x, h_prev, c_prev)
+        h, c, _ = lstm_step(w, b, x, h_prev, c_prev)
         for row in range(4):
-            h_ref, c_ref = scalar_lstm_step(x[row], h_prev[row], c_prev[row], cell.w, cell.b)
+            h_ref, c_ref = scalar_lstm_step(x[row], h_prev[row], c_prev[row], w, b)
             assert h[row] == pytest.approx(h_ref, abs=1e-14)
             assert c[row] == pytest.approx(c_ref, abs=1e-14)
 
     def test_dimension_errors(self):
-        cell, _ = make_cell(d=2, h=3)
+        w, b = zero_cell(d=2, h=3)
         with pytest.raises(ValueError, match=r"input has shape \(5,\), expected \(B, 2\)"):
-            step(cell, np.zeros(5), np.zeros((1, 3)), np.zeros((1, 3)))
+            lstm_step(w, b, np.zeros(5), np.zeros((1, 3)), np.zeros((1, 3)))
         with pytest.raises(ValueError, match=r"input has shape \(1, 5\), expected \(B, 2\)"):
-            step(cell, np.zeros((1, 5)), np.zeros((1, 3)), np.zeros((1, 3)))
+            lstm_step(w, b, np.zeros((1, 5)), np.zeros((1, 3)), np.zeros((1, 3)))
         with pytest.raises(ValueError, match=r"state has shape .*, expected \(2, 3\)"):
-            step(cell, np.zeros((2, 2)), np.zeros((2, 4)), np.zeros((2, 3)))
+            lstm_step(w, b, np.zeros((2, 2)), np.zeros((2, 4)), np.zeros((2, 3)))
         with pytest.raises(ValueError, match=r"state has shape .*, expected \(2, 3\)"):
-            step(cell, np.zeros((2, 2)), np.zeros((2, 3)), np.zeros((1, 3)))
+            lstm_step(w, b, np.zeros((2, 2)), np.zeros((2, 3)), np.zeros((1, 3)))
         with pytest.raises(ValueError, match=r"state has shape .*, expected \(2, 3\)"):
-            step(cell, np.zeros((2, 2)), np.zeros(3), np.zeros(3))
-
+            lstm_step(w, b, np.zeros((2, 2)), np.zeros(3), np.zeros(3))
 
     def test_stacked_dimension_errors(self):
-        cell, _ = make_cell(d=2, h=3)
-        w, b = np.stack((cell.w, cell.w)), np.stack((cell.b, cell.b))
+        encoder, _, _, _ = make_encoder(d=2, h=3)
+        w, b = encoder.w, encoder.b
         states = np.zeros((2, 1, 3))
         for x in (np.zeros((1, 2)), np.zeros((3, 1, 2)), np.zeros((2, 1, 5))):
             with pytest.raises(ValueError, match=r"input has shape .*, expected \(R, B, 2\)"):
                 lstm_step(w, b, x, states, states)
         with pytest.raises(ValueError, match=r"state has shape .*, expected \(2, 1, 3\)"):
             lstm_step(w, b, np.zeros((2, 1, 2)), np.zeros((1, 1, 3)), states)
+
+    def test_stacked_layout_draws_the_directions_one_after_the_other(self):
+        # biases are zeros and draw nothing, so the stacked weight is the two
+        # directions' (4h, d+h) draws in turn, and the generator ends where
+        # those two draws leave it
+        d, h = 5, 2
+        rng, want = np.random.default_rng(9), np.random.default_rng(9)
+        arrays = initial_arrays(BiLstmEncoder.layout(d, h), rng)
+        r = 1.0 / np.sqrt(d + h)
+        directions = [want.uniform(-r, r, (4 * h, d + h)) for _ in range(2)]
+        assert list(arrays) == ["lstm.w", "lstm.b"]
+        assert np.array_equal(arrays["lstm.w"], np.stack(directions))
+        assert np.array_equal(arrays["lstm.b"], np.zeros((2, 4 * h)))
+        assert rng.bit_generator.state == want.bit_generator.state
 
 
 class TestEncodeIntent:
@@ -129,19 +133,17 @@ class TestEncodeIntent:
 
     def test_palindrome_with_tied_cells(self):
         encoder, vocab, _, _ = make_encoder(seed=5)
-        encoder.backward_cell.w[...] = encoder.forward_cell.w
-        encoder.backward_cell.b[...] = encoder.forward_cell.b
+        encoder.w[1] = encoder.w[0]
+        encoder.b[1] = encoder.b[0]
         out = encode_words(encoder, vocab, ["to", "have", "to"])
         assert np.array_equal(out[:3], out[3:])
 
     def test_reversal_swaps_direction_roles(self):
         enc_a, vocab, _, _ = make_encoder(seed=6)
         enc_b, _, _, _ = make_encoder(seed=6)
-        # enc_b carries enc_a's cells with directions exchanged
-        enc_b.forward_cell.w[...] = enc_a.backward_cell.w
-        enc_b.forward_cell.b[...] = enc_a.backward_cell.b
-        enc_b.backward_cell.w[...] = enc_a.forward_cell.w
-        enc_b.backward_cell.b[...] = enc_a.forward_cell.b
+        # enc_b carries enc_a's weights with directions exchanged
+        enc_b.w[...] = enc_a.w[::-1]
+        enc_b.b[...] = enc_a.b[::-1]
         words = ["alice", "threw", "ball"]
         reversed_out = encode_words(enc_a, vocab, words[::-1])
         swapped_out = encode_words(enc_b, vocab, words)
@@ -176,10 +178,10 @@ class TestEncodeIntent:
         for row, sentence in enumerate(sentences):
             ids = [vocab.index(w) for w in sentence]
             halves = []
-            for cell, order in ((encoder.forward_cell, ids), (encoder.backward_cell, ids[::-1])):
+            for r, order in enumerate((ids, ids[::-1])):
                 h, c = np.zeros(3), np.zeros(3)
                 for i in order:
-                    h, c = scalar_lstm_step(encoder.embeddings[i], h, c, cell.w, cell.b)
+                    h, c = scalar_lstm_step(encoder.embeddings[i], h, c, encoder.w[r], encoder.b[r])
                 halves.append(h)
             assert vectors[row] == pytest.approx(np.concatenate(halves), abs=1e-12)
 
@@ -317,26 +319,27 @@ class TestIntentLoss:
 class TestLstmStepGradients:
     @pytest.mark.parametrize("seed", range(5))
     def test_random_small_instances(self, seed):
-        # scalarize (h, c) of three rows through fixed random projections
+        # scalarize (h, c) of three rows per direction through fixed random
+        # projections; both directions step as one stack, as the encoder runs them
         rng = np.random.default_rng(seed)
         d = int(rng.integers(1, 5))
         h = int(rng.integers(1, 5))
         rows = 3
-        store = make_store(LstmCell.layout("cell", d, h), rng)
-        cell = LstmCell(store, "cell")
-        x = rng.standard_normal((rows, d))
-        h_prev = rng.standard_normal((rows, h))
-        c_prev = rng.standard_normal((rows, h))
-        proj_h = random_projection(rows * h, rng).reshape(rows, h)
-        proj_c = random_projection(rows * h, rng).reshape(rows, h)
+        store = make_store(BiLstmEncoder.layout(d, h), rng)
+        w, b = store.params["lstm.w"], store.params["lstm.b"]
+        x = rng.standard_normal((2, rows, d))
+        h_prev = rng.standard_normal((2, rows, h))
+        c_prev = rng.standard_normal((2, rows, h))
+        proj_h = random_projection(2 * rows * h, rng).reshape(2, rows, h)
+        proj_c = random_projection(2 * rows * h, rng).reshape(2, rows, h)
         params = dict(store.params) | {"x": x, "h_prev": h_prev, "c_prev": c_prev}
 
         def fn():
-            h_out, c_out, gates = step(cell, x, h_prev, c_prev)
+            h_out, c_out, gates = lstm_step(w, b, x, h_prev, c_prev)
             dx, dh_prev, dc_prev, dw, db = lstm_step_backward(
-                cell.w, proj_h, proj_c, x, h_prev, c_prev, gates, c_out
+                w, proj_h, proj_c, x, h_prev, c_prev, gates, c_out
             )
-            grads = {"cell.w": dw, "cell.b": db, "x": dx, "h_prev": dh_prev, "c_prev": dc_prev}
+            grads = {"lstm.w": dw, "lstm.b": db, "x": dx, "h_prev": dh_prev, "c_prev": dc_prev}
             return float(np.sum(proj_h * h_out) + np.sum(proj_c * c_out)), grads
 
         assert grad_check(fn, params) < 1e-4
@@ -346,7 +349,7 @@ class TestIntentGradientsEndToEnd:
     @pytest.mark.parametrize("seed", (11, 12, 13))
     def test_through_encoder_and_composer(self, seed):
         # h=3 (k=6), d=4, sequence length 3; beta-only joint loss exercises
-        # the full path: cell weights, word vectors and the upstream composer
+        # the full path: LSTM weights, word vectors and the upstream composer
         model, vocab, rng = make_model(seed=seed, n_words=12, d=4, k=6, n=2)
         example = coded(vocab, random_event(vocab, rng), intent=("to", "have", "fun"))
         negatives = Negatives(None, word_ids(vocab, ("run", "fast", "bob")))

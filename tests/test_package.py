@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import eventemb
+from eventemb import checkpoint, model
 
 
 def test_every_public_name_imports():
@@ -58,3 +59,13 @@ def test_bench_records_share_one_layout(path):
     assert record["summary"]
     for metric, entry in record["summary"].items():
         assert SUMMARY_KEYS <= entry.keys(), metric
+
+
+def test_readme_checkpoint_layout_matches_the_code():
+    """README's byte layout names the format version and array count the
+    writer uses, so a format change cannot leave it stale."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    version = re.findall(r"format version\s+u32\s+(\d+)", readme)
+    count = re.findall(r"That is\s+(\d+)\s+arrays", readme)
+    assert version == [str(checkpoint.VERSION)]
+    assert count == [str(1 + len(model.layout(6, 4, 2)))]

@@ -54,6 +54,8 @@ class TestConfig:
             TrainingConfig(k=5, n=2).validate()
         with pytest.raises(ValueError, match="n=20"):
             TrainingConfig(d=10, k=30, n=20).validate()
+        with pytest.raises(ValueError, match="seed=-1 must be >= 0"):
+            TrainingConfig(seed=-1).validate()
 
     def test_all_zero_weights_rejected(self):
         with pytest.raises(ValueError, match="alpha, beta and gamma are all 0"):
@@ -272,7 +274,7 @@ class TestAdagrad:
                         step, arrays, name
                     )
 
-    @pytest.mark.parametrize("name", ["layer1.left", "layer3.b", "u", "lstm_bwd.w", "sentiment.b"])
+    @pytest.mark.parametrize("name", ["layer1.left", "layer3.b", "u", "lstm.w", "sentiment.b"])
     def test_nonfinite_flat_gradient_names_its_array(self, name):
         store = make_model(seed=2)[0].store
         store.grads[name].reshape(-1)[-1] = np.inf
@@ -298,7 +300,7 @@ class TestFlatStore:
     def test_dense_arrays_are_views_of_the_flat_buffers_in_registration_order(self):
         store = make_model(d=6, k=4, n=2)[0].store
         names = list(store.params)
-        assert names == ["embeddings", *layout(6, 4, 2)] and len(names) == 23
+        assert names == ["embeddings", *layout(6, 4, 2)] and len(names) == 21
         for arrays, flat in (
             (store.params, store.flat_params),
             (store.grads, store.flat_grads),
@@ -523,7 +525,8 @@ class TestTrainLoop:
 
     def test_rejected_run_leaves_the_previous_run_untouched(self, synthetic_dir, tmp_path):
         # the corpus events carry no intent, so an intent-only run is rejected,
-        # before it creates or writes anything in its output directory
+        # and so is a run whose annotations share one intent, before it
+        # creates or writes anything in its output directory
         inputs = synthetic_inputs(synthetic_dir)
         cfg = TrainingConfig(d=10, k=8, n=2, epochs=2, learning_rate=0.05,
                              batch_size=10, seed=4)
@@ -532,9 +535,13 @@ class TestTrainLoop:
         before = {path.name: path.read_bytes() for path in out.iterdir()}
         assert len(before["metrics.tsv"].splitlines()) == 2
         intent_only = dataclasses.replace(cfg, alpha=0.0, beta=1.0, gamma=0.0)
+        # a pool of one distinct intent leaves no negative intent to sample
+        won = AnnotatedExample(EventTuple(("he",), ("won",), ("game",)), intent=("to", "win"))
         for target in (out, tmp_path / "new"):
             with pytest.raises(ValueError, match="activates no loss term"):
                 train(intent_only, out_dir=str(target), **inputs)
+            with pytest.raises(ValueError, match="every annotated intent is 'to win'"):
+                train(cfg, [], [won, won], out_dir=str(target))
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
         assert not (tmp_path / "new").exists()
 
