@@ -16,9 +16,9 @@ Layout (all integers little-endian):
         float64 little-endian data, C order
 
 Any truncation or in-place corruption fails the length or CRC check, and
-an invalid config, a malformed header field or array record, or a
-non-finite array is rejected too; a checkpoint either loads losslessly or
-raises CheckpointError.
+a config that lacks a field or is not valid when built, a malformed header
+field or array record, or a non-finite array is rejected too; a checkpoint
+either loads losslessly or raises CheckpointError.
 
 Loading reads the file once into one buffer and parses it in place: the
 arrays are views of that buffer, not copies.
@@ -31,7 +31,7 @@ import math
 import os
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -130,9 +130,12 @@ def _header_fields(header, path: str) -> tuple:
             raise CheckpointError(f"{path}: checkpoint header lacks '{key}'")
     try:
         config = TrainingConfig.from_dict(header["config"])
-        config.validate()
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: bad checkpoint config: {exc}") from exc
+    # a field the header omits would take its default: resuming needs them all
+    missing = [f.name for f in fields(config) if f.name not in header["config"]]
+    if missing:
+        raise CheckpointError(f"{path}: bad checkpoint config: missing {', '.join(missing)}")
     # JSON decodes to exact types, and `type(...) is int` rejects a bool
     vocab, epoch, rng_state = header["vocab"], header["epoch"], header["rng_state"]
     if type(vocab) is not list or set(map(type, vocab)) - {str}:

@@ -27,40 +27,36 @@ _CONFIG_FIELDS = {
 
 
 def parse_config_file(path: str) -> dict:
-    """Parse `key = value` lines mirroring TrainingConfig field names."""
+    """Parse `key = value` lines mirroring TrainingConfig field names; each
+    key may appear once."""
     values: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise DataError(path, lineno, "expected `key = value`")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key not in _CONFIG_FIELDS:
-                raise DataError(path, lineno, f"unknown config key {key!r}")
-            try:
-                values[key] = _CONFIG_FIELDS[key](value)
-            except ValueError as exc:
-                raise DataError(path, lineno, f"bad value for {key!r}: {exc}") from exc
+    first: dict[str, int] = {}
+    for lineno, line in data_io.records(path):
+        key, equals, value = (part.strip() for part in line.partition("="))
+        if not equals:
+            raise DataError(path, lineno, "expected `key = value`")
+        if key not in _CONFIG_FIELDS:
+            raise DataError(path, lineno, f"unknown config key {key!r}")
+        if key in first:
+            raise DataError(path, lineno, f"config key {key!r} repeats line {first[key]}")
+        first[key] = lineno
+        try:
+            values[key] = _CONFIG_FIELDS[key](value)
+        except ValueError as exc:
+            raise DataError(path, lineno, f"bad value for {key!r}: {exc}") from exc
     return values
 
 
 def _build_config(args: argparse.Namespace) -> trainer.TrainingConfig:
-    """Defaults, then the config file, then the preset, then explicit flags."""
-    config = trainer.TrainingConfig.from_dict(
-        parse_config_file(args.config) if args.config else {}
-    )
+    """Defaults, overridden by the config file, then the preset, then explicit
+    flags, merged into one dict and built once."""
+    values = parse_config_file(args.config) if args.config else {}
     if args.preset:
-        config = config.with_preset(args.preset)
-    flags = {
-        key: value for key in _CONFIG_FIELDS if (value := getattr(args, key)) is not None
-    }
-    config = dataclasses.replace(config, **flags)
-    config.validate()
-    return config
+        values.update(zip(("alpha", "beta", "gamma"), trainer.PRESETS[args.preset]))
+    values.update(
+        (key, value) for key in _CONFIG_FIELDS if (value := getattr(args, key)) is not None
+    )
+    return trainer.TrainingConfig.from_dict(values)
 
 
 def _cmd_train(args: argparse.Namespace) -> int:

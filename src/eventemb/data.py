@@ -1,8 +1,9 @@
 """Corpus, annotation, lexicon and word-vector ingestion.
 
-All on-disk formats are line-oriented UTF-8 text; `#`-prefixed lines are
-comments and blank lines are ignored. See the README for the exact grammar
-of each file type. Parsed structures are immutable and freely shareable.
+All on-disk formats are line-oriented UTF-8 text, read by `records`:
+`#`-prefixed lines are comments, blank lines are ignored and a leading
+byte-order mark is dropped. See the README for the exact grammar of each
+file type. Parsed structures are immutable and freely shareable.
 """
 
 from __future__ import annotations
@@ -52,11 +53,18 @@ class EventTuple:
 
 @dataclass(frozen=True)
 class AnnotatedExample:
-    """An event plus optional intent sentence and emotion words."""
+    """An event plus optional intent sentence and emotion words; either, if
+    present, holds at least one word."""
 
     event: EventTuple
     intent: tuple[str, ...] | None = None
     emotion_words: tuple[str, ...] | None = None
+
+    def __post_init__(self) -> None:
+        for field in ("intent", "emotion_words"):
+            words = getattr(self, field)
+            if words is not None and not words:
+                raise ValueError(f"annotated example: empty {field}")
 
 
 @dataclass(frozen=True)
@@ -126,8 +134,10 @@ class Vocabulary:
         return vocab
 
 
-def _records(path: str) -> Iterable[tuple[int, str]]:
-    with open(path, "r", encoding="utf-8") as fh:
+def records(path: str) -> Iterable[tuple[int, str]]:
+    """(line number, line) of each line that is neither blank nor a comment;
+    a leading UTF-8 byte-order mark is dropped."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line.strip() or line.lstrip().startswith("#"):
@@ -137,7 +147,7 @@ def _records(path: str) -> Iterable[tuple[int, str]]:
 
 def _fields(path: str, count: int, need: str) -> Iterable[tuple[int, list[str]]]:
     """The tab-separated fields of each record, which must number `count`."""
-    for lineno, line in _records(path):
+    for lineno, line in records(path):
         fields = line.split("\t")
         if len(fields) != count:
             raise DataError(path, lineno, f"{need}, got {len(fields)}")
@@ -158,7 +168,7 @@ def load_word_vectors(path: str) -> tuple[Vocabulary, np.ndarray]:
     words: list[str] = []
     values: list[str] = []
     linenos: list[int] = []
-    for lineno, line in _records(path):
+    for lineno, line in records(path):
         parts = line.split(None, 1)
         if len(parts) < 2:
             raise DataError(path, lineno, "expected a word followed by vector entries")
@@ -267,7 +277,7 @@ def format_event(event: EventTuple) -> str:
 
 def load_corpus(path: str) -> list[EventTuple]:
     """One event per line: `actor words|predicate words|object words`."""
-    return [parse_event(line, path, lineno) for lineno, line in _records(path)]
+    return [parse_event(line, path, lineno) for lineno, line in records(path)]
 
 
 def load_annotations(path: str) -> list[AnnotatedExample]:

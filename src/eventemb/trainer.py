@@ -48,8 +48,10 @@ PRESETS: dict[str, tuple[float, float, float]] = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainingConfig:
+    """One run's settings, checked when built, so no invalid config exists."""
+
     alpha: float = 1.0
     beta: float = 1.0
     gamma: float = 1.0
@@ -63,7 +65,7 @@ class TrainingConfig:
     seed: int = 42
     corruption_target: str = "actor"
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         # each field has exactly the type of its default, except that a float
         # field also takes an int; a bool is neither
         for field in dataclasses.fields(self):
@@ -353,7 +355,6 @@ def train(
     set, one checkpoint per epoch, `final.ckpt` (a hard link to the last) and
     `metrics.tsv` go there.
     """
-    config.validate()
     if not corpus and not annotations:
         raise ValueError("empty training data: no corpus events and no annotations")
 
@@ -376,6 +377,12 @@ def train(
         {TABLE: table, **initial_arrays(layout(config.d, config.k, config.n), rng)},
     )
 
+    # corrupt_event draws from ids 1 .. |V| - 1 and redraws the original
+    if config.alpha > 0.0 and len(vocab) < 3:
+        raise ValueError(
+            f"cannot corrupt an event: the vocabulary has {len(vocab) - 1} usable words, "
+            "need at least 2"
+        )
     intent_pool = [ex.intent for ex in examples if ex.intent is not None]
     if len(set(intent_pool)) == 1:
         words = " ".join(vocab.words[i] for i in intent_pool[0])

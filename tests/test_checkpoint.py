@@ -147,19 +147,6 @@ class TestCorruptionDetection:
         with pytest.raises(CheckpointError, match="version 2$"):
             parse_checkpoint(bytes(data))
 
-    def test_invalid_config_rejected(self):
-        ckpt, _ = make_checkpoint()
-        bad = dataclasses.replace(ckpt, config=dataclasses.replace(ckpt.config, alpha=5.0))
-        with pytest.raises(CheckpointError, match="bad checkpoint config: alpha=5.0"):
-            parse_checkpoint(checkpoint_bytes(bad))
-
-    def test_non_finite_config_rejected(self):
-        ckpt, _ = make_checkpoint()
-        config = dataclasses.replace(ckpt.config, learning_rate=np.nan)
-        bad = dataclasses.replace(ckpt, config=config)
-        with pytest.raises(CheckpointError, match="bad checkpoint config: learning_rate=nan"):
-            parse_checkpoint(checkpoint_bytes(bad))
-
     @pytest.mark.parametrize("value", (np.nan, np.inf, -np.inf))
     def test_non_finite_array_rejected(self, value):
         ckpt, _ = make_checkpoint()
@@ -336,6 +323,12 @@ class TestCraftedCheckpoints:
             ("config", dict(CONFIG, alpha=False), "bad checkpoint config: alpha=False"),
             ("config", dict(CONFIG, corruption_target=1), "bad checkpoint config"),
             ("config", dict(CONFIG, seed=-1), "bad checkpoint config: seed=-1 must be >= 0"),
+            ("config", dict(CONFIG, alpha=5.0), "bad checkpoint config: alpha=5.0"),
+            ("config", dict(CONFIG, learning_rate=np.nan),
+             "bad checkpoint config: learning_rate=nan"),
+            ("config", {k: v for k, v in CONFIG.items() if k not in ("seed", "learning_rate")},
+             "bad checkpoint config: missing learning_rate, seed$"),
+            ("config", {}, f"bad checkpoint config: missing {', '.join(CONFIG)}$"),
         ],
     )
     def test_bad_header_field_is_named(self, field, value, match):

@@ -113,6 +113,20 @@ class TestTrainFlagsMirrorConfig:
         assert (config.alpha, config.beta, config.gamma) == (1.0, 0.0, 0.25)
         assert config.epochs == 3
 
+    def test_only_the_merged_values_need_be_valid(self, tmp_path):
+        # the file alone sets every weight to 0 and n above d; the preset and
+        # the flags repair both before the config is built
+        path = tmp_path / "c.conf"
+        path.write_text("alpha = 0\nbeta = 0\ngamma = 0\nd = 2\nn = 4\n")
+        args = build_parser().parse_args([
+            "train", "--corpus", "c", "--out", "o", "--config", str(path),
+            "--preset", "ntn+senti", "--d", "6", "--k", "4",
+        ])
+        config = _build_config(args)
+        assert (config.alpha, config.beta, config.gamma, config.d, config.n) == (
+            1.0, 0.0, 1.0, 6, 4
+        )
+
 
 class TestTrainCommand:
     def test_writes_checkpoints_and_metrics(self, trained_dir):
@@ -433,6 +447,16 @@ class TestConfigParser:
         path.write_text("alpha 0.5\n")
         with pytest.raises(DataError, match="key = value"):
             parse_config_file(str(path))
+
+    def test_repeated_key_names_both_lines(self, tmp_path, capsys):
+        path = tmp_path / "c.conf"
+        path.write_text("alpha = 0.5\n# comment\n\nalpha = 0.7\n")
+        with pytest.raises(DataError, match=r"c\.conf:4: config key 'alpha' repeats line 1"):
+            parse_config_file(str(path))
+        code, _, err = run(capsys, "train", "--corpus", str(tmp_path / "missing.txt"),
+                           "--out", str(tmp_path / "run"), "--config", str(path))
+        assert code == 1 and "repeats line 1" in err
+        assert not (tmp_path / "run").exists()
 
 
 CONFIG_KEYS = [f.name for f in dataclasses.fields(TrainingConfig)] + ["bogus", ""]

@@ -27,6 +27,7 @@ from eventemb.data import (
     parse_event,
     tokenize,
 )
+from eventemb.cli import parse_config_file
 from oracles import (
     average_argument,
     format_annotation,
@@ -393,6 +394,38 @@ class TestEventTupleInvariants:
     def test_annotated_example_defaults(self):
         ex = AnnotatedExample(EventTuple(("a",), ("p",), ("o",)))
         assert ex.intent is None and ex.emotion_words is None
+
+    @pytest.mark.parametrize("field", ("intent", "emotion_words"))
+    def test_annotated_example_rejects_an_empty_annotation(self, field):
+        with pytest.raises(ValueError, match=f"empty {field}"):
+            AnnotatedExample(EventTuple(("a",), ("p",), ("o",)), **{field: ()})
+
+
+def _vectors_as_lists(path):
+    vocab, table = load_word_vectors(path)
+    return vocab.words, table.tolist()
+
+
+class TestByteOrderMark:
+    @pytest.mark.parametrize(
+        "name, load",
+        [("vectors.txt", _vectors_as_lists), ("corpus.txt", load_corpus),
+         ("annotations.txt", load_annotations), ("lexicon.tsv", load_lexicon),
+         ("hardsim.txt", load_hardsim), ("transitive.txt", load_transitive),
+         ("config.txt", parse_config_file)],
+    )
+    def test_a_leading_bom_is_ignored(self, synthetic_dir, tmp_path, name, load):
+        original = synthetic_dir / name
+        marked = tmp_path / name
+        marked.write_bytes(b"\xef\xbb\xbf" + original.read_bytes())
+        assert load(str(marked)) == load(str(original))
+
+    def test_first_word_of_a_marked_vectors_file_is_the_word(self, tmp_path):
+        path = tmp_path / "vectors.txt"
+        path.write_bytes("\ufeffalice 0.5 1.0\nbob 1.5 2.0\n".encode("utf-8"))
+        vocab, table = load_word_vectors(str(path))
+        assert vocab.words == [UNKNOWN_TOKEN, "alice", "bob"]
+        assert table[vocab.index("alice")].tolist() == [0.5, 1.0]
 
 
 # --- property tests of the readers ---------------------------------------------

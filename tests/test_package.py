@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -7,6 +8,7 @@ import pytest
 
 import eventemb
 from eventemb import checkpoint, model
+from eventemb.trainer import TrainingConfig
 
 
 def test_every_public_name_imports():
@@ -69,3 +71,18 @@ def test_readme_checkpoint_layout_matches_the_code():
     count = re.findall(r"That is\s+(\d+)\s+arrays", readme)
     assert version == [str(checkpoint.VERSION)]
     assert count == [str(1 + len(model.layout(6, 4, 2)))]
+
+
+def test_readme_config_table_lists_every_field_with_its_default():
+    """README's config table names each TrainingConfig field once, in field
+    order, with the default the code gives it, so a new or renamed key
+    cannot leave it stale."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Config file", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\|([^|]+)\|([^|]+)\|", section, flags=re.MULTILINE)
+    listed = [
+        (name.strip(), default.strip())
+        for names, default in rows[2:]  # below the header and its rule
+        for name in names.split(",")
+    ]
+    assert listed == [(f.name, str(f.default)) for f in dataclasses.fields(TrainingConfig)]

@@ -43,31 +43,30 @@ def tiny_config(**overrides):
 class TestConfig:
     def test_weight_range_enforced(self):
         with pytest.raises(ValueError, match="alpha=1.5"):
-            TrainingConfig(alpha=1.5).validate()
+            TrainingConfig(alpha=1.5)
         with pytest.raises(ValueError, match="gamma=-0.1"):
-            TrainingConfig(gamma=-0.1).validate()
+            TrainingConfig(gamma=-0.1)
 
     def test_structural_constraints(self):
         with pytest.raises(ValueError, match="batch_size"):
-            TrainingConfig(batch_size=0).validate()
+            TrainingConfig(batch_size=0)
         with pytest.raises(ValueError, match="must be even"):
-            TrainingConfig(k=5, n=2).validate()
+            TrainingConfig(k=5, n=2)
         with pytest.raises(ValueError, match="n=20"):
-            TrainingConfig(d=10, k=30, n=20).validate()
+            TrainingConfig(d=10, k=30, n=20)
         with pytest.raises(ValueError, match="seed=-1 must be >= 0"):
-            TrainingConfig(seed=-1).validate()
+            TrainingConfig(seed=-1)
 
     def test_all_zero_weights_rejected(self):
         with pytest.raises(ValueError, match="alpha, beta and gamma are all 0"):
-            TrainingConfig(alpha=0.0, beta=0.0, gamma=0.0).validate()
-        TrainingConfig(alpha=0.0, beta=0.0, gamma=0.5).validate()
+            TrainingConfig(alpha=0.0, beta=0.0, gamma=0.0)
+        TrainingConfig(alpha=0.0, beta=0.0, gamma=0.5)
 
     @pytest.mark.parametrize("field", ("learning_rate", "lambda_l2"))
     @pytest.mark.parametrize("value", (float("nan"), float("inf")))
     def test_non_finite_rate_and_l2_rejected(self, field, value):
-        config = dataclasses.replace(TrainingConfig(), **{field: value})
         with pytest.raises(ValueError, match=f"{field}={value} must be finite"):
-            config.validate()
+            dataclasses.replace(TrainingConfig(), **{field: value})
 
     @pytest.mark.parametrize(
         "field, value",
@@ -75,12 +74,11 @@ class TestConfig:
          ("alpha", False), ("learning_rate", "0.1"), ("corruption_target", 1)],
     )
     def test_wrong_typed_field_rejected(self, field, value):
-        config = dataclasses.replace(TrainingConfig(), **{field: value})
         with pytest.raises(ValueError, match=f"{field}={value!r} is not of type"):
-            config.validate()
+            dataclasses.replace(TrainingConfig(), **{field: value})
 
     def test_float_fields_take_ints(self):
-        TrainingConfig(alpha=1, learning_rate=1, lambda_l2=0).validate()
+        TrainingConfig(alpha=1, learning_rate=1, lambda_l2=0)
 
     def test_train_rejects_a_float_dimension(self):
         with pytest.raises(ValueError, match="d=6.0 is not of type int"):
@@ -105,6 +103,20 @@ class TestConfig:
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError, match="unknown config fields"):
             TrainingConfig.from_dict({"momentum": 0.9})
+
+    def test_no_way_of_building_returns_an_invalid_config(self):
+        with pytest.raises(ValueError, match="alpha=2.0"):
+            TrainingConfig(alpha=2.0)
+        with pytest.raises(ValueError, match="k=5 must be even"):
+            dataclasses.replace(TrainingConfig(), k=5)
+        with pytest.raises(ValueError, match="d=6.0 is not of type int"):
+            TrainingConfig.from_dict({"d": 6.0})
+
+    def test_fields_cannot_be_assigned(self):
+        config = TrainingConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.alpha = 5.0
+        assert config.alpha == 1.0
 
 
 class TestJointLoss:
@@ -525,8 +537,10 @@ class TestTrainLoop:
 
     def test_rejected_run_leaves_the_previous_run_untouched(self, synthetic_dir, tmp_path):
         # the corpus events carry no intent, so an intent-only run is rejected,
-        # and so is a run whose annotations share one intent, before it
-        # creates or writes anything in its output directory
+        # and so are a run whose annotations share one intent, an event run
+        # whose vocabulary has one word to corrupt with and an annotation
+        # with an empty intent, before any creates or writes anything in its
+        # output directory
         inputs = synthetic_inputs(synthetic_dir)
         cfg = TrainingConfig(d=10, k=8, n=2, epochs=2, learning_rate=0.05,
                              batch_size=10, seed=4)
@@ -542,6 +556,12 @@ class TestTrainLoop:
                 train(intent_only, out_dir=str(target), **inputs)
             with pytest.raises(ValueError, match="every annotated intent is 'to win'"):
                 train(cfg, [], [won, won], out_dir=str(target))
+            with pytest.raises(ValueError, match="vocabulary has 1 usable words"):
+                train(cfg.with_preset("ntn"), [EventTuple(("a",), ("a",), ("a",))],
+                      out_dir=str(target))
+            with pytest.raises(ValueError, match="annotated example: empty intent"):
+                train(cfg, inputs["corpus"], [won, AnnotatedExample(won.event, intent=())],
+                      out_dir=str(target))
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
         assert not (tmp_path / "new").exists()
 
