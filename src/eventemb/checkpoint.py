@@ -9,16 +9,15 @@ Layout (all integers little-endian):
     body:
       u32 header length, then UTF-8 JSON header
           {"config": {...}, "epoch": int, "rng_state": {...}, "vocab": [...]}
-      u32 array count
-      per array:
-        u32 name length, name bytes
-        u32 ndim, u64 * ndim dims
-        float64 little-endian data, C order
+          and 0-7 spaces, so that the arrays start at a multiple of 8 bytes
+      the arrays of `model.array_shapes` in order, float64 little-endian, C order
 
-Any truncation or in-place corruption fails the length or CRC check, and
-a config that lacks a field or is not valid when built, a malformed header
-field or array record, or a non-finite array is rejected too; a checkpoint
-either loads losslessly or raises CheckpointError.
+The header's vocabulary and config fix every array's name and shape, so the
+body names none. Truncation or in-place corruption fails the length or CRC
+check; a config that lacks a field or is not valid when built, a malformed
+header field, a body of the wrong size for its header or a non-finite array
+is rejected too. A checkpoint either loads losslessly or raises
+CheckpointError.
 
 Loading reads the file once into one buffer and parses it in place: the
 arrays are views of that buffer, not copies.
@@ -36,10 +35,11 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .data import Vocabulary
+from .model import JointModel, array_shapes, check_arrays
 from .params import TABLE
 
 MAGIC = b"EVEMBCKP"
-VERSION = 3
+VERSION = 4
 HEAD = struct.Struct("<8sIIQ")  # magic, version, CRC of the body, body length
 
 
@@ -57,7 +57,12 @@ class Checkpoint:
 
 
 def _serialized_parts(ckpt: Checkpoint) -> list:
-    """Head and body as byte buffers; a C-ordered float64 array is a view, not a copy."""
+    """Head and body as byte buffers; a C-ordered float64 array is a view, not a copy.
+
+    The body names no array, so `ckpt.arrays` must follow `array_shapes` in
+    name, order and shape; otherwise this raises ValueError.
+    """
+    check_arrays(ckpt.arrays, len(ckpt.vocab_words), ckpt.config.d, ckpt.config.k, ckpt.config.n)
     header = json.dumps(
         {
             "config": ckpt.config.to_dict(),
@@ -68,13 +73,11 @@ def _serialized_parts(ckpt: Checkpoint) -> list:
         sort_keys=True,
         separators=(",", ":"),
     ).encode("utf-8")
-    parts = [struct.pack("<I", len(header)), header, struct.pack("<I", len(ckpt.arrays))]
-    for name, arr in ckpt.arrays.items():
-        encoded = name.encode("utf-8")
-        parts.append(struct.pack("<I", len(encoded)))
-        parts.append(encoded)
-        parts.append(struct.pack("<I", arr.ndim))
-        parts.append(struct.pack(f"<{arr.ndim}Q", *arr.shape))
+    # spaces after the JSON, which the reader skips, start the array data at
+    # a multiple of 8 bytes, so that a loaded array is an aligned view
+    header += b" " * (-(HEAD.size + 4 + len(header)) % 8)
+    parts = [struct.pack("<I", len(header)), header]
+    for arr in ckpt.arrays.values():
         parts.append(np.ascontiguousarray(arr, dtype="<f8").reshape(-1).view(np.uint8))
     crc = 0
     for part in parts:
@@ -89,34 +92,11 @@ def checkpoint_bytes(ckpt: Checkpoint) -> bytes:
 
 def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
     """Atomic write: the file appears complete or not at all."""
+    parts = _serialized_parts(ckpt)
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
-        fh.writelines(_serialized_parts(ckpt))
+        fh.writelines(parts)
     os.replace(tmp, path)
-
-
-class _Cursor:
-    """Reads the body of a checkpoint at increasing offsets of one buffer."""
-
-    def __init__(self, view: memoryview, pos: int, path: str) -> None:
-        self.view = view
-        self.pos = pos
-        self.path = path
-
-    def take(self, size: int) -> int:
-        """Offset of the next `size` bytes, which the cursor then moves past."""
-        if size > len(self.view) - self.pos:
-            raise CheckpointError(f"{self.path}: truncated checkpoint")
-        self.pos += size
-        return self.pos - size
-
-    def unpack(self, fmt: str) -> tuple:
-        return struct.unpack_from(fmt, self.view, self.take(struct.calcsize(fmt)))
-
-    def text(self) -> str:
-        (size,) = self.unpack("<I")
-        start = self.take(size)
-        return str(self.view[start : start + size], "utf-8")
 
 
 def _header_fields(header, path: str) -> tuple:
@@ -155,7 +135,8 @@ def parse_checkpoint(data, path: str = "<bytes>") -> Checkpoint:
     `load_checkpoint` reads into.
     """
     view = memoryview(data).cast("B")
-    if len(view) < HEAD.size:
+    start = HEAD.size + 4  # the JSON header, after the head and its u32 length
+    if len(view) < start:
         raise CheckpointError(f"{path}: truncated checkpoint")
     magic, version, crc, body_len = HEAD.unpack_from(view)
     if magic != MAGIC:
@@ -169,38 +150,35 @@ def parse_checkpoint(data, path: str = "<bytes>") -> Checkpoint:
     if zlib.crc32(view[HEAD.size :]) != crc:
         raise CheckpointError(f"{path}: checksum mismatch (corrupted checkpoint)")
 
-    cur = _Cursor(view, HEAD.size, path)
+    (header_len,) = struct.unpack_from("<I", view, HEAD.size)
+    if header_len > len(view) - start:
+        raise CheckpointError(f"{path}: truncated checkpoint")
     try:
-        header = json.loads(cur.text())
+        header = json.loads(str(view[start : start + header_len], "utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise CheckpointError(f"{path}: bad checkpoint header: {exc}") from exc
     config, vocab, rng_state, epoch = _header_fields(header, path)
 
+    shapes = array_shapes(len(vocab), config.d, config.k, config.n)
+    # Python integers: no config's sizes can overflow, and none is allocated
+    total = sum(math.prod(shape) for shape in shapes.values())
+    offset = start + header_len
+    if len(view) - offset != 8 * total:
+        raise CheckpointError(
+            f"{path}: body holds {len(view) - offset} array bytes, "
+            f"the header's config and vocabulary need {8 * total}"
+        )
+    flat = np.frombuffer(view, "<f8", total, offset)
     arrays: dict[str, np.ndarray] = {}
-    (count,) = cur.unpack("<I")
-    for _ in range(count):
-        try:
-            name = cur.text()
-        except UnicodeDecodeError as exc:
-            raise CheckpointError(f"{path}: bad array name: {exc}") from exc
-        if name in arrays:
-            raise CheckpointError(f"{path}: array '{name}' appears twice")
-        (ndim,) = cur.unpack("<I")
-        shape = cur.unpack(f"<{ndim}Q")
-        # Python integers: a product of u64 dims cannot overflow here
-        size = math.prod(shape)
-        if 8 * size > len(view) - cur.pos:
-            raise CheckpointError(
-                f"{path}: array '{name}' of shape {shape} overruns the checkpoint body"
-            )
-        array = np.frombuffer(view, "<f8", size, cur.take(8 * size)).reshape(shape)
-        # max propagates NaN and min and max reach any infinity: the check
-        # needs no temporary the size of the array
-        if size and not (np.isfinite(array.max()) and np.isfinite(array.min())):
-            raise CheckpointError(f"{path}: array '{name}' holds non-finite values")
-        arrays[name] = array
-    if cur.pos != len(view):
-        raise CheckpointError(f"{path}: {len(view) - cur.pos} trailing bytes in body")
+    stop = 0
+    for name, shape in shapes.items():
+        begin, stop = stop, stop + math.prod(shape)
+        arrays[name] = flat[begin:stop].reshape(shape)
+    # max propagates NaN and min and max reach any infinity: the check needs
+    # no temporary the size of the arrays
+    if not (np.isfinite(flat.max()) and np.isfinite(flat.min())):
+        bad = next(name for name, array in arrays.items() if not np.isfinite(array).all())
+        raise CheckpointError(f"{path}: array '{bad}' holds non-finite values")
     return Checkpoint(
         config=config, vocab_words=vocab, arrays=arrays, rng_state=rng_state, epoch=epoch
     )
@@ -222,18 +200,14 @@ def load_checkpoint(path: str) -> Checkpoint:
     return parse_checkpoint(buffer, path)
 
 
-def build_model(ckpt: Checkpoint):
+def build_model(ckpt: Checkpoint) -> JointModel:
     """Reconstruct a JointModel from a checkpoint.
 
     When the 'embeddings' array is at least half of the checkpoint's array
     bytes, it becomes the model's table without a copy (the store copies it
     only if it is read-only), so training the model changes that array too.
-    A smaller table, and every other array, is copied in. Any array whose
-    shape disagrees with the stored config raises CheckpointError naming
-    the array.
+    A smaller table, and every other array, is copied in.
     """
-    from .model import JointModel
-
     cfg = ckpt.config
     try:
         vocab = Vocabulary.from_entries(ckpt.vocab_words)
@@ -246,7 +220,4 @@ def build_model(ckpt: Checkpoint):
     # pinned buffer would hold the other arrays, which are copied in, twice.
     if table is not None and 2 * table.nbytes < sum(a.nbytes for a in arrays.values()):
         arrays[TABLE] = table.copy()
-    try:
-        return JointModel(vocab, cfg.d, cfg.k, cfg.n, arrays)
-    except ValueError as exc:
-        raise CheckpointError(str(exc)) from exc
+    return JointModel(vocab, cfg.d, cfg.k, cfg.n, arrays)

@@ -19,10 +19,11 @@ from . import evaluate, trainer
 from .data import DataError, parse_event, format_event
 from .ops import cosine
 
-# TrainingConfig field name -> type of its default: the keys of a `key = value`
-# config file and the `train --field-name` flags, with how to parse each value
+# TrainingConfig field name -> parser of its value: the keys of a `key = value`
+# config file and the `train --field-name` flags
 _CONFIG_FIELDS = {
-    f.name: type(f.default) for f in dataclasses.fields(trainer.TrainingConfig)
+    f.name: str if type(f.default) is str else data_io.ascii_number(type(f.default))
+    for f in dataclasses.fields(trainer.TrainingConfig)
 }
 
 
@@ -146,7 +147,7 @@ def _cmd_nn(args: argparse.Namespace) -> int:
 
 def positive_int(text: str) -> int:
     """argparse type: an integer of at least 1."""
-    value = int(text)
+    value = data_io.ascii_number(int)(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
@@ -171,11 +172,11 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(trainer.PRESETS),
         help="loss-weight preset (overrides config file alpha/beta/gamma)",
     )
-    for key, field_type in _CONFIG_FIELDS.items():
+    for key, parse in _CONFIG_FIELDS.items():
         p_train.add_argument(
             "--" + key.replace("_", "-"),
             dest=key,
-            type=field_type,
+            type=parse,
             choices=trainer.CORRUPTION_TARGETS if key == "corruption_target" else None,
             help=f"overrides config key {key}",
         )

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -132,6 +132,23 @@ class Vocabulary:
         for t in tokens:
             vocab._add(t)
         return vocab
+
+
+def ascii_number(kind: type) -> Callable[[str], int | float]:
+    """A parser of `kind` (int or float) that takes plain ASCII text only.
+
+    Python's int() and float() also take underscores (`1_0`) and non-ASCII
+    digits (`٣`); the vectors reader rejects both, and so does this parser.
+    Otherwise it parses as `kind` does: `1e-3`, `.5` and `5.` are floats.
+    """
+
+    def parse(text: str) -> int | float:
+        if not text.isascii() or "_" in text:
+            raise ValueError(f"not a plain ASCII {kind.__name__}: {text!r}")
+        return kind(text)
+
+    parse.__name__ = kind.__name__  # the type argparse names in a usage error
+    return parse
 
 
 def records(path: str) -> Iterable[tuple[int, str]]:
@@ -322,7 +339,7 @@ def load_transitive(path: str) -> list[TransitiveSimInstance]:
         e1 = parse_event(fields[0], path, lineno)
         e2 = parse_event(fields[1], path, lineno)
         try:
-            gold = float(fields[2])
+            gold = ascii_number(float)(fields[2])
         except ValueError as exc:
             raise DataError(path, lineno, f"bad gold score: {fields[2]!r}") from exc
         if not (1.0 <= gold <= 7.0):

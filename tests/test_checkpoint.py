@@ -1,7 +1,9 @@
 import dataclasses
 import json
+import math
 import struct
 import threading
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -22,7 +24,7 @@ from eventemb.checkpoint import (
     save_checkpoint,
 )
 from eventemb.data import EventTuple, Vocabulary
-from eventemb.model import JointModel, layout
+from eventemb.model import JointModel, array_shapes, layout
 from eventemb.params import TABLE, ParameterStore, initial_arrays
 from eventemb.trainer import TrainingConfig, adagrad_step
 from conftest import make_model, random_event
@@ -99,6 +101,51 @@ class TestStreamedSave:
         assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
 
 
+def swapped_pair(arrays):
+    """`arrays` with the `u` and `lstm.w` entries in each other's place."""
+    names = list(arrays)
+    i, j = names.index("u"), names.index("lstm.w")
+    names[i], names[j] = names[j], names[i]
+    return {name: arrays[name] for name in names}
+
+
+class TestWriterFollowsTheLayout:
+    """The file names no array, so the writer refuses arrays that the reader
+    would take for others, and places the arrays where they load aligned."""
+
+    @pytest.mark.parametrize("epoch", [10**j for j in range(8)])
+    def test_array_data_starts_at_a_multiple_of_8(self, tmp_path, epoch):
+        # the epoch's digits move the JSON's length through every remainder mod 8
+        ckpt = dataclasses.replace(make_checkpoint()[0], epoch=epoch)
+        data = checkpoint_bytes(ckpt)
+        assert (28 + struct.unpack_from("<I", data, 24)[0]) % 8 == 0
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(data)
+        loaded = load_checkpoint(str(path))
+        assert loaded.epoch == epoch
+        assert all(array.flags.aligned for array in loaded.arrays.values())
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (swapped_pair, r"array 16 is \('lstm.w', \(2, 8, 8\)\), the layout has \('u', "),
+            (lambda arrays: {**arrays, "u": np.zeros(5)},
+             r"array 16 is \('u', \(5,\)\), the layout has \('u', \(4,\)\)"),
+            (lambda arrays: {name: a for name, a in arrays.items() if name != "sentiment.b"},
+             r"array 20 is None, the layout has \('sentiment.b', \(2,\)\)"),
+        ],
+        ids=["order", "shape", "missing"],
+    )
+    def test_arrays_off_the_layout_raise_before_anything_is_written(self, tmp_path, edit, match):
+        ckpt, _ = make_checkpoint()
+        bad = dataclasses.replace(ckpt, arrays=edit(dict(ckpt.arrays)))
+        with pytest.raises(ValueError, match=match):
+            checkpoint_bytes(bad)
+        with pytest.raises(ValueError, match=match):
+            save_checkpoint(str(tmp_path / "m.ckpt"), bad)
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestCorruptionDetection:
     def test_truncation_by_one_byte(self, tmp_path):
         ckpt, _ = make_checkpoint()
@@ -147,6 +194,13 @@ class TestCorruptionDetection:
         with pytest.raises(CheckpointError, match="version 2$"):
             parse_checkpoint(bytes(data))
 
+    def test_version_3_rejected(self):
+        ckpt, _ = make_checkpoint()
+        data = bytearray(checkpoint_bytes(ckpt))
+        data[8] = 3  # a name, ndim and dims record per array, before the body dropped them
+        with pytest.raises(CheckpointError, match="version 3$"):
+            parse_checkpoint(bytes(data))
+
     @pytest.mark.parametrize("value", (np.nan, np.inf, -np.inf))
     def test_non_finite_array_rejected(self, value):
         ckpt, _ = make_checkpoint()
@@ -162,19 +216,29 @@ class TestCorruptionDetection:
 
 
 class TestLayout:
-    def test_version_3_parameter_names_and_shapes(self):
+    def test_version_4_parameter_names_and_shapes(self):
+        # The file no longer names its arrays: the reader takes every name and
+        # shape from the layout. Changing the layout without bumping VERSION
+        # would load old files scrambled, so this pins both together.
         # d=5, k=4, n=2, so h=2 and the LSTM directions stack as (2, 4h, d+h)
         ckpt, _ = make_checkpoint(d=5, k=4, n=2)
-        expected = [("embeddings", (13, 5))]
-        for prefix, d_in in (("layer1", 5), ("layer2", 5), ("layer3", 4)):
-            expected += [
-                (f"{prefix}.left", (4, d_in, 2)),
-                (f"{prefix}.right", (4, 2, d_in)),
-                (f"{prefix}.diag", (4, d_in)),
-                (f"{prefix}.w", (4, 2 * d_in)),
-                (f"{prefix}.b", (4,)),
-            ]
-        expected += [
+        expected = [
+            ("embeddings", (13, 5)),
+            ("layer1.left", (4, 5, 2)),
+            ("layer1.right", (4, 2, 5)),
+            ("layer1.diag", (4, 5)),
+            ("layer1.w", (4, 10)),
+            ("layer1.b", (4,)),
+            ("layer2.left", (4, 5, 2)),
+            ("layer2.right", (4, 2, 5)),
+            ("layer2.diag", (4, 5)),
+            ("layer2.w", (4, 10)),
+            ("layer2.b", (4,)),
+            ("layer3.left", (4, 4, 2)),
+            ("layer3.right", (4, 2, 4)),
+            ("layer3.diag", (4, 4)),
+            ("layer3.w", (4, 8)),
+            ("layer3.b", (4,)),
             ("u", (4,)),
             ("lstm.w", (2, 8, 7)),
             ("lstm.b", (2, 8)),
@@ -182,37 +246,46 @@ class TestLayout:
             ("sentiment.b", (2,)),
         ]
         data = checkpoint_bytes(ckpt)
-        assert struct.unpack_from("<I", data, 8)[0] == VERSION == 3
+        assert struct.unpack_from("<I", data, 8)[0] == VERSION == 4
+        assert list(array_shapes(13, 5, 4, 2).items()) == expected
         loaded = parse_checkpoint(data).arrays
         assert [(name, arr.shape) for name, arr in loaded.items()] == expected
         assert len(loaded) == 21
 
 
 class TestShapeValidation:
+    """A file's config and vocabulary fix its arrays' shapes, so a mismatch is
+    a body of the wrong size; a checkpoint edited in memory meets JointModel."""
+
     def test_dimension_mismatch_names_array(self):
         ckpt, _ = make_checkpoint(d=6, k=4, n=2)
-        mismatched = dataclasses.replace(ckpt, config=TrainingConfig(d=6, k=8, n=2))
-        with pytest.raises(CheckpointError, match="layer1.left"):
-            build_model(parse_checkpoint(checkpoint_bytes(mismatched)))
+        header = header_of(ckpt)
+        header["config"] = TrainingConfig(d=6, k=8, n=2).to_dict()
+        need = 8 * sum(math.prod(s) for s in array_shapes(13, 6, 8, 2).values())
+        body = array_bytes(ckpt)
+        match = f"body holds {len(body)} array bytes, .* vocabulary need {need}$"
+        with pytest.raises(CheckpointError, match=match):
+            parse_checkpoint(craft(header, body))
 
     def test_missing_array_rejected(self):
         ckpt, _ = make_checkpoint()
         del ckpt.arrays["u"]
-        with pytest.raises(CheckpointError, match="missing parameter arrays.*u"):
+        with pytest.raises(ValueError, match=r"array 16 is \('lstm.w', .*has \('u', \(4,\)\)"):
             build_model(ckpt)
 
     @pytest.mark.parametrize(
         "name, array, match",
         [
-            ("layer4.w", np.zeros((4, 12)), r"unknown parameter arrays: \['layer4.w'\]"),
+            ("layer4.w", np.zeros((4, 12)), r"array 21 is \('layer4.w', \(4, 12\)\), .* None"),
             # one row short of the 13-word vocabulary
-            ("embeddings", np.zeros((12, 6)), r"'embeddings' has shape \(12, 6\), expected \(13"),
+            ("embeddings", np.zeros((12, 6)),
+             r"array 0 is \('embeddings', \(12, 6\)\), .* \('embeddings', \(13, 6\)\)"),
         ],
     )
     def test_unknown_array_or_wrong_table_shape_rejected(self, name, array, match):
         ckpt, _ = make_checkpoint(d=6)
         arrays = {**ckpt.arrays, name: array}
-        with pytest.raises(CheckpointError, match=match):
+        with pytest.raises(ValueError, match=match):
             build_model(dataclasses.replace(ckpt, arrays=arrays))
 
     def test_build_model_draws_nothing(self, monkeypatch):
@@ -273,37 +346,70 @@ class TestDamagedBytes:
         assert checkpoint_bytes(parse_checkpoint(first)) == first
 
 
-def craft(header, arrays):
+def craft(header, body):
     """Checkpoint bytes with a valid CRC around any JSON header (or raw
-    header bytes) and any (name bytes, dims, data bytes) arrays."""
+    header bytes) followed by any array bytes."""
     head = header if isinstance(header, bytes) else json.dumps(header).encode("utf-8")
-    body = struct.pack("<I", len(head)) + head + struct.pack("<I", len(arrays))
-    for name, dims, data in arrays:
-        body += struct.pack("<I", len(name)) + name
-        body += struct.pack(f"<I{len(dims)}Q", len(dims), *dims) + data
+    body = struct.pack("<I", len(head)) + head + body
     return MAGIC + struct.pack("<IIQ", VERSION, zlib.crc32(body), len(body)) + body
 
 
-def valid_header():
-    ckpt, _ = make_checkpoint()
+def header_of(ckpt):
     return {
         "config": ckpt.config.to_dict(),
-        "epoch": 3,
+        "epoch": ckpt.epoch,
         "rng_state": ckpt.rng_state,
         "vocab": ckpt.vocab_words,
     }
 
 
-ONE_ARRAY = [(b"u", (2,), struct.pack("<2d", 0.5, -1.0))]
+def array_bytes(ckpt):
+    return b"".join(np.asarray(a, dtype="<f8").tobytes() for a in ckpt.arrays.values())
+
+
+def valid_header():
+    return header_of(make_checkpoint()[0])
+
+
 CONFIG = valid_header()["config"]
+# the arrays of valid_header(): a 13-word vocabulary at d=6, k=4, n=2
+SHAPES = array_shapes(13, 6, 4, 2)
+ZEROS = bytes(8 * sum(math.prod(shape) for shape in SHAPES.values()))
 
 
 class TestCraftedCheckpoints:
     """Bodies with a valid CRC that a writer never produces."""
 
     def test_crafted_baseline_parses(self):
-        ckpt = parse_checkpoint(craft(valid_header(), ONE_ARRAY))
-        assert ckpt.epoch == 3 and list(ckpt.arrays["u"]) == [0.5, -1.0]
+        ckpt = parse_checkpoint(craft(valid_header(), ZEROS))
+        assert ckpt.epoch == 3
+        assert [(name, a.shape) for name, a in ckpt.arrays.items()] == list(SHAPES.items())
+        assert not any(a.any() for a in ckpt.arrays.values())
+
+    @pytest.mark.parametrize("body", [ZEROS[:-8], ZEROS + bytes(8)], ids=["short", "long"])
+    def test_body_one_float_off_is_rejected(self, body):
+        match = f"body holds {len(body)} array bytes, .* need {len(ZEROS)}$"
+        with pytest.raises(CheckpointError, match=match):
+            parse_checkpoint(craft(valid_header(), body))
+
+    def test_vocabulary_longer_than_the_body_is_rejected(self):
+        header = valid_header()
+        header["vocab"] = header["vocab"] + ["extra"]
+        # one more table row of d=6 floats
+        with pytest.raises(CheckpointError, match=f"need {len(ZEROS) + 48}$"):
+            parse_checkpoint(craft(header, ZEROS))
+
+    def test_huge_dimension_is_rejected_without_allocating(self):
+        header = valid_header()
+        header["config"]["d"] = 2**40
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointError, match="the header's config and vocabulary need"):
+                parse_checkpoint(craft(header, ZEROS))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize(
         "field, value, match",
@@ -335,38 +441,22 @@ class TestCraftedCheckpoints:
         header = valid_header()
         header[field] = value
         with pytest.raises(CheckpointError, match=match):
-            parse_checkpoint(craft(header, ONE_ARRAY))
+            parse_checkpoint(craft(header, ZEROS))
 
     def test_header_that_is_not_an_object(self):
         with pytest.raises(CheckpointError, match="header is not a JSON object"):
-            parse_checkpoint(craft([1, 2], ONE_ARRAY))
+            parse_checkpoint(craft([1, 2], ZEROS))
 
     def test_header_nested_past_the_recursion_limit(self):
         deep = b"[" * 100_000 + b"]" * 100_000
         with pytest.raises(CheckpointError, match="bad checkpoint header"):
-            parse_checkpoint(craft(deep, ONE_ARRAY))
-
-    @pytest.mark.parametrize("dims", [(2**62, 4), (2**32, 2**32), (2**63, 2)])
-    def test_overflowing_dims_name_the_array(self, dims):
-        # np.prod of (2**62, 4) wraps to 0 in int64
-        arrays = [(b"layer1.w", dims, b"\0" * 64)]
-        with pytest.raises(CheckpointError, match="array 'layer1.w' of shape .* overruns"):
-            parse_checkpoint(craft(valid_header(), arrays))
-
-    def test_repeated_array_name(self):
-        with pytest.raises(CheckpointError, match="array 'u' appears twice"):
-            parse_checkpoint(craft(valid_header(), ONE_ARRAY * 2))
-
-    def test_name_that_is_not_utf8(self):
-        arrays = [(b"\xff\xfe", (1,), b"\0" * 8)]
-        with pytest.raises(CheckpointError, match="bad array name"):
-            parse_checkpoint(craft(valid_header(), arrays))
+            parse_checkpoint(craft(deep, ZEROS))
 
     def test_cli_reports_a_crafted_checkpoint_without_a_traceback(self, tmp_path, capsys):
         header = valid_header()
         header["vocab"] = 5
         path = tmp_path / "crafted.ckpt"
-        path.write_bytes(craft(header, ONE_ARRAY))
+        path.write_bytes(craft(header, ZEROS))
         code = cli.main(["embed", "--checkpoint", str(path), "--events", str(path)])
         assert code == 1
         err = capsys.readouterr().err
@@ -376,7 +466,7 @@ class TestCraftedCheckpoints:
         header = valid_header()
         header["config"]["d"] = 6.0
         path = tmp_path / "crafted.ckpt"
-        path.write_bytes(craft(header, ONE_ARRAY))
+        path.write_bytes(craft(header, ZEROS))
         code = cli.main(["embed", "--checkpoint", str(path), "--events", str(path)])
         assert code == 1
         err = capsys.readouterr().err

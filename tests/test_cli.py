@@ -64,6 +64,16 @@ class TestUsageErrors:
             main(["train", "--corpus", "c", "--out", "o", "--corruption-target", "verb"])
         assert excinfo.value.code == 2
 
+    # Python's int() and float() take underscores and non-ASCII digits
+    @pytest.mark.parametrize(
+        "flag, value", [("--epochs", "1_0"), ("--seed", "٣"), ("--learning-rate", "1e-0_3")]
+    )
+    def test_number_flag_must_be_plain_ascii(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["train", "--corpus", "c", "--out", "o", flag, value])
+        assert excinfo.value.code == 2
+        assert f"argument {flag}: invalid" in capsys.readouterr().err
+
 
 # a valid config whose every field differs from the default
 NON_DEFAULT = TrainingConfig(
@@ -421,6 +431,18 @@ class TestNnCommand:
             ])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("top", ("1_0", "٣"))
+    def test_top_must_be_plain_ascii(self, trained_dir, synthetic_dir, top):
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "nn",
+                "--checkpoint", str(trained_dir / "final.ckpt"),
+                "--query", "person_x|threw|bomb",
+                "--corpus", str(synthetic_dir / "corpus.txt"),
+                "--top", top,
+            ])
+        assert excinfo.value.code == 2
+
     def test_unparseable_query(self, capsys, trained_dir, synthetic_dir):
         code, _, err = run(
             capsys,
@@ -441,6 +463,24 @@ class TestConfigParser:
         )
         values = parse_config_file(str(path))
         assert values == {"alpha": 0.5, "batch_size": 16, "corruption_target": "object"}
+
+    def test_plain_ascii_number_forms_parse(self, tmp_path):
+        path = tmp_path / "c.conf"
+        path.write_text("learning_rate = 1e-3\nalpha = .5\nlambda_l2 = 5.\nseed = +7\n")
+        values = parse_config_file(str(path))
+        assert values == {"learning_rate": 1e-3, "alpha": 0.5, "lambda_l2": 5.0, "seed": 7}
+
+    @pytest.mark.parametrize("line", ["epochs = 1_0", "seed = ٣", "alpha = 0.2_5"])
+    def test_number_must_be_plain_ascii(self, tmp_path, capsys, line):
+        path = tmp_path / "c.conf"
+        path.write_text(f"# comment\n{line}\n", encoding="utf-8")
+        key = line.split()[0]
+        with pytest.raises(DataError, match=rf"c\.conf:2: bad value for '{key}'"):
+            parse_config_file(str(path))
+        code, _, err = run(capsys, "train", "--corpus", str(tmp_path / "missing.txt"),
+                           "--out", str(tmp_path / "run"), "--config", str(path))
+        assert code == 1 and "c.conf:2:" in err
+        assert not (tmp_path / "run").exists()
 
     def test_missing_equals_rejected(self, tmp_path):
         path = tmp_path / "c.conf"

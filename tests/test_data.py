@@ -15,6 +15,7 @@ from eventemb.data import (
     HardSimInstance,
     TransitiveSimInstance,
     Vocabulary,
+    ascii_number,
     derive_polarity,
     extend_embeddings,
     format_event,
@@ -320,12 +321,39 @@ class TestTransitive:
         with pytest.raises(DataError, match=r"7\.5 outside \[1, 7\]"):
             load_transitive(path)
 
+    @pytest.mark.parametrize("gold", ["٥", "1.2_5"])
+    def test_gold_must_be_plain_ascii(self, tmp_path, gold):
+        path = write(tmp_path, "t.txt", f"a|b|c\td|e|f\t3\ng|h|i\tj|k|l\t{gold}\n")
+        with pytest.raises(DataError, match=rf"t\.txt:2: bad gold score: '{gold}'"):
+            load_transitive(path)
+
     def test_round_trip(self, tmp_path):
         path = write(tmp_path, "t.txt", "a|b|c\td|e|f\t3.5\ng|h|i\tj|k|l\t1\n")
         instances = load_transitive(path)
         out = tmp_path / "t2.txt"
         save_transitive(str(out), instances)
         assert load_transitive(str(out)) == instances
+
+
+class TestAsciiNumber:
+    @pytest.mark.parametrize(
+        "text, value", [("1e-3", 1e-3), (".5", 0.5), ("5.", 5.0), ("-2", -2.0), (" 3 ", 3.0)]
+    )
+    def test_plain_ascii_floats_parse(self, text, value):
+        assert ascii_number(float)(text) == value
+
+    def test_ints_parse_as_int(self):
+        assert type(ascii_number(int)("12")) is int and ascii_number(int)("12") == 12
+        with pytest.raises(ValueError):
+            ascii_number(int)("1.5")
+
+    # all of these pass Python's int() or float()
+    @pytest.mark.parametrize("text", ["1_0", "٣", "１", "1.2_5", "1e-0_3"])
+    def test_underscores_and_non_ascii_digits_rejected(self, text):
+        with pytest.raises(ValueError, match="not a plain ASCII float"):
+            ascii_number(float)(text)
+        with pytest.raises(ValueError, match="not a plain ASCII int"):
+            ascii_number(int)(text)
 
 
 class TestLexicon:
