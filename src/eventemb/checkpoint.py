@@ -10,17 +10,18 @@ Layout (all integers little-endian):
       u32 header length, then UTF-8 JSON header
           {"config": {...}, "epoch": int, "rng_state": {...}, "vocab": [...]}
           and 0-7 spaces, so that the arrays start at a multiple of 8 bytes
-      the arrays of `model.array_shapes` in order, float64 little-endian, C order
+      the (|V|, d) word table, then the model's flat buffer: the arrays of
+      `model.layout(d, k, n)` back to back; float64 little-endian, C order
 
-The header's vocabulary and config fix every array's name and shape, so the
-body names none. Truncation or in-place corruption fails the length or CRC
-check; a config that lacks a field or is not valid when built, a malformed
-header field, a body of the wrong size for its header or a non-finite array
-is rejected too. A checkpoint either loads losslessly or raises
-CheckpointError.
+The header's vocabulary and config fix both parts' shapes and the name and
+shape of every array in the flat buffer, so the body names none.
+Truncation or in-place corruption fails the length or CRC check; a config
+that lacks a field or is not valid when built, a malformed header field, a
+body of the wrong size for its header or a non-finite array is rejected
+too. A checkpoint either loads losslessly or raises CheckpointError.
 
 Loading reads the file once into one buffer and parses it in place: the
-arrays are views of that buffer, not copies.
+table and the flat buffer are views of that buffer, not copies.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .data import Vocabulary
-from .model import JointModel, array_shapes, check_arrays
-from .params import TABLE
+from .model import JointModel, layout
+from .params import TABLE, flat_size
 
 MAGIC = b"EVEMBCKP"
 VERSION = 4
@@ -51,18 +52,26 @@ class CheckpointError(ValueError):
 class Checkpoint:
     config: "TrainingConfig"  # noqa: F821 - imported lazily to avoid a cycle
     vocab_words: list[str]
-    arrays: dict[str, np.ndarray]
+    table: np.ndarray  # (|V|, d)
+    flat: np.ndarray  # the arrays of `model.layout(d, k, n)` back to back
     rng_state: dict
     epoch: int
+
+
+def _shapes(vocab_size: int, config) -> tuple:
+    """The table's and the flat buffer's shapes that a header fixes."""
+    return (vocab_size, config.d), (flat_size(layout(config.d, config.k, config.n)),)
 
 
 def _serialized_parts(ckpt: Checkpoint) -> list:
     """Head and body as byte buffers; a C-ordered float64 array is a view, not a copy.
 
-    The body names no array, so `ckpt.arrays` must follow `array_shapes` in
-    name, order and shape; otherwise this raises ValueError.
+    The body names no array, so the table and flat buffer must have the
+    shapes that the config and vocabulary fix; otherwise this raises ValueError.
     """
-    check_arrays(ckpt.arrays, len(ckpt.vocab_words), ckpt.config.d, ckpt.config.k, ckpt.config.n)
+    shapes = (np.shape(ckpt.table), np.shape(ckpt.flat))
+    if shapes != (want := _shapes(len(ckpt.vocab_words), ckpt.config)):
+        raise ValueError(f"table and flat buffer have shapes {shapes}, the header needs {want}")
     header = json.dumps(
         {
             "config": ckpt.config.to_dict(),
@@ -77,7 +86,7 @@ def _serialized_parts(ckpt: Checkpoint) -> list:
     # a multiple of 8 bytes, so that a loaded array is an aligned view
     header += b" " * (-(HEAD.size + 4 + len(header)) % 8)
     parts = [struct.pack("<I", len(header)), header]
-    for arr in ckpt.arrays.values():
+    for arr in (ckpt.table, ckpt.flat):
         parts.append(np.ascontiguousarray(arr, dtype="<f8").reshape(-1).view(np.uint8))
     crc = 0
     for part in parts:
@@ -130,9 +139,9 @@ def _header_fields(header, path: str) -> tuple:
 def parse_checkpoint(data, path: str = "<bytes>") -> Checkpoint:
     """Check and parse checkpoint bytes without copying the arrays.
 
-    `data` is any bytes-like object. Each array is a view of it: read-only
-    over `bytes`, writable over a writable buffer such as the one
-    `load_checkpoint` reads into.
+    `data` is any bytes-like object. The table and the flat buffer are views
+    of it: read-only over `bytes`, writable over a writable buffer such as
+    the one `load_checkpoint` reads into.
     """
     view = memoryview(data).cast("B")
     start = HEAD.size + 4  # the JSON header, after the head and its u32 length
@@ -159,36 +168,35 @@ def parse_checkpoint(data, path: str = "<bytes>") -> Checkpoint:
         raise CheckpointError(f"{path}: bad checkpoint header: {exc}") from exc
     config, vocab, rng_state, epoch = _header_fields(header, path)
 
-    shapes = array_shapes(len(vocab), config.d, config.k, config.n)
+    table_shape, (size,) = _shapes(len(vocab), config)
     # Python integers: no config's sizes can overflow, and none is allocated
-    total = sum(math.prod(shape) for shape in shapes.values())
+    split = math.prod(table_shape)
+    total = split + size
     offset = start + header_len
     if len(view) - offset != 8 * total:
         raise CheckpointError(
             f"{path}: body holds {len(view) - offset} array bytes, "
             f"the header's config and vocabulary need {8 * total}"
         )
-    flat = np.frombuffer(view, "<f8", total, offset)
-    arrays: dict[str, np.ndarray] = {}
-    stop = 0
-    for name, shape in shapes.items():
-        begin, stop = stop, stop + math.prod(shape)
-        arrays[name] = flat[begin:stop].reshape(shape)
+    values = np.frombuffer(view, "<f8", total, offset)
     # max propagates NaN and min and max reach any infinity: the check needs
     # no temporary the size of the arrays
-    if not (np.isfinite(flat.max()) and np.isfinite(flat.min())):
-        bad = next(name for name, array in arrays.items() if not np.isfinite(array).all())
+    if not (np.isfinite(values.max()) and np.isfinite(values.min())):
+        # the array whose entries end past the first non-finite entry
+        arrays = layout(config.d, config.k, config.n)
+        ends = np.cumsum([split, *(math.prod(shape) for shape, _ in arrays.values())])
+        first = np.argmin(np.isfinite(values))
+        bad = [TABLE, *arrays][np.searchsorted(ends, first, side="right")]
         raise CheckpointError(f"{path}: array '{bad}' holds non-finite values")
-    return Checkpoint(
-        config=config, vocab_words=vocab, arrays=arrays, rng_state=rng_state, epoch=epoch
-    )
+    table = values[:split].reshape(table_shape)
+    return Checkpoint(config, vocab, table, values[split:], rng_state, epoch)
 
 
 def load_checkpoint(path: str) -> Checkpoint:
-    """Read `path` once into a buffer that only the returned arrays view.
+    """Read `path` once into a buffer that only the returned table and flat buffer view.
 
-    The arrays are writable, and no other object shares their memory, so
-    `build_model` can hand the table to the model without a copy.
+    Both are writable, and no other object shares their memory, so
+    `build_model` hands them to the model without a copy.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -203,21 +211,13 @@ def load_checkpoint(path: str) -> Checkpoint:
 def build_model(ckpt: Checkpoint) -> JointModel:
     """Reconstruct a JointModel from a checkpoint.
 
-    When the 'embeddings' array is at least half of the checkpoint's array
-    bytes, it becomes the model's table without a copy (the store copies it
-    only if it is read-only), so training the model changes that array too.
-    A smaller table, and every other array, is copied in.
+    The model takes the checkpoint's table and flat buffer without a copy
+    (the store copies them only if they are read-only), so training the
+    model changes those arrays too.
     """
     cfg = ckpt.config
     try:
         vocab = Vocabulary.from_entries(ckpt.vocab_words)
     except ValueError as exc:
         raise CheckpointError(f"checkpoint {exc}") from exc
-    arrays = dict(ckpt.arrays)
-    table = arrays.get(TABLE)
-    # A view pins the whole read buffer. When the table is most of it (a
-    # GloVe-sized vocabulary) that saves copying the table; otherwise the
-    # pinned buffer would hold the other arrays, which are copied in, twice.
-    if table is not None and 2 * table.nbytes < sum(a.nbytes for a in arrays.values()):
-        arrays[TABLE] = table.copy()
-    return JointModel(vocab, cfg.d, cfg.k, cfg.n, arrays)
+    return JointModel(vocab, cfg.d, cfg.k, cfg.n, ckpt.table, ckpt.flat)

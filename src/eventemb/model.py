@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from itertools import zip_longest
-
 import numpy as np
 
 from .composer import EventComposer, code_events
@@ -29,39 +27,27 @@ def layout(d: int, k: int, n: int) -> Layout:
     }
 
 
-def array_shapes(vocab_size: int, d: int, k: int, n: int) -> dict[str, tuple[int, ...]]:
-    """Each array's shape by name, in checkpoint order: the table, then `layout(d, k, n)`."""
-    return {TABLE: (vocab_size, d), **{name: s for name, (s, _) in layout(d, k, n).items()}}
-
-
-def check_arrays(arrays: dict[str, np.ndarray], vocab_size: int, d: int, k: int, n: int) -> None:
-    """Raise ValueError unless `arrays` follows `array_shapes` in name, order and shape."""
-    got = [(name, array.shape) for name, array in arrays.items()]
-    want = list(array_shapes(vocab_size, d, k, n).items())
-    for i, (have, need) in enumerate(zip_longest(got, want)):
-        if have != need:
-            raise ValueError(f"parameter array {i} is {have}, the layout has {need} there")
-
-
 class JointModel:
     """All trainable components wired over one ParameterStore.
 
     The embedding table is shared: event arguments and intent sentences
-    both read (and fine-tune) the same word vectors. `arrays` holds every
-    array of `array_shapes(len(vocab), d, k, n)`, in that order: a new
-    model's initial arrays or a checkpoint's. The store takes the table without a
-    copy (see ParameterStore) and copies the rest.
+    both read (and fine-tune) the same word vectors. `table` is the
+    (|V|, d) word table and `flat` the arrays of `layout(d, k, n)` back to
+    back: a new model's or a checkpoint's. The store takes both without a
+    copy (see ParameterStore).
     """
 
     def __init__(
-        self, vocab: Vocabulary, d: int, k: int, n: int, arrays: dict[str, np.ndarray]
+        self, vocab: Vocabulary, d: int, k: int, n: int, table: np.ndarray, flat: np.ndarray
     ) -> None:
         if k % 2 != 0:
             raise ValueError(f"k={k} must be even: the intent hidden size is k/2")
         if not (1 <= n <= min(d, k)):
             raise ValueError(f"rank n={n} must satisfy 1 <= n <= min(d={d}, k={k})")
-        check_arrays(arrays, len(vocab), d, k, n)
-        self.store = ParameterStore(arrays)
+        want = (len(vocab), d)
+        if np.shape(table) != want:
+            raise ValueError(f"word table has shape {np.shape(table)}, expected {want}")
+        self.store = ParameterStore(layout(d, k, n), flat, table)
         self.vocab = vocab
         self.d = d
         self.k = k

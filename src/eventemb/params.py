@@ -1,6 +1,8 @@
-"""Named parameter registry over flat parameter, gradient and accumulator buffers."""
+"""Named parameters over a word table and flat parameter, gradient and accumulator buffers."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -12,50 +14,52 @@ TABLE = "embeddings"
 Layout = dict[str, tuple[tuple[int, ...], float]]
 
 
-def initial_arrays(layout: Layout, rng: np.random.Generator) -> dict[str, np.ndarray]:
-    """A new model's arrays for `layout`, drawn from `rng` in layout order."""
-    return {
-        name: rng.uniform(-r, r, shape) if r else np.zeros(shape)
-        for name, (shape, r) in layout.items()
-    }
+def flat_size(layout: Layout) -> int:
+    """Entries of the flat buffer that holds `layout`'s arrays back to back."""
+    return sum(math.prod(shape) for shape, _ in layout.values())
+
+
+def initial_flat(layout: Layout, rng: np.random.Generator) -> np.ndarray:
+    """A new model's flat buffer for `layout`, each array drawn from `rng` in layout order."""
+    sizes = [(math.prod(shape), r) for shape, r in layout.values()]
+    return np.concatenate([rng.uniform(-r, r, n) if r else np.zeros(n) for n, r in sizes])
 
 
 class ParameterStore:
     """All trainable arrays of a model, addressable by name.
 
-    Every parameter has a gradient and an Adagrad accumulator of its shape.
-    All but the table live in three flat buffers sized by their total:
-    `flat_params`, `flat_grads` and `flat_accums` hold the arrays back to
-    back, in the order given (which is also the checkpoint order), and each
-    named array is a view of its slice. So one operation over a flat buffer
-    covers every dense array, and arrays given one after another form one
-    contiguous slice.
+    A model's parameters are the word table and `flat_params`, which holds
+    the arrays of `layout` back to back in layout order (the checkpoint
+    order); `flat_grads` and `flat_accums` mirror it. `params`, `grads` and
+    `accums` name the table and a view of each array's slice. So one
+    operation over a flat buffer covers every dense array.
 
-    Ownership: the store copies each dense array into its slice. It takes
-    the table without a copy and training writes into it, so a caller that
-    must keep its own table passes a copy. A table that cannot be trained in
-    place (read-only, not float64 or not C-contiguous) is copied: one viewed
-    over immutable checkpoint bytes becomes a private copy, one viewed over
-    the buffer that `load_checkpoint` alone holds is taken as it is.
+    Ownership: the store takes `flat` and `table` without a copy and training
+    writes into them, so a caller that must keep its own passes a copy. An
+    array that cannot be trained in place (read-only, not float64 or not
+    C-contiguous) is copied: one viewed over immutable checkpoint bytes
+    becomes a private copy, one viewed over the buffer that `load_checkpoint`
+    alone holds is taken as it is.
     """
 
-    def __init__(self, arrays: dict[str, np.ndarray]) -> None:
-        self.params: dict[str, np.ndarray] = {}
-        self.grads: dict[str, np.ndarray] = {}
-        self.accums: dict[str, np.ndarray] = {}
-        size = sum(np.size(a) for name, a in arrays.items() if name != TABLE)
+    def __init__(self, layout: Layout, flat: np.ndarray, table: np.ndarray | None = None) -> None:
+        size = flat_size(layout)
+        if np.shape(flat) != (size,):
+            raise ValueError(f"flat buffer has shape {np.shape(flat)}, the layout needs ({size},)")
+        self.flat_params = np.require(flat, dtype=np.float64, requirements=("C", "W"))
         # np.zeros gets zeroed pages from the allocator
-        buffers = tuple(np.zeros(size) for _ in range(3))
-        self.flat_params, self.flat_grads, self.flat_accums = buffers
+        self.flat_grads, self.flat_accums = np.zeros(size), np.zeros(size)
+        views = {}  # name -> (parameter, gradient, accumulator)
+        if table is not None:
+            table = np.require(table, dtype=np.float64, requirements=("C", "W"))
+            # a frozen model never touches the table's gradient and accumulator
+            views[TABLE] = (table, np.zeros(table.shape), np.zeros(table.shape))
+        buffers = (self.flat_params, self.flat_grads, self.flat_accums)
         start = 0
-        for name, array in arrays.items():
-            if name == TABLE:
-                array = np.require(array, dtype=np.float64, requirements=("C", "W"))
-                # a frozen model never touches the table's gradient and accumulator
-                views = (array, np.zeros(array.shape), np.zeros(array.shape))
-            else:
-                stop = start + np.size(array)
-                views = tuple(b[start:stop].reshape(np.shape(array)) for b in buffers)
-                views[0][...] = array
-                start = stop
-            self.params[name], self.grads[name], self.accums[name] = views
+        for name, (shape, _) in layout.items():
+            stop = start + math.prod(shape)
+            views[name] = tuple(b[start:stop].reshape(shape) for b in buffers)
+            start = stop
+        self.params, self.grads, self.accums = (
+            {name: triple[i] for name, triple in views.items()} for i in range(3)
+        )

@@ -28,16 +28,13 @@ from .data import (
 )
 from .intent import intent_hinge
 from .model import JointModel, layout
-from .params import TABLE, ParameterStore, initial_arrays
+from .params import TABLE, ParameterStore, initial_flat
 
 ADAGRAD_EPS = 1e-8
 # Entries per block of an Adagrad update: a block's temporaries (256 KiB
 # each) stay in cache, where those of a whole paper-shape flat buffer
 # (6 MB each) do not.
 ADAGRAD_BLOCK = 1 << 15
-
-# Draws before `sample_negative_intent` gives up on finding a distinct intent.
-NEGATIVE_INTENT_TRIES = 10000
 
 # Ablation presets: (alpha, beta, gamma) weightings of the three loss terms.
 PRESETS: dict[str, tuple[float, float, float]] = {
@@ -76,6 +73,11 @@ class TrainingConfig:
                 ok = type(value) is kind
             if not ok:
                 raise ValueError(f"{field.name}={value!r} is not of type {kind.__name__}")
+            if kind is float:
+                try:
+                    float(value)
+                except OverflowError:
+                    raise ValueError(f"{field.name} is an integer too large for a float") from None
         for name in ("alpha", "beta", "gamma"):
             value = getattr(self, name)
             if not (0.0 <= value <= 1.0):
@@ -279,14 +281,17 @@ def sample_negative_intent(
     pool: Sequence[tuple[int, ...]], true_intent: tuple[int, ...], rng: np.random.Generator
 ) -> tuple[int, ...]:
     """Uniform draw from the annotated intents' ids, resampled while it equals
-    the true intent: within one vocabulary, on textual identity."""
+    the true intent: within one vocabulary, on textual identity.
+
+    The pool must hold an intent other than `true_intent`, or this never
+    returns; `train` checks that its pool holds two distinct intents.
+    """
     if not pool:
         raise ValueError("cannot sample a negative intent from an empty pool")
-    for _ in range(NEGATIVE_INTENT_TRIES):
+    while True:
         candidate = pool[int(rng.integers(len(pool)))]
         if candidate != true_intent:
             return candidate
-    raise ValueError("cannot sample a negative intent textually distinct from the true one")
 
 
 def code_examples(
@@ -372,10 +377,8 @@ def train(
         base_table = np.zeros((1, config.d))
     vocab, table = extend_embeddings(base_vocab, base_table, _collect_tokens(annotated), rng)
     examples = code_examples(annotated, vocab, lexicon, config)
-    model = JointModel(
-        vocab, config.d, config.k, config.n,
-        {TABLE: table, **initial_arrays(layout(config.d, config.k, config.n), rng)},
-    )
+    flat = initial_flat(layout(config.d, config.k, config.n), rng)
+    model = JointModel(vocab, config.d, config.k, config.n, table, flat)
 
     # corrupt_event draws from ids 1 .. |V| - 1 and redraws the original
     if config.alpha > 0.0 and len(vocab) < 3:
@@ -432,7 +435,8 @@ def train(
             snapshot = ckpt_io.Checkpoint(
                 config=config,
                 vocab_words=vocab.words,
-                arrays=model.store.params,
+                table=model.embeddings,
+                flat=model.store.flat_params,
                 rng_state=rng.bit_generator.state,
                 epoch=epoch,
             )

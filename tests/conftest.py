@@ -6,7 +6,7 @@ import pytest
 from eventemb.composer import code_events
 from eventemb.data import EventTuple, Vocabulary
 from eventemb.model import JointModel, layout
-from eventemb.params import TABLE, ParameterStore, initial_arrays
+from eventemb.params import ParameterStore, initial_flat
 from eventemb.trainer import CodedExample
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -23,14 +23,14 @@ def make_model(seed=0, n_words=12, d=6, k=4, n=2, scale=1.0):
     rng = np.random.default_rng(seed)
     vocab = Vocabulary(WORDS[:n_words])
     table = rng.uniform(-scale, scale, (len(vocab), d))
-    model = JointModel(vocab, d, k, n, {TABLE: table, **initial_arrays(layout(d, k, n), rng)})
+    model = JointModel(vocab, d, k, n, table, initial_flat(layout(d, k, n), rng))
     return model, vocab, rng
 
 
-def make_store(component_layout, rng, **extra):
-    """A store of the `extra` arrays (such as the table), then of the arrays of
-    `component_layout`, drawn from `rng` as a new model draws them."""
-    return ParameterStore({**extra, **initial_arrays(component_layout, rng)})
+def make_store(component_layout, rng, table=None):
+    """A store of `table` (or none) and of the arrays of `component_layout`,
+    drawn from `rng` as a new model draws them."""
+    return ParameterStore(component_layout, initial_flat(component_layout, rng), table)
 
 
 def random_event(vocab, rng, max_words=2):

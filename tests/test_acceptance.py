@@ -234,7 +234,7 @@ class TestCriterion5MetricOracles:
 
 class TestCriterion6AdagradHandTrace:
     def test_two_step_trace(self):
-        store = ParameterStore({"theta": np.zeros(1)})
+        store = ParameterStore({"theta": ((1,), 0.0)}, np.zeros(1))
         theta = store.params["theta"]
         store.grads["theta"][...] = 3.0
         adagrad_step(store, 1.0, 1.0)
@@ -267,8 +267,8 @@ class TestCriterion7DeterminismAndPersistence:
         ckpt = parse_checkpoint(blobs[0])
         assert checkpoint_bytes(ckpt) == blobs[0]
         reloaded = load_checkpoint(str(tmp_path / "a" / "final.ckpt"))
-        for name, arr in ckpt.arrays.items():
-            assert np.array_equal(reloaded.arrays[name], arr)
+        assert np.array_equal(reloaded.table, ckpt.table)
+        assert np.array_equal(reloaded.flat, ckpt.flat)
 
         # corruption is rejected, never silently read
         flipped = bytearray(blobs[0])

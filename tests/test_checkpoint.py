@@ -24,9 +24,9 @@ from eventemb.checkpoint import (
     save_checkpoint,
 )
 from eventemb.data import EventTuple, Vocabulary
-from eventemb.model import JointModel, array_shapes, layout
-from eventemb.params import TABLE, ParameterStore, initial_arrays
-from eventemb.trainer import TrainingConfig, adagrad_step
+from eventemb.model import JointModel, layout
+from eventemb.params import TABLE, ParameterStore, flat_size, initial_flat
+from eventemb.trainer import TrainingConfig, adagrad_step, train
 from conftest import make_model, random_event
 
 
@@ -37,12 +37,17 @@ def make_checkpoint(seed=0, d=6, k=4, n=2):
         Checkpoint(
             config=cfg,
             vocab_words=vocab.words,
-            arrays=model.store.params,
+            table=model.embeddings,
+            flat=model.store.flat_params,
             rng_state=rng.bit_generator.state,
             epoch=3,
         ),
         model,
     )
+
+
+# entries of the flat buffer at d=6, k=4, n=2
+FLAT = flat_size(layout(6, 4, 2))
 
 
 class TestRoundTrip:
@@ -55,9 +60,8 @@ class TestRoundTrip:
         assert loaded.config == ckpt.config
         assert loaded.vocab_words == ckpt.vocab_words
         assert loaded.rng_state == ckpt.rng_state
-        assert set(loaded.arrays) == set(ckpt.arrays)
-        for name, arr in ckpt.arrays.items():
-            assert np.array_equal(loaded.arrays[name], arr), name
+        assert np.array_equal(loaded.table, model.embeddings)
+        assert np.array_equal(loaded.flat, model.store.flat_params)
 
     def test_save_load_save_is_byte_identical(self, tmp_path):
         ckpt, _ = make_checkpoint()
@@ -101,17 +105,20 @@ class TestStreamedSave:
         assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
 
 
-def swapped_pair(arrays):
-    """`arrays` with the `u` and `lstm.w` entries in each other's place."""
-    names = list(arrays)
-    i, j = names.index("u"), names.index("lstm.w")
-    names[i], names[j] = names[j], names[i]
-    return {name: arrays[name] for name in names}
-
-
 class TestWriterFollowsTheLayout:
-    """The file names no array, so the writer refuses arrays that the reader
-    would take for others, and places the arrays where they load aligned."""
+    """The file names no array: the writer refuses a table or flat buffer
+    that the header does not fix, and places both where they load aligned."""
+
+    def test_body_is_the_table_then_the_flat_buffer(self, tmp_path):
+        config = TrainingConfig(d=10, k=8, n=2, epochs=1, batch_size=10, learning_rate=0.05)
+        corpus = [
+            EventTuple(("alice",), ("threw",), ("ball",)),
+            EventTuple(("bob",), ("built",), ("house",)),
+        ]
+        model, _ = train(config, corpus, out_dir=str(tmp_path))
+        data = (tmp_path / "final.ckpt").read_bytes()
+        body = data[28 + struct.unpack_from("<I", data, 24)[0] :]
+        assert body == model.embeddings.tobytes() + model.store.flat_params.tobytes()
 
     @pytest.mark.parametrize("epoch", [10**j for j in range(8)])
     def test_array_data_starts_at_a_multiple_of_8(self, tmp_path, epoch):
@@ -123,22 +130,24 @@ class TestWriterFollowsTheLayout:
         path.write_bytes(data)
         loaded = load_checkpoint(str(path))
         assert loaded.epoch == epoch
-        assert all(array.flags.aligned for array in loaded.arrays.values())
+        assert loaded.table.flags.aligned and loaded.flat.flags.aligned
 
     @pytest.mark.parametrize(
-        "edit, match",
+        "edit, got",
         [
-            (swapped_pair, r"array 16 is \('lstm.w', \(2, 8, 8\)\), the layout has \('u', "),
-            (lambda arrays: {**arrays, "u": np.zeros(5)},
-             r"array 16 is \('u', \(5,\)\), the layout has \('u', \(4,\)\)"),
-            (lambda arrays: {name: a for name, a in arrays.items() if name != "sentiment.b"},
-             r"array 20 is None, the layout has \('sentiment.b', \(2,\)\)"),
+            (lambda c: dataclasses.replace(c, table=c.flat, flat=c.table),
+             rf"\(\({FLAT},\), \(13, 6\)\)"),
+            (lambda c: dataclasses.replace(c, table=c.table[:-1]),
+             rf"\(\(12, 6\), \({FLAT},\)\)"),
+            (lambda c: dataclasses.replace(c, flat=c.flat[:-2]),
+             rf"\(\(13, 6\), \({FLAT - 2},\)\)"),
         ],
-        ids=["order", "shape", "missing"],
+        ids=["swapped", "table", "flat"],
     )
-    def test_arrays_off_the_layout_raise_before_anything_is_written(self, tmp_path, edit, match):
+    def test_arrays_off_the_layout_raise_before_anything_is_written(self, tmp_path, edit, got):
         ckpt, _ = make_checkpoint()
-        bad = dataclasses.replace(ckpt, arrays=edit(dict(ckpt.arrays)))
+        bad = edit(ckpt)
+        match = rf"have shapes {got}, the header needs \(\(13, 6\), \({FLAT},\)\)$"
         with pytest.raises(ValueError, match=match):
             checkpoint_bytes(bad)
         with pytest.raises(ValueError, match=match):
@@ -203,10 +212,9 @@ class TestCorruptionDetection:
 
     @pytest.mark.parametrize("value", (np.nan, np.inf, -np.inf))
     def test_non_finite_array_rejected(self, value):
-        ckpt, _ = make_checkpoint()
-        arrays = {name: arr.copy() for name, arr in ckpt.arrays.items()}
-        arrays["layer2.diag"][1, 3] = value
-        bad = dataclasses.replace(ckpt, arrays=arrays)
+        ckpt, model = make_checkpoint()
+        model.store.params["layer2.diag"][1, 3] = value
+        bad = dataclasses.replace(ckpt, table=model.embeddings, flat=model.store.flat_params)
         with pytest.raises(CheckpointError, match="'layer2.diag' holds non-finite"):
             parse_checkpoint(checkpoint_bytes(bad))
 
@@ -247,21 +255,25 @@ class TestLayout:
         ]
         data = checkpoint_bytes(ckpt)
         assert struct.unpack_from("<I", data, 8)[0] == VERSION == 4
-        assert list(array_shapes(13, 5, 4, 2).items()) == expected
-        loaded = parse_checkpoint(data).arrays
-        assert [(name, arr.shape) for name, arr in loaded.items()] == expected
-        assert len(loaded) == 21
+        assert [(name, s) for name, (s, _) in layout(5, 4, 2).items()] == expected[1:]
+        loaded = parse_checkpoint(data)
+        assert loaded.table.shape == (13, 5)
+        assert loaded.flat.shape == (sum(math.prod(s) for _, s in expected[1:]),)
+        params = build_model(loaded).store.params
+        assert [(name, arr.shape) for name, arr in params.items()] == expected
+        assert len(params) == 21
 
 
 class TestShapeValidation:
     """A file's config and vocabulary fix its arrays' shapes, so a mismatch is
-    a body of the wrong size; a checkpoint edited in memory meets JointModel."""
+    a body of the wrong size; a checkpoint edited in memory meets JointModel
+    and ParameterStore."""
 
     def test_dimension_mismatch_names_array(self):
         ckpt, _ = make_checkpoint(d=6, k=4, n=2)
         header = header_of(ckpt)
         header["config"] = TrainingConfig(d=6, k=8, n=2).to_dict()
-        need = 8 * sum(math.prod(s) for s in array_shapes(13, 6, 8, 2).values())
+        need = 8 * (13 * 6 + flat_size(layout(6, 8, 2)))
         body = array_bytes(ckpt)
         match = f"body holds {len(body)} array bytes, .* vocabulary need {need}$"
         with pytest.raises(CheckpointError, match=match):
@@ -269,24 +281,30 @@ class TestShapeValidation:
 
     def test_missing_array_rejected(self):
         ckpt, _ = make_checkpoint()
-        del ckpt.arrays["u"]
-        with pytest.raises(ValueError, match=r"array 16 is \('lstm.w', .*has \('u', \(4,\)\)"):
+        # without the last array, `sentiment.b` of shape (2,)
+        ckpt.flat = ckpt.flat[:-2]
+        match = rf"flat buffer has shape \({FLAT - 2},\), the layout needs \({FLAT},\)$"
+        with pytest.raises(ValueError, match=match):
             build_model(ckpt)
 
     @pytest.mark.parametrize(
         "name, array, match",
         [
-            ("layer4.w", np.zeros((4, 12)), r"array 21 is \('layer4.w', \(4, 12\)\), .* None"),
+            ("layer4.w", np.zeros((4, 12)),
+             rf"flat buffer has shape \({FLAT + 48},\), the layout needs \({FLAT},\)$"),
             # one row short of the 13-word vocabulary
             ("embeddings", np.zeros((12, 6)),
-             r"array 0 is \('embeddings', \(12, 6\)\), .* \('embeddings', \(13, 6\)\)"),
+             r"word table has shape \(12, 6\), expected \(13, 6\)$"),
         ],
     )
     def test_unknown_array_or_wrong_table_shape_rejected(self, name, array, match):
         ckpt, _ = make_checkpoint(d=6)
-        arrays = {**ckpt.arrays, name: array}
+        if name == TABLE:
+            ckpt = dataclasses.replace(ckpt, table=array)
+        else:
+            ckpt = dataclasses.replace(ckpt, flat=np.concatenate((ckpt.flat, array.ravel())))
         with pytest.raises(ValueError, match=match):
-            build_model(dataclasses.replace(ckpt, arrays=arrays))
+            build_model(ckpt)
 
     def test_build_model_draws_nothing(self, monkeypatch):
         ckpt, model = make_checkpoint()
@@ -338,7 +356,8 @@ class TestDamagedBytes:
         ckpt = Checkpoint(
             config=TrainingConfig(d=d, k=k, n=n, seed=seed),
             vocab_words=vocab.words,
-            arrays=model.store.params,
+            table=model.embeddings,
+            flat=model.store.flat_params,
             rng_state=rng.bit_generator.state,
             epoch=epoch,
         )
@@ -364,7 +383,7 @@ def header_of(ckpt):
 
 
 def array_bytes(ckpt):
-    return b"".join(np.asarray(a, dtype="<f8").tobytes() for a in ckpt.arrays.values())
+    return ckpt.table.astype("<f8").tobytes() + ckpt.flat.astype("<f8").tobytes()
 
 
 def valid_header():
@@ -373,8 +392,7 @@ def valid_header():
 
 CONFIG = valid_header()["config"]
 # the arrays of valid_header(): a 13-word vocabulary at d=6, k=4, n=2
-SHAPES = array_shapes(13, 6, 4, 2)
-ZEROS = bytes(8 * sum(math.prod(shape) for shape in SHAPES.values()))
+ZEROS = bytes(8 * (13 * 6 + FLAT))
 
 
 class TestCraftedCheckpoints:
@@ -383,8 +401,8 @@ class TestCraftedCheckpoints:
     def test_crafted_baseline_parses(self):
         ckpt = parse_checkpoint(craft(valid_header(), ZEROS))
         assert ckpt.epoch == 3
-        assert [(name, a.shape) for name, a in ckpt.arrays.items()] == list(SHAPES.items())
-        assert not any(a.any() for a in ckpt.arrays.values())
+        assert ckpt.table.shape == (13, 6) and ckpt.flat.shape == (FLAT,)
+        assert not ckpt.table.any() and not ckpt.flat.any()
 
     @pytest.mark.parametrize("body", [ZEROS[:-8], ZEROS + bytes(8)], ids=["short", "long"])
     def test_body_one_float_off_is_rejected(self, body):
@@ -435,6 +453,9 @@ class TestCraftedCheckpoints:
             ("config", {k: v for k, v in CONFIG.items() if k not in ("seed", "learning_rate")},
              "bad checkpoint config: missing learning_rate, seed$"),
             ("config", {}, f"bad checkpoint config: missing {', '.join(CONFIG)}$"),
+            # a Python int that passes `v < inf`, but no float holds
+            ("config", dict(CONFIG, learning_rate=10**400),
+             "bad checkpoint config: learning_rate is an integer too large for a float$"),
         ],
     )
     def test_bad_header_field_is_named(self, field, value, match):
@@ -442,6 +463,32 @@ class TestCraftedCheckpoints:
         header[field] = value
         with pytest.raises(CheckpointError, match=match):
             parse_checkpoint(craft(header, ZEROS))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sampled_from([(1, 1, 2, 1), (2, 5, 2, 2), (13, 6, 4, 2), (4, 3, 8, 3)]),
+        st.sampled_from([np.nan, np.inf, -np.inf]),
+        st.data(),
+    )
+    def test_non_finite_entry_names_the_array_that_holds_it(self, sizes, value, data):
+        n_words, d, k, n = sizes
+        header = valid_header()
+        header["config"] = dict(CONFIG, d=d, k=k, n=n)
+        header["vocab"] = header["vocab"][:n_words]
+        sizes = [(TABLE, n_words * d)]
+        sizes += [(name, math.prod(shape)) for name, (shape, _) in layout(d, k, n).items()]
+        total = sum(size for _, size in sizes)
+        entries = data.draw(st.sets(st.integers(0, total - 1), min_size=1, max_size=3))
+        values = np.zeros(total)
+        values[list(entries)] = value
+        # the array whose entries hold the first non-finite one
+        start = 0
+        for holder, size in sizes:
+            if start + size > min(entries):
+                break
+            start += size
+        with pytest.raises(CheckpointError, match=f"array '{holder}' holds non-finite values$"):
+            parse_checkpoint(craft(header, values.tobytes()))
 
     def test_header_that_is_not_an_object(self):
         with pytest.raises(CheckpointError, match="header is not a JSON object"):
@@ -477,10 +524,21 @@ def large_table_checkpoint(seed=0):
     """A checkpoint whose table is most of its array bytes."""
     rng = np.random.default_rng(seed)
     vocab = Vocabulary([f"w{i}" for i in range(299)])
-    arrays = {TABLE: rng.standard_normal((300, 6)), **initial_arrays(layout(6, 4, 2), rng)}
-    model = JointModel(vocab, 6, 4, 2, arrays)
+    table = rng.standard_normal((300, 6))
+    model = JointModel(vocab, 6, 4, 2, table, initial_flat(layout(6, 4, 2), rng))
     config = TrainingConfig(d=6, k=4, n=2)
-    return Checkpoint(config, vocab.words, model.store.params, rng.bit_generator.state, 1)
+    return Checkpoint(
+        config, vocab.words, model.embeddings, model.store.flat_params,
+        rng.bit_generator.state, 1,
+    )
+
+
+def read_buffer(ckpt):
+    """The one buffer that a parsed checkpoint's table and flat buffer view."""
+    base = ckpt.table
+    while isinstance(base, np.ndarray):
+        base = base.base
+    return np.asarray(base)
 
 
 class TestOwnership:
@@ -488,36 +546,42 @@ class TestOwnership:
     that someone else holds."""
 
     def test_store_takes_a_writable_array_without_a_copy(self):
-        table = np.arange(6.0).reshape(3, 2)
-        assert ParameterStore({"embeddings": table}).params["embeddings"] is table
+        table, flat = np.arange(6.0).reshape(3, 2), np.arange(4.0)
+        store = ParameterStore({"w": ((2, 2), 0.0)}, flat, table)
+        assert store.params["embeddings"] is table and store.flat_params is flat
+        assert np.shares_memory(store.params["w"], flat)
 
     def test_store_copies_a_read_only_array(self):
-        data = np.arange(6.0).tobytes()
-        view = np.frombuffer(data, dtype=np.float64)
-        owned = ParameterStore({"embeddings": view}).params["embeddings"]
-        assert owned.flags.writeable and not np.shares_memory(owned, view)
+        data = np.arange(10.0).tobytes()
+        table = np.frombuffer(data, dtype=np.float64, count=6).reshape(3, 2)
+        flat = np.frombuffer(data, dtype=np.float64, offset=48)
+        store = ParameterStore({"w": ((2, 2), 0.0)}, flat, table)
+        for owned, view in ((store.params["embeddings"], table), (store.flat_params, flat)):
+            assert owned.flags.writeable and not np.shares_memory(owned, view)
+            assert np.array_equal(owned, view)
 
     def test_a_large_loaded_table_becomes_the_model_table(self, tmp_path):
         path = tmp_path / "m.ckpt"
         save_checkpoint(str(path), large_table_checkpoint())
         loaded = load_checkpoint(str(path))
-        assert all(arr.flags.writeable for arr in loaded.arrays.values())
+        assert loaded.table.flags.writeable and loaded.flat.flags.writeable
         rebuilt = build_model(loaded)
-        assert rebuilt.embeddings is loaded.arrays["embeddings"]
-        for name, arr in rebuilt.store.params.items():
-            if name != "embeddings":
-                assert not np.shares_memory(arr, loaded.arrays[name]), name
+        assert rebuilt.embeddings is loaded.table
+        assert rebuilt.store.flat_params is loaded.flat
 
-    def test_a_small_loaded_table_is_copied(self, tmp_path):
-        # a view would keep the whole read buffer alive for a table that
-        # is the smaller part of it
-        ckpt, _ = make_checkpoint()
+    @pytest.mark.parametrize("ckpt", [make_checkpoint()[0], large_table_checkpoint()],
+                             ids=["small", "large"])
+    def test_a_loaded_model_views_the_read_buffer(self, tmp_path, ckpt):
+        # the buffer holds the header and the two parts, nothing else to copy out
         path = tmp_path / "m.ckpt"
         save_checkpoint(str(path), ckpt)
         loaded = load_checkpoint(str(path))
-        rebuilt = build_model(loaded)
-        for name, arr in rebuilt.store.params.items():
-            assert not np.shares_memory(arr, loaded.arrays[name]), name
+        model = build_model(loaded)
+        buffer = read_buffer(loaded)
+        assert buffer.size == path.stat().st_size
+        assert np.shares_memory(model.embeddings, buffer)
+        assert np.shares_memory(model.store.flat_params, buffer)
+        assert buffer[-model.store.flat_params.nbytes :].tobytes() == ckpt.flat.tobytes()
 
     def test_training_a_loaded_model_leaves_the_file_alone(self, tmp_path):
         path = tmp_path / "m.ckpt"
@@ -525,26 +589,29 @@ class TestOwnership:
         on_disk = path.read_bytes()
         loaded = load_checkpoint(str(path))
         model = build_model(loaded)
-        assert model.embeddings is loaded.arrays["embeddings"]
-        before = model.embeddings.copy()
+        assert model.embeddings is loaded.table and model.store.flat_params is loaded.flat
+        before = model.embeddings.copy(), model.store.flat_params.copy()
         for grad in model.store.grads.values():
             grad[...] = 1.0
         adagrad_step(model.store, 0.1, 1.0)
-        assert not np.array_equal(model.embeddings, before)
+        assert not np.array_equal(model.embeddings, before[0])
+        assert not np.array_equal(model.store.flat_params, before[1])
         assert path.read_bytes() == on_disk
         assert checkpoint_bytes(load_checkpoint(str(path))) == on_disk
 
     def test_model_from_immutable_bytes_trains_on_its_own_copy(self):
-        data = checkpoint_bytes(large_table_checkpoint())
-        parsed = parse_checkpoint(data)
-        assert not parsed.arrays["embeddings"].flags.writeable
-        model = build_model(parsed)
-        assert not np.shares_memory(model.embeddings, parsed.arrays["embeddings"])
-        for grad in model.store.grads.values():
-            grad[...] = 1.0
-        adagrad_step(model.store, 0.1, 1.0)
-        assert checkpoint_bytes(parse_checkpoint(data)) == data
-        assert checkpoint_bytes(parsed) == data
+        for ckpt in (make_checkpoint()[0], large_table_checkpoint()):
+            data = checkpoint_bytes(ckpt)
+            parsed = parse_checkpoint(data)
+            assert not parsed.table.flags.writeable and not parsed.flat.flags.writeable
+            model = build_model(parsed)
+            assert not np.shares_memory(model.embeddings, parsed.table)
+            assert not np.shares_memory(model.store.flat_params, parsed.flat)
+            for grad in model.store.grads.values():
+                grad[...] = 1.0
+            adagrad_step(model.store, 0.1, 1.0)
+            assert checkpoint_bytes(parse_checkpoint(data)) == data
+            assert checkpoint_bytes(parsed) == data
 
 
 class TestFrozenInferenceThreads:

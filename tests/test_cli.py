@@ -163,6 +163,21 @@ class TestTrainCommand:
             outs.append((tmp_path / name / "final.ckpt").read_bytes())
         assert outs[0] == outs[1]
 
+    def test_allocation_failure_is_reported_without_a_traceback(
+        self, capsys, synthetic_dir, tmp_path
+    ):
+        # a 2**50-float table row is 8 PiB, past any 47-bit address space, so
+        # the allocation fails at once whatever the overcommit setting
+        code, _, err = run(
+            capsys,
+            "train",
+            "--corpus", str(synthetic_dir / "corpus.txt"),
+            "--out", str(tmp_path / "run"),
+            "--d", str(2**50), "--k", "2", "--n", "1",
+        )
+        assert code == 1
+        assert err.splitlines()[-1].startswith("error: Unable to allocate 8.00 PiB")
+
     def test_preset_sets_loss_weights(self, capsys, synthetic_dir, tmp_path):
         code, _, _ = run(
             capsys,

@@ -22,7 +22,7 @@ def make_composer(seed=0, d=4, k=3, n=2, n_words=8, scale=1.0):
     rng = np.random.default_rng(seed)
     vocab = Vocabulary(WORDS[:n_words])
     table = rng.uniform(-scale, scale, (len(vocab), d))
-    store = make_store(EventComposer.layout(d, k, n), rng, embeddings=table)
+    store = make_store(EventComposer.layout(d, k, n), rng, table)
     composer = EventComposer(store)
     return composer, vocab, store, rng
 

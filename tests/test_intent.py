@@ -7,7 +7,7 @@ from eventemb.data import Vocabulary
 from eventemb.intent import (
     BiLstmEncoder, intent_hinge, lstm_step, lstm_step_backward,
 )
-from eventemb.params import initial_arrays
+from eventemb.params import initial_flat
 from eventemb.trainer import Negatives, TrainingConfig, joint_loss
 from conftest import WORDS, coded, make_model, make_store, random_event, word_ids
 from gradcheck import grad_check, random_projection
@@ -21,7 +21,7 @@ def make_encoder(seed=0, d=4, h=3, n_words=8, scale=1.0):
     rng = np.random.default_rng(seed)
     vocab = Vocabulary(WORDS[:n_words])
     table = rng.uniform(-scale, scale, (len(vocab), d))
-    store = make_store(BiLstmEncoder.layout(d, h), rng, embeddings=table)
+    store = make_store(BiLstmEncoder.layout(d, h), rng, table)
     encoder = BiLstmEncoder(store)
     return encoder, vocab, store, rng
 
@@ -67,8 +67,8 @@ class TestLstmStep:
 
     def test_matches_scalar_oracle(self):
         # direction 0 of a new encoder's stacked arrays
-        arrays = initial_arrays(BiLstmEncoder.layout(2, 3), np.random.default_rng(3))
-        w, b = arrays["lstm.w"][0], arrays["lstm.b"][0]
+        store = make_store(BiLstmEncoder.layout(2, 3), np.random.default_rng(3))
+        w, b = store.params["lstm.w"][0], store.params["lstm.b"][0]
         rng = np.random.default_rng(30)
         x = rng.standard_normal((4, 2))
         h_prev = rng.standard_normal((4, 3))
@@ -108,12 +108,12 @@ class TestLstmStep:
         # those two draws leave it
         d, h = 5, 2
         rng, want = np.random.default_rng(9), np.random.default_rng(9)
-        arrays = initial_arrays(BiLstmEncoder.layout(d, h), rng)
+        flat = initial_flat(BiLstmEncoder.layout(d, h), rng)
         r = 1.0 / np.sqrt(d + h)
         directions = [want.uniform(-r, r, (4 * h, d + h)) for _ in range(2)]
-        assert list(arrays) == ["lstm.w", "lstm.b"]
-        assert np.array_equal(arrays["lstm.w"], np.stack(directions))
-        assert np.array_equal(arrays["lstm.b"], np.zeros((2, 4 * h)))
+        assert list(BiLstmEncoder.layout(d, h)) == ["lstm.w", "lstm.b"]
+        assert np.array_equal(flat[: 8 * h * (d + h)], np.stack(directions).reshape(-1))
+        assert np.array_equal(flat[8 * h * (d + h) :], np.zeros(8 * h))
         assert rng.bit_generator.state == want.bit_generator.state
 
 

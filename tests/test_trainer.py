@@ -80,6 +80,13 @@ class TestConfig:
     def test_float_fields_take_ints(self):
         TrainingConfig(alpha=1, learning_rate=1, lambda_l2=0)
 
+    @pytest.mark.parametrize("field", ("learning_rate", "lambda_l2", "alpha"))
+    def test_int_too_large_for_a_float_rejected(self, field):
+        # a Python int passes `v < inf`, but training would raise OverflowError
+        with pytest.raises(ValueError, match=f"^{field} is an integer too large for a float$"):
+            dataclasses.replace(TrainingConfig(), **{field: 10**400})
+        assert type(TrainingConfig(learning_rate=2**1000).learning_rate) is int
+
     def test_train_rejects_a_float_dimension(self):
         with pytest.raises(ValueError, match="d=6.0 is not of type int"):
             train(tiny_config(d=6.0), [EventTuple(("a",), ("b",), ("c",))])
@@ -191,7 +198,7 @@ class TestLossParts:
 
 class TestAdagrad:
     def test_first_step(self):
-        store = ParameterStore({"theta": np.zeros(1)})
+        store = ParameterStore({"theta": ((1,), 0.0)}, np.zeros(1))
         theta = store.params["theta"]
         store.grads["theta"][...] = 1.0
         adagrad_step(store, 0.1, 1.0)
@@ -200,7 +207,7 @@ class TestAdagrad:
         assert store.grads["theta"][0] == 0.0  # zeroed after the step
 
     def test_zero_gradient_changes_nothing(self):
-        store = ParameterStore({"theta": np.full(3, 2.5)})
+        store = ParameterStore({"theta": ((3,), 0.0)}, np.full(3, 2.5))
         theta = store.params["theta"]
         adagrad_step(store, 0.1, 1.0)
         assert np.array_equal(theta, np.full(3, 2.5))
@@ -208,7 +215,7 @@ class TestAdagrad:
 
     def test_two_step_hand_trace(self):
         # g=3 then g=4 at lr=1: steps 3/sqrt(9) and 4/sqrt(25), total -1.8
-        store = ParameterStore({"theta": np.zeros(1)})
+        store = ParameterStore({"theta": ((1,), 0.0)}, np.zeros(1))
         theta = store.params["theta"]
         store.grads["theta"][...] = 3.0
         adagrad_step(store, 1.0, 1.0)
@@ -219,7 +226,7 @@ class TestAdagrad:
         assert abs(theta[0] - (-1.8)) < 1e-8  # exact up to the 1e-8 epsilon guard
 
     def test_nonfinite_gradient_names_parameter(self):
-        store = ParameterStore({"layer1.w": np.zeros(2)})
+        store = ParameterStore({"layer1.w": ((2,), 0.0)}, np.zeros(2))
         store.grads["layer1.w"][0] = np.nan
         with pytest.raises(FloatingPointError, match="layer1.w"):
             adagrad_step(store, 0.1, 1.0)
@@ -229,11 +236,8 @@ class TestAdagrad:
         table = rng.standard_normal((50, 4))
         table[[3, 7], 1:3] = -0.0
         table[11, 0] = -0.0
-        return ParameterStore({
-            "embeddings": table,
-            "layer1.w": rng.standard_normal((3, 2)),
-            "u": np.array([0.5, -0.0, 0.0]),
-        })
+        flat = np.concatenate((rng.standard_normal(6), [0.5, -0.0, 0.0]))
+        return ParameterStore({"layer1.w": ((3, 2), 0.0), "u": ((3,), 0.0)}, flat, table)
 
     def test_sparse_table_step_bit_equals_dense_oracle(self):
         rng = np.random.default_rng(3)
@@ -294,7 +298,7 @@ class TestAdagrad:
             adagrad_step(store, 0.1, 1.0)
 
     def test_accumulators_never_decrease(self):
-        store = ParameterStore({"theta": np.zeros(4)})
+        store = ParameterStore({"theta": ((4,), 0.0)}, np.zeros(4))
         rng = np.random.default_rng(0)
         previous = store.accums["theta"].copy()
         for _ in range(10):
@@ -350,10 +354,11 @@ class TestNegativeSampling:
         for _ in range(50):
             assert sample_negative_intent(pool, (5, 1), rng) == (5, 2)
 
-    def test_all_identical_pool_rejected(self):
-        pool = [(5, 1)] * 3
-        with pytest.raises(ValueError, match="textually distinct"):
-            sample_negative_intent(pool, (5, 1), np.random.default_rng(0))
+    def test_skewed_pool_draws_until_it_finds_the_one_distinct_intent(self):
+        # `train` accepts a pool with two distinct intents, however skewed;
+        # seed 0 takes more than 10,000 draws to reach the one "to rest"
+        pool = [(5, 1)] * 20_000 + [(5, 2)]
+        assert sample_negative_intent(pool, (5, 1), np.random.default_rng(0)) == (5, 2)
 
     def test_empty_pool_rejected(self):
         with pytest.raises(ValueError, match="empty pool"):
@@ -463,7 +468,7 @@ class TestTrainLoop:
     def test_inactive_terms_leave_parameters_untouched(self, synthetic_dir, tmp_path):
         # with beta = gamma = 0 the LSTM cells and sentiment head must stay at
         # their init across any number of epochs
-        from eventemb.checkpoint import load_checkpoint
+        from eventemb.checkpoint import build_model, load_checkpoint
 
         inputs = synthetic_inputs(synthetic_dir)
         runs = {}
@@ -472,8 +477,8 @@ class TestTrainLoop:
                                  epochs=epochs, learning_rate=0.05, batch_size=10, seed=9)
             out = tmp_path / name
             train(cfg, out_dir=str(out), **inputs)
-            runs[name] = load_checkpoint(str(out / "final.ckpt")).arrays
-        untouched = [k for k in runs["one"] if k.startswith(("lstm_", "sentiment."))]
+            runs[name] = build_model(load_checkpoint(str(out / "final.ckpt"))).store.params
+        untouched = [k for k in runs["one"] if k.startswith(("lstm.", "sentiment."))]
         touched = [k for k in runs["one"] if k.startswith(("layer", "embeddings", "u"))]
         assert untouched and touched
         for key in untouched:
