@@ -128,7 +128,7 @@ class EventComposer:
         }
 
     def __init__(self, store: ParameterStore) -> None:
-        self.embeddings, self.g_embeddings = store.params[TABLE], store.grads[TABLE]
+        self.embeddings, self.table_grads = store.params[TABLE], store.table_grads
         self.layer1, self.layer2, self.layer3 = (
             LowRankLayer(store, prefix) for prefix in ("layer1", "layer2", "layer3")
         )
@@ -153,13 +153,14 @@ class EventComposer:
         return c, (ids, sizes, cache1, cache2, cache3)
 
     def embed_backward(self, dc: np.ndarray, cache: tuple) -> None:
-        """Backprop dL/dC (B, k) through all layers into parameter and embedding grads."""
+        """Backprop dL/dC (B, k) through all layers into the parameter grads,
+        recording the word rows' gradient as one table contribution."""
         ids, sizes, cache1, cache2, cache3 = cache
         ds1, ds2 = self.layer3.backward(dc, cache3)
         da, dp1 = self.layer1.backward(ds1, cache1)
         dp2, do = self.layer2.backward(ds2, cache2)
         dargs = np.stack((da, dp1 + dp2, do), axis=1).reshape(-1, self.d) / sizes[:, None]
-        np.add.at(self.g_embeddings, ids, np.repeat(dargs, sizes, axis=0))
+        self.table_grads.append((ids, np.repeat(dargs, sizes, axis=0)))
 
     def regularization(self, lambda_l2: float) -> float:
         """lambda * ||Phi||_2^2 over the composition-layer parameters only."""

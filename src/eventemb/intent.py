@@ -88,7 +88,7 @@ class BiLstmEncoder:
         }
 
     def __init__(self, store: ParameterStore) -> None:
-        self.embeddings, self.g_embeddings = store.params[TABLE], store.grads[TABLE]
+        self.embeddings, self.table_grads = store.params[TABLE], store.table_grads
         self.w, self.b = store.params["lstm.w"], store.params["lstm.b"]
         self.g_w, self.g_b = store.grads["lstm.w"], store.grads["lstm.b"]
         self.d = self.embeddings.shape[1]
@@ -127,7 +127,8 @@ class BiLstmEncoder:
         return out, cache
 
     def encode_backward(self, dvec: np.ndarray, cache: list[tuple]) -> None:
-        """Backprop d(loss)/d(intent vectors) (S, 2h) through both directions."""
+        """Backprop d(loss)/d(intent vectors) (S, 2h) through both directions,
+        recording each group's word rows' gradient as one table contribution."""
         h = self.h
         for rows, tokens, hs, cs, gates in cache:
             steps = tokens.shape[1]
@@ -141,8 +142,8 @@ class BiLstmEncoder:
                 )
                 self.g_w += dw
                 self.g_b += db
-            # direction-major scatter: the table gradient sums in a fixed order
-            np.add.at(self.g_embeddings, tokens, dx)
+            # direction-major: the table gradient sums in a fixed order
+            self.table_grads.append((tokens.reshape(-1), dx.reshape(-1, self.d)))
 
 
 def intent_hinge(

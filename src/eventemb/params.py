@@ -30,9 +30,16 @@ class ParameterStore:
 
     A model's parameters are the word table and `flat_params`, which holds
     the arrays of `layout` back to back in layout order (the checkpoint
-    order); `flat_grads` and `flat_accums` mirror it. `params`, `grads` and
-    `accums` name the table and a view of each array's slice. So one
-    operation over a flat buffer covers every dense array.
+    order); `flat_grads` and `flat_accums` mirror it. `params` names the
+    table and a view of each array's slice, `grads` and `accums` the slices
+    alone. So one operation over a flat buffer covers every dense array.
+
+    The table's gradient and accumulator cover only the rows training
+    touches. `table_grads` lists the contributions of one step in call
+    order, each (N,) row ids and their (N, d) gradient rows. `table_rows`
+    holds the sorted ids of every row any step has touched and
+    `table_accums` their accumulator rows, in the same order. A frozen
+    model's are empty.
 
     Ownership: the store takes `flat` and `table` without a copy and training
     writes into them, so a caller that must keep its own passes a copy. An
@@ -49,17 +56,18 @@ class ParameterStore:
         self.flat_params = np.require(flat, dtype=np.float64, requirements=("C", "W"))
         # np.zeros gets zeroed pages from the allocator
         self.flat_grads, self.flat_accums = np.zeros(size), np.zeros(size)
-        views = {}  # name -> (parameter, gradient, accumulator)
+        self.table_grads: list[tuple[np.ndarray, np.ndarray]] = []
+        self.params = {}
         if table is not None:
             table = np.require(table, dtype=np.float64, requirements=("C", "W"))
-            # a frozen model never touches the table's gradient and accumulator
-            views[TABLE] = (table, np.zeros(table.shape), np.zeros(table.shape))
-        buffers = (self.flat_params, self.flat_grads, self.flat_accums)
+            self.params[TABLE] = table
+            self.table_rows = np.zeros(0, dtype=np.int64)
+            self.table_accums = np.zeros((0, table.shape[1]))
+        self.grads, self.accums = {}, {}
         start = 0
         for name, (shape, _) in layout.items():
             stop = start + math.prod(shape)
-            views[name] = tuple(b[start:stop].reshape(shape) for b in buffers)
+            self.params[name] = self.flat_params[start:stop].reshape(shape)
+            self.grads[name] = self.flat_grads[start:stop].reshape(shape)
+            self.accums[name] = self.flat_accums[start:stop].reshape(shape)
             start = stop
-        self.params, self.grads, self.accums = (
-            {name: triple[i] for name, triple in views.items()} for i in range(3)
-        )

@@ -241,7 +241,7 @@ def _adagrad_update(theta, acc, g, lr: float, scale: float) -> bool:
     """The update in place on C-contiguous arrays; False, with only g
     changed, where g * scale is not finite."""
     g *= scale
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         return False
     theta, acc, g = theta.reshape(-1), acc.reshape(-1), g.reshape(-1)
     for start in range(0, g.size, ADAGRAD_BLOCK):
@@ -256,20 +256,39 @@ def adagrad_step(store: ParameterStore, learning_rate: float, scale: float) -> N
 
     The rule is elementwise, so it runs as two updates: one over the store's
     flat buffers, which hold every array but the table, and one over the
-    table rows with a non-zero gradient. An all-zero row is a fixed point
-    (acc += 0, theta -= 0), so skipping it is bit-equal to the dense rule,
-    and a NaN or inf row is non-zero, so it is checked. This holds because
-    gradient buffers are zeroed to +0.0 and only added to, so a skipped row
-    never holds a -0.0 that would flip a -0.0 theta. A non-finite gradient
-    raises naming the first parameter that holds one, found only then.
+    table rows that this step's recorded contributions touch. One
+    `np.add.at` sums those contributions into a block of the touched rows,
+    sorted by id, in call order and from +0.0, so each row sums the same
+    additions in the same order as a dense table gradient would. A row no contribution names
+    has a zero gradient, a fixed point of the rule (acc += 0, theta -= 0),
+    so leaving it out is bit-equal to the dense rule. A touched row whose
+    contributions cancel is updated, and that is bit-equal too: a sum that
+    starts at +0.0 is never -0.0, so the update subtracts +0.0 and a -0.0
+    theta stays -0.0. A row's accumulator is created, zeroed, when a step
+    first touches it. A non-finite gradient raises naming the first
+    parameter that holds one, found only then.
     """
-    if TABLE in store.params:
-        theta, g, acc = store.params[TABLE], store.grads[TABLE], store.accums[TABLE]
-        rows = np.flatnonzero(g.any(axis=1))
-        theta_rows, acc_rows = theta[rows], acc[rows]
-        if not _adagrad_update(theta_rows, acc_rows, g[rows], learning_rate, scale):
+    if store.table_grads:
+        table = store.params[TABLE]
+        ids, values = (np.concatenate(part) for part in zip(*store.table_grads))
+        store.table_grads.clear()
+        # np.unique(ids, return_inverse=True) in 4 calls: a step makes few
+        # enough others that np.unique's own dozen would show
+        rows = np.sort(ids)
+        rows = rows[np.concatenate(([True], rows[1:] != rows[:-1]))]
+        g = np.zeros((len(rows), table.shape[1]))
+        np.add.at(g, rows.searchsorted(ids), values)
+        # a row's slot in the accumulator; a row not yet there gets one
+        slots = store.table_rows.searchsorted(rows)
+        new = store.table_rows.searchsorted(rows, side="right") == slots
+        if new.any():
+            store.table_rows = np.insert(store.table_rows, slots[new], rows[new])
+            store.table_accums = np.insert(store.table_accums, slots[new], 0.0, axis=0)
+            slots = store.table_rows.searchsorted(rows)
+        theta_rows, acc_rows = table[rows], store.table_accums[slots]
+        if not _adagrad_update(theta_rows, acc_rows, g, learning_rate, scale):
             raise FloatingPointError(f"non-finite gradient in parameter '{TABLE}'")
-        theta[rows], acc[rows], g[rows] = theta_rows, acc_rows, 0.0
+        table[rows], store.table_accums[slots] = theta_rows, acc_rows
     g = store.flat_grads
     if not _adagrad_update(store.flat_params, store.flat_accums, g, learning_rate, scale):
         name = next(n for n, a in store.grads.items() if not np.all(np.isfinite(a)))

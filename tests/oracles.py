@@ -5,10 +5,11 @@ matrices are materialized, math is done in scalar loops, and ranks are
 computed by counting comparisons. The single-slice bilinear form checks the
 k-slice einsums of LowRankLayer one slice at a time, and the forward-only
 objectives restate the paper's loss formulas that the joint loss must match.
-The per-array Adagrad step and the per-direction encoder are the unpacked
-forms of the flat-buffer step and the stacked LSTM, which must equal them
-bit for bit. The file writers at the end invert the loaders for round-trip
-tests.
+The dense Adagrad step and the per-direction encoder are the unpacked forms
+of the flat-buffer, touched-rows step and the stacked LSTM, which must equal
+them bit for bit; the dense table gradient and accumulator views unpack the
+store's row-sparse table state for them. The file writers at the end invert
+the loaders for round-trip tests.
 """
 
 import math
@@ -21,6 +22,7 @@ from eventemb.data import (
     AnnotatedExample, EventTuple, HardSimInstance, TransitiveSimInstance, format_event,
 )
 from eventemb.ops import sigmoid
+from eventemb.params import TABLE
 
 
 def cosine(u, v, eps=1e-8):
@@ -271,16 +273,43 @@ def intent_loss(v_e, v_i, v_i_neg):
     return max(0.0, 1.0 - (cosine(v_e, v_i) - cosine(v_e, v_i_neg)))
 
 
-def dense_adagrad_step(store, learning_rate, scale, eps):
-    """The Adagrad step swept over every array whole, the table included."""
-    for name, theta in store.params.items():
-        g = store.grads[name]
+def dense_table_grad(store):
+    """The table gradient as one dense (|V|, d) array: the store's recorded
+    contributions summed from +0.0 in call order, one `np.add.at` each."""
+    g = np.zeros(store.params[TABLE].shape)
+    for ids, values in store.table_grads:
+        np.add.at(g, ids, values)
+    return g
+
+
+def dense_table_accums(store):
+    """The table accumulator as one dense (|V|, d) array, zero in every row
+    no step has touched."""
+    acc = np.zeros(store.params[TABLE].shape)
+    acc[store.table_rows] = store.table_accums
+    return acc
+
+
+def record_table_grad(store, g):
+    """Record a dense (|V|, d) table gradient as one contribution to every row."""
+    store.table_grads.append((np.arange(len(g)), g))
+
+
+def dense_adagrad_step(store, table_accums, learning_rate, scale, eps):
+    """The Adagrad step swept over every array whole, one array at a time,
+    the table included. The table's gradient is `dense_table_grad` and its
+    accumulator `table_accums`, a dense (|V|, d) array the caller keeps."""
+    arrays = {}
+    if TABLE in store.params:
+        arrays[TABLE] = (dense_table_grad(store), table_accums)
+        store.table_grads.clear()
+    arrays.update((name, (store.grads[name], store.accums[name])) for name in store.grads)
+    for name, (g, acc) in arrays.items():
         g *= scale
         if not np.all(np.isfinite(g)):
             raise FloatingPointError(f"non-finite gradient in parameter '{name}'")
-        acc = store.accums[name]
         acc += g * g
-        theta -= learning_rate * g / (np.sqrt(acc) + eps)
+        store.params[name][...] -= learning_rate * g / (np.sqrt(acc) + eps)
         g[...] = 0.0
 
 
@@ -296,14 +325,20 @@ def masked_sigmoid(x):
 
 
 def zero_grads(store):
-    """Zero every gradient buffer of a ParameterStore in place."""
+    """Zero every gradient buffer of a ParameterStore in place and drop its
+    recorded table contributions."""
     for g in store.grads.values():
         g[...] = 0.0
+    store.table_grads.clear()
 
 
 def snapshot_grads(store):
-    """Copies of all gradient buffers of a ParameterStore, for grad_check."""
-    return {name: g.copy() for name, g in store.grads.items()}
+    """Copies of all gradient buffers of a ParameterStore, the table's as
+    `dense_table_grad`, for grad_check."""
+    grads = {name: g.copy() for name, g in store.grads.items()}
+    if TABLE in store.params:
+        grads[TABLE] = dense_table_grad(store)
+    return grads
 
 
 def load_word_vectors_by_line(path):
@@ -354,29 +389,6 @@ def load_word_vectors_by_line(path):
     mean[over] = (table[1:, over] / len(rows)).sum(axis=0)
     table[UNKNOWN_INDEX] = mean
     return Vocabulary(words), table
-
-
-def per_array_adagrad_step(store, learning_rate, scale, eps):
-    """The Adagrad step as one update per named array, in the store's order;
-    the table's covers only its rows with a non-zero gradient."""
-
-    def update(name, theta, acc, g):
-        g *= scale
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError(f"non-finite gradient in parameter '{name}'")
-        acc += g * g
-        theta -= learning_rate * g / (np.sqrt(acc) + eps)
-
-    for name, theta in store.params.items():
-        g, acc = store.grads[name], store.accums[name]
-        if name == "embeddings":
-            rows = np.flatnonzero(g.any(axis=1))
-            theta_rows, acc_rows = theta[rows], acc[rows]
-            update(name, theta_rows, acc_rows, g[rows])
-            theta[rows], acc[rows], g[rows] = theta_rows, acc_rows, 0.0
-        else:
-            update(name, theta, acc, g)
-            g[...] = 0.0
 
 
 def _cell_step(w, b, x, h_prev, c_prev):
@@ -437,7 +449,7 @@ def per_direction_encode(encoder, sentences):
 
 def per_direction_encode_backward(encoder, dvec, cache):
     """Backward of `per_direction_encode`: each direction's steps in turn,
-    then one direction-major scatter into the table gradient per group."""
+    then one direction-major table contribution per group."""
     h = encoder.h
     for rows, tokens, hs, cs, gates in cache:
         steps = tokens.shape[1]
@@ -450,7 +462,7 @@ def per_direction_encode_backward(encoder, dvec, cache):
                     encoder.w[r], encoder.g_w[r], encoder.g_b[r], dh, dc,
                     encoder.embeddings[tokens[r, t]], hs[r, t], cs[r, t], gates[r, t], cs[r, t + 1],
                 )
-        np.add.at(encoder.g_embeddings, tokens, dx)
+        encoder.table_grads.append((tokens.reshape(-1), dx.reshape(-1, encoder.d)))
 
 
 # File writers: the inverses of the loaders, for round-trip tests.

@@ -28,6 +28,7 @@ from eventemb.model import JointModel, layout
 from eventemb.params import TABLE, ParameterStore, flat_size, initial_flat
 from eventemb.trainer import TrainingConfig, adagrad_step, train
 from conftest import make_model, random_event
+from oracles import record_table_grad
 
 
 def make_checkpoint(seed=0, d=6, k=4, n=2):
@@ -593,6 +594,7 @@ class TestOwnership:
         before = model.embeddings.copy(), model.store.flat_params.copy()
         for grad in model.store.grads.values():
             grad[...] = 1.0
+        record_table_grad(model.store, np.ones(model.embeddings.shape))
         adagrad_step(model.store, 0.1, 1.0)
         assert not np.array_equal(model.embeddings, before[0])
         assert not np.array_equal(model.store.flat_params, before[1])
@@ -609,6 +611,7 @@ class TestOwnership:
             assert not np.shares_memory(model.store.flat_params, parsed.flat)
             for grad in model.store.grads.values():
                 grad[...] = 1.0
+            record_table_grad(model.store, np.ones(model.embeddings.shape))
             adagrad_step(model.store, 0.1, 1.0)
             assert checkpoint_bytes(parse_checkpoint(data)) == data
             assert checkpoint_bytes(parsed) == data

@@ -1,5 +1,6 @@
 import os
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from eventemb.data import (
     UNKNOWN_TOKEN,
+    VECTOR_BLOCK,
     AnnotatedExample,
     DataError,
     EventTuple,
@@ -80,6 +82,37 @@ class TestWordVectors:
         with pytest.raises(DataError, match="no word vectors"):
             load_word_vectors(path)
 
+    @pytest.mark.parametrize("text", ("", "\n  \n", "# only\n# comments\n", "\ufeff"))
+    def test_a_file_without_records_raises_and_warns_nothing(self, tmp_path, text):
+        path = write(tmp_path, "vec.txt", text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError) as caught:
+                load_word_vectors(path)
+        assert str(caught.value) == f"{path}:0: no word vectors found"
+        assert caught.value.line == 0
+
+    @pytest.mark.parametrize(
+        "record, message, at",
+        [("lonely", "expected a word followed by vector entries", at) for at in (0, 1, 1030)]
+        + [("z 1 zap", "bad vector entry", at) for at in (0, 1, 1030)]
+        + [("z 1 2 3", "vector has 3 entries, expected 2", at) for at in (1, 1030)],
+    )
+    def test_a_bad_record_in_any_block_names_its_line(self, tmp_path, record, message, at):
+        # line 1032, record 1031, lies in the second block of VECTOR_BLOCK records
+        assert VECTOR_BLOCK < 1030
+        lines = [f"w{i} {i} 1" for i in range(VECTOR_BLOCK + 10)]
+        lines[at] = record
+        path = write(tmp_path, "vec.txt", "# header\n" + "\n".join(lines) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError) as caught:
+                load_word_vectors(path)
+        assert str(caught.value).startswith(f"{path}:{at + 2}: {message}")
+        if record == "lonely":
+            # raised while loadtxt reads the records: it comes out unchanged
+            assert caught.value.__cause__ is None and caught.value.__context__ is None
+
     def test_bad_float_rejected(self, tmp_path):
         path = write(tmp_path, "vec.txt", "a 1 zap\n")
         with pytest.raises(DataError, match=r"vec\.txt:1"):
@@ -129,6 +162,23 @@ class TestWordVectors:
         path = write(tmp_path, "vec.txt", "a 1 0\nlonely   \n")
         with pytest.raises(DataError, match=r"vec\.txt:2: expected a word followed"):
             load_word_vectors(path)
+
+    def test_parse_holds_no_copy_of_the_file_text(self, tmp_path):
+        # 20k x 50 entries: 8 MB as a table, ~10 MB as text
+        rng = np.random.default_rng(0)
+        rows = rng.standard_normal((20_000, 50))
+        path = tmp_path / "vec.txt"
+        with open(path, "w", encoding="utf-8") as fh:
+            for i, row in enumerate(rows):
+                fh.write(f"w{i} " + " ".join(f"{x:.6f}" for x in row) + "\n")
+        tracemalloc.start()
+        try:
+            vocab, table = load_word_vectors(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.shape == (20_001, 50)
+        assert peak < 2 * table.nbytes
 
     def test_one_dimensional_vectors(self, tmp_path):
         path = write(tmp_path, "vec.txt", "a 1\nb 3\n")

@@ -12,8 +12,8 @@ from eventemb.trainer import Negatives, TrainingConfig, joint_loss
 from conftest import WORDS, coded, make_model, make_store, random_event, word_ids
 from gradcheck import grad_check, random_projection
 from oracles import (
-    intent_loss, per_direction_encode, per_direction_encode_backward, scalar_lstm_step,
-    snapshot_grads, zero_grads,
+    dense_table_grad, intent_loss, per_direction_encode, per_direction_encode_backward,
+    record_table_grad, scalar_lstm_step, snapshot_grads, zero_grads,
 )
 
 
@@ -157,11 +157,11 @@ class TestEncodeIntent:
                 encoder.encode(batch)
 
     def test_no_sentences_give_no_rows(self):
-        encoder, _, _, _ = make_encoder(h=3)
+        encoder, _, store, _ = make_encoder(h=3)
         vectors, cache = encoder.encode([])
         assert vectors.shape == (0, 6)
         encoder.encode_backward(vectors, cache)
-        assert not encoder.g_embeddings.any()
+        assert not dense_table_grad(store).any()
 
     def test_batch_matches_scalar_chains_in_input_order(self):
         encoder, vocab, _, _ = make_encoder(seed=8, d=4, h=3, n_words=16)
@@ -216,6 +216,7 @@ class TestStackedDirections:
             # gradients already hold values, as after an earlier backward
             for g in store.grads.values():
                 g[...] = rng.standard_normal(g.shape)
+            record_table_grad(store, rng.standard_normal(store.params["embeddings"].shape))
             vectors, cache = encode(encoder, ids)
             backward(encoder, rng.standard_normal(vectors.shape), cache)
             runs.append((vectors, snapshot_grads(store)))

@@ -1,9 +1,12 @@
 import dataclasses
 import errno
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eventemb.composer import corrupt_event
 from eventemb.data import (
@@ -31,7 +34,9 @@ from eventemb.trainer import (
     train,
 )
 from conftest import coded, make_model, random_event, word_ids
-from oracles import dense_adagrad_step, intent_loss, margin_objective, per_array_adagrad_step
+from oracles import (
+    dense_adagrad_step, dense_table_accums, intent_loss, margin_objective, record_table_grad,
+)
 
 
 def tiny_config(**overrides):
@@ -239,56 +244,132 @@ class TestAdagrad:
         flat = np.concatenate((rng.standard_normal(6), [0.5, -0.0, 0.0]))
         return ParameterStore({"layer1.w": ((3, 2), 0.0), "u": ((3,), 0.0)}, flat, table)
 
+    @staticmethod
+    def assert_bit_equal(sparse, dense, dense_accums, step):
+        for arrays in ("params", "accums", "grads"):
+            for name, got in getattr(sparse, arrays).items():
+                want = getattr(dense, arrays)[name]
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (
+                    step, arrays, name
+                )
+        got = dense_table_accums(sparse)
+        assert np.array_equal(got.view(np.uint64), dense_accums.view(np.uint64)), step
+        assert not sparse.table_grads and not dense.table_grads
+
     def test_sparse_table_step_bit_equals_dense_oracle(self):
         rng = np.random.default_rng(3)
         sparse, dense = self.table_store(rng), self.table_store(np.random.default_rng(3))
+        dense_accums = np.zeros((50, 4))
         for step in range(10):
             grads = {name: rng.standard_normal(g.shape) for name, g in sparse.grads.items()}
-            table_grad = grads["embeddings"]
-            table_grad[rng.random(50) < 0.8] = 0.0  # untouched rows
-            table_grad[3] = 0.0  # a touched row whose gradient came out exactly zero
-            table_grad[7, :2] = 0.0  # -0.0 parameters under a partly zero gradient
-            table_grad[11] = 0.0
-            table_grad[11, 0] = -5e-324  # -0.0 once scaled: turns theta's -0.0 into +0.0
             grads["u"][1] = 0.0
+            # untouched rows, and a new set of touched rows each step
+            rows = np.setdiff1d(np.flatnonzero(rng.random(50) < 0.2), [3, 7, 11])
+            cancel = rng.standard_normal(4)
+            contributions = [
+                (rows, rng.standard_normal((len(rows), 4))),
+                # a touched row whose gradient sums to exactly zero
+                (np.array([3, 3]), np.stack((cancel, -cancel))),
+                # -0.0 parameters under a partly zero gradient
+                (np.array([7]), np.array([[0.0, 0.0, 1.5, -2.0]])),
+                # -0.0 once scaled: turns theta's -0.0 into +0.0
+                (np.array([11]), np.array([[-5e-324, 0.0, 0.0, 0.0]])),
+            ]
             for store in (sparse, dense):
                 for name, g in grads.items():
                     store.grads[name][...] = g
+                store.table_grads.extend(contributions)
             adagrad_step(sparse, 0.1, 1.0 / 3.0)
-            dense_adagrad_step(dense, 0.1, 1.0 / 3.0, ADAGRAD_EPS)
-            for name in sparse.params:
-                for arrays in ("params", "accums", "grads"):
-                    got = getattr(sparse, arrays)[name].view(np.uint64)
-                    want = getattr(dense, arrays)[name].view(np.uint64)
-                    assert np.array_equal(got, want), (step, arrays, name)
-        assert np.signbit(sparse.params["embeddings"][3, 1:3]).all()
+            dense_adagrad_step(dense, dense_accums, 0.1, 1.0 / 3.0, ADAGRAD_EPS)
+            self.assert_bit_equal(sparse, dense, dense_accums, step)
+        assert np.signbit(sparse.params["embeddings"][[3, 7], 1]).all()
         assert np.signbit(sparse.params["u"][1])
         assert not np.signbit(sparse.params["embeddings"][11, 0])
+
+    def test_touched_row_summing_to_zero_keeps_a_negative_zero(self):
+        sparse, dense = (self.table_store(np.random.default_rng(4)) for _ in range(2))
+        dense_accums = np.zeros((50, 4))
+        x = np.array([[0.75, -1.25, 3.0, 1e-300]])
+        for store in (sparse, dense):
+            store.table_grads += [(np.array([3]), x), (np.array([3]), -x)]
+        adagrad_step(sparse, 0.1, 1.0 / 3.0)
+        dense_adagrad_step(dense, dense_accums, 0.1, 1.0 / 3.0, ADAGRAD_EPS)
+        self.assert_bit_equal(sparse, dense, dense_accums, 0)
+        assert np.signbit(sparse.params["embeddings"][3, 1:3]).all()
+        assert sparse.table_rows.tolist() == [3]
+        assert np.array_equal(sparse.table_accums, np.zeros((1, 4)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_table_gradient_names_embeddings(self, bad):
         store = self.table_store(np.random.default_rng(0))
-        store.grads["embeddings"][17, 2] = bad
+        g = np.zeros((1, 4))
+        g[0, 2] = bad
+        store.table_grads.append((np.array([17]), g))
         with pytest.raises(FloatingPointError, match="'embeddings'"):
             adagrad_step(store, 0.1, 0.5)
 
     def test_flat_step_bit_equals_the_per_array_oracle(self):
         flat, per_array = make_model(seed=5)[0].store, make_model(seed=5)[0].store
+        dense_accums = np.zeros(per_array.params["embeddings"].shape)
         rng = np.random.default_rng(6)
         for step in range(5):
             for name, g in flat.grads.items():
-                value = rng.standard_normal(g.shape)
-                if name == "embeddings":
-                    value[rng.random(len(value)) < 0.5] = 0.0
-                g[...] = per_array.grads[name][...] = value
+                g[...] = per_array.grads[name][...] = rng.standard_normal(g.shape)
+            value = rng.standard_normal(dense_accums.shape)
+            value[rng.random(len(value)) < 0.5] = 0.0
+            for store in (flat, per_array):
+                record_table_grad(store, value)
             adagrad_step(flat, 0.1, 0.25)
-            per_array_adagrad_step(per_array, 0.1, 0.25, ADAGRAD_EPS)
-            for arrays in ("params", "accums", "grads"):
-                for name, got in getattr(flat, arrays).items():
-                    want = getattr(per_array, arrays)[name]
-                    assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (
-                        step, arrays, name
+            dense_adagrad_step(per_array, dense_accums, 0.1, 0.25, ADAGRAD_EPS)
+            self.assert_bit_equal(flat, per_array, dense_accums, step)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(["composer", "intent", "cancel"]),
+                    # ids into a 12-row table: rows repeat within a call, across
+                    # calls and across steps, and many are first touched late
+                    st.lists(st.integers(0, 11), min_size=1, max_size=8),
+                ),
+                max_size=4,
+            ),
+            min_size=1, max_size=5,
+        ),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_touched_rows_bit_equal_a_dense_oracle_over_steps(self, steps, seed):
+        rng = np.random.default_rng(seed)
+        table = rng.standard_normal((12, 3))
+        table[rng.random(table.shape) < 0.2] = -0.0
+        flat = rng.standard_normal(3)
+        sparse, dense = (
+            ParameterStore({"u": ((3,), 0.0)}, flat.copy(), table.copy()) for _ in range(2)
+        )
+        dense_accums = np.zeros(table.shape)
+        for step, calls in enumerate(steps):
+            contributions = []
+            for kind, ids in calls:
+                ids = np.array(ids)
+                values = rng.standard_normal((len(ids), 3))
+                if kind == "intent":
+                    # both directions' tokens, direction-major, as the encoder records them
+                    contributions.append(
+                        (np.concatenate((ids, ids[::-1])), np.concatenate((values, values[::-1])))
                     )
+                elif kind == "cancel":
+                    contributions += [(ids, values), (ids, -values)]
+                else:
+                    contributions.append((ids, values))
+            g = rng.standard_normal(3)
+            for store in (sparse, dense):
+                store.grads["u"][...] = g
+                store.table_grads.extend(contributions)
+            adagrad_step(sparse, 0.1, 0.5)
+            dense_adagrad_step(dense, dense_accums, 0.1, 0.5, ADAGRAD_EPS)
+            self.assert_bit_equal(sparse, dense, dense_accums, step)
+            assert np.all(np.diff(sparse.table_rows) > 0)
 
     @pytest.mark.parametrize("name", ["layer1.left", "layer3.b", "u", "lstm.w", "sentiment.b"])
     def test_nonfinite_flat_gradient_names_its_array(self, name):
@@ -330,7 +411,9 @@ class TestFlatStore:
                 offset += arrays[name].size
             # the buffers hold nothing else, and the table lives outside them
             assert offset == flat.size
-            assert not np.shares_memory(arrays["embeddings"], flat)
+            assert not np.shares_memory(store.params["embeddings"], flat)
+        # the table's gradient and accumulator are not dense arrays
+        assert list(store.grads) == list(store.accums) == list(layout(6, 4, 2))
 
     def test_l2_slice_holds_exactly_the_fifteen_layer_arrays(self):
         composer = make_model(d=6, k=4, n=2)[0].composer
@@ -464,6 +547,27 @@ class TestTrainLoop:
         model_exact, _ = train(cfg_exact, **inputs)
         for name, arr in model_big.store.params.items():
             assert np.array_equal(arr, model_exact.store.params[name]), name
+
+    def test_training_allocates_no_table_sized_gradient_or_accumulator(self, synthetic_dir):
+        # the desk data over a table padded to 100k rows: a step touches a few
+        # dozen rows, so the table's gradient and accumulator stay small
+        inputs = synthetic_inputs(synthetic_dir)
+        vocab, table = inputs["word_vectors"]
+        pad = [f"pad{i}" for i in range(100_000 - len(vocab))]
+        rng = np.random.default_rng(0)
+        table = np.vstack([table, rng.standard_normal((len(pad), table.shape[1]))])
+        inputs["word_vectors"] = Vocabulary(vocab.words[1:] + pad), table
+        cfg = TrainingConfig(d=10, k=8, n=2, epochs=2, learning_rate=0.05,
+                             batch_size=10, seed=7)
+        tracemalloc.start()
+        try:
+            model, _ = train(cfg, **inputs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the extended table training writes to is one table's worth
+        assert peak < 2 * table.nbytes
+        assert 0 < len(model.store.table_rows) < 1000
 
     def test_inactive_terms_leave_parameters_untouched(self, synthetic_dir, tmp_path):
         # with beta = gamma = 0 the LSTM cells and sentiment head must stay at
