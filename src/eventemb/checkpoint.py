@@ -26,6 +26,7 @@ table and the flat buffer are views of that buffer, not copies.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -100,12 +101,25 @@ def checkpoint_bytes(ckpt: Checkpoint) -> bytes:
 
 
 def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
-    """Atomic write: the file appears complete or not at all."""
+    """Atomic write: the file appears complete or not at all.
+
+    The bytes go to `path + ".tmp"`, which is then renamed onto `path`,
+    replacing a file already there. A write or rename that raises removes
+    the temp file before the error propagates, so a full disk leaves no
+    partial file behind and an existing `path` keeps its bytes.
+    """
     parts = _serialized_parts(ckpt)
     tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.writelines(parts)
-    os.replace(tmp, path)
+    # opened outside the try: a temp file this call could not open is not its to remove
+    fh = open(tmp, "wb")
+    try:
+        with fh:
+            fh.writelines(parts)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _header_fields(header, path: str) -> tuple:

@@ -1,6 +1,9 @@
 import dataclasses
+import errno
+import io
 import json
 import math
+import os
 import struct
 import threading
 import tracemalloc
@@ -11,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eventemb import cli
+from eventemb import checkpoint, cli
 from eventemb.checkpoint import (
     MAGIC,
     VERSION,
@@ -104,6 +107,33 @@ class TestStreamedSave:
         save_checkpoint(str(path), small)
         assert path.read_bytes() == checkpoint_bytes(small)
         assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+
+    @pytest.mark.parametrize("failing", ["write", "rename"])
+    def test_a_failed_save_leaves_no_temp_file(self, tmp_path, monkeypatch, failing):
+        # a disk that fills after the first 100 bytes, or a rename refused
+        def full_disk(file, mode):
+            class Full(io.BufferedWriter):
+                def writelines(self, parts):
+                    self.write(b"".join(parts)[:100])
+                    self.flush()
+                    raise OSError(errno.ENOSPC, "No space left on device", file)
+
+            return Full(io.FileIO(file, mode))
+
+        def refuse(src, dst):
+            raise OSError(errno.EACCES, "Permission denied", dst)
+
+        path = tmp_path / "m.ckpt"
+        old, new = make_checkpoint()[0], make_checkpoint(seed=1)[0]
+        save_checkpoint(str(path), old)
+        if failing == "write":
+            monkeypatch.setattr(checkpoint, "open", full_disk, raising=False)
+        else:
+            monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="No space left|Permission denied"):
+            save_checkpoint(str(path), new)
+        assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+        assert path.read_bytes() == checkpoint_bytes(old)
 
 
 class TestWriterFollowsTheLayout:

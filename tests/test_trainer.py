@@ -644,6 +644,56 @@ class TestTrainLoop:
         train(cfg, out_dir=str(out), **inputs)
         assert {path.name: path.read_bytes() for path in out.iterdir()} == first
 
+    def test_a_shorter_rerun_leaves_only_its_own_checkpoints(self, synthetic_dir, tmp_path):
+        # the re-run removes the 5-epoch run's checkpoints and temp files,
+        # and no file of another name
+        inputs = synthetic_inputs(synthetic_dir)
+        cfg = TrainingConfig(d=10, k=8, n=2, epochs=5, learning_rate=0.05,
+                             batch_size=10, seed=4)
+        out = tmp_path / "run"
+        train(cfg, out_dir=str(out), **inputs)
+        (out / "epoch-0005.ckpt.tmp").write_bytes(b"partial")
+        (out / "final.ckpt.tmp").write_bytes(b"partial")
+        others = {"notes.txt": b"a note", "epoch-1.ckpt": b"x", "final.ckpt.bak": b"y"}
+        for name, data in others.items():
+            (out / name).write_bytes(data)
+        train(dataclasses.replace(cfg, epochs=3), out_dir=str(out), **inputs)
+        assert sorted(path.name for path in out.iterdir()) == sorted([
+            "epoch-0001.ckpt", "epoch-0002.ckpt", "epoch-0003.ckpt", "final.ckpt",
+            "metrics.tsv", *others,
+        ])
+        assert os.path.samefile(out / "final.ckpt", out / "epoch-0003.ckpt")
+        assert len((out / "metrics.tsv").read_text().splitlines()) == 3
+        assert {name: (out / name).read_bytes() for name in others} == others
+
+    @pytest.mark.parametrize("link", ["linked", "refused"])
+    def test_a_rerun_renames_over_no_file(self, synthetic_dir, tmp_path, monkeypatch, link):
+        # renaming over the previous run's checkpoint is what made a re-run's
+        # saves slow; the second run's renames must all land on free names
+        inputs = synthetic_inputs(synthetic_dir)
+        cfg = TrainingConfig(d=10, k=8, n=2, epochs=3, learning_rate=0.05,
+                             batch_size=10, seed=4)
+        out = tmp_path / "run"
+        if link == "refused":
+            def refuse(src, dst):
+                raise OSError(errno.EPERM, "hard links not supported", dst)
+
+            monkeypatch.setattr(os, "link", refuse)
+        train(cfg, out_dir=str(out), **inputs)
+        first = {path.name: path.read_bytes() for path in out.iterdir()}
+        replaced = []
+        real_replace = os.replace
+
+        def recording_replace(src, dst):
+            replaced.append((os.path.basename(dst), os.path.lexists(dst)))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", recording_replace)
+        train(cfg, out_dir=str(out), **inputs)
+        names = [f"epoch-{epoch:04d}.ckpt" for epoch in range(1, 4)] + ["final.ckpt"]
+        assert replaced == [(name, False) for name in names]
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == first
+
     def test_rejected_run_leaves_the_previous_run_untouched(self, synthetic_dir, tmp_path):
         # the corpus events carry no intent, so an intent-only run is rejected,
         # and so are a run whose annotations share one intent, an event run
