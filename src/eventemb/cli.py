@@ -100,27 +100,11 @@ def _load_model(path: str):
     return ckpt_io.build_model(ckpt_io.load_checkpoint(path))
 
 
-def _cmd_eval_hard(args: argparse.Namespace) -> int:
+def _cmd_eval(args: argparse.Namespace) -> int:
     model = _load_model(args.checkpoint)
-    instances = data_io.load_hardsim(args.data)
-    accuracy = evaluate.hard_similarity_accuracy(instances, model.embed_events)
-    print(
-        evaluate.format_report(
-            "hard_similarity_accuracy", args.data, accuracy, len(instances)
-        )
-    )
-    return 0
-
-
-def _cmd_eval_transitive(args: argparse.Namespace) -> int:
-    model = _load_model(args.checkpoint)
-    instances = data_io.load_transitive(args.data)
-    rho = evaluate.evaluate_transitive(instances, model.embed_events)
-    print(
-        evaluate.format_report(
-            "transitive_spearman_rho", args.data, rho, len(instances)
-        )
-    )
+    instances = args.load(args.data)
+    value = args.metric(instances, model.embed_events)
+    print(evaluate.format_report(args.report, args.data, value, len(instances)))
     return 0
 
 
@@ -182,15 +166,18 @@ def build_parser() -> argparse.ArgumentParser:
         )
     p_train.set_defaults(func=_cmd_train)
 
+    # the loader and metric are looked up here, when `main` runs, so a
+    # function patched on its module after import is the one called
     p_hard = sub.add_parser("eval-hard", help="hard-similarity accuracy")
-    p_hard.add_argument("--checkpoint", required=True)
-    p_hard.add_argument("--data", required=True)
-    p_hard.set_defaults(func=_cmd_eval_hard)
-
+    p_hard.set_defaults(load=data_io.load_hardsim, metric=evaluate.hard_similarity_accuracy,
+                        report="hard_similarity_accuracy")
     p_trans = sub.add_parser("eval-transitive", help="transitive-similarity Spearman rho")
-    p_trans.add_argument("--checkpoint", required=True)
-    p_trans.add_argument("--data", required=True)
-    p_trans.set_defaults(func=_cmd_eval_transitive)
+    p_trans.set_defaults(load=data_io.load_transitive, metric=evaluate.evaluate_transitive,
+                         report="transitive_spearman_rho")
+    for p_eval in (p_hard, p_trans):
+        p_eval.add_argument("--checkpoint", required=True)
+        p_eval.add_argument("--data", required=True)
+        p_eval.set_defaults(func=_cmd_eval)
 
     p_embed = sub.add_parser("embed", help="print event embeddings")
     p_embed.add_argument("--checkpoint", required=True)

@@ -43,14 +43,11 @@ class LowRankLayer:
             store.grads[a] for a in names
         )
         self.k, self.d_in, self.n = self.left.shape
-        self.prefix = prefix
+        self.prefix = prefix  # the benchmark's tracer names the layer's spans by it
 
     def forward(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, tuple]:
-        """(B, k) outputs for B row pairs x, y of shape (B, d_in), plus the cache."""
+        """(B, k) outputs for B row pairs x, y, which must be (B, d_in), plus the cache."""
         d = self.d_in
-        for name, a in (("x", x), ("y", y)):
-            if a.ndim != 2 or a.shape[1] != d:
-                raise ValueError(f"{self.prefix}: {name} has shape {a.shape}, not (B, {d})")
         # the factors as (d, k*n) and (k*n, d) matrices: both contractions are GEMMs
         left = self.left.transpose(1, 0, 2).reshape(d, -1)
         u = x @ left
@@ -95,13 +92,10 @@ def corrupt_event(
     target argument replaced by a random id. Draws are uniform over the ids
     1 .. n_words - 1, never the unknown id 0; a draw equal to the original id
     at that position is redrawn, so the corrupted argument always differs.
+
+    `target` must be one of CORRUPTION_TARGETS and n_words at least 3, or
+    this may never return; `TrainingConfig` and `train` check both.
     """
-    if target not in CORRUPTION_TARGETS:
-        raise ValueError(f"corrupt_event: unknown target argument '{target}'")
-    if n_words < 3:
-        raise ValueError(
-            f"corrupt_event: vocabulary has {n_words - 1} usable words, need at least 2"
-        )
     argument = 0 if target == "actor" else 2
     start = sum(sizes[:argument])
     corrupted = np.array(ids)

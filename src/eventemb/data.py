@@ -369,7 +369,7 @@ def load_transitive(path: str) -> list[TransitiveSimInstance]:
 
 
 def load_lexicon(path: str) -> dict[str, int]:
-    """`word<TAB>+1|-1` lines; later duplicates override earlier ones."""
+    """`word<TAB>+1|-1` lines, each word one token; later duplicates override earlier ones."""
     lexicon: dict[str, int] = {}
     for lineno, fields in _fields(path, 2, "lexicon record needs 2 tab-separated fields"):
         word = fields[0].strip().lower()
@@ -382,5 +382,7 @@ def load_lexicon(path: str) -> dict[str, int]:
             raise DataError(path, lineno, f"lexicon polarity must be +1 or -1, got {value!r}")
         if not word:
             raise DataError(path, lineno, "lexicon record has an empty word")
+        if len(word.split()) > 1:
+            raise DataError(path, lineno, f"lexicon word {word!r} is not a single token")
         lexicon[word] = polarity
     return lexicon

@@ -45,13 +45,9 @@ def average_ranks(values: Sequence[float]) -> np.ndarray:
 
 
 def spearman_rho(pred: Sequence[float], gold: Sequence[float]) -> float:
-    """Pearson correlation of average-tie fractional ranks."""
+    """Pearson correlation of average-tie fractional ranks of two sequences
+    of one length, as `evaluate_transitive` takes both from one instance list."""
     pred = np.asarray(pred, dtype=np.float64)
-    gold = np.asarray(gold, dtype=np.float64)
-    if pred.shape != gold.shape:
-        raise ValueError(
-            f"spearman_rho: length mismatch {pred.shape} vs {gold.shape}"
-        )
     if pred.size < 3:
         raise ValueError(f"spearman_rho: need at least 3 points, got {pred.size}")
     rp = average_ranks(pred)

@@ -23,18 +23,10 @@ def lstm_step(
     The leading axes of the weights w (..., 4h, d+h) and biases b (..., 4h)
     stack directions: each runs its own rows through one GEMM. Returns
     (h, c, gates); gates (..., B, 4h) holds the activated input, forget,
-    output and candidate gates, which the backward needs.
+    output and candidate gates, which the backward needs. The shapes must
+    match as stated; `BiLstmEncoder.encode` builds them so.
     """
     h = b.shape[-1] // 4
-    d = w.shape[-1] - h
-    if x.ndim != w.ndim or x.shape[:-2] != w.shape[:-2] or x.shape[-1] != d:
-        expected = ", ".join(["R"] * (w.ndim - 2) + ["B", str(d)])
-        raise ValueError(f"LSTM step: input has shape {x.shape}, expected ({expected})")
-    if h_prev.shape != x.shape[:-1] + (h,) or c_prev.shape != h_prev.shape:
-        raise ValueError(
-            f"LSTM step: state has shape {h_prev.shape}/{c_prev.shape}, "
-            f"expected {x.shape[:-1] + (h,)}"
-        )
     z = np.concatenate((x, h_prev), axis=-1)
     gates = np.matmul(z, w.swapaxes(-1, -2)) + b[..., None, :]
     gates[..., : 3 * h] = sigmoid(gates[..., : 3 * h])

@@ -49,9 +49,7 @@ class JointModel:
             raise ValueError(f"word table has shape {np.shape(table)}, expected {want}")
         self.store = ParameterStore(layout(d, k, n), flat, table)
         self.vocab = vocab
-        self.d = d
         self.k = k
-        self.n = n
         self.embeddings = self.store.params[TABLE]
         self.composer = EventComposer(self.store)
         self.intent = BiLstmEncoder(self.store)

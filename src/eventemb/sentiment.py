@@ -18,14 +18,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def polarity_class(polarity: int) -> int:
-    if polarity == 1:
-        return 1
-    if polarity == -1:
-        return 0
-    raise ValueError(f"sentiment polarity must be +1 or -1, got {polarity!r}")
-
-
 class SentimentHead:
     @staticmethod
     def layout(k: int) -> Layout:
@@ -34,22 +26,20 @@ class SentimentHead:
     def __init__(self, store: ParameterStore) -> None:
         self.w, self.b = store.params["sentiment.w"], store.params["sentiment.b"]
         self.g_w, self.g_b = store.grads["sentiment.w"], store.grads["sentiment.b"]
-        self.k = self.w.shape[1]
 
     def forward(self, v_e: np.ndarray) -> np.ndarray:
-        """(R, 2) probability pairs (negative, positive) for R rows of shape (R, k)."""
-        if v_e.ndim != 2 or v_e.shape[1] != self.k:
-            raise ValueError(f"sentiment: input has shape {v_e.shape}, expected (R, {self.k})")
+        """(R, 2) probability pairs (negative, positive) for rows v_e of shape (R, k)."""
         return softmax(v_e @ self.w.T + self.b)
 
     def loss_backward(
         self, v_e: np.ndarray, polarities, weight: float = 1.0
     ) -> tuple[np.ndarray, np.ndarray]:
         """Per-row cross-entropy losses (R,) and d(weight * their sum)/d(v_e);
-        parameter gradients of the weighted sum accumulate."""
+        parameter gradients of the weighted sum accumulate. Each polarity must
+        be +1 or -1, as `derive_polarity` yields them."""
         probs = self.forward(v_e)
         rows = np.arange(len(probs))
-        cls = [polarity_class(p) for p in polarities]
+        cls = [(1 + p) // 2 for p in polarities]
         losses = -np.log(probs[rows, cls])
         dlogits = probs.copy()
         dlogits[rows, cls] -= 1.0

@@ -180,19 +180,17 @@ def joint_loss(
     share one composer forward and backward, the intents and negative intents
     one encoder forward and backward, and the L2 term counts once per event
     example.
+
+    `negatives` must pair one-to-one with `examples`, holding a corrupted
+    event wherever alpha is positive and a negative intent wherever the
+    intent term covers the example, as `train` samples them.
     """
     alpha, beta, gamma = config.alpha, config.beta, config.gamma
-    if len(negatives) != len(examples):
-        raise ValueError(f"{len(examples)} examples but {len(negatives)} negative samples")
     use_event = alpha > 0.0
     intent_rows = [i for i, ex in enumerate(examples) if beta > 0.0 and ex.intent is not None]
     sentiment_rows = [
         i for i, ex in enumerate(examples) if gamma > 0.0 and ex.polarity is not None
     ]
-    if use_event and any(neg.corrupted_event is None for neg in negatives):
-        raise ValueError("event term is active but no corrupted event was sampled")
-    if any(negatives[i].negative_intent is None for i in intent_rows):
-        raise ValueError("intent term is active but no negative intent was sampled")
 
     composer = model.composer
     n_event = len(examples) if use_event else 0
@@ -309,8 +307,6 @@ def sample_negative_intent(
     The pool must hold an intent other than `true_intent`, or this never
     returns; `train` checks that its pool holds two distinct intents.
     """
-    if not pool:
-        raise ValueError("cannot sample a negative intent from an empty pool")
     while True:
         candidate = pool[int(rng.integers(len(pool)))]
         if candidate != true_intent:
@@ -421,9 +417,10 @@ def train(
         )
     intent_pool = [ex.intent for ex in examples if ex.intent is not None]
     if len(set(intent_pool)) == 1:
-        words = " ".join(vocab.words[i] for i in intent_pool[0])
+        words = vocab.words
+        intent = " ".join(words[i] for i in intent_pool[0])
         raise ValueError(
-            f"cannot sample a negative intent: every annotated intent is '{words}'"
+            f"cannot sample a negative intent: every annotated intent is '{intent}'"
         )
     metrics_path = None
     if out_dir is not None:

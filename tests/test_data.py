@@ -416,6 +416,14 @@ class TestLexicon:
         with pytest.raises(DataError, match="polarity must be"):
             load_lexicon(path)
 
+    @pytest.mark.parametrize("word", ["very good", "very\u00a0good"])
+    def test_a_word_holding_whitespace_rejected(self, tmp_path, word):
+        # emotion words are split on whitespace, so no emotion word could match it
+        assert derive_polarity(tokenize(word), {word: 1}) is None
+        path = write(tmp_path, "l.tsv", f"happy\t+1\n{word}\t+1\n")
+        with pytest.raises(DataError, match=r"l\.tsv:2: lexicon word .* is not a single token"):
+            load_lexicon(path)
+
     def test_round_trip(self, tmp_path):
         lexicon = {"happy": 1, "sad": -1}
         out = tmp_path / "l.tsv"

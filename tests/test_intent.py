@@ -79,29 +79,6 @@ class TestLstmStep:
             assert h[row] == pytest.approx(h_ref, abs=1e-14)
             assert c[row] == pytest.approx(c_ref, abs=1e-14)
 
-    def test_dimension_errors(self):
-        w, b = zero_cell(d=2, h=3)
-        with pytest.raises(ValueError, match=r"input has shape \(5,\), expected \(B, 2\)"):
-            lstm_step(w, b, np.zeros(5), np.zeros((1, 3)), np.zeros((1, 3)))
-        with pytest.raises(ValueError, match=r"input has shape \(1, 5\), expected \(B, 2\)"):
-            lstm_step(w, b, np.zeros((1, 5)), np.zeros((1, 3)), np.zeros((1, 3)))
-        with pytest.raises(ValueError, match=r"state has shape .*, expected \(2, 3\)"):
-            lstm_step(w, b, np.zeros((2, 2)), np.zeros((2, 4)), np.zeros((2, 3)))
-        with pytest.raises(ValueError, match=r"state has shape .*, expected \(2, 3\)"):
-            lstm_step(w, b, np.zeros((2, 2)), np.zeros((2, 3)), np.zeros((1, 3)))
-        with pytest.raises(ValueError, match=r"state has shape .*, expected \(2, 3\)"):
-            lstm_step(w, b, np.zeros((2, 2)), np.zeros(3), np.zeros(3))
-
-    def test_stacked_dimension_errors(self):
-        encoder, _, _, _ = make_encoder(d=2, h=3)
-        w, b = encoder.w, encoder.b
-        states = np.zeros((2, 1, 3))
-        for x in (np.zeros((1, 2)), np.zeros((3, 1, 2)), np.zeros((2, 1, 5))):
-            with pytest.raises(ValueError, match=r"input has shape .*, expected \(R, B, 2\)"):
-                lstm_step(w, b, x, states, states)
-        with pytest.raises(ValueError, match=r"state has shape .*, expected \(2, 1, 3\)"):
-            lstm_step(w, b, np.zeros((2, 1, 2)), np.zeros((1, 1, 3)), states)
-
     def test_stacked_layout_draws_the_directions_one_after_the_other(self):
         # biases are zeros and draw nothing, so the stacked weight is the two
         # directions' (4h, d+h) draws in turn, and the generator ends where

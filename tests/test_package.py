@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import importlib.util
 import json
 import re
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 import eventemb
 from eventemb import checkpoint, model
 from eventemb.trainer import TrainingConfig
+from conftest import make_model, random_event
 
 
 def test_every_public_name_imports():
@@ -47,6 +49,37 @@ def test_every_src_definition_has_a_caller_outside_tests():
         if name not in UNUSED_IN_SRC and len(re.findall(rf"\b{name}\b", text)) < 2 * len(where)
     ]
     assert unused == []
+
+
+# hooks of perfbench/spans.py whose targets the program no longer has, until
+# a benchmark change drops them: the scale moved into `adagrad_step`, the
+# event hinge into `joint_loss` and the intent hinge into `intent_hinge`
+ABSENT_HOOKS = {
+    "eventemb.params:ParameterStore.scale_grads",
+    "eventemb.composer:EventComposer.margin_parts",
+    "eventemb.intent:intent_loss_grads",
+}
+
+
+def test_every_tracer_hook_resolves_to_a_reported_span():
+    """A traced benchmark run skips a hook whose target is gone, and names a
+    layer's spans by its `prefix`, so a rename in src/ would only show as
+    per-layer metrics reading 0. Here the tracer installs its hooks as a
+    traced run does; only the known-dead ones may be absent, and a forward
+    pass opens only spans the report lists, each layer's among them."""
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        model, vocab, rng = make_model()
+        model.embed_events([random_event(vocab, rng)])
+    finally:
+        tracer.uninstall()
+    assert set(tracer.absent) == ABSENT_HOOKS
+    assert {f"composer.layer{i}.fwd" for i in (1, 2, 3)} <= set(tracer.calls)
+    assert set(tracer.calls) <= set(spans.SPANS)
 
 
 SUMMARY_KEYS = {"unit", "parent_median", "change_median", "parent_iqr", "change_better_pairs"}

@@ -1,6 +1,7 @@
 import dataclasses
 import errno
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eventemb.cli import main
 from eventemb.composer import corrupt_event
 from eventemb.data import (
     AnnotatedExample,
@@ -91,6 +93,21 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^{field} is an integer too large for a float$"):
             dataclasses.replace(TrainingConfig(), **{field: 10**400})
         assert type(TrainingConfig(learning_rate=2**1000).learning_rate) is int
+
+    def test_corruption_target_must_be_actor_or_object(self, capsys, tmp_path):
+        # the predicate is an event argument but never a corruption target
+        message = "corruption_target='predicate' must be one of ('actor', 'object')"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            TrainingConfig(corruption_target="predicate")
+        config = tmp_path / "run.conf"
+        config.write_text("corruption_target = predicate\n")
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("a|b|c\n")
+        out = tmp_path / "run"
+        argv = ["train", "--corpus", str(corpus), "--config", str(config), "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_train_rejects_a_float_dimension(self):
         with pytest.raises(ValueError, match="d=6.0 is not of type int"):
@@ -180,17 +197,6 @@ class TestJointLoss:
         assert parts.intent == l_intent
         assert parts.sentiment == l_sentiment
         assert (parts.n_event, parts.n_intent, parts.n_sentiment) == (1, 1, 1)
-
-    def test_missing_negatives_are_errors(self):
-        model, vocab, rng = make_model(seed=17)
-        event = random_event(vocab, rng)
-        cfg = tiny_config()
-        with pytest.raises(ValueError, match="no corrupted event"):
-            joint_loss(model, [coded(vocab, event)], [Negatives(None, None)], cfg)
-        example = coded(vocab, event, intent=("to", "run"))
-        corrupted = corrupt_event(example.ids, example.sizes, len(vocab), rng)
-        with pytest.raises(ValueError, match="no negative intent"):
-            joint_loss(model, [example], [Negatives(corrupted, None)], cfg)
 
 
 class TestLossParts:
@@ -442,10 +448,6 @@ class TestNegativeSampling:
         # seed 0 takes more than 10,000 draws to reach the one "to rest"
         pool = [(5, 1)] * 20_000 + [(5, 2)]
         assert sample_negative_intent(pool, (5, 1), np.random.default_rng(0)) == (5, 2)
-
-    def test_empty_pool_rejected(self):
-        with pytest.raises(ValueError, match="empty pool"):
-            sample_negative_intent([], (5, 1), np.random.default_rng(0))
 
 
 class TestResolvePolarities:
