@@ -17,8 +17,9 @@ The header's vocabulary and config fix both parts' shapes and the name and
 shape of every array in the flat buffer, so the body names none.
 Truncation or in-place corruption fails the length or CRC check; a config
 that lacks a field or is not valid when built, a malformed header field, a
-body of the wrong size for its header or a non-finite array is rejected
-too. A checkpoint either loads losslessly or raises CheckpointError.
+vocabulary that repeats a word or lacks its leading "<unk>", a body of the
+wrong size for its header or a non-finite array is rejected too. A
+checkpoint either loads losslessly or raises CheckpointError.
 
 Loading reads the file once into one buffer and parses it in place: the
 table and the flat buffer are views of that buffer, not copies.
@@ -52,7 +53,7 @@ class CheckpointError(ValueError):
 @dataclass
 class Checkpoint:
     config: "TrainingConfig"  # noqa: F821 - imported lazily to avoid a cycle
-    vocab_words: list[str]
+    vocab: Vocabulary
     table: np.ndarray  # (|V|, d)
     flat: np.ndarray  # the arrays of `model.layout(d, k, n)` back to back
     rng_state: dict
@@ -71,14 +72,14 @@ def _serialized_parts(ckpt: Checkpoint) -> list:
     shapes that the config and vocabulary fix; otherwise this raises ValueError.
     """
     shapes = (np.shape(ckpt.table), np.shape(ckpt.flat))
-    if shapes != (want := _shapes(len(ckpt.vocab_words), ckpt.config)):
+    if shapes != (want := _shapes(len(ckpt.vocab), ckpt.config)):
         raise ValueError(f"table and flat buffer have shapes {shapes}, the header needs {want}")
     header = json.dumps(
         {
             "config": ckpt.config.to_dict(),
             "epoch": ckpt.epoch,
             "rng_state": ckpt.rng_state,
-            "vocab": ckpt.vocab_words,
+            "vocab": ckpt.vocab.words,
         },
         sort_keys=True,
         separators=(",", ":"),
@@ -143,6 +144,10 @@ def _header_fields(header, path: str) -> tuple:
     vocab, epoch, rng_state = header["vocab"], header["epoch"], header["rng_state"]
     if type(vocab) is not list or set(map(type, vocab)) - {str}:
         raise CheckpointError(f"{path}: checkpoint field 'vocab' is not a list of strings")
+    try:
+        vocab = Vocabulary.from_entries(vocab)
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: checkpoint {exc}") from exc
     if type(epoch) is not int:
         raise CheckpointError(f"{path}: checkpoint field 'epoch' is not an integer: {epoch!r}")
     if type(rng_state) is not dict:
@@ -230,8 +235,4 @@ def build_model(ckpt: Checkpoint) -> JointModel:
     model changes those arrays too.
     """
     cfg = ckpt.config
-    try:
-        vocab = Vocabulary.from_entries(ckpt.vocab_words)
-    except ValueError as exc:
-        raise CheckpointError(f"checkpoint {exc}") from exc
-    return JointModel(vocab, cfg.d, cfg.k, cfg.n, ckpt.table, ckpt.flat)
+    return JointModel(ckpt.vocab, cfg.d, cfg.k, cfg.n, ckpt.table, ckpt.flat)

@@ -87,18 +87,14 @@ class Vocabulary:
     """Dense word index with a reserved unknown entry at index 0."""
 
     def __init__(self, words: Iterable[str] = ()) -> None:
-        self._words: list[str] = [UNKNOWN_TOKEN]
+        # insertion-ordered: word i is the i-th key, and maps to i
         self._index: dict[str, int] = {UNKNOWN_TOKEN: UNKNOWN_INDEX}
-        for w in words:
-            self._add(w)
+        self._insert(words)
 
-    def _add(self, word: str) -> int:
-        idx = self._index.get(word)
-        if idx is None:
-            idx = len(self._words)
-            self._words.append(word)
-            self._index[word] = idx
-        return idx
+    def _insert(self, words: Iterable[str]) -> None:
+        """Append each unseen word, in first-appearance order."""
+        for w in words:
+            self._index.setdefault(w, len(self._index))
 
     def index(self, word: str) -> int:
         return self._index.get(word, UNKNOWN_INDEX)
@@ -107,11 +103,11 @@ class Vocabulary:
         return word in self._index
 
     def __len__(self) -> int:
-        return len(self._words)
+        return len(self._index)
 
     @property
     def words(self) -> list[str]:
-        return list(self._words)
+        return list(self._index)
 
     @classmethod
     def from_entries(cls, entries: list[str]) -> "Vocabulary":
@@ -123,7 +119,6 @@ class Vocabulary:
         if not entries or entries[0] != UNKNOWN_TOKEN:
             raise ValueError(f"vocabulary must start with the {UNKNOWN_TOKEN!r} entry")
         vocab = cls()
-        vocab._words = list(entries)
         vocab._index = dict(zip(entries, range(len(entries))))
         if len(vocab._index) != len(entries):
             raise ValueError("vocabulary contains duplicate words")
@@ -132,9 +127,8 @@ class Vocabulary:
     def extended(self, tokens: Iterable[str]) -> "Vocabulary":
         """New vocabulary with unseen tokens appended in first-appearance order."""
         vocab = Vocabulary()
-        vocab._words, vocab._index = list(self._words), dict(self._index)
-        for t in tokens:
-            vocab._add(t)
+        vocab._index = dict(self._index)
+        vocab._insert(tokens)
         return vocab
 
 

@@ -467,7 +467,7 @@ def train(
                 fh.write(metrics.line() + "\n")
             snapshot = ckpt_io.Checkpoint(
                 config=config,
-                vocab_words=vocab.words,
+                vocab=vocab,
                 table=model.embeddings,
                 flat=model.store.flat_params,
                 rng_state=rng.bit_generator.state,
@@ -477,12 +477,11 @@ def train(
             ckpt_io.save_checkpoint(last, snapshot)
 
     if out_dir is not None:
-        # final.ckpt is a hard link to the last epoch's file, put in place
-        # atomically; the snapshot is written again only if linking fails
+        # final.ckpt is a hard link to the last epoch's file, on a name the run
+        # freed; the snapshot is written again only if linking fails
         final = os.path.join(out_dir, "final.ckpt")
         try:
-            os.link(last, final + ".tmp")
-            os.replace(final + ".tmp", final)
+            os.link(last, final)
         except OSError:
             ckpt_io.save_checkpoint(final, snapshot)
     return model, history

@@ -23,9 +23,10 @@ from eventemb.data import (
     load_corpus,
     load_hardsim,
     load_lexicon,
+    load_transitive,
     load_word_vectors,
 )
-from eventemb.evaluate import hard_similarity_accuracy, spearman_rho
+from eventemb.evaluate import evaluate_transitive, hard_similarity_accuracy, spearman_rho
 from eventemb.params import ParameterStore
 from eventemb.trainer import Negatives, TrainingConfig, adagrad_step, joint_loss, train
 from conftest import coded, make_model, make_store, random_event, word_ids
@@ -156,15 +157,21 @@ class TestCriterion3AblationReductionIdentity:
 
 class TestCriterion4DeskScaleOverfit:
     def test_commonsense_supervision_beats_plain_ntn(self, synthetic_dir):
+        """All four ablation presets over seeds 1-3. The full preset reaches
+        0.9 hard accuracy, and it and each single-term preset beat `ntn`.
+        Transitive rho is reported but not ordered: on seed 1 the full
+        preset led `ntn+senti` by only 0.007 when these bounds were set."""
         corpus = load_corpus(str(synthetic_dir / "corpus.txt"))
         annotations = load_annotations(str(synthetic_dir / "annotations.txt"))
         vectors = load_word_vectors(str(synthetic_dir / "vectors.txt"))
         lexicon = load_lexicon(str(synthetic_dir / "lexicon.tsv"))
         hardsim = load_hardsim(str(synthetic_dir / "hardsim.txt"))
+        transitive = load_transitive(str(synthetic_dir / "transitive.txt"))
 
-        results = {}
+        presets = ("ntn", "ntn+int", "ntn+senti", "ntn+int+senti")
+        accuracy, rho = {}, {}
         for seed in (1, 2, 3):
-            for preset in ("ntn", "ntn+int+senti"):
+            for preset in presets:
                 cfg = TrainingConfig(
                     d=10, k=8, n=2, epochs=150, learning_rate=0.05,
                     batch_size=10, lambda_l2=0.0001, seed=seed,
@@ -176,21 +183,23 @@ class TestCriterion4DeskScaleOverfit:
                 )
                 elapsed = time.time() - started
                 assert elapsed < 120.0, f"{preset} seed {seed} took {elapsed:.0f}s"
-                results[(preset, seed)] = hard_similarity_accuracy(
-                    hardsim, model.embed_events
-                )
+                accuracy[(preset, seed)] = hard_similarity_accuracy(hardsim, model.embed_events)
+                rho[(preset, seed)] = evaluate_transitive(transitive, model.embed_events)
 
         for seed in (1, 2, 3):
-            full = results[("ntn+int+senti", seed)]
-            plain = results[("ntn", seed)]
+            full = accuracy[("ntn+int+senti", seed)]
             assert full >= 0.9, f"seed {seed}: full preset accuracy {full}"
-            assert full > plain, f"seed {seed}: full {full} vs ntn {plain}"
+            plain = accuracy[("ntn", seed)]
+            for preset in presets[1:]:
+                acc = accuracy[(preset, seed)]
+                assert acc > plain, f"seed {seed}: {preset} {acc} vs ntn {plain}"
         detail = "; ".join(
-            f"seed {s}: full {results[('ntn+int+senti', s)]:.3f} > "
-            f"ntn {results[('ntn', s)]:.3f}"
-            for s in (1, 2, 3)
+            f"{preset} acc/rho " + ", ".join(
+                f"{accuracy[(preset, s)]:.3f}/{rho[(preset, s)]:.3f}" for s in (1, 2, 3)
+            )
+            for preset in presets
         )
-        report(4, "desk-scale-overfit", detail)
+        report(4, "desk-scale-overfit", f"seeds 1-3: {detail}")
 
 
 class TestCriterion5MetricOracles:

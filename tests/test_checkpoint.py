@@ -40,7 +40,7 @@ def make_checkpoint(seed=0, d=6, k=4, n=2):
     return (
         Checkpoint(
             config=cfg,
-            vocab_words=vocab.words,
+            vocab=vocab,
             table=model.embeddings,
             flat=model.store.flat_params,
             rng_state=rng.bit_generator.state,
@@ -62,7 +62,7 @@ class TestRoundTrip:
         loaded = load_checkpoint(str(path))
         assert loaded.epoch == 3
         assert loaded.config == ckpt.config
-        assert loaded.vocab_words == ckpt.vocab_words
+        assert loaded.vocab.words == ckpt.vocab.words
         assert loaded.rng_state == ckpt.rng_state
         assert np.array_equal(loaded.table, model.embeddings)
         assert np.array_equal(loaded.flat, model.store.flat_params)
@@ -350,10 +350,12 @@ class TestShapeValidation:
             assert np.array_equal(rebuilt.store.params[name], array), name
 
     def test_vocabulary_must_start_with_unknown(self):
-        ckpt, _ = make_checkpoint()
-        ckpt.vocab_words = ckpt.vocab_words[1:]
-        with pytest.raises(CheckpointError, match="must start with"):
-            build_model(ckpt)
+        header = valid_header()
+        header["vocab"] = header["vocab"][1:]
+        data = craft(header, bytes(8 * (12 * 6 + FLAT)))
+        match = r"^m\.ckpt: checkpoint vocabulary must start with the '<unk>' entry$"
+        with pytest.raises(CheckpointError, match=match):
+            parse_checkpoint(data, "m.ckpt")
 
 
 SMALL = checkpoint_bytes(make_checkpoint()[0])
@@ -386,7 +388,7 @@ class TestDamagedBytes:
         model, vocab, rng = make_model(seed=seed % 1000, d=d, k=k, n=n)
         ckpt = Checkpoint(
             config=TrainingConfig(d=d, k=k, n=n, seed=seed),
-            vocab_words=vocab.words,
+            vocab=vocab,
             table=model.embeddings,
             flat=model.store.flat_params,
             rng_state=rng.bit_generator.state,
@@ -409,7 +411,7 @@ def header_of(ckpt):
         "config": ckpt.config.to_dict(),
         "epoch": ckpt.epoch,
         "rng_state": ckpt.rng_state,
-        "vocab": ckpt.vocab_words,
+        "vocab": ckpt.vocab.words,
     }
 
 
@@ -447,6 +449,38 @@ class TestCraftedCheckpoints:
         # one more table row of d=6 floats
         with pytest.raises(CheckpointError, match=f"need {len(ZEROS) + 48}$"):
             parse_checkpoint(craft(header, ZEROS))
+
+    def test_repeated_vocabulary_word_is_rejected_naming_the_file(self, tmp_path, capsys):
+        header = valid_header()
+        header["vocab"][2] = header["vocab"][1]
+        path = tmp_path / "repeated.ckpt"
+        path.write_bytes(craft(header, ZEROS))
+        want = f"{path}: checkpoint vocabulary contains duplicate words"
+        for read in (lambda: parse_checkpoint(path.read_bytes(), str(path)),
+                     lambda: load_checkpoint(str(path))):
+            with pytest.raises(CheckpointError) as info:
+                read()
+            assert str(info.value) == want
+        code = cli.main(["nn", "--checkpoint", str(path), "--query", "a|b|c",
+                         "--corpus", str(path)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {want}\n"
+
+    def test_crafted_header_without_an_epoch_is_rejected(self):
+        header = valid_header()
+        del header["epoch"]
+        with pytest.raises(CheckpointError, match="header lacks 'epoch'$"):
+            parse_checkpoint(craft(header, ZEROS))
+
+    def test_header_length_past_the_end_of_the_body_is_rejected(self):
+        # the body's first field, the JSON header's length, claims the whole
+        # body; the CRC and body length are made to match
+        data = bytearray(craft(valid_header(), ZEROS))
+        body = data[len(MAGIC) + 16 :]
+        struct.pack_into("<I", body, 0, len(body))
+        data[len(MAGIC) :] = struct.pack("<IIQ", VERSION, zlib.crc32(body), len(body)) + body
+        with pytest.raises(CheckpointError, match="truncated checkpoint$"):
+            parse_checkpoint(bytes(data))
 
     def test_huge_dimension_is_rejected_without_allocating(self):
         header = valid_header()
@@ -559,7 +593,7 @@ def large_table_checkpoint(seed=0):
     model = JointModel(vocab, 6, 4, 2, table, initial_flat(layout(6, 4, 2), rng))
     config = TrainingConfig(d=6, k=4, n=2)
     return Checkpoint(
-        config, vocab.words, model.embeddings, model.store.flat_params,
+        config, vocab, model.embeddings, model.store.flat_params,
         rng.bit_generator.state, 1,
     )
 

@@ -363,6 +363,20 @@ class TestEmbedCommand:
 
 
 class TestNnCommand:
+    def test_comment_only_corpus_exits_1(self, capsys, trained_dir, tmp_path):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("# no events\n")
+        code, out, err = run(
+            capsys,
+            "nn",
+            "--checkpoint", str(trained_dir / "final.ckpt"),
+            "--query", "person_x|threw|bomb",
+            "--corpus", str(corpus),
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {corpus}: no events to search\n"
+
     def test_query_in_corpus_ranks_first(self, capsys, trained_dir, synthetic_dir):
         code, out, _ = run(
             capsys,

@@ -11,7 +11,6 @@ from oracles import (
     average_argument,
     bilinear_lowrank,
     dense_compose,
-    dense_slice_matrix,
     dense_table_grad,
     layer_slice,
     snapshot_grads,
@@ -94,6 +93,10 @@ class TestComposePair:
     def test_rank_bound_enforced(self):
         with pytest.raises(ValueError, match="rank n=5"):
             make_model(d=4, k=6, n=5)
+
+    def test_odd_k_rejected(self):
+        with pytest.raises(ValueError, match="^k=5 must be even"):
+            make_model(d=4, k=5, n=2)
 
 
 class TestDenseEquivalence:

@@ -324,6 +324,16 @@ class TestAnnotations:
         with pytest.raises(DataError, match="neither an intent nor emotion"):
             load_annotations(path)
 
+    def test_blank_intent_rejected(self, tmp_path):
+        path = write(tmp_path, "a.txt", "a|b|c\tto win\t-\na|b|c\t  \tsad\n")
+        with pytest.raises(DataError, match=r"a\.txt:2: annotation has an empty intent field$"):
+            load_annotations(path)
+
+    def test_emotion_field_of_only_commas_rejected(self, tmp_path):
+        path = write(tmp_path, "a.txt", "a|b|c\tto win\t , ,\n")
+        with pytest.raises(DataError, match=r"a\.txt:1: annotation has an empty emotion field$"):
+            load_annotations(path)
+
     def test_wrong_field_count_rejected(self, tmp_path):
         path = write(tmp_path, "a.txt", "a|b|c\tto win\tx\textra\n")
         with pytest.raises(DataError, match=r"a\.txt:1: annotation needs 3"):
@@ -414,6 +424,11 @@ class TestLexicon:
     def test_bad_polarity(self, tmp_path):
         path = write(tmp_path, "l.tsv", "happy\t+2\n")
         with pytest.raises(DataError, match="polarity must be"):
+            load_lexicon(path)
+
+    def test_empty_word_rejected(self, tmp_path):
+        path = write(tmp_path, "l.tsv", "happy\t+1\n \t-1\n")
+        with pytest.raises(DataError, match=r"l\.tsv:2: lexicon record has an empty word$"):
             load_lexicon(path)
 
     @pytest.mark.parametrize("word", ["very good", "very\u00a0good"])

@@ -51,6 +51,33 @@ def test_every_src_definition_has_a_caller_outside_tests():
     assert unused == []
 
 
+def test_no_module_imports_a_name_it_never_reads():
+    """Each name that a module in src/, tests/ or perfbench/ imports is read
+    somewhere in that module. `__future__` imports and the names a module
+    exports in `__all__` are exempt."""
+    unread = []
+    for folder in ("src", "tests", "perfbench"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            nodes = list(ast.walk(tree))
+            read = {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            for node in nodes:
+                if isinstance(node, ast.Assign) and "__all__" in {
+                    target.id for target in node.targets if isinstance(target, ast.Name)
+                }:
+                    read.update(ast.literal_eval(node.value))
+            for node in nodes:
+                if isinstance(node, ast.Import) or (
+                    isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                ):
+                    unread += [
+                        f"{path.relative_to(ROOT)}:{node.lineno}: {name}"
+                        for alias in node.names
+                        if (name := alias.asname or alias.name.split(".")[0]) not in read
+                    ]
+    assert unread == []
+
+
 # hooks of perfbench/spans.py whose targets the program no longer has, until
 # a benchmark change drops them: the scale moved into `adagrad_step`, the
 # event hinge into `joint_loss` and the intent hinge into `intent_hinge`

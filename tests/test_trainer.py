@@ -69,6 +69,16 @@ class TestConfig:
             TrainingConfig(alpha=0.0, beta=0.0, gamma=0.0)
         TrainingConfig(alpha=0.0, beta=0.0, gamma=0.5)
 
+    def test_zero_epochs_rejected(self):
+        with pytest.raises(ValueError, match="^epochs=0 must be >= 1$"):
+            TrainingConfig(epochs=0)
+
+    @pytest.mark.parametrize("sizes", [dict(d=0), dict(k=0, n=1), dict(n=0)],
+                             ids=["d", "k", "n"])
+    def test_zero_size_rejected(self, sizes):
+        with pytest.raises(ValueError, match="^d, k and n must all be >= 1$"):
+            TrainingConfig(**sizes)
+
     @pytest.mark.parametrize("field", ("learning_rate", "lambda_l2"))
     @pytest.mark.parametrize("value", (float("nan"), float("inf")))
     def test_non_finite_rate_and_l2_rejected(self, field, value):
@@ -671,7 +681,8 @@ class TestTrainLoop:
     @pytest.mark.parametrize("link", ["linked", "refused"])
     def test_a_rerun_renames_over_no_file(self, synthetic_dir, tmp_path, monkeypatch, link):
         # renaming over the previous run's checkpoint is what made a re-run's
-        # saves slow; the second run's renames must all land on free names
+        # saves slow; the second run's renames and its link must all land on
+        # free names
         inputs = synthetic_inputs(synthetic_dir)
         cfg = TrainingConfig(d=10, k=8, n=2, epochs=3, learning_rate=0.05,
                              batch_size=10, seed=4)
@@ -683,17 +694,25 @@ class TestTrainLoop:
             monkeypatch.setattr(os, "link", refuse)
         train(cfg, out_dir=str(out), **inputs)
         first = {path.name: path.read_bytes() for path in out.iterdir()}
-        replaced = []
-        real_replace = os.replace
+        replaced, linked = [], []
+        real_replace, real_link = os.replace, os.link
 
         def recording_replace(src, dst):
             replaced.append((os.path.basename(dst), os.path.lexists(dst)))
             real_replace(src, dst)
 
+        def recording_link(src, dst):
+            linked.append((os.path.basename(dst), os.path.lexists(dst)))
+            real_link(src, dst)
+
         monkeypatch.setattr(os, "replace", recording_replace)
+        monkeypatch.setattr(os, "link", recording_link)
         train(cfg, out_dir=str(out), **inputs)
-        names = [f"epoch-{epoch:04d}.ckpt" for epoch in range(1, 4)] + ["final.ckpt"]
+        names = [f"epoch-{epoch:04d}.ckpt" for epoch in range(1, 4)]
+        # a refused link falls back to saving final.ckpt, which renames
+        names += ["final.ckpt"] * (link == "refused")
         assert replaced == [(name, False) for name in names]
+        assert linked == [("final.ckpt", False)]
         assert {path.name: path.read_bytes() for path in out.iterdir()} == first
 
     def test_rejected_run_leaves_the_previous_run_untouched(self, synthetic_dir, tmp_path):
