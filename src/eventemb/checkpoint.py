@@ -32,6 +32,7 @@ import json
 import math
 import os
 import struct
+import weakref
 import zlib
 from dataclasses import dataclass, fields
 
@@ -65,6 +66,20 @@ def _shapes(vocab_size: int, config) -> tuple:
     return (vocab_size, config.d), (flat_size(layout(config.d, config.k, config.n)),)
 
 
+# Each live Vocabulary's `,"vocab":[...]}`, encoded at its first save: a
+# vocabulary does not change once built, and every save of a run passes the
+# same one. Keys are compared by identity and drop out with their vocabulary.
+_VOCAB_TAILS: "weakref.WeakKeyDictionary[Vocabulary, bytes]" = weakref.WeakKeyDictionary()
+
+
+def _vocab_tail(vocab: Vocabulary) -> bytes:
+    tail = _VOCAB_TAILS.get(vocab)
+    if tail is None:
+        words = json.dumps(vocab.words, separators=(",", ":"))
+        tail = _VOCAB_TAILS[vocab] = f',"vocab":{words}}}'.encode("utf-8")
+    return tail
+
+
 def _serialized_parts(ckpt: Checkpoint) -> list:
     """Head and body as byte buffers; a C-ordered float64 array is a view, not a copy.
 
@@ -74,16 +89,13 @@ def _serialized_parts(ckpt: Checkpoint) -> list:
     shapes = (np.shape(ckpt.table), np.shape(ckpt.flat))
     if shapes != (want := _shapes(len(ckpt.vocab), ckpt.config)):
         raise ValueError(f"table and flat buffer have shapes {shapes}, the header needs {want}")
+    # the bytes of json.dumps(header, sort_keys=True, separators=(",", ":")):
+    # "vocab" sorts last, so its cached encoding closes the object
     header = json.dumps(
-        {
-            "config": ckpt.config.to_dict(),
-            "epoch": ckpt.epoch,
-            "rng_state": ckpt.rng_state,
-            "vocab": ckpt.vocab.words,
-        },
+        {"config": ckpt.config.to_dict(), "epoch": ckpt.epoch, "rng_state": ckpt.rng_state},
         sort_keys=True,
         separators=(",", ":"),
-    ).encode("utf-8")
+    )[:-1].encode("utf-8") + _vocab_tail(ckpt.vocab)
     # spaces after the JSON, which the reader skips, start the array data at
     # a multiple of 8 bytes, so that a loaded array is an aligned view
     header += b" " * (-(HEAD.size + 4 + len(header)) % 8)

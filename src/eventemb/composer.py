@@ -45,34 +45,46 @@ class LowRankLayer:
         self.k, self.d_in, self.n = self.left.shape
         self.prefix = prefix  # the benchmark's tracer names the layer's spans by it
 
+    def _factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """The factors as (d_in, n*k) and (n*k, d_in) matrices, rank outermost,
+        so that both contractions of the k slices are GEMMs."""
+        d = self.d_in
+        left = self.left.transpose(1, 2, 0).reshape(d, -1)
+        return left, self.right.transpose(1, 0, 2).reshape(-1, d)
+
     def forward(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, tuple]:
         """(B, k) outputs for B row pairs x, y, which must be (B, d_in), plus the cache."""
-        d = self.d_in
-        # the factors as (d, k*n) and (k*n, d) matrices: both contractions are GEMMs
-        left = self.left.transpose(1, 0, 2).reshape(d, -1)
-        u = x @ left
-        v = y @ self.right.reshape(-1, d).T
-        bilinear = (u * v).reshape(len(x), self.k, self.n).sum(axis=2) + (x * y) @ self.diag.T
+        left, right = self._factors()
+        # u and v are (B, n, k): the sum over the rank, and the backward's
+        # broadcasts, run along the contiguous k axis
+        u = (x @ left).reshape(len(x), self.n, self.k)
+        v = (y @ right.T).reshape(len(x), self.n, self.k)
+        bilinear = np.einsum("bnk,bnk->bk", u, v) + (x * y) @ self.diag.T
         xy = np.concatenate((x, y), axis=1)
         out = np.tanh(bilinear + xy @ self.w.T + self.b)
-        return out, (x, y, xy, left, u, v, out)
+        return out, (x, y, xy, u, v, out)
 
     def backward(self, dout: np.ndarray, cache: tuple) -> tuple[np.ndarray, np.ndarray]:
-        """Accumulate parameter gradients summed over the rows, return (dx, dy)."""
-        x, y, xy, left, u, v, out = cache
+        """Accumulate parameter gradients summed over the rows, return (dx, dy).
+
+        The parameters must be those of the forward that made the cache: the
+        factor matrices are rebuilt from them, not cached.
+        """
+        x, y, xy, u, v, out = cache
         d, k, n = self.d_in, self.k, self.n
+        left, right = self._factors()
         dpre = dout * (1.0 - out * out)
-        du = (dpre[:, :, None] * v.reshape(-1, k, n)).reshape(-1, k * n)
-        dv = (dpre[:, :, None] * u.reshape(-1, k, n)).reshape(-1, k * n)
+        du = (dpre[:, None, :] * v).reshape(len(x), -1)
+        dv = (dpre[:, None, :] * u).reshape(len(x), -1)
         dz = dpre @ self.w
         self.g_b += dpre.sum(axis=0)
         self.g_w += dpre.T @ xy
         self.g_diag += dpre.T @ (x * y)
-        self.g_left += (x.T @ du).reshape(d, k, n).transpose(1, 0, 2)
-        self.g_right += (dv.T @ y).reshape(k, n, d)
+        self.g_left += (x.T @ du).reshape(d, n, k).transpose(2, 0, 1)
+        self.g_right += (dv.T @ y).reshape(n, k, d).transpose(1, 0, 2)
         ddiag_scale = dpre @ self.diag
         dx = dz[:, :d] + du @ left.T + ddiag_scale * y
-        dy = dz[:, d:] + dv @ self.right.reshape(-1, d) + ddiag_scale * x
+        dy = dz[:, d:] + dv @ right + ddiag_scale * x
         return dx, dy
 
 

@@ -11,8 +11,8 @@ from .params import TABLE, Layout, ParameterStore
 from .sentiment import SentimentHead
 
 # Events per composer call in `embed_events`. It bounds the per-layer
-# (rows, k, n) caches of inference to what one training batch of 128
-# positives and their 128 corrupted events already holds.
+# (rows, n, k) factor products of inference to what one training batch of
+# 128 positives and their 128 corrupted events already holds.
 EMBED_BLOCK = 256
 
 

@@ -10,6 +10,7 @@ from eventemb.params import ParameterStore, initial_flat
 from eventemb.trainer import CodedExample
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+SRC_DIR = REPO_ROOT / "src"
 SYNTHETIC_DIR = REPO_ROOT / "data" / "synthetic"
 
 WORDS = [

@@ -2,8 +2,9 @@
 
 These deliberately avoid the vectorized implementations they check: dense
 matrices are materialized, math is done in scalar loops, and ranks are
-computed by counting comparisons. The single-slice bilinear form checks the
-k-slice einsums of LowRankLayer one slice at a time, and the forward-only
+computed by counting comparisons. The single-slice bilinear form checks
+LowRankLayer one slice at a time (the layer runs all k slices as two
+rank-major GEMMs and sums the rank with one einsum), and the forward-only
 objectives restate the paper's loss formulas that the joint loss must match.
 The dense Adagrad step and the per-direction encoder are the unpacked forms
 of the flat-buffer, touched-rows step and the stacked LSTM, which must equal
@@ -222,7 +223,8 @@ def bilinear_lowrank(a, p, slc):
     """a' (left @ right + diag) p, evaluated factored in O(dn).
 
     Computed as (a' left)(right p) + sum_i a_i diag_i p_i, one slice at a
-    time, where LowRankLayer contracts all k slices in one einsum.
+    time, where LowRankLayer multiplies all k slices' factors in two GEMMs
+    and sums their rank products in one einsum.
     """
     a = np.asarray(a, dtype=np.float64)
     p = np.asarray(p, dtype=np.float64)

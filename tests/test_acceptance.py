@@ -5,6 +5,9 @@ report. Every tolerance is pinned here; nothing is deferred to later
 calibration.
 """
 
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -29,7 +32,7 @@ from eventemb.data import (
 from eventemb.evaluate import evaluate_transitive, hard_similarity_accuracy, spearman_rho
 from eventemb.params import ParameterStore
 from eventemb.trainer import Negatives, TrainingConfig, adagrad_step, joint_loss, train
-from conftest import coded, make_model, make_store, random_event, word_ids
+from conftest import SRC_DIR, coded, make_model, make_store, random_event, word_ids
 from gradcheck import grad_check
 from oracles import (
     cosine,
@@ -288,6 +291,35 @@ class TestCriterion7DeterminismAndPersistence:
             parse_checkpoint(blobs[0][:-1])
         report(7, "determinism-and-persistence",
                f"{len(blobs[0])} byte checkpoint reproducible and guarded")
+
+    def test_high_rank_training_is_byte_identical_across_processes(
+        self, synthetic_dir, tmp_path
+    ):
+        # n >= 8 and d, k, n all different: the layers' rank-major GEMMs and
+        # rank sum at a shape where no two axes have the same size, trained
+        # by two fresh interpreters whose string hashes differ
+        argv = [
+            "train", "--corpus", str(synthetic_dir / "corpus.txt"),
+            "--annotations", str(synthetic_dir / "annotations.txt"),
+            "--vectors", str(synthetic_dir / "vectors.txt"),
+            "--lexicon", str(synthetic_dir / "lexicon.tsv"),
+            "--d", "10", "--k", "12", "--n", "9", "--epochs", "2",
+            "--batch-size", "16", "--learning-rate", "0.05", "--seed", "31",
+        ]
+        path = os.pathsep.join(filter(None, (str(SRC_DIR), os.environ.get("PYTHONPATH"))))
+        blobs = []
+        for hash_seed in ("1", "2"):
+            out = tmp_path / hash_seed
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
+            run = subprocess.run([sys.executable, "-m", "eventemb.cli", *argv, "--out", str(out)],
+                                 env=env, capture_output=True, text=True)
+            assert run.returncode == 0, run.stderr
+            blobs.append((out / "final.ckpt").read_bytes())
+        assert blobs[0] == blobs[1]
+        ckpt = parse_checkpoint(blobs[0])
+        assert (ckpt.config.d, ckpt.config.k, ckpt.config.n) == (10, 12, 9)
+        report(7, "determinism-across-processes",
+               f"{len(blobs[0])} byte checkpoint at d=10 k=12 n=9 identical in 2 processes")
 
 
 class TestCriterion8PolarityRule:

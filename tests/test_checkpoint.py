@@ -428,6 +428,74 @@ CONFIG = valid_header()["config"]
 ZEROS = bytes(8 * (13 * 6 + FLAT))
 
 
+# words the JSON encoder escapes: quote, backslash, control characters,
+# non-ASCII letters, a line separator and a character outside the BMP
+ESCAPED_WORDS = ['say"hi', "back\\slash", "tab\tword", "nul\x00", "bell\x07", "café",
+                 "日本", "line\u2028sep", "emoji\U0001f600"]
+
+
+def with_vocab(ckpt, words):
+    """`ckpt` over a vocabulary of `words`, with a table of matching size."""
+    vocab = Vocabulary(words)
+    table = np.arange(len(vocab) * ckpt.config.d, dtype=float).reshape(len(vocab), -1)
+    return dataclasses.replace(ckpt, vocab=vocab, table=table)
+
+
+def header_bytes(data):
+    """The JSON header of checkpoint bytes, with its padding."""
+    return data[28 : 28 + struct.unpack_from("<I", data, 24)[0]]
+
+
+def dumped_header(ckpt):
+    """The header as one json.dumps of all four fields, padded as the writer pads."""
+    header = json.dumps(
+        header_of(ckpt), sort_keys=True, separators=(",", ":")
+    ).encode("utf-8")
+    return header + b" " * (-(28 + len(header)) % 8)
+
+
+class TestHeaderEncoding:
+    """The writer encodes a vocabulary once and appends it to each header;
+    the bytes must be those of one json.dumps of the whole header."""
+
+    @pytest.mark.parametrize("words", [[], ESCAPED_WORDS, ["alice", *ESCAPED_WORDS[::-1]]])
+    def test_header_equals_one_json_dump(self, words):
+        ckpt = with_vocab(make_checkpoint()[0], words)
+        data = checkpoint_bytes(ckpt)
+        assert header_bytes(data) == dumped_header(ckpt)
+        assert parse_checkpoint(data).vocab.words == ckpt.vocab.words
+
+    def test_another_vocabulary_of_the_same_length_is_encoded_afresh(self):
+        base = make_checkpoint()[0]
+        first = with_vocab(base, ESCAPED_WORDS)
+        second = with_vocab(base, [w + "x" for w in ESCAPED_WORDS])
+        # equal words in a new object encode the same as the first
+        again = with_vocab(base, ESCAPED_WORDS)
+        for ckpt in (first, second, first, again, second):
+            assert header_bytes(checkpoint_bytes(ckpt)) == dumped_header(ckpt)
+
+    def test_each_save_encodes_its_config_epoch_and_rng_state(self):
+        ckpt = with_vocab(make_checkpoint()[0], ESCAPED_WORDS)
+        later = dataclasses.replace(
+            ckpt,
+            config=dataclasses.replace(ckpt.config, epochs=9),
+            epoch=4,
+            rng_state=np.random.default_rng(5).bit_generator.state,
+        )
+        for c in (ckpt, later, ckpt):
+            assert header_bytes(checkpoint_bytes(c)) == dumped_header(c)
+
+    def test_a_vocabulary_is_encoded_once(self, monkeypatch):
+        ckpt = with_vocab(make_checkpoint()[0], ESCAPED_WORDS)
+        reads = []
+        words = Vocabulary.words
+        counted = property(lambda vocab: reads.append(vocab) or words.fget(vocab))
+        monkeypatch.setattr(Vocabulary, "words", counted)
+        for epoch in range(4):
+            checkpoint_bytes(dataclasses.replace(ckpt, epoch=epoch))
+        assert len(reads) == 1
+
+
 class TestCraftedCheckpoints:
     """Bodies with a valid CRC that a writer never produces."""
 

@@ -11,6 +11,7 @@ from oracles import (
     average_argument,
     bilinear_lowrank,
     dense_compose,
+    dense_slice_matrix,
     dense_table_grad,
     layer_slice,
     snapshot_grads,
@@ -62,6 +63,23 @@ def embed_one(composer, vocab, event):
 def score(composer, vocab, events):
     """Plausibility scores as joint_loss computes them: C @ u over one call."""
     return composer.embed(*code_events(vocab, events))[0] @ composer.u
+
+
+def layer_grad_error(store, x, y, rng):
+    """grad_check of the layer held in `store` on the rows x, y, parameters and
+    inputs alike. The (rows, k) output is scalarized through a fixed random
+    projection; parameter gradients are sums over the rows."""
+    layer = LowRankLayer(store, "layer")
+    proj = random_projection(len(x) * layer.k, rng).reshape(len(x), layer.k)
+    params = dict(store.params) | {"x": x, "y": y}
+
+    def fn():
+        zero_grads(store)
+        out, cache = layer.forward(x, y)
+        dx, dy = layer.backward(proj, cache)
+        return float(np.sum(proj * out)), snapshot_grads(store) | {"x": dx, "y": dy}
+
+    return grad_check(fn, params, value_fn=lambda: float(np.sum(proj * layer.forward(x, y)[0])))
 
 
 class TestComposePair:
@@ -387,26 +405,31 @@ class TestComposerGradients:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_layer_forward_gradients_random_instances(self, seed):
-        # scalarize the (3, k) output of three rows through a fixed random
-        # projection; parameter gradients are sums over the rows
         rng = np.random.default_rng(seed)
         d = int(rng.integers(2, 9))
         k = int(rng.integers(1, 6))
         n = int(rng.integers(1, min(d, 3) + 1))
         store = make_store(LowRankLayer.layout("layer", d, k, n), rng)
+        x, y = rng.standard_normal((2, 3, d))
+        assert layer_grad_error(store, x, y, rng) < 1e-4
+
+    # d_in, k and n all differ, with n >= 8, so a transpose that mixes the
+    # rank and slice axes cannot hide behind equal sizes; (10, 10, 9) is
+    # layer 3's form, whose input width is k
+    @pytest.mark.parametrize("d, k, n", [(12, 10, 9), (9, 14, 8), (10, 10, 9)])
+    def test_layer_at_high_rank_matches_oracles_and_gradients(self, d, k, n):
+        rng = np.random.default_rng(d * 100 + k * 10 + n)
+        store = make_store(LowRankLayer.layout("layer", d, k, n), rng)
         layer = LowRankLayer(store, "layer")
-        x = rng.standard_normal((3, d))
-        y = rng.standard_normal((3, d))
-        proj = random_projection(3 * k, rng).reshape(3, k)
-        params = dict(store.params) | {"x": x, "y": y}
-
-        def fn():
-            zero_grads(store)
-            out, cache = layer.forward(x, y)
-            dx, dy = layer.backward(proj, cache)
-            grads = snapshot_grads(store)
-            grads["x"] = dx
-            grads["y"] = dy
-            return float(np.sum(proj * out)), grads
-
-        assert grad_check(fn, params) < 1e-4
+        x, y = rng.standard_normal((2, 3, d))
+        out = layer.forward(x, y)[0]
+        mats = [dense_slice_matrix(layer.left[i], layer.right[i], layer.diag[i]) for i in range(k)]
+        for row in range(3):
+            per_slice = np.array(
+                [bilinear_lowrank(x[row], y[row], layer_slice(layer, i)) for i in range(k)]
+            )
+            affine = layer.w @ np.concatenate((x[row], y[row])) + layer.b
+            assert out[row] == pytest.approx(np.tanh(per_slice + affine), abs=1e-12)
+            expected = dense_compose(x[row], y[row], mats, layer.w, layer.b)
+            assert out[row] == pytest.approx(expected, abs=1e-12)
+        assert layer_grad_error(store, x, y, rng) < 1e-4
