@@ -43,7 +43,7 @@ from .model import JointModel, layout
 from .params import TABLE, flat_size
 
 MAGIC = b"EVEMBCKP"
-VERSION = 4
+VERSION = 5
 HEAD = struct.Struct("<8sIIQ")  # magic, version, CRC of the body, body length
 
 

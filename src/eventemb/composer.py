@@ -21,16 +21,18 @@ CORRUPTION_TARGETS = ("actor", "object")
 class LowRankLayer:
     """k bilinear slices in factored form plus an affine part and tanh.
 
-    Slice i contributes x' (left_i @ right_i + diag(diag_i)) y; the k
-    bilinear values are added to W [x; y] + b before the nonlinearity.
+    Slice i contributes x' (left_i @ right_i + diag(diag_i)) y, with left_i =
+    left[:, :, i] and right_i = right[:, i, :]; the k bilinear values are
+    added to W [x; y] + b before the nonlinearity. With k innermost, both
+    factors' GEMM forms, (d_in, n*k) and (n*k, d_in), are reshaped views.
     """
 
     @staticmethod
     def layout(prefix: str, d_in: int, k: int, n: int) -> Layout:
         r = 1.0 / np.sqrt(d_in)
         return {
-            f"{prefix}.left": ((k, d_in, n), r),
-            f"{prefix}.right": ((k, n, d_in), r),
+            f"{prefix}.left": ((d_in, n, k), r),
+            f"{prefix}.right": ((n, k, d_in), r),
             f"{prefix}.diag": ((k, d_in), 0.0),
             f"{prefix}.w": ((k, 2 * d_in), r),
             f"{prefix}.b": ((k,), r),
@@ -42,23 +44,15 @@ class LowRankLayer:
         self.g_left, self.g_right, self.g_diag, self.g_w, self.g_b = (
             store.grads[a] for a in names
         )
-        self.k, self.d_in, self.n = self.left.shape
+        self.d_in, self.n, self.k = self.left.shape
         self.prefix = prefix  # the benchmark's tracer names the layer's spans by it
-
-    def _factors(self) -> tuple[np.ndarray, np.ndarray]:
-        """The factors as (d_in, n*k) and (n*k, d_in) matrices, rank outermost,
-        so that both contractions of the k slices are GEMMs."""
-        d = self.d_in
-        left = self.left.transpose(1, 2, 0).reshape(d, -1)
-        return left, self.right.transpose(1, 0, 2).reshape(-1, d)
 
     def forward(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, tuple]:
         """(B, k) outputs for B row pairs x, y, which must be (B, d_in), plus the cache."""
-        left, right = self._factors()
         # u and v are (B, n, k): the sum over the rank, and the backward's
         # broadcasts, run along the contiguous k axis
-        u = (x @ left).reshape(len(x), self.n, self.k)
-        v = (y @ right.T).reshape(len(x), self.n, self.k)
+        u = (x @ self.left.reshape(self.d_in, -1)).reshape(len(x), self.n, self.k)
+        v = (y @ self.right.reshape(-1, self.d_in).T).reshape(len(x), self.n, self.k)
         bilinear = np.einsum("bnk,bnk->bk", u, v) + (x * y) @ self.diag.T
         xy = np.concatenate((x, y), axis=1)
         out = np.tanh(bilinear + xy @ self.w.T + self.b)
@@ -67,12 +61,11 @@ class LowRankLayer:
     def backward(self, dout: np.ndarray, cache: tuple) -> tuple[np.ndarray, np.ndarray]:
         """Accumulate parameter gradients summed over the rows, return (dx, dy).
 
-        The parameters must be those of the forward that made the cache: the
-        factor matrices are rebuilt from them, not cached.
+        The parameters must still hold the values of the forward that made the
+        cache: the GEMM operands are views of them, not cached copies.
         """
         x, y, xy, u, v, out = cache
-        d, k, n = self.d_in, self.k, self.n
-        left, right = self._factors()
+        d = self.d_in
         dpre = dout * (1.0 - out * out)
         du = (dpre[:, None, :] * v).reshape(len(x), -1)
         dv = (dpre[:, None, :] * u).reshape(len(x), -1)
@@ -80,11 +73,11 @@ class LowRankLayer:
         self.g_b += dpre.sum(axis=0)
         self.g_w += dpre.T @ xy
         self.g_diag += dpre.T @ (x * y)
-        self.g_left += (x.T @ du).reshape(d, n, k).transpose(2, 0, 1)
-        self.g_right += (dv.T @ y).reshape(n, k, d).transpose(1, 0, 2)
+        self.g_left += (x.T @ du).reshape(self.left.shape)
+        self.g_right += (dv.T @ y).reshape(self.right.shape)
         ddiag_scale = dpre @ self.diag
-        dx = dz[:, :d] + du @ left.T + ddiag_scale * y
-        dy = dz[:, d:] + dv @ right + ddiag_scale * x
+        dx = dz[:, :d] + du @ self.left.reshape(d, -1).T + ddiag_scale * y
+        dy = dz[:, d:] + dv @ self.right.reshape(-1, d) + ddiag_scale * x
         return dx, dy
 
 

@@ -216,7 +216,7 @@ class LowRankSlice:
 
 def layer_slice(layer, i):
     """Slice i of a LowRankLayer as views of the layer's parameter arrays."""
-    return LowRankSlice(layer.left[i], layer.right[i], layer.diag[i])
+    return LowRankSlice(layer.left[:, :, i], layer.right[:, i, :], layer.diag[i])
 
 
 def bilinear_lowrank(a, p, slc):

@@ -131,8 +131,8 @@ class TestCriterion2LowRankDenseEquivalence:
             mats = rng.standard_normal((k, d, d))
             diag = rng.standard_normal((k, d))
             # left = M - diag(diag), right = I reconstructs M exactly
-            layer.left[...] = mats - diag[:, :, None] * np.eye(d)[None, :, :]
-            layer.right[...] = np.broadcast_to(np.eye(d), (k, d, d))
+            layer.left[...] = (mats - diag[:, :, None] * np.eye(d)).transpose(1, 2, 0)
+            layer.right[...] = np.broadcast_to(np.eye(d)[:, None, :], (d, k, d))
             layer.diag[...] = diag
             x = rng.standard_normal(d)
             y = rng.standard_normal(d)

@@ -220,25 +220,20 @@ class TestCorruptionDetection:
         with pytest.raises(CheckpointError, match="version 99"):
             parse_checkpoint(bytes(data))
 
-    def test_version_1_rejected(self):
+    @pytest.mark.parametrize(
+        "version",
+        (
+            1,  # the per-gate LSTM layout, before the gates were fused
+            2,  # each LSTM direction as its own arrays, before they were stacked
+            3,  # a name, ndim and dims record per array, before the body dropped them
+            4,  # factors stored slice-major
+        ),
+    )
+    def test_old_version_rejected(self, version):
         ckpt, _ = make_checkpoint()
         data = bytearray(checkpoint_bytes(ckpt))
-        data[8] = 1  # the per-gate LSTM layout, before the gates were fused
-        with pytest.raises(CheckpointError, match="version 1$"):
-            parse_checkpoint(bytes(data))
-
-    def test_version_2_rejected(self):
-        ckpt, _ = make_checkpoint()
-        data = bytearray(checkpoint_bytes(ckpt))
-        data[8] = 2  # each LSTM direction as its own arrays, before they were stacked
-        with pytest.raises(CheckpointError, match="version 2$"):
-            parse_checkpoint(bytes(data))
-
-    def test_version_3_rejected(self):
-        ckpt, _ = make_checkpoint()
-        data = bytearray(checkpoint_bytes(ckpt))
-        data[8] = 3  # a name, ndim and dims record per array, before the body dropped them
-        with pytest.raises(CheckpointError, match="version 3$"):
+        data[8] = version
+        with pytest.raises(CheckpointError, match=f"version {version}$"):
             parse_checkpoint(bytes(data))
 
     @pytest.mark.parametrize("value", (np.nan, np.inf, -np.inf))
@@ -255,7 +250,7 @@ class TestCorruptionDetection:
 
 
 class TestLayout:
-    def test_version_4_parameter_names_and_shapes(self):
+    def test_version_5_parameter_names_and_shapes(self):
         # The file no longer names its arrays: the reader takes every name and
         # shape from the layout. Changing the layout without bumping VERSION
         # would load old files scrambled, so this pins both together.
@@ -263,18 +258,18 @@ class TestLayout:
         ckpt, _ = make_checkpoint(d=5, k=4, n=2)
         expected = [
             ("embeddings", (13, 5)),
-            ("layer1.left", (4, 5, 2)),
-            ("layer1.right", (4, 2, 5)),
+            ("layer1.left", (5, 2, 4)),
+            ("layer1.right", (2, 4, 5)),
             ("layer1.diag", (4, 5)),
             ("layer1.w", (4, 10)),
             ("layer1.b", (4,)),
-            ("layer2.left", (4, 5, 2)),
-            ("layer2.right", (4, 2, 5)),
+            ("layer2.left", (5, 2, 4)),
+            ("layer2.right", (2, 4, 5)),
             ("layer2.diag", (4, 5)),
             ("layer2.w", (4, 10)),
             ("layer2.b", (4,)),
-            ("layer3.left", (4, 4, 2)),
-            ("layer3.right", (4, 2, 4)),
+            ("layer3.left", (4, 2, 4)),
+            ("layer3.right", (2, 4, 4)),
             ("layer3.diag", (4, 4)),
             ("layer3.w", (4, 8)),
             ("layer3.b", (4,)),
@@ -285,7 +280,7 @@ class TestLayout:
             ("sentiment.b", (2,)),
         ]
         data = checkpoint_bytes(ckpt)
-        assert struct.unpack_from("<I", data, 8)[0] == VERSION == 4
+        assert struct.unpack_from("<I", data, 8)[0] == VERSION == 5
         assert [(name, s) for name, (s, _) in layout(5, 4, 2).items()] == expected[1:]
         loaded = parse_checkpoint(data)
         assert loaded.table.shape == (13, 5)

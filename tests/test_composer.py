@@ -92,8 +92,8 @@ class TestComposePair:
     def test_hand_computed_single_slice(self):
         composer, _, store, _ = make_composer(d=2, k=1, n=1)
         layer = composer.layer1
-        layer.left[...] = [[2.0], [0.0]]
-        layer.right[...] = [[1.0, 3.0]]
+        layer.left[:, :, 0] = [[2.0], [0.0]]
+        layer.right[:, 0, :] = [[1.0, 3.0]]
         layer.diag[...] = [0.5, -1.0]
         layer.w[...] = [[0.1, 0.2, 0.3, 0.4]]
         layer.b[...] = [-0.5]
@@ -126,8 +126,8 @@ class TestDenseEquivalence:
             k = int(rng.integers(1, 5))
             layer = LowRankLayer(make_store(LowRankLayer.layout("layer", d, k, d), rng), "layer")
             mats = rng.standard_normal((k, d, d))
-            layer.left[...] = mats
-            layer.right[...] = np.broadcast_to(np.eye(d), (k, d, d))
+            layer.left[...] = mats.transpose(1, 2, 0)
+            layer.right[...] = np.broadcast_to(np.eye(d)[:, None, :], (d, k, d))
             layer.diag[...] = 0.0
             x = rng.standard_normal(d)
             y = rng.standard_normal(d)
@@ -423,7 +423,10 @@ class TestComposerGradients:
         layer = LowRankLayer(store, "layer")
         x, y = rng.standard_normal((2, 3, d))
         out = layer.forward(x, y)[0]
-        mats = [dense_slice_matrix(layer.left[i], layer.right[i], layer.diag[i]) for i in range(k)]
+        mats = [
+            dense_slice_matrix(layer.left[:, :, i], layer.right[:, i, :], layer.diag[i])
+            for i in range(k)
+        ]
         for row in range(3):
             per_slice = np.array(
                 [bilinear_lowrank(x[row], y[row], layer_slice(layer, i)) for i in range(k)]
