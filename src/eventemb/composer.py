@@ -47,8 +47,12 @@ class LowRankLayer:
         self.d_in, self.n, self.k = self.left.shape
         self.prefix = prefix  # the benchmark's tracer names the layer's spans by it
 
-    def forward(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, tuple]:
-        """(B, k) outputs for B row pairs x, y, which must be (B, d_in), plus the cache."""
+    def forward(
+        self, x: np.ndarray, y: np.ndarray, keep_cache: bool = True
+    ) -> tuple[np.ndarray, tuple | None]:
+        """(B, k) outputs for B row pairs x, y, which must be (B, d_in), plus the
+        cache for `backward`, or None if `keep_cache` is false: a frozen caller
+        then frees u and v, the largest arrays here, as this returns."""
         # u and v are (B, n, k): the sum over the rank, and the backward's
         # broadcasts, run along the contiguous k axis
         u = (x @ self.left.reshape(self.d_in, -1)).reshape(len(x), self.n, self.k)
@@ -56,7 +60,7 @@ class LowRankLayer:
         bilinear = np.einsum("bnk,bnk->bk", u, v) + (x * y) @ self.diag.T
         xy = np.concatenate((x, y), axis=1)
         out = np.tanh(bilinear + xy @ self.w.T + self.b)
-        return out, (x, y, xy, u, v, out)
+        return out, (x, y, xy, u, v, out) if keep_cache else None
 
     def backward(self, dout: np.ndarray, cache: tuple) -> tuple[np.ndarray, np.ndarray]:
         """Accumulate parameter gradients summed over the rows, return (dx, dy).
@@ -87,6 +91,26 @@ def code_events(vocab: Vocabulary, events: list[EventTuple]) -> tuple[np.ndarray
     args = [arg for e in events for arg in (e.actor, e.predicate, e.object)]
     sizes = np.array([len(arg) for arg in args])
     return np.array([vocab.index(w) for arg in args for w in arg]), sizes
+
+
+def argument_means(table: np.ndarray, ids: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The (A, d) means of A arguments coded by `code_events`: each argument's
+    word rows summed strictly left to right, then divided by its word count.
+
+    The sum runs by word position: the first words' rows, then one `+=` per
+    later position over the arguments that have a word there. For 1 or 2
+    words this is bit-equal to `np.add.reduceat`, whose order differs from
+    3 words on.
+    """
+    starts = np.cumsum(sizes) - sizes
+    # `take` gathers rows with less call overhead than fancy indexing, which
+    # is most of the cost at the desk shape
+    sums = table.take(ids[starts], axis=0)
+    for j in range(1, sizes.max()):
+        longer = np.flatnonzero(sizes > j)
+        sums[longer] += table.take(ids[starts[longer] + j], axis=0)
+    sums /= sizes[:, None]
+    return sums
 
 
 def corrupt_event(
@@ -139,17 +163,19 @@ class EventComposer:
         self.l2_params = store.flat_params[:size]
         self.l2_grads = store.flat_grads[:size]
 
-    def embed(self, ids: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, tuple]:
-        """(B, k) embeddings C of B >= 1 events coded by `code_events`, plus the
-        cache for embed_backward; one `np.add.reduceat` sums the word rows of
-        all 3B arguments."""
-        means = np.add.reduceat(self.embeddings[ids], np.cumsum(sizes) - sizes, axis=0)
-        means /= sizes[:, None]
+    def embed(
+        self, ids: np.ndarray, sizes: np.ndarray, keep_cache: bool = True
+    ) -> tuple[np.ndarray, tuple | None]:
+        """(B, k) embeddings C of B >= 1 events coded by `code_events`, composed
+        from the `argument_means` of their 3B arguments, plus the cache for
+        embed_backward. With `keep_cache` false the cache is None and no layer
+        keeps its cache past its own forward, as frozen inference needs."""
+        means = argument_means(self.embeddings, ids, sizes)
         a, p, o = means[0::3], means[1::3], means[2::3]
-        s1, cache1 = self.layer1.forward(a, p)
-        s2, cache2 = self.layer2.forward(p, o)
-        c, cache3 = self.layer3.forward(s1, s2)
-        return c, (ids, sizes, cache1, cache2, cache3)
+        s1, cache1 = self.layer1.forward(a, p, keep_cache)
+        s2, cache2 = self.layer2.forward(p, o, keep_cache)
+        c, cache3 = self.layer3.forward(s1, s2, keep_cache)
+        return c, (ids, sizes, cache1, cache2, cache3) if keep_cache else None
 
     def embed_backward(self, dc: np.ndarray, cache: tuple) -> None:
         """Backprop dL/dC (B, k) through all layers into the parameter grads,

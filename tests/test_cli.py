@@ -436,6 +436,26 @@ class TestNnCommand:
             assert (e1, e2) == (f"{first}|threw|bomb", f"{second}|threw|bomb")
             assert s1 == s2
 
+    def test_unknown_query_words_go_to_stderr(self, capsys, trained_dir, synthetic_dir):
+        def nn(query):
+            return run(
+                capsys,
+                "nn",
+                "--checkpoint", str(trained_dir / "final.ckpt"),
+                "--query", query,
+                "--corpus", str(synthetic_dir / "corpus.txt"),
+                "--top", "5",
+            )
+
+        # the unknown token itself is a vocabulary word: no report
+        code, unk_out, err = nn("<unk> <unk>|threw|<unk>")
+        assert (code, err) == (0, "")
+        # a repeated unknown word is named once, in query order
+        code, out, err = nn("unseen_b unseen_a|threw|unseen_b")
+        assert code == 0
+        assert err == "unknown query words, embedded as <unk>: unseen_b unseen_a\n"
+        assert out == unk_out
+
     def test_top_larger_than_corpus_returns_all(self, capsys, trained_dir, synthetic_dir):
         code, out, _ = run(
             capsys,

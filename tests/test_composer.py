@@ -1,7 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from eventemb.composer import EventComposer, LowRankLayer, code_events, corrupt_event
+from eventemb.composer import (
+    EventComposer,
+    LowRankLayer,
+    argument_means,
+    code_events,
+    corrupt_event,
+)
 from eventemb.data import EventTuple, Vocabulary
 from eventemb.model import EMBED_BLOCK
 from eventemb.trainer import Negatives, TrainingConfig, joint_loss
@@ -182,6 +193,52 @@ class TestEmbedEvent:
             assert np.linalg.norm(delta) >= 1e-3
 
 
+# table entries: ordinary values, signed zeros, subnormals and tiny normals
+TABLE_VALUES = st.one_of(
+    st.floats(-10.0, 10.0),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
+    st.floats(-1e-306, 1e-306),
+)
+
+
+@st.composite
+def coded_arguments(draw, max_words):
+    """A random table, and ids and sizes of 1-12 arguments of 1-max_words words."""
+    n_rows, d = draw(st.integers(1, len(WORDS) + 1)), draw(st.integers(1, 4))
+    table = draw(arrays(np.float64, (n_rows, d), elements=TABLE_VALUES))
+    sizes = np.array(draw(st.lists(st.integers(1, max_words), min_size=1, max_size=12)))
+    n_ids = int(sizes.sum())
+    ids = np.array(draw(st.lists(st.integers(0, n_rows - 1), min_size=n_ids, max_size=n_ids)))
+    return table, ids, sizes
+
+
+class TestArgumentMeans:
+    @settings(max_examples=200, deadline=None)
+    @given(coded_arguments(max_words=2))
+    def test_short_arguments_bit_equal_reduceat(self, coded_args):
+        table, ids, sizes = coded_args
+        expected = np.add.reduceat(table[ids], np.cumsum(sizes) - sizes, axis=0)
+        expected /= sizes[:, None]
+        assert argument_means(table, ids, sizes).tobytes() == expected.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(coded_arguments(max_words=9))
+    def test_sum_runs_left_to_right(self, coded_args):
+        table, ids, sizes = coded_args
+        means = argument_means(table, ids, sizes)
+        vocab = Vocabulary(WORDS[: len(table) - 1])
+        ends = np.cumsum(sizes)
+        for mean, start, end in zip(means, ends - sizes, ends):
+            rows = [[float(x) for x in table[i]] for i in ids[start:end]]
+            total = rows[0]
+            for row in rows[1:]:
+                total = [a + b for a, b in zip(total, row)]
+            expected = np.array(total) / (end - start)
+            assert mean.tobytes() == expected.tobytes()
+            words = [vocab.words[i] for i in ids[start:end]]
+            assert np.max(np.abs(mean - average_argument(words, table, vocab))) <= 1e-12
+
+
 class TestEmbedEvents:
     def test_blocks_match_row_by_row_in_input_order(self):
         # 2 full blocks and a partial third: two block boundaries
@@ -195,11 +252,27 @@ class TestEmbedEvents:
     def test_no_events_give_no_rows_without_composing(self, monkeypatch):
         model, _, _ = make_model()
 
-        def refuse(ids, sizes):
+        def refuse(*args, **kwargs):
             raise AssertionError("composer.embed called with no events")
 
         monkeypatch.setattr(model.composer, "embed", refuse)
         assert model.embed_events([]).shape == (0, model.k)
+
+    def test_frozen_block_keeps_no_layer_cache(self):
+        # paper shape: each layer's u and v are (256, n, k) float64 arrays;
+        # keeping the caches holds two layers' worth while the third runs
+        d = k = 100
+        n = 10
+        model, vocab, rng = make_model(seed=8, n_words=len(WORDS), d=d, k=k, n=n)
+        events = [random_event(vocab, rng) for _ in range(EMBED_BLOCK)]
+        two_layers_u_v = 2 * 2 * EMBED_BLOCK * n * k * 8
+        tracemalloc.start()
+        try:
+            model.embed_events(events)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < two_layers_u_v
 
 
 class TestScoreEvent:
