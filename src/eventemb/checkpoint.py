@@ -21,8 +21,11 @@ vocabulary that repeats a word or lacks its leading "<unk>", a body of the
 wrong size for its header or a non-finite array is rejected too. A
 checkpoint either loads losslessly or raises CheckpointError.
 
-Loading reads the file once into one buffer and parses it in place: the
-table and the flat buffer are views of that buffer, not copies.
+Loading maps the file copy-on-write and parses the mapping in place: the
+table and the flat buffer are views of the mapping, not copies, and writes
+to them go to private pages, never to the file. The mapping stays backed by
+the file, so the file must not be truncated or written in place while a
+loaded model lives (see `load_checkpoint`).
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import mmap
 import os
 import struct
 import weakref
@@ -172,7 +176,7 @@ def parse_checkpoint(data, path: str = "<bytes>") -> Checkpoint:
 
     `data` is any bytes-like object. The table and the flat buffer are views
     of it: read-only over `bytes`, writable over a writable buffer such as
-    the one `load_checkpoint` reads into.
+    the copy-on-write mapping that `load_checkpoint` makes.
     """
     view = memoryview(data).cast("B")
     start = HEAD.size + 4  # the JSON header, after the head and its u32 length
@@ -210,9 +214,12 @@ def parse_checkpoint(data, path: str = "<bytes>") -> Checkpoint:
             f"the header's config and vocabulary need {8 * total}"
         )
     values = np.frombuffer(view, "<f8", total, offset)
-    # max propagates NaN and min and max reach any infinity: the check needs
-    # no temporary the size of the arrays
-    if not (np.isfinite(values.max()) and np.isfinite(values.min())):
+    # one pass with no temporary the size of the arrays: a NaN or an infinity
+    # makes the sum non-finite, so a finite sum clears every entry; finite
+    # entries whose sum overflows fall through to the exact scan and load
+    with np.errstate(over="ignore", invalid="ignore"):
+        total_sum = np.add.reduce(values)
+    if not np.isfinite(total_sum) and not np.isfinite(values).all():
         # the array whose entries end past the first non-finite entry
         arrays = layout(config.d, config.k, config.n)
         ends = np.cumsum([split, *(math.prod(shape) for shape, _ in arrays.values())])
@@ -224,19 +231,34 @@ def parse_checkpoint(data, path: str = "<bytes>") -> Checkpoint:
 
 
 def load_checkpoint(path: str) -> Checkpoint:
-    """Read `path` once into a buffer that only the returned table and flat buffer view.
+    """Map `path` copy-on-write and parse the mapping in place.
 
-    Both are writable, and no other object shares their memory, so
-    `build_model` hands them to the model without a copy.
+    The returned table and flat buffer are writable views of a private
+    mapping (`mmap.ACCESS_COPY`) that nothing else holds, so `build_model`
+    hands them to the model without a copy. The checks read every page
+    through the mapping, and a write to a page copies it first: training a
+    loaded model never changes the file.
+
+    The mapping stays backed by the file until the last view is dropped, so
+    nothing may change the file in place meanwhile:
+
+    - if another process truncates it (`cp` onto it, say), the next touch of
+      any page past the new end, copied or not, raises SIGBUS and ends the
+      process;
+    - a write in place can show through pages that have not been copied,
+      after the checks have passed.
+
+    This program's own writers do neither: a save writes a temp file and
+    renames it onto `path`, and a run unlinks old files, which leaves the
+    mapped inode alone. The mapping also holds a duplicate of the file
+    descriptor, one per loaded checkpoint, until it is dropped.
     """
     with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        # uninitialised, unlike bytearray(size): the read fills every byte
-        buffer = np.empty(size, dtype=np.uint8)
-        read = fh.readinto(buffer)
-    if read != size:
-        raise CheckpointError(f"{path}: read {read} of the file's {size} bytes")
-    return parse_checkpoint(buffer, path)
+        try:
+            data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
+        except ValueError:  # mmap refuses an empty file
+            raise CheckpointError(f"{path}: truncated checkpoint") from None
+    return parse_checkpoint(data, path)
 
 
 def build_model(ckpt: Checkpoint) -> JointModel:

@@ -45,8 +45,9 @@ class ParameterStore:
     writes into them, so a caller that must keep its own passes a copy. An
     array that cannot be trained in place (read-only, not float64 or not
     C-contiguous) is copied: one viewed over immutable checkpoint bytes
-    becomes a private copy, one viewed over the buffer that `load_checkpoint`
-    alone holds is taken as it is.
+    becomes a private copy, one viewed over the copy-on-write mapping that
+    `load_checkpoint` makes is taken as it is, and its writes go to private
+    pages, never to the file.
     """
 
     def __init__(self, layout: Layout, flat: np.ndarray, table: np.ndarray | None = None) -> None:

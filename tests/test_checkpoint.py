@@ -1,10 +1,16 @@
 import dataclasses
 import errno
+import gc
+import hashlib
 import io
 import json
 import math
 import os
+import signal
 import struct
+import subprocess
+import sys
+import tempfile
 import threading
 import tracemalloc
 import zlib
@@ -30,7 +36,7 @@ from eventemb.data import EventTuple, Vocabulary
 from eventemb.model import JointModel, layout
 from eventemb.params import TABLE, ParameterStore, flat_size, initial_flat
 from eventemb.trainer import TrainingConfig, adagrad_step, train
-from conftest import make_model, random_event
+from conftest import SRC_DIR, SYNTHETIC_DIR, make_model, random_event
 from oracles import record_table_grad
 
 
@@ -247,6 +253,19 @@ class TestCorruptionDetection:
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load_checkpoint(str(tmp_path / "nope.ckpt"))
+
+    # an empty file, which mmap refuses, and files shorter than the head
+    @pytest.mark.parametrize("size", (0, 1, 10, 27))
+    def test_empty_and_short_files_are_truncated(self, tmp_path, capsys, size):
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(checkpoint_bytes(make_checkpoint()[0])[:size])
+        with pytest.raises(CheckpointError, match="truncated checkpoint$"):
+            load_checkpoint(str(path))
+        capsys.readouterr()
+        code = cli.main(["nn", "--checkpoint", str(path), "--query", "a|b|c",
+                         "--corpus", str(SYNTHETIC_DIR / "corpus.txt")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {path}: truncated checkpoint\n"
 
 
 class TestLayout:
@@ -618,6 +637,63 @@ class TestCraftedCheckpoints:
         with pytest.raises(CheckpointError, match=f"array '{holder}' holds non-finite values$"):
             parse_checkpoint(craft(header, values.tobytes()))
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from([(1, 1, 2, 1), (2, 5, 2, 2), (13, 6, 4, 2), (4, 3, 8, 3)]),
+        st.sampled_from([np.nan, np.inf, -np.inf]),
+        st.booleans(),
+        st.data(),
+    )
+    def test_one_non_finite_entry_at_any_index_names_its_array(self, sizes, value, huge, data):
+        n_words, d, k, n = sizes
+        header = valid_header()
+        header["config"] = dict(CONFIG, d=d, k=k, n=n)
+        header["vocab"] = header["vocab"][:n_words]
+        bounds = [(TABLE, 0, n_words * d)]
+        for name, (shape, _) in layout(d, k, n).items():
+            start = bounds[-1][2]
+            bounds.append((name, start, start + math.prod(shape)))
+        total = bounds[-1][2]
+        # each array's first and last entries, or any entry
+        edges = sorted({i for _, start, stop in bounds for i in (start, stop - 1)})
+        index = data.draw(st.one_of(st.sampled_from(edges), st.integers(0, total - 1)))
+        values = np.zeros(total)
+        if huge:
+            # finite entries near the largest float, whose sum alone overflows
+            values[:] = np.where(np.arange(total) % 3, 1.7e308, -1.7e308)
+        values[index] = value
+        holder = next(name for name, start, stop in bounds if start <= index < stop)
+        with pytest.raises(CheckpointError, match=f"array '{holder}' holds non-finite values$"):
+            parse_checkpoint(bytearray(craft(header, values.tobytes())))
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.sampled_from([(2, 5, 2, 2), (13, 6, 4, 2), (4, 3, 8, 3)]),
+        st.sampled_from([1.0, -1.0]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_finite_entries_whose_sum_overflows_load_and_round_trip(self, sizes, sign, seed):
+        n_words, d, k, n = sizes
+        config = TrainingConfig(d=d, k=k, n=n)
+        vocab = Vocabulary([f"w{i}" for i in range(1, n_words)])
+        total = n_words * d + flat_size(layout(d, k, n))
+        rng = np.random.default_rng(seed)
+        # two in three entries of one sign, all near the largest float
+        values = rng.uniform(1.5e308, np.finfo(np.float64).max, total)
+        values *= np.where(rng.random(total) < 2 / 3, sign, -sign)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(np.add.reduce(values))
+        ckpt = Checkpoint(config, vocab, values[: n_words * d].reshape(n_words, d),
+                          values[n_words * d :], {}, 1)
+        blob = checkpoint_bytes(ckpt)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "m.ckpt")
+            with open(path, "wb") as fh:
+                fh.write(blob)
+            loaded = load_checkpoint(path)
+            assert checkpoint_bytes(loaded) == blob
+            assert np.array_equal(loaded.flat, ckpt.flat)
+
     def test_header_that_is_not_an_object(self):
         with pytest.raises(CheckpointError, match="header is not a JSON object"):
             parse_checkpoint(craft([1, 2], ZEROS))
@@ -742,6 +818,88 @@ class TestOwnership:
             adagrad_step(model.store, 0.1, 1.0)
             assert checkpoint_bytes(parse_checkpoint(data)) == data
             assert checkpoint_bytes(parsed) == data
+
+
+def child(script, *args):
+    """Run `script` in a fresh interpreter that imports this checkout."""
+    path = os.pathsep.join(filter(None, (str(SRC_DIR), os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-c", script, *map(str, args)],
+                          env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True)
+
+
+# loads OUT/final.ckpt, lets the program's own writers replace, remove and
+# re-create that name, then checks that the model still embeds the same bits
+# and prints the sha256 of its table and flat buffer
+OWN_WRITERS = """
+import hashlib, os, sys
+import numpy as np
+from eventemb import cli
+from eventemb.checkpoint import build_model, load_checkpoint, save_checkpoint
+from eventemb.data import load_corpus
+
+out, corpus, *train = sys.argv[1:]
+path = os.path.join(out, "final.ckpt")
+model = build_model(load_checkpoint(path))
+events = load_corpus(corpus)
+before = model.embed_events(events)
+save_checkpoint(path, load_checkpoint(os.path.join(out, "epoch-0001.ckpt")))
+os.remove(path)
+assert cli.main([*train, "--out", out]) == 0
+assert np.array_equal(model.embed_events(events).view(np.uint64), before.view(np.uint64))
+print(hashlib.sha256(model.embeddings.tobytes() + model.store.flat_params.tobytes()).hexdigest())
+"""
+
+# loads a checkpoint, truncates its file as another process could, then
+# touches the loaded arrays
+TRUNCATED = """
+import os, sys
+from eventemb.checkpoint import build_model, load_checkpoint
+
+model = build_model(load_checkpoint(sys.argv[1]))
+print("loaded", flush=True)
+os.truncate(sys.argv[1], 0)
+print(model.embeddings.sum() + model.store.flat_params.sum())
+"""
+
+
+class TestMappedLoad:
+    """A loaded checkpoint is a copy-on-write mapping of its file; these tests
+    pin what the mapping requires of the file while a model lives."""
+
+    def test_the_programs_own_writers_leave_a_loaded_model_intact(self, tmp_path):
+        data = [SYNTHETIC_DIR / name for name in ("corpus.txt", "annotations.txt")]
+        train = ["train", "--corpus", data[0], "--annotations", data[1],
+                 "--d", "6", "--k", "4", "--n", "2", "--epochs", "2", "--batch-size", "16"]
+        out = tmp_path / "run"
+        assert cli.main([*map(str, train), "--seed", "1", "--out", str(out)]) == 0
+        on_disk = parse_checkpoint((out / "final.ckpt").read_bytes())
+        # a retraining with another seed writes other bytes under every name
+        run = child(OWN_WRITERS, out, data[0], *train, "--seed", "2")
+        assert run.returncode == 0, run.stderr
+        assert parse_checkpoint((out / "final.ckpt").read_bytes()).flat.tobytes() \
+            != on_disk.flat.tobytes()
+        assert run.stdout.split()[-1] == hashlib.sha256(
+            on_disk.table.tobytes() + on_disk.flat.tobytes()).hexdigest()
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGBUS"), reason="no SIGBUS on this platform")
+    def test_truncating_a_loaded_file_ends_the_process_with_sigbus(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(str(path), large_table_checkpoint())
+        run = child(TRUNCATED, path)
+        assert run.stdout == "loaded\n"
+        assert run.returncode == -signal.SIGBUS
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+    def test_a_loaded_model_holds_one_descriptor_until_dropped(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(str(path), large_table_checkpoint())
+        gc.collect()
+        before = len(os.listdir("/proc/self/fd"))
+        model = build_model(load_checkpoint(str(path)))
+        assert len(os.listdir("/proc/self/fd")) <= before + 1
+        del model
+        gc.collect()
+        assert len(os.listdir("/proc/self/fd")) == before
 
 
 class TestFrozenInferenceThreads:
