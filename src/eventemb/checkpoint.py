@@ -36,6 +36,7 @@ import math
 import mmap
 import os
 import struct
+import traceback
 import weakref
 import zlib
 from dataclasses import dataclass, fields
@@ -251,14 +252,21 @@ def load_checkpoint(path: str) -> Checkpoint:
     This program's own writers do neither: a save writes a temp file and
     renames it onto `path`, and a run unlinks old files, which leaves the
     mapped inode alone. The mapping also holds a duplicate of the file
-    descriptor, one per loaded checkpoint, until it is dropped.
+    descriptor, one per loaded checkpoint, until it is dropped; a rejected
+    file's mapping and descriptor are closed before its error is raised.
     """
     with open(path, "rb") as fh:
         try:
             data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
         except ValueError:  # mmap refuses an empty file
             raise CheckpointError(f"{path}: truncated checkpoint") from None
-    return parse_checkpoint(data, path)
+    try:
+        return parse_checkpoint(data, path)
+    except CheckpointError as exc:
+        # the traceback's parse frame holds views of the mapping; close() needs them gone
+        traceback.clear_frames(exc.__traceback__)
+        data.close()
+        raise
 
 
 def build_model(ckpt: Checkpoint) -> JointModel:

@@ -118,8 +118,7 @@ def _cmd_embed(args: argparse.Namespace) -> int:
 def _cmd_nn(args: argparse.Namespace) -> int:
     model = _load_model(args.checkpoint)
     query = parse_event(args.query, "<query>", 0)
-    words = (*query.actor, *query.predicate, *query.object)
-    unknown = dict.fromkeys(w for w in words if w not in model.vocab)
+    unknown = dict.fromkeys(w for w in query.words() if w not in model.vocab)
     if unknown:
         print(
             f"unknown query words, embedded as {data_io.UNKNOWN_TOKEN}: {' '.join(unknown)}",

@@ -141,14 +141,6 @@ class CodedExample:
 
 
 @dataclass(frozen=True)
-class Negatives:
-    """Per-visit negative samples as ids: corrupted event and incorrect intent."""
-
-    corrupted_event: np.ndarray | None = None
-    negative_intent: tuple[int, ...] | None = None
-
-
-@dataclass(frozen=True)
 class LossParts:
     """Batch sums of the joint loss and of its unweighted terms, with the
     number of examples each term covered."""
@@ -169,7 +161,8 @@ class LossParts:
 def joint_loss(
     model: JointModel,
     examples: Sequence[CodedExample],
-    negatives: Sequence[Negatives],
+    corrupted: Sequence[np.ndarray],
+    negative_intents: Sequence[tuple[int, ...]],
     config: TrainingConfig,
 ) -> LossParts:
     """Weighted combination of the three losses over one batch; all gradients
@@ -181,9 +174,9 @@ def joint_loss(
     one encoder forward and backward, and the L2 term counts once per event
     example.
 
-    `negatives` must pair one-to-one with `examples`, holding a corrupted
-    event wherever alpha is positive and a negative intent wherever the
-    intent term covers the example, as `train` samples them.
+    `corrupted` holds one corrupted event per example and `negative_intents`
+    one per example that carries an intent, in batch order, as `train` draws
+    them; each list is read only where its term's weight is positive.
     """
     alpha, beta, gamma = config.alpha, config.beta, config.gamma
     use_event = alpha > 0.0
@@ -195,7 +188,7 @@ def joint_loss(
     composer = model.composer
     n_event = len(examples) if use_event else 0
     ids = [ex.ids for ex in examples]
-    ids += [neg.corrupted_event for neg in negatives] if use_event else []
+    ids += corrupted if use_event else []
     sizes = [ex.sizes for ex in examples] * (2 if use_event else 1)
     c, cache = composer.embed(np.concatenate(ids), np.concatenate(sizes))
     dc = np.zeros_like(c)
@@ -217,7 +210,7 @@ def joint_loss(
         # rows j and m + j hold example intent_rows[j]'s intent and its negative
         m = len(intent_rows)
         sentences = [examples[i].intent for i in intent_rows]
-        sentences += [negatives[i].negative_intent for i in intent_rows]
+        sentences += negative_intents
         v, intent_cache = model.intent.encode(sentences)
         losses, d_ve, d_vi, d_vin = intent_hinge(c[intent_rows], v[:m], v[m:])
         l_intent = float(losses.sum())
@@ -439,17 +432,16 @@ def train(
         sums = LossParts()
         for start in range(0, n_examples, config.batch_size):
             batch = [examples[i] for i in order[start : start + config.batch_size]]
-            negatives = []
+            corrupted, negative_intents = [], []
             for example in batch:
-                corrupted = negative_intent = None
                 if config.alpha > 0.0:
-                    corrupted = corrupt_event(
+                    corrupted.append(corrupt_event(
                         example.ids, example.sizes, len(vocab), rng, config.corruption_target
-                    )
+                    ))
                 if example.intent is not None:
-                    negative_intent = sample_negative_intent(intent_pool, example.intent, rng)
-                negatives.append(Negatives(corrupted, negative_intent))
-            sums += joint_loss(model, batch, negatives, config)
+                    negative = sample_negative_intent(intent_pool, example.intent, rng)
+                    negative_intents.append(negative)
+            sums += joint_loss(model, batch, corrupted, negative_intents, config)
             adagrad_step(model.store, config.learning_rate, 1.0 / len(batch))
 
         metrics = EpochMetrics(

@@ -31,7 +31,7 @@ from eventemb.data import (
 )
 from eventemb.evaluate import evaluate_transitive, hard_similarity_accuracy, spearman_rho
 from eventemb.params import ParameterStore
-from eventemb.trainer import Negatives, TrainingConfig, adagrad_step, joint_loss, train
+from eventemb.trainer import TrainingConfig, adagrad_step, joint_loss, train
 from conftest import SRC_DIR, coded, make_model, make_store, random_event, word_ids
 from gradcheck import grad_check
 from oracles import (
@@ -67,8 +67,7 @@ class TestCriterion1GradientCorrectness:
         model, vocab, rng = make_model(seed=104, n_words=12, d=6, k=4, n=2)
         example = coded(vocab, random_event(vocab, rng), ("to", "have", "fun"), -1)
         corrupted = corrupt_event(example.ids, example.sizes, len(vocab), rng)
-        negatives = Negatives(corrupted, word_ids(vocab, ("run", "fast", "bob")))
-        batch = [(example, negatives)]
+        batch = [(example, corrupted, word_ids(vocab, ("run", "fast", "bob")))]
         for intent, polarity, negative_intent in (
             (None, 1, None),
             (("to", "run"), None, word_ids(vocab, ("have", "cake"))),
@@ -76,7 +75,8 @@ class TestCriterion1GradientCorrectness:
             other = coded(vocab, random_event(vocab, rng), intent, polarity)
             batch.append((
                 other,
-                Negatives(corrupt_event(other.ids, other.sizes, len(vocab), rng), negative_intent),
+                corrupt_event(other.ids, other.sizes, len(vocab), rng),
+                negative_intent,
             ))
 
         paths = {
@@ -90,20 +90,21 @@ class TestCriterion1GradientCorrectness:
             for name, weights in paths.items():
                 cfg = TrainingConfig(d=6, k=4, n=2, lambda_l2=0.001, **weights)
                 covered = [
-                    (ex, neg) for ex, neg in batch[:size]
+                    (ex, corrupted, negative) for ex, corrupted, negative in batch[:size]
                     if cfg.alpha > 0 or (cfg.beta > 0 and ex.intent)
                     or (cfg.gamma > 0 and ex.polarity is not None)
                 ]
-                examples = [ex for ex, _ in covered]
-                negs = [neg for _, neg in covered]
+                examples = [ex for ex, _, _ in covered]
+                corrupted_events = [c for _, c, _ in covered]
+                negatives = [n for _, _, n in covered if n is not None]
 
                 def fn():
                     zero_grads(model.store)
-                    parts = joint_loss(model, examples, negs, cfg)
+                    parts = joint_loss(model, examples, corrupted_events, negatives, cfg)
                     return parts.total, snapshot_grads(model.store)
 
                 def value_only():
-                    return joint_loss(model, examples, negs, cfg).total
+                    return joint_loss(model, examples, corrupted_events, negatives, cfg).total
 
                 error = grad_check(fn, model.store.params, step=1e-5, value_fn=value_only)
                 label = f"{name} B={len(examples)}"
@@ -111,8 +112,8 @@ class TestCriterion1GradientCorrectness:
                 worst[label] = error
         # every margin must be active for the L_E checks to mean anything
         cfg = TrainingConfig(d=6, k=4, n=2, beta=0, gamma=0, lambda_l2=0)
-        for ex, neg in batch:
-            assert joint_loss(model, [ex], [neg], cfg).total > 0.0
+        for ex, corrupted, _ in batch:
+            assert joint_loss(model, [ex], [corrupted], [], cfg).total > 0.0
 
         elapsed = time.time() - started
         assert elapsed < 30.0, f"gradient sweep took {elapsed:.1f}s"
@@ -152,7 +153,7 @@ class TestCriterion3AblationReductionIdentity:
             # annotations present but ignored under the ntn preset
             example = coded(vocab, random_event(vocab, rng), ("to", "run"), polarity=1)
             corrupted = corrupt_event(example.ids, example.sizes, len(vocab), rng)
-            joint = joint_loss(model, [example], [Negatives(corrupted, None)], cfg)
+            joint = joint_loss(model, [example], [corrupted], [], cfg)
             direct = margin_objective(model.composer, example, corrupted, cfg.lambda_l2)
             assert joint.total == direct  # bit-identical
         report(3, "ablation-reduction-identity", "1000 examples bit-identical")

@@ -901,6 +901,25 @@ class TestMappedLoad:
         gc.collect()
         assert len(os.listdir("/proc/self/fd")) == before
 
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+    def test_a_rejected_file_holds_no_descriptor_while_its_error_lives(self, tmp_path):
+        data = bytearray(checkpoint_bytes(make_checkpoint()[0]))
+        data[len(data) // 2] ^= 0xFF
+        paths = [tmp_path / f"bad-{i}.ckpt" for i in range(3)]
+        for path in paths:
+            path.write_bytes(data)
+        gc.collect()
+        before = len(os.listdir("/proc/self/fd"))
+        errors = []
+        for path in paths:
+            with pytest.raises(CheckpointError, match="checksum mismatch") as info:
+                load_checkpoint(str(path))
+            errors.append(info.value)
+        assert len(os.listdir("/proc/self/fd")) == before
+        assert [str(error) for error in errors] == [
+            f"{path}: checksum mismatch (corrupted checkpoint)" for path in paths
+        ]
+
 
 class TestFrozenInferenceThreads:
     def test_four_threads_embed_bit_equal_to_a_serial_call(self, tmp_path):

@@ -15,7 +15,7 @@ from eventemb.composer import (
 )
 from eventemb.data import EventTuple, Vocabulary
 from eventemb.model import EMBED_BLOCK
-from eventemb.trainer import Negatives, TrainingConfig, joint_loss
+from eventemb.trainer import TrainingConfig, joint_loss
 from conftest import WORDS, coded, decode, make_model, make_store, random_event
 from gradcheck import grad_check, random_projection
 from oracles import (
@@ -46,8 +46,8 @@ def event_loss(model, vocab, event, corrupted, lambda_l2):
     Gradients accumulate into the model's store, as for every joint_loss call.
     """
     config = TrainingConfig(lambda_l2=lambda_l2).with_preset("ntn")
-    negatives = Negatives(coded(vocab, corrupted).ids)
-    return joint_loss(model, [coded(vocab, event)], [negatives], config).total
+    corrupted_ids = coded(vocab, corrupted).ids
+    return joint_loss(model, [coded(vocab, event)], [corrupted_ids], [], config).total
 
 
 def corrupt(vocab, event, rng, target="actor"):

@@ -8,7 +8,7 @@ from eventemb.intent import (
     BiLstmEncoder, intent_hinge, lstm_step, lstm_step_backward,
 )
 from eventemb.params import initial_flat
-from eventemb.trainer import Negatives, TrainingConfig, joint_loss
+from eventemb.trainer import TrainingConfig, joint_loss
 from conftest import WORDS, coded, make_model, make_store, random_event, word_ids
 from gradcheck import grad_check, random_projection
 from oracles import (
@@ -330,15 +330,15 @@ class TestIntentGradientsEndToEnd:
         # the full path: LSTM weights, word vectors and the upstream composer
         model, vocab, rng = make_model(seed=seed, n_words=12, d=4, k=6, n=2)
         example = coded(vocab, random_event(vocab, rng), intent=("to", "have", "fun"))
-        negatives = Negatives(None, word_ids(vocab, ("run", "fast", "bob")))
+        negative_intent = word_ids(vocab, ("run", "fast", "bob"))
         cfg = TrainingConfig(alpha=0.0, beta=1.0, gamma=0.0, d=4, k=6, n=2)
 
         def fn():
             zero_grads(model.store)
-            parts = joint_loss(model, [example], [negatives], cfg)
+            parts = joint_loss(model, [example], [], [negative_intent], cfg)
             return parts.total, snapshot_grads(model.store)
 
         def value_only():
-            return joint_loss(model, [example], [negatives], cfg).total
+            return joint_loss(model, [example], [], [negative_intent], cfg).total
 
         assert grad_check(fn, model.store.params, value_fn=value_only) < 1e-4

@@ -8,9 +8,9 @@ from pathlib import Path
 import pytest
 
 import eventemb
-from eventemb import checkpoint, model
+from eventemb import checkpoint, data, model, trainer
 from eventemb.trainer import TrainingConfig
-from conftest import make_model, random_event
+from conftest import SYNTHETIC_DIR, make_model, random_event
 
 
 def test_every_public_name_imports():
@@ -87,13 +87,21 @@ ABSENT_HOOKS = {
     "eventemb.intent:intent_loss_grads",
 }
 
+# counters of perfbench/spans.py that read what the program no longer passes
+# or holds, until a benchmark change mends them: `_count_adagrad` reads the
+# dense table gradient, and `_count_sentiment_excluded` reads `joint_loss`'s
+# second argument as one example and its fourth as the config
+KNOWN_BROKEN_COUNTERS = {"_count_adagrad", "_count_sentiment_excluded"}
 
-def test_every_tracer_hook_resolves_to_a_reported_span():
-    """A traced benchmark run skips a hook whose target is gone, and names a
-    layer's spans by its `prefix`, so a rename in src/ would only show as
-    per-layer metrics reading 0. Here the tracer installs its hooks as a
-    traced run does; only the known-dead ones may be absent, and a forward
-    pass opens only spans the report lists, each layer's among them."""
+
+def test_every_tracer_hook_resolves_to_a_reported_span(tmp_path):
+    """A traced benchmark run skips a hook whose target is gone, and stops a
+    counter that raises, and names a layer's spans by its `prefix`, so a
+    rename in src/ would only show as per-layer metrics reading 0. Here the
+    tracer installs its hooks as a traced run does; only the known-dead ones
+    may be absent, and only the known-broken counters may stop, over a
+    forward pass and a training with all three terms that saves its epoch.
+    Both open only spans the report lists, each layer's among them."""
     spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
@@ -102,10 +110,21 @@ def test_every_tracer_hook_resolves_to_a_reported_span():
     try:
         model, vocab, rng = make_model()
         model.embed_events([random_event(vocab, rng)])
+        config = TrainingConfig(d=10, k=8, n=2, epochs=1, batch_size=10, seed=7)
+        trainer.train(
+            config,
+            data.load_corpus(str(SYNTHETIC_DIR / "corpus.txt")),
+            data.load_annotations(str(SYNTHETIC_DIR / "annotations.txt")),
+            data.load_word_vectors(str(SYNTHETIC_DIR / "vectors.txt")),
+            data.load_lexicon(str(SYNTHETIC_DIR / "lexicon.tsv")),
+            out_dir=str(tmp_path),
+        )
     finally:
         tracer.uninstall()
     assert set(tracer.absent) == ABSENT_HOOKS
-    assert {f"composer.layer{i}.fwd" for i in (1, 2, 3)} <= set(tracer.calls)
+    assert tracer.broken_counters == KNOWN_BROKEN_COUNTERS
+    layers = {f"composer.layer{i}.{kind}" for i in (1, 2, 3) for kind in ("fwd", "bwd")}
+    assert layers | {"trainer.joint_loss", "intent.encode", "checkpoint.save"} <= set(tracer.calls)
     assert set(tracer.calls) <= set(spans.SPANS)
 
 

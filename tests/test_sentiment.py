@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from eventemb.sentiment import SentimentHead, softmax
-from eventemb.trainer import Negatives, TrainingConfig, joint_loss
+from eventemb.trainer import TrainingConfig, joint_loss
 from conftest import coded, make_model, make_store, random_event
 from gradcheck import grad_check
 from oracles import snapshot_grads, softmax_scalar, zero_grads
@@ -105,14 +105,13 @@ class TestSentimentGradients:
         model, vocab, rng = make_model(seed=10, d=6, k=4, n=2)
         example = coded(vocab, random_event(vocab, rng), polarity=-1)
         cfg = TrainingConfig(alpha=0.0, beta=0.0, gamma=1.0, d=6, k=4, n=2)
-        negatives = Negatives(None, None)
 
         def fn():
             zero_grads(model.store)
-            parts = joint_loss(model, [example], [negatives], cfg)
+            parts = joint_loss(model, [example], [], [], cfg)
             return parts.total, snapshot_grads(model.store)
 
         def value_only():
-            return joint_loss(model, [example], [negatives], cfg).total
+            return joint_loss(model, [example], [], [], cfg).total
 
         assert grad_check(fn, model.store.params, value_fn=value_only) < 1e-4

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eventemb import trainer
 from eventemb.cli import main
 from eventemb.composer import corrupt_event
 from eventemb.data import (
@@ -26,7 +27,6 @@ from eventemb.trainer import (
     ADAGRAD_EPS,
     EpochMetrics,
     LossParts,
-    Negatives,
     PRESETS,
     TrainingConfig,
     adagrad_step,
@@ -165,7 +165,7 @@ class TestJointLoss:
         for _ in range(25):
             example = coded(vocab, random_event(vocab, rng), intent=("to", "run"), polarity=1)
             corrupted = corrupt_event(example.ids, example.sizes, len(vocab), rng)
-            parts = joint_loss(model, [example], [Negatives(corrupted, None)], cfg)
+            parts = joint_loss(model, [example], [corrupted], [], cfg)
             direct = margin_objective(model.composer, example, corrupted, cfg.lambda_l2)
             assert parts.total == direct
             assert (parts.n_event, parts.n_intent, parts.n_sentiment) == (1, 0, 0)
@@ -187,7 +187,7 @@ class TestJointLoss:
         event = random_event(vocab, rng)
         example = coded(vocab, event, intent=("to", "have", "fun"), polarity=-1)
         corrupted = corrupt_event(example.ids, example.sizes, len(vocab), rng)
-        negatives = Negatives(corrupted, word_ids(vocab, ("run", "fast")))
+        negative_intent = word_ids(vocab, ("run", "fast"))
         cfg = tiny_config(alpha=1.0, beta=1.0, gamma=1.0, lambda_l2=0.001)
 
         l_event = margin_objective(model.composer, example, corrupted, cfg.lambda_l2)
@@ -197,11 +197,11 @@ class TestJointLoss:
         l_intent = intent_loss(
             v_e,
             model.intent.encode([example.intent])[0][0],
-            model.intent.encode([negatives.negative_intent])[0][0],
+            model.intent.encode([negative_intent])[0][0],
         )
         l_sentiment = model.sentiment.loss_backward(v_e[None], [-1])[0][0]
 
-        parts = joint_loss(model, [example], [negatives], cfg)
+        parts = joint_loss(model, [example], [corrupted], [negative_intent], cfg)
         assert parts.total == pytest.approx(l_event + l_intent + l_sentiment, abs=1e-12)
         assert parts.event == l_event
         assert parts.intent == l_intent
@@ -521,6 +521,43 @@ class TestTrainLoop:
         _, hist_b = train(cfg, out_dir=str(out_b), **inputs)
         assert hist_a == hist_b
         assert (out_a / "final.ckpt").read_bytes() == (out_b / "final.ckpt").read_bytes()
+
+    def test_each_visit_draws_its_corrupted_event_then_its_negative_intent(
+        self, synthetic_dir, monkeypatch
+    ):
+        # both draws come from the run's one RNG, so their order fixes every
+        # checkpoint byte; identities name the example, so no value is compared
+        examples, draws = [], []
+
+        def recording_code_examples(*args):
+            examples.extend(code_examples(*args))
+            return examples
+
+        def recording_corrupt_event(ids, *args):
+            draws.append(("event", ids))
+            return corrupt_event(ids, *args)
+
+        def recording_sample_negative_intent(pool, intent, rng):
+            draws.append(("intent", intent))
+            return sample_negative_intent(pool, intent, rng)
+
+        monkeypatch.setattr(trainer, "code_examples", recording_code_examples)
+        monkeypatch.setattr(trainer, "corrupt_event", recording_corrupt_event)
+        monkeypatch.setattr(trainer, "sample_negative_intent", recording_sample_negative_intent)
+        cfg = TrainingConfig(d=10, k=8, n=2, epochs=1, learning_rate=0.05, batch_size=10,
+                             seed=7).with_preset("ntn+int+senti")
+        train(cfg, **synthetic_inputs(synthetic_dir))
+
+        assert {ex.intent is None for ex in examples} == {True, False}
+        by_ids = {id(ex.ids): ex for ex in examples}
+        visits = [by_ids[id(arg)] for kind, arg in draws if kind == "event"]
+        assert sorted(map(id, visits)) == sorted(map(id, examples))
+        expected = []
+        for ex in visits:
+            expected.append(("event", id(ex.ids)))
+            if ex.intent is not None:
+                expected.append(("intent", id(ex.intent)))
+        assert [(kind, id(arg)) for kind, arg in draws] == expected
 
     def test_shared_word_vectors_are_not_trained_in_place(self, synthetic_dir, tmp_path):
         # every corpus word has a vector, so extend_embeddings adds no row;
