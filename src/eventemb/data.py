@@ -8,7 +8,11 @@ file type. Parsed structures are immutable and freely shareable.
 
 from __future__ import annotations
 
+import io
 import itertools
+import mmap
+import os
+import signal
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -20,8 +24,18 @@ UNKNOWN_INDEX = 0
 NEW_ROW_RANGE = 0.1
 # Records per block that the word-vector reader hands to np.loadtxt: a
 # block's text is freed once parsed, and a generator resumed once per record
-# instead made a small file's parse about 5% slower.
+# instead made a small file's parse about 5% slower. A file of at least two
+# VECTOR_RANGE_MIN is split into up to min(usable CPUs, size //
+# VECTOR_RANGE_MIN) byte ranges, each ending just after a newline; the
+# calling process parses the first and one forked worker parses each other
+# range, streaming its blocks the same way. The output and errors are those
+# of a one-range parse, workers run no BLAS call, and every worker is reaped
+# before the load returns or raises.
 VECTOR_BLOCK = 1024
+# Two ranges broke even with one at a file of about 4 MiB (2 MiB per range):
+# below it, the fork and the pipe transfer of the rows cost more than the
+# second CPU saves. A range holds at least twice that.
+VECTOR_RANGE_MIN = 4 << 20
 
 
 class DataError(ValueError):
@@ -149,10 +163,34 @@ def ascii_number(kind: type) -> Callable[[str], int | float]:
     return parse
 
 
-def records(path: str) -> Iterable[tuple[int, str]]:
+class _ByteRange(io.FileIO):
+    """The bytes [start, stop) of a file, as a raw binary stream."""
+
+    def __init__(self, path: str, start: int, stop: int) -> None:
+        super().__init__(path, "rb")
+        self.seek(start)
+        self._left = stop - start
+
+    def readinto(self, buffer) -> int:
+        count = super().readinto(memoryview(buffer)[: self._left])
+        self._left -= count
+        return count
+
+
+def records(path: str, start: int = 0, stop: int | None = None) -> Iterable[tuple[int, str]]:
     """(line number, line) of each line that is neither blank nor a comment;
-    a leading UTF-8 byte-order mark is dropped."""
-    with open(path, "r", encoding="utf-8-sig") as fh:
+    a leading UTF-8 byte-order mark is dropped.
+
+    With `stop`, only the bytes [start, stop) are read, and lines are
+    numbered from `start`; both must lie at 0 or just after a newline, and
+    only a range from 0 drops a byte-order mark.
+    """
+    encoding = "utf-8-sig" if start == 0 else "utf-8"
+    if stop is None:
+        fh = open(path, "r", encoding=encoding)
+    else:
+        fh = io.TextIOWrapper(io.BufferedReader(_ByteRange(path, start, stop)), encoding)
+    with fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line.strip() or line.lstrip().startswith("#"):
@@ -172,45 +210,37 @@ def _fields(path: str, count: int, need: str) -> Iterable[tuple[int, list[str]]]
 def load_word_vectors(path: str) -> tuple[Vocabulary, np.ndarray]:
     """Parse `word v1 ... vd` lines into a vocabulary and embedding table.
 
-    One `np.loadtxt` parses the value fields of all records in bulk, fed
+    `np.loadtxt` parses the value fields of the records in bulk, fed
     VECTOR_BLOCK records at a time as the file is read, so no block's text
-    outlives its parse. The dimension is inferred from the first record;
-    every later record must match it, every entry must be finite, and no
-    word may repeat once lowercased. The unknown row (index 0) is the mean
-    of all loaded rows, taken over pre-scaled entries in a column whose plain
-    sum would overflow. Only when a check fails is the file read again, to
-    name the file:line of the first bad record.
+    outlives its parse. A file of at least two VECTOR_RANGE_MIN is split
+    into up to min(usable CPUs, size // VECTOR_RANGE_MIN) byte ranges, each
+    ending just after a newline. This process parses the first range and
+    one forked worker parses each other range; the workers run no BLAS call
+    and send their words and rows through a pipe straight into the one
+    table. On any failure every worker is reaped and the file is parsed
+    again as one range, so the output and every error are those of a
+    one-range parse, and no worker outlives the call.
+
+    The dimension is inferred from the first record; every later record must
+    match it, every entry must be finite, and no word may repeat once
+    lowercased. The unknown row (index 0) is the mean of all loaded rows,
+    taken over pre-scaled entries in a column whose plain sum would
+    overflow. Only when a check fails is the file read again, to name the
+    file:line of the first bad record.
     """
-    words: list[str] = []
-
-    def blocks() -> Iterator[list[str]]:
-        values: list[str] = []
-        for lineno, line in records(path):
-            parts = line.split(None, 1)
-            if len(parts) < 2:
-                raise DataError(path, lineno, "expected a word followed by vector entries")
-            words.append(parts[0].lower())
-            values.append(parts[1])
-            if len(values) == VECTOR_BLOCK:
-                yield values
-                values = []
-        yield values
-
-    stream = itertools.chain.from_iterable(blocks())
-    # loadtxt warns on input with no records: an empty file stops here
-    first = next(stream, None)
-    if first is None:
+    bounds = _range_bounds(path)
+    parsed = None
+    if len(bounds) > 2:
+        try:
+            parsed = _parse_in_workers(path, bounds)
+        except OSError:
+            pass  # no pipe or no fork: parse as one range
+    parsed = parsed or _parse_range(path)
+    if parsed is None:
+        raise _locate_bad_vector(path)
+    words, table = parsed
+    if table is None:
         raise DataError(path, 0, "no word vectors found")
-    try:
-        # the first record is parsed twice, so that row 0, the unknown
-        # entry, is part of the one table loadtxt allocates
-        table = np.loadtxt(
-            itertools.chain((first, first), stream), comments=None, quotechar=None, ndmin=2
-        )
-    except DataError:
-        raise  # a record without values, raised by `blocks` with its line
-    except ValueError as exc:
-        raise _locate_bad_vector(path) from exc
     try:
         vocab = Vocabulary.from_entries([UNKNOWN_TOKEN, *words])
     except ValueError:
@@ -238,17 +268,149 @@ def load_word_vectors(path: str) -> tuple[Vocabulary, np.ndarray]:
     return vocab, table
 
 
+def _range_bounds(path: str) -> list[int]:
+    """[0, ..., size]: the offsets that split `path` into the byte ranges
+    `load_word_vectors` parses, each but the last ending just after a newline."""
+    size = os.path.getsize(path)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    count = min(cpus or 1, size // VECTOR_RANGE_MIN)
+    bounds = [0]
+    if count > 1:
+        with open(path, "rb") as fh, mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as mm:
+            for i in range(1, count):
+                end = mm.find(b"\n", max(size * i // count, bounds[-1])) + 1
+                if end in (0, size):
+                    break
+                bounds.append(end)
+    return bounds + [size]
+
+
+def _parse_range(
+    path: str, start: int = 0, stop: int | None = None
+) -> tuple[list[str], np.ndarray | None] | None:
+    """The words and table of the records in bytes [start, stop) of `path`,
+    or None if the bulk parse rejects one of them.
+
+    Row 0 of the table repeats the first record, so that the unknown row is
+    part of the one table loadtxt allocates; the table is None for a range
+    that holds no record.
+    """
+    words: list[str] = []
+
+    def blocks() -> Iterator[list[str]]:
+        values: list[str] = []
+        for _, line in records(path, start, stop):
+            parts = line.split(None, 1)
+            if len(parts) < 2:
+                raise ValueError("a record without values")
+            words.append(parts[0].lower())
+            values.append(parts[1])
+            if len(values) == VECTOR_BLOCK:
+                yield values
+                values = []
+        yield values
+
+    stream = itertools.chain.from_iterable(blocks())
+    try:
+        # loadtxt warns on input with no records: such a range stops here
+        first = next(stream, None)
+        if first is None:
+            return words, None
+        table = np.loadtxt(
+            itertools.chain((first, first), stream), comments=None, quotechar=None, ndmin=2
+        )
+    except ValueError:
+        return None  # the caller names the first bad record of the file
+    return words, table
+
+
+def _parse_in_workers(path: str, bounds: list[int]) -> tuple[list[str], np.ndarray] | None:
+    """`_parse_range` of the whole file, parsing the first range here and each
+    other range in a forked worker. None if any range fails, the first holds
+    no record or a worker dies; every worker is reaped before this returns or
+    raises."""
+    pipes, pids = [], []
+    done = False
+    try:
+        for start, stop in zip(bounds[1:-1], bounds[2:]):
+            read_end, write_end = os.pipe()
+            pipes.append(open(read_end, "rb"))
+            with open(write_end, "wb") as out:
+                pid = os.fork()
+                if pid == 0:
+                    _send_range(path, start, stop, out)
+            pids.append(pid)
+        parsed = _parse_range(path, bounds[0], bounds[1])
+        if parsed is None or parsed[1] is None:
+            return None  # a bad record, or a first range without one
+        words, table = parsed
+        counts = []
+        for pipe in pipes:
+            # (rows, dim, bytes of words), then the words, then the rows
+            head = np.zeros(3, np.int64)
+            if pipe.readinto(head) != head.nbytes:
+                return None
+            rows, dim, size = (int(x) for x in head)
+            text = pipe.read(size)
+            if len(text) != size:
+                return None
+            if rows:
+                if dim != table.shape[1]:
+                    return None
+                words += text.decode("utf-8").split("\n")
+            counts.append(rows)
+        offset = len(table)
+        # a realloc: a large table's pages are remapped, not copied
+        table.resize((offset + sum(counts), table.shape[1]), refcheck=False)
+        for pipe, rows in zip(pipes, counts):
+            view = table[offset : offset + rows]
+            if pipe.readinto(view) != view.nbytes:
+                return None
+            offset += rows
+        done = True
+        return words, table
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            if not done:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _send_range(path: str, start: int, stop: int, out: io.BufferedWriter) -> None:
+    """A worker's body: parse bytes [start, stop) of `path`, write the result
+    to `out` as `_parse_in_workers` reads it, and leave the process; a failed
+    parse writes nothing."""
+    status = 1
+    try:
+        parsed = _parse_range(path, start, stop)
+        if parsed is not None:
+            words, table = parsed
+            rows = np.empty((0, 0)) if table is None else table[1:]
+            text = "\n".join(words).encode("utf-8")
+            out.write(np.array([len(rows), rows.shape[1], len(text)], np.int64).tobytes())
+            out.write(text)
+            out.write(rows)
+            out.flush()
+            status = 0
+    finally:
+        os._exit(status)
+
+
 def _locate_bad_vector(path: str) -> DataError:
-    """The error for the first record of `path` whose values the bulk parse
-    rejects, found by reading the file again and parsing one record at a time."""
+    """The error for the first record of `path` that the bulk parse rejects,
+    found by reading the file again and parsing one record at a time."""
     dim = None
     for lineno, line in records(path):
-        fields = line.split(None, 1)[1]
+        parts = line.split(None, 1)
+        if len(parts) < 2:
+            return DataError(path, lineno, "expected a word followed by vector entries")
         try:
-            np.loadtxt([fields], comments=None, quotechar=None)
+            np.loadtxt([parts[1]], comments=None, quotechar=None)
         except ValueError as exc:
             return DataError(path, lineno, f"bad vector entry: {exc}")
-        count = len(fields.split())
+        count = len(parts[1].split())
         dim = dim or count
         if count != dim:
             return DataError(path, lineno, f"vector has {count} entries, expected {dim}")

@@ -1,3 +1,4 @@
+import os
 from pathlib import Path
 
 import numpy as np
@@ -63,3 +64,14 @@ def decode(vocab, ids):
 def synthetic_dir():
     assert SYNTHETIC_DIR.is_dir(), "bundled synthetic dataset missing"
     return SYNTHETIC_DIR
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left_behind():
+    """Fail any test that leaves a child process behind, running or unreaped."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"a child process was left behind ({f'pid {pid}' if pid else 'still running'})")

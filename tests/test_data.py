@@ -1,13 +1,17 @@
+import contextlib
 import os
 import tempfile
+import time
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import eventemb.data as data_module
 from eventemb.data import (
     UNKNOWN_TOKEN,
     VECTOR_BLOCK,
@@ -112,6 +116,18 @@ class TestWordVectors:
         if record == "lonely":
             # raised while loadtxt reads the records: it comes out unchanged
             assert caught.value.__cause__ is None and caught.value.__context__ is None
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("a 1 2\nb 1 zap\nc\n", "2: bad vector entry"),
+         ("a 1 2\nb 1 2 3\nc\n", "2: vector has 3 entries, expected 2")],
+    )
+    def test_a_later_record_without_values_does_not_hide_the_first_bad_one(
+        self, tmp_path, text, message
+    ):
+        path = write(tmp_path, "vec.txt", text)
+        with pytest.raises(DataError, match=rf"vec\.txt:{message}"):
+            load_word_vectors(path)
 
     def test_bad_float_rejected(self, tmp_path):
         path = write(tmp_path, "vec.txt", "a 1 zap\n")
@@ -569,65 +585,246 @@ def vector_files(draw):
     return (newline.join(lines) + tail).encode("utf-8"), linenos
 
 
-def _load_both(data, loader):
+@contextlib.contextmanager
+def split_into_ranges(cpus=4):
+    """Split every vectors file into up to `cpus` byte ranges, however small."""
+    with mock.patch.object(data_module, "VECTOR_RANGE_MIN", 1), mock.patch.object(
+        os, "sched_getaffinity", lambda pid: set(range(cpus)), create=True
+    ):
+        yield
+
+
+def _load_both(data, loader, split=False):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "vec.txt")
         with open(path, "wb") as fh:
             fh.write(data)
         results = []
-        for load in (loader, load_word_vectors_by_line):
-            try:
-                results.append(load(path))
-            except DataError as exc:
-                results.append(str(exc).replace(path, "vec.txt"))
+        with split_into_ranges() if split else contextlib.nullcontext():
+            if split:
+                # a file whose line breaks all lie early stays one range
+                assume(len(data_module._range_bounds(path)) > 2)
+            for load in (loader, load_word_vectors_by_line):
+                try:
+                    results.append(load(path))
+                except DataError as exc:
+                    results.append(str(exc).replace(path, "vec.txt"))
         return results
+
+
+def _assert_bit_equal_to_the_per_line_parser(file, split=False):
+    (vocab, table), (ref_vocab, ref_table) = _load_both(file[0], load_word_vectors, split)
+    assert vocab.words == ref_vocab.words
+    assert table.shape == ref_table.shape
+    assert np.array_equal(table.view(np.uint64), ref_table.view(np.uint64))
+
+
+# the order in which the reader's checks name a bad record: a record it cannot
+# parse first, then a repeated word, then a non-finite entry
+CHECK_ORDER = {"lonely": 0, "entry": 0, "count": 0, "repeat": 1, "nonfinite": 2}
+
+
+def _corrupt(lines, linenos, i, kind, data):
+    """Make record `i` of `lines` bad in the way `kind` names."""
+    record = lines[linenos[i] - 1].rstrip("\r")
+    if kind == "lonely":
+        record = record.split()[0]
+    elif kind == "entry":
+        record += " " + data.draw(st.sampled_from(["zap", "1_0", "0x1", "1,5", "--1"]))
+    elif kind == "nonfinite":
+        fields = record.split()
+        fields[data.draw(st.integers(1, len(fields) - 1))] = data.draw(
+            st.sampled_from(["nan", "inf", "-Infinity", "NaN"])
+        )
+        record = " ".join(fields)
+    elif kind == "count":
+        record += " 1.5"
+    else:
+        earlier = lines[linenos[data.draw(st.integers(0, i - 1))] - 1].split()[0]
+        if earlier.upper().lower() == earlier.lower():  # not so for 'ß'
+            earlier = earlier.upper()
+        record = " ".join([earlier, *record.split()[1:]])
+    lines[linenos[i] - 1] = record
+
+
+def _assert_a_malformed_record_is_named(file, data, split=False):
+    text, linenos = file
+    lines = text.decode("utf-8").split("\n")
+    i = data.draw(st.integers(0, len(linenos) - 1))
+    kind = data.draw(st.sampled_from(sorted(CHECK_ORDER)))
+    if kind in ("count", "repeat") and i == 0:
+        i = len(linenos) - 1
+        if i == 0:
+            kind = "entry"
+    _corrupt(lines, linenos, i, kind, data)
+    if i + 1 < len(linenos) and data.draw(st.booleans()):
+        # a later bad record that the reader checks no earlier changes nothing
+        j = data.draw(st.integers(i + 1, len(linenos) - 1))
+        later = [k for k, order in CHECK_ORDER.items() if order >= CHECK_ORDER[kind]]
+        _corrupt(lines, linenos, j, data.draw(st.sampled_from(sorted(later))), data)
+    got, want = _load_both("\n".join(lines).encode("utf-8"), load_word_vectors, split)
+    assert isinstance(got, str), "a malformed record was accepted"
+    assert got.startswith(f"vec.txt:{linenos[i]}: ")
+    if kind == "entry":
+        assert "bad vector entry" in got
+    else:
+        # the dimension, finite and repeat checks keep their messages
+        assert got == want
 
 
 class TestWordVectorProperties:
     @settings(max_examples=200, deadline=None)
     @given(vector_files())
     def test_bulk_parse_bit_equals_the_per_line_parser(self, file):
-        (vocab, table), (ref_vocab, ref_table) = _load_both(file[0], load_word_vectors)
-        assert vocab.words == ref_vocab.words
-        assert table.shape == ref_table.shape
-        assert np.array_equal(table.view(np.uint64), ref_table.view(np.uint64))
+        _assert_bit_equal_to_the_per_line_parser(file)
 
     @settings(max_examples=200, deadline=None)
     @given(vector_files(), st.data())
     def test_a_malformed_record_names_its_line(self, file, data):
-        text, linenos = file
-        lines = text.decode("utf-8").split("\n")
-        i = data.draw(st.integers(0, len(linenos) - 1))
-        kind = data.draw(st.sampled_from(["entry", "nonfinite", "count", "repeat"]))
-        if kind in ("count", "repeat") and i == 0:
-            i = len(linenos) - 1
-            if i == 0:
-                kind = "entry"
-        record = lines[linenos[i] - 1].rstrip("\r")
-        if kind == "entry":
-            record += " " + data.draw(st.sampled_from(["zap", "1_0", "0x1", "1,5", "--1"]))
-        elif kind == "nonfinite":
-            fields = record.split()
-            fields[data.draw(st.integers(1, len(fields) - 1))] = data.draw(
-                st.sampled_from(["nan", "inf", "-Infinity", "NaN"])
-            )
-            record = " ".join(fields)
-        elif kind == "count":
-            record += " 1.5"
+        _assert_a_malformed_record_is_named(file, data)
+
+    @settings(max_examples=100, deadline=None)
+    @given(vector_files())
+    def test_a_parse_split_into_ranges_bit_equals_the_per_line_parser(self, file):
+        _assert_bit_equal_to_the_per_line_parser(file, split=True)
+
+    @settings(max_examples=100, deadline=None)
+    @given(vector_files(), st.data())
+    def test_a_malformed_record_in_any_range_names_its_line(self, file, data):
+        _assert_a_malformed_record_is_named(file, data, split=True)
+
+
+def _ranges(path):
+    """The byte ranges a split load parses, as the text of each."""
+    bounds = data_module._range_bounds(path)
+    with open(path, "rb") as fh:
+        text = fh.read()
+    return [text[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def _same_load(path):
+    """Whether a split load of `path` gives what a one-range load gives: the
+    same words and table bits, or the same error."""
+    def load():
+        try:
+            vocab, table = load_word_vectors(path)
+            return vocab.words, table.tobytes()
+        except DataError as exc:
+            return str(exc)
+
+    with split_into_ranges():
+        split = load()
+    return split == load()
+
+
+class TestWordVectorRanges:
+    def test_a_marked_file_drops_the_mark_in_its_first_range_only(self, tmp_path):
+        path = tmp_path / "vec.txt"
+        path.write_bytes("\ufeffa 1 2\nb 3 4\nc 5 6\n\ufeffd 7 8\n".encode("utf-8"))
+        with split_into_ranges(cpus=2):
+            assert [r[:3] for r in _ranges(path)] == [b"\xef\xbb\xbf"] * 2
+            vocab, _ = load_word_vectors(str(path))
+        # a mark that starts a later range is no byte-order mark: it is kept
+        assert vocab.words == [UNKNOWN_TOKEN, "a", "b", "c", "\ufeffd"]
+        assert _same_load(str(path))
+
+    def test_crlf_line_ends(self, tmp_path):
+        path = write(tmp_path, "vec.txt", "a 1 2\r\nb 3 4\r\nc 5 6\r\nd 7 8\r\n")
+        with split_into_ranges():
+            assert all(r.endswith(b"\r\n") for r in _ranges(path))
+            vocab, table = load_word_vectors(path)
+        assert vocab.words == [UNKNOWN_TOKEN, "a", "b", "c", "d"]
+        assert np.array_equal(table[1:], [[1, 2], [3, 4], [5, 6], [7, 8]])
+        assert _same_load(path)
+
+    def test_a_bare_cr_file_has_no_newline_and_stays_one_range(self, tmp_path):
+        path = tmp_path / "vec.txt"
+        path.write_bytes(b"a 1 2\rb 3 4\rc 5 6\rd 7 8\r")
+        with split_into_ranges():
+            assert len(_ranges(path)) == 1
+            vocab, _ = load_word_vectors(str(path))
+        assert vocab.words == [UNKNOWN_TOKEN, "a", "b", "c", "d"]
+        assert _same_load(str(path))
+
+    @pytest.mark.parametrize("where", ("first", "middle"))
+    def test_a_range_of_only_comments_and_blank_lines(self, tmp_path, where):
+        filler = "# a comment\n\n   \n" * 10
+        text = filler + "a 1 2\nb 3 4\n" if where == "first" else "a 1 2\n" + filler + "b 3 4\n"
+        path = write(tmp_path, "vec.txt", text)
+        with split_into_ranges():
+            bounds = data_module._range_bounds(path)
+            ranges = zip(bounds, bounds[1:])
+            assert any(not list(data_module.records(path, a, b)) for a, b in ranges)
+            vocab, table = load_word_vectors(path)
+        assert vocab.words == [UNKNOWN_TOKEN, "a", "b"]
+        assert np.array_equal(table, [[2, 3], [1, 2], [3, 4]])
+        assert _same_load(path)
+
+    def test_a_word_repeated_across_two_ranges(self, tmp_path):
+        path = write(tmp_path, "vec.txt", "a 1 2\nb 3 4\nc 5 6\nA 7 8\n")
+        with split_into_ranges(cpus=2):
+            first, second = _ranges(path)
+            assert b"a 1 2" in first and b"A 7 8" in second
+            with pytest.raises(DataError, match=r"vec\.txt:4: word 'a' repeats line 1"):
+                load_word_vectors(path)
+        assert _same_load(path)
+
+    def test_a_dimension_change_between_ranges_names_its_line(self, tmp_path):
+        path = write(tmp_path, "vec.txt", "a 1 2\nb 3 4\nc 5 6 7\nd 7 8 9\n")
+        with split_into_ranges(cpus=2):
+            with pytest.raises(DataError, match=r"vec\.txt:3: vector has 3 entries"):
+                load_word_vectors(path)
+
+    def test_a_bad_record_in_this_process_range_reaps_a_running_worker(
+        self, tmp_path, monkeypatch
+    ):
+        # every worker sleeps before it parses, so it still runs when the
+        # range this process parses fails
+        parent, parse_range, fork, forked = os.getpid(), data_module._parse_range, os.fork, []
+
+        def sleep_in_a_worker(*args):
+            if os.getpid() != parent:
+                time.sleep(60)
+            return parse_range(*args)
+
+        def recording_fork():
+            pid = fork()
+            forked.extend([pid] if pid else [])
+            return pid
+
+        monkeypatch.setattr(data_module, "_parse_range", sleep_in_a_worker)
+        monkeypatch.setattr(os, "fork", recording_fork)
+        path = write(tmp_path, "vec.txt", "a 1 2\nb 1 zap\n" + "w 3 4\n" * 5)
+        start = time.monotonic()
+        with split_into_ranges(cpus=2), pytest.raises(DataError, match=r"vec\.txt:2: bad vector"):
+            load_word_vectors(path)
+        assert time.monotonic() - start < 30
+        assert len(forked) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(forked[0], os.WNOHANG)
+
+    @pytest.mark.parametrize("failure", ("worker dies", "no fork"))
+    def test_a_failed_worker_leaves_the_result_unchanged(self, tmp_path, monkeypatch, failure):
+        parent, parse_range = os.getpid(), data_module._parse_range
+
+        def die_in_a_worker(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return parse_range(*args)
+
+        def no_fork():
+            raise OSError("no fork")
+
+        if failure == "worker dies":
+            monkeypatch.setattr(data_module, "_parse_range", die_in_a_worker)
         else:
-            earlier = lines[linenos[data.draw(st.integers(0, i - 1))] - 1].split()[0]
-            if earlier.upper().lower() == earlier.lower():  # not so for 'ß'
-                earlier = earlier.upper()
-            record = " ".join([earlier, *record.split()[1:]])
-        lines[linenos[i] - 1] = record
-        got, want = _load_both("\n".join(lines).encode("utf-8"), load_word_vectors)
-        assert isinstance(got, str), "a malformed record was accepted"
-        assert got.startswith(f"vec.txt:{linenos[i]}: ")
-        if kind == "entry":
-            assert "bad vector entry" in got
-        else:
-            # the dimension, finite and repeat checks keep their messages
-            assert got == want
+            monkeypatch.setattr(os, "fork", no_fork)
+        path = write(tmp_path, "vec.txt", "".join(f"w{i} {i} 1\n" for i in range(40)))
+        with split_into_ranges():
+            vocab, table = load_word_vectors(path)
+        want_vocab, want_table = load_word_vectors(path)
+        assert vocab.words == want_vocab.words
+        assert np.array_equal(table.view(np.uint64), want_table.view(np.uint64))
 
 
 TOKEN = st.text("abcdefghijklmnopqrstuvwxyz0123456789_'", min_size=1, max_size=5)
