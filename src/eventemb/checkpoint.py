@@ -114,10 +114,6 @@ def _serialized_parts(ckpt: Checkpoint) -> list:
     return [head, *parts]
 
 
-def checkpoint_bytes(ckpt: Checkpoint) -> bytes:
-    return b"".join(_serialized_parts(ckpt))
-
-
 def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
     """Atomic write: the file appears complete or not at all.
 

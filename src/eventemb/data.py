@@ -13,6 +13,7 @@ import itertools
 import mmap
 import os
 import signal
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -24,13 +25,7 @@ UNKNOWN_INDEX = 0
 NEW_ROW_RANGE = 0.1
 # Records per block that the word-vector reader hands to np.loadtxt: a
 # block's text is freed once parsed, and a generator resumed once per record
-# instead made a small file's parse about 5% slower. A file of at least two
-# VECTOR_RANGE_MIN is split into up to min(usable CPUs, size //
-# VECTOR_RANGE_MIN) byte ranges, each ending just after a newline; the
-# calling process parses the first and one forked worker parses each other
-# range, streaming its blocks the same way. The output and errors are those
-# of a one-range parse, workers run no BLAS call, and every worker is reaped
-# before the load returns or raises.
+# instead made a small file's parse about 5% slower.
 VECTOR_BLOCK = 1024
 # Two ranges broke even with one at a file of about 4 MiB (2 MiB per range):
 # below it, the fork and the pipe transfer of the rows cost more than the
@@ -100,15 +95,9 @@ class TransitiveSimInstance:
 class Vocabulary:
     """Dense word index with a reserved unknown entry at index 0."""
 
-    def __init__(self, words: Iterable[str] = ()) -> None:
+    def __init__(self) -> None:
         # insertion-ordered: word i is the i-th key, and maps to i
         self._index: dict[str, int] = {UNKNOWN_TOKEN: UNKNOWN_INDEX}
-        self._insert(words)
-
-    def _insert(self, words: Iterable[str]) -> None:
-        """Append each unseen word, in first-appearance order."""
-        for w in words:
-            self._index.setdefault(w, len(self._index))
 
     def index(self, word: str) -> int:
         return self._index.get(word, UNKNOWN_INDEX)
@@ -142,7 +131,8 @@ class Vocabulary:
         """New vocabulary with unseen tokens appended in first-appearance order."""
         vocab = Vocabulary()
         vocab._index = dict(self._index)
-        vocab._insert(tokens)
+        for w in tokens:
+            vocab._index.setdefault(w, len(vocab._index))
         return vocab
 
 
@@ -166,10 +156,11 @@ def ascii_number(kind: type) -> Callable[[str], int | float]:
 class _ByteRange(io.FileIO):
     """The bytes [start, stop) of a file, as a raw binary stream."""
 
-    def __init__(self, path: str, start: int, stop: int) -> None:
+    def __init__(self, path: str, start: int, stop: int | None) -> None:
         super().__init__(path, "rb")
-        self.seek(start)
-        self._left = stop - start
+        if start:  # a pipe cannot seek, even to 0
+            self.seek(start)
+        self._left = sys.maxsize if stop is None else stop - start
 
     def readinto(self, buffer) -> int:
         count = super().readinto(memoryview(buffer)[: self._left])
@@ -177,25 +168,41 @@ class _ByteRange(io.FileIO):
         return count
 
 
-def records(path: str, start: int = 0, stop: int | None = None) -> Iterable[tuple[int, str]]:
+def records(path: str, start: int = 0, stop: int | None = None) -> Iterator[tuple[int, str]]:
     """(line number, line) of each line that is neither blank nor a comment;
     a leading UTF-8 byte-order mark is dropped.
 
     With `stop`, only the bytes [start, stop) are read, and lines are
     numbered from `start`; both must lie at 0 or just after a newline, and
-    only a range from 0 drops a byte-order mark.
+    only a range from 0 drops a byte-order mark. A line that is not UTF-8
+    raises DataError after the records before it.
     """
-    encoding = "utf-8-sig" if start == 0 else "utf-8"
-    if stop is None:
-        fh = open(path, "r", encoding=encoding)
-    else:
-        fh = io.TextIOWrapper(io.BufferedReader(_ByteRange(path, start, stop)), encoding)
-    with fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            yield lineno, line
+    lineno, encoding = 0, "utf-8-sig" if start == 0 else "utf-8"
+    with io.TextIOWrapper(io.BufferedReader(_ByteRange(path, start, stop)), encoding) as fh:
+        lines = enumerate(fh, start=1)
+        while True:
+            try:
+                for lineno, raw in lines:
+                    line = raw.rstrip("\n")
+                    if line.strip() and not line.lstrip().startswith("#"):
+                        yield lineno, line
+                return
+            except UnicodeDecodeError:  # the decoder reads ahead of the bad line
+                lines = _lines_after(path, start, stop, lineno)
+
+
+def _lines_after(path: str, start: int, stop: int | None, skip: int) -> Iterator[tuple[int, str]]:
+    """`records`' lines after its first `skip`, each decoded alone: DataError
+    at the first that is not UTF-8. Latin-1 maps a byte to a character, and
+    no UTF-8 character holds a \\r or \\n byte, so the lines end alike."""
+    with io.TextIOWrapper(io.BufferedReader(_ByteRange(path, start, stop)), "latin-1") as fh:
+        for lineno, raw in enumerate(itertools.islice(fh, skip, None), start=skip + 1):
+            sig = "-sig" if start == 0 and lineno == 1 else ""
+            try:
+                yield lineno, raw.encode("latin-1").decode("utf-8" + sig)
+            except UnicodeDecodeError as exc:
+                bad = exc.object[exc.start]
+                raise DataError(path, lineno, f"invalid UTF-8 byte {bad:#04x}") from None
 
 
 def _fields(path: str, count: int, need: str) -> Iterable[tuple[int, list[str]]]:
@@ -210,55 +217,30 @@ def _fields(path: str, count: int, need: str) -> Iterable[tuple[int, list[str]]]
 def load_word_vectors(path: str) -> tuple[Vocabulary, np.ndarray]:
     """Parse `word v1 ... vd` lines into a vocabulary and embedding table.
 
-    `np.loadtxt` parses the value fields of the records in bulk, fed
-    VECTOR_BLOCK records at a time as the file is read, so no block's text
-    outlives its parse. A file of at least two VECTOR_RANGE_MIN is split
-    into up to min(usable CPUs, size // VECTOR_RANGE_MIN) byte ranges, each
-    ending just after a newline. This process parses the first range and
-    one forked worker parses each other range; the workers run no BLAS call
-    and send their words and rows through a pipe straight into the one
-    table. On any failure every worker is reaped and the file is parsed
-    again as one range, so the output and every error are those of a
-    one-range parse, and no worker outlives the call.
-
     The dimension is inferred from the first record; every later record must
     match it, every entry must be finite, and no word may repeat once
     lowercased. The unknown row (index 0) is the mean of all loaded rows,
-    taken over pre-scaled entries in a column whose plain sum would
-    overflow. Only when a check fails is the file read again, to name the
-    file:line of the first bad record.
+    taken over pre-scaled entries in a column whose plain sum would overflow.
+    The bulk parse splits a file of at least two VECTOR_RANGE_MIN into byte
+    ranges, up to one per usable CPU, and parses each but the first in a
+    forked worker. Any failure of it hands over to `_walk_vectors`, which
+    names the file:line of the first bad record.
     """
-    bounds = _range_bounds(path)
-    parsed = None
-    if len(bounds) > 2:
-        try:
-            parsed = _parse_in_workers(path, bounds)
-        except OSError:
-            pass  # no pipe or no fork: parse as one range
-    parsed = parsed or _parse_range(path)
-    if parsed is None:
-        raise _locate_bad_vector(path)
-    words, table = parsed
-    if table is None:
-        raise DataError(path, 0, "no word vectors found")
     try:
-        vocab = Vocabulary.from_entries([UNKNOWN_TOKEN, *words])
+        parsed = _parse_in_workers(path, _range_bounds(path))
+    except OSError:
+        parsed = None  # no pipe or fork, or an error of the file, which the walk raises
+    words, table = parsed or ([], None)
+    try:
+        vocab = Vocabulary.from_entries([UNKNOWN_TOKEN, *words]) if parsed else None
     except ValueError:
-        linenos = [0] + [lineno for lineno, _ in records(path)]
-        first_seen = {UNKNOWN_TOKEN: 0}
-        for i, word in enumerate(words, start=1):
-            if word in first_seen:
-                seen = first_seen[word]
-                where = f"line {linenos[seen]}" if seen else "the reserved unknown word"
-                raise DataError(path, linenos[i], f"word {word!r} repeats {where}") from None
-            first_seen[word] = i
+        vocab = None  # a repeated word, which the walk names
     # max propagates NaN and min and max reach any infinity: the check needs
     # no temporary the size of the table
+    if vocab is None or not (np.isfinite(table[1:].max()) and np.isfinite(table[1:].min())):
+        words, table = _walk_vectors(path, table)
+        vocab = Vocabulary.from_entries([UNKNOWN_TOKEN, *words])
     loaded = table[1:]
-    if not (np.isfinite(loaded.max()) and np.isfinite(loaded.min())):
-        first_bad = int(np.argmin(np.isfinite(loaded).all(axis=1)))
-        lineno = next(itertools.islice(records(path), first_bad, None))[0]
-        raise DataError(path, lineno, "non-finite vector entry")
     with np.errstate(over="ignore"):
         table[UNKNOWN_INDEX] = loaded.mean(axis=0)
     # where a column's sum overflows, sum its entries divided by the row
@@ -268,8 +250,8 @@ def load_word_vectors(path: str) -> tuple[Vocabulary, np.ndarray]:
     return vocab, table
 
 
-def _range_bounds(path: str) -> list[int]:
-    """[0, ..., size]: the offsets that split `path` into the byte ranges
+def _range_bounds(path: str) -> list[int | None]:
+    """[0, ..., None]: the offsets that split `path` into the byte ranges
     `load_word_vectors` parses, each but the last ending just after a newline."""
     size = os.path.getsize(path)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
@@ -282,18 +264,15 @@ def _range_bounds(path: str) -> list[int]:
                 if end in (0, size):
                     break
                 bounds.append(end)
-    return bounds + [size]
+    return bounds + [None]
 
 
-def _parse_range(
-    path: str, start: int = 0, stop: int | None = None
-) -> tuple[list[str], np.ndarray | None] | None:
+def _parse_range(path: str, start: int, stop: int | None) -> tuple[list, np.ndarray] | None:
     """The words and table of the records in bytes [start, stop) of `path`,
-    or None if the bulk parse rejects one of them.
+    or None if the range holds none or the bulk parse rejects one of them.
 
     Row 0 of the table repeats the first record, so that the unknown row is
-    part of the one table loadtxt allocates; the table is None for a range
-    that holds no record.
+    part of the one table loadtxt allocates.
     """
     words: list[str] = []
 
@@ -315,7 +294,7 @@ def _parse_range(
         # loadtxt warns on input with no records: such a range stops here
         first = next(stream, None)
         if first is None:
-            return words, None
+            return None
         table = np.loadtxt(
             itertools.chain((first, first), stream), comments=None, quotechar=None, ndmin=2
         )
@@ -324,10 +303,10 @@ def _parse_range(
     return words, table
 
 
-def _parse_in_workers(path: str, bounds: list[int]) -> tuple[list[str], np.ndarray] | None:
+def _parse_in_workers(path: str, bounds: list[int | None]) -> tuple[list, np.ndarray] | None:
     """`_parse_range` of the whole file, parsing the first range here and each
-    other range in a forked worker. None if any range fails, the first holds
-    no record or a worker dies; every worker is reaped before this returns or
+    other range in a forked worker. None if any range fails or holds no
+    record, or a worker dies; every worker is reaped before this returns or
     raises."""
     pipes, pids = [], []
     done = False
@@ -341,8 +320,8 @@ def _parse_in_workers(path: str, bounds: list[int]) -> tuple[list[str], np.ndarr
                     _send_range(path, start, stop, out)
             pids.append(pid)
         parsed = _parse_range(path, bounds[0], bounds[1])
-        if parsed is None or parsed[1] is None:
-            return None  # a bad record, or a first range without one
+        if parsed is None:
+            return None
         words, table = parsed
         counts = []
         for pipe in pipes:
@@ -352,12 +331,9 @@ def _parse_in_workers(path: str, bounds: list[int]) -> tuple[list[str], np.ndarr
                 return None
             rows, dim, size = (int(x) for x in head)
             text = pipe.read(size)
-            if len(text) != size:
+            if len(text) != size or dim != table.shape[1]:
                 return None
-            if rows:
-                if dim != table.shape[1]:
-                    return None
-                words += text.decode("utf-8").split("\n")
+            words += text.decode("utf-8").split("\n")
             counts.append(rows)
         offset = len(table)
         # a realloc: a large table's pages are remapped, not copied
@@ -378,7 +354,7 @@ def _parse_in_workers(path: str, bounds: list[int]) -> tuple[list[str], np.ndarr
             os.waitpid(pid, 0)
 
 
-def _send_range(path: str, start: int, stop: int, out: io.BufferedWriter) -> None:
+def _send_range(path: str, start: int, stop: int | None, out: io.BufferedWriter) -> None:
     """A worker's body: parse bytes [start, stop) of `path`, write the result
     to `out` as `_parse_in_workers` reads it, and leave the process; a failed
     parse writes nothing."""
@@ -386,9 +362,7 @@ def _send_range(path: str, start: int, stop: int, out: io.BufferedWriter) -> Non
     try:
         parsed = _parse_range(path, start, stop)
         if parsed is not None:
-            words, table = parsed
-            rows = np.empty((0, 0)) if table is None else table[1:]
-            text = "\n".join(words).encode("utf-8")
+            rows, text = parsed[1][1:], "\n".join(parsed[0]).encode("utf-8")
             out.write(np.array([len(rows), rows.shape[1], len(text)], np.int64).tobytes())
             out.write(text)
             out.write(rows)
@@ -398,23 +372,56 @@ def _send_range(path: str, start: int, stop: int, out: io.BufferedWriter) -> Non
         os._exit(status)
 
 
-def _locate_bad_vector(path: str) -> DataError:
-    """The error for the first record of `path` that the bulk parse rejects,
-    found by reading the file again and parsing one record at a time."""
-    dim = None
-    for lineno, line in records(path):
-        parts = line.split(None, 1)
-        if len(parts) < 2:
-            return DataError(path, lineno, "expected a word followed by vector entries")
-        try:
-            np.loadtxt([parts[1]], comments=None, quotechar=None)
-        except ValueError as exc:
-            return DataError(path, lineno, f"bad vector entry: {exc}")
-        count = len(parts[1].split())
-        dim = dim or count
-        if count != dim:
-            return DataError(path, lineno, f"vector has {count} entries, expected {dim}")
-    return DataError(path, 0, "bulk parse failed on records that parse one at a time")
+def _walk_vectors(path: str, table: np.ndarray | None) -> tuple[list[str], np.ndarray]:
+    """The words and table of `path` from one more read, which raises
+    DataError at the first bad record: first one that does not parse, then a
+    repeated word, then a non-finite entry. The rows of a good bulk parse,
+    `table`, are taken as they are. Row 0 is the caller's to set."""
+    words, blocks, first_seen, late = [], [], {UNKNOWN_TOKEN: 0}, {}
+    lines, error = records(path), None
+    while not error:
+        block: list[tuple[int, str]] = []
+        try:  # extend keeps the records read before an error
+            block.extend(itertools.islice(lines, VECTOR_BLOCK))
+        except DataError as exc:  # not UTF-8: a bad record before it is named first
+            error = exc
+        if not block:
+            break
+        if table is None:
+            blocks.append(_parse_block(path, block, blocks[0].shape[1] if blocks else None))
+        rows = blocks[-1] if table is None else table[1 + len(words) :][: len(block)]
+        for (lineno, line), finite in zip(block, np.isfinite(rows).all(axis=1)):
+            words.append(line.split(None, 1)[0].lower())
+            seen = first_seen.setdefault(words[-1], lineno)
+            if seen != lineno:
+                where = f"line {seen}" if seen else "the reserved unknown word"
+                late.setdefault(1, DataError(path, lineno, f"word {words[-1]!r} repeats {where}"))
+            if not finite:
+                late.setdefault(2, DataError(path, lineno, "non-finite vector entry"))
+    if error or late or not words:
+        raise error or (late[min(late)] if late else DataError(path, 0, "no word vectors found"))
+    return words, np.concatenate([blocks[0][:1], *blocks]) if table is None else table
+
+
+def _parse_block(path: str, block: list[tuple[int, str]], dim: int | None) -> np.ndarray:
+    """The rows of a block of records from one np.loadtxt call, each `dim`
+    wide (or as wide as the first). A block that the call rejects is parsed
+    one record at a time, to name its first bad record."""
+    try:
+        values = [line.split(None, 1)[1] for _, line in block]
+        rows = np.loadtxt(values, comments=None, quotechar=None, ndmin=2)
+        if rows.shape[1] == (dim or rows.shape[1]):
+            return rows
+        bad = f"vector has {rows.shape[1]} entries, expected {dim}"
+    except IndexError:
+        bad = "expected a word followed by vector entries"
+    except ValueError as exc:
+        bad = f"bad vector entry: {exc}"
+    if len(block) == 1:
+        raise DataError(path, block[0][0], bad)
+    rows = [_parse_block(path, block[:1], dim)]
+    rows += [_parse_block(path, [record], rows[0].shape[1]) for record in block[1:]]
+    return np.concatenate(rows)
 
 
 def extend_embeddings(

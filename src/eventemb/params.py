@@ -50,7 +50,7 @@ class ParameterStore:
     pages, never to the file.
     """
 
-    def __init__(self, layout: Layout, flat: np.ndarray, table: np.ndarray | None = None) -> None:
+    def __init__(self, layout: Layout, flat: np.ndarray, table: np.ndarray) -> None:
         size = flat_size(layout)
         if np.shape(flat) != (size,):
             raise ValueError(f"flat buffer has shape {np.shape(flat)}, the layout needs ({size},)")
@@ -58,12 +58,9 @@ class ParameterStore:
         # np.zeros gets zeroed pages from the allocator
         self.flat_grads, self.flat_accums = np.zeros(size), np.zeros(size)
         self.table_grads: list[tuple[np.ndarray, np.ndarray]] = []
-        self.params = {}
-        if table is not None:
-            table = np.require(table, dtype=np.float64, requirements=("C", "W"))
-            self.params[TABLE] = table
-            self.table_rows = np.zeros(0, dtype=np.int64)
-            self.table_accums = np.zeros((0, table.shape[1]))
+        self.params = {TABLE: np.require(table, dtype=np.float64, requirements=("C", "W"))}
+        self.table_rows = np.zeros(0, dtype=np.int64)
+        self.table_accums = np.zeros((0, self.params[TABLE].shape[1]))
         self.grads, self.accums = {}, {}
         start = 0
         for name, (shape, _) in layout.items():

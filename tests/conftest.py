@@ -23,15 +23,16 @@ WORDS = [
 def make_model(seed=0, n_words=12, d=6, k=4, n=2, scale=1.0):
     """Small joint model over a fixed word list with random embeddings."""
     rng = np.random.default_rng(seed)
-    vocab = Vocabulary(WORDS[:n_words])
+    vocab = Vocabulary().extended(WORDS[:n_words])
     table = rng.uniform(-scale, scale, (len(vocab), d))
     model = JointModel(vocab, d, k, n, table, initial_flat(layout(d, k, n), rng))
     return model, vocab, rng
 
 
 def make_store(component_layout, rng, table=None):
-    """A store of `table` (or none) and of the arrays of `component_layout`,
-    drawn from `rng` as a new model draws them."""
+    """A store of `table` (a 1 x 1 zero table if none is given) and of the
+    arrays of `component_layout`, drawn from `rng` as a new model draws them."""
+    table = np.zeros((1, 1)) if table is None else table
     return ParameterStore(component_layout, initial_flat(component_layout, rng), table)
 
 

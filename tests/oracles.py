@@ -10,7 +10,8 @@ The dense Adagrad step and the per-direction encoder are the unpacked forms
 of the flat-buffer, touched-rows step and the stacked LSTM, which must equal
 them bit for bit; the dense table gradient and accumulator views unpack the
 store's row-sparse table state for them. The file writers at the end invert
-the loaders for round-trip tests.
+the loaders for round-trip tests, and `checkpoint_bytes` is the in-memory
+checkpoint format that tests compare the streamed save with.
 """
 
 import math
@@ -19,6 +20,7 @@ from typing import Iterable
 
 import numpy as np
 
+from eventemb.checkpoint import Checkpoint, _serialized_parts
 from eventemb.data import (
     AnnotatedExample, EventTuple, HardSimInstance, TransitiveSimInstance, format_event,
 )
@@ -301,10 +303,8 @@ def dense_adagrad_step(store, table_accums, learning_rate, scale, eps):
     """The Adagrad step swept over every array whole, one array at a time,
     the table included. The table's gradient is `dense_table_grad` and its
     accumulator `table_accums`, a dense (|V|, d) array the caller keeps."""
-    arrays = {}
-    if TABLE in store.params:
-        arrays[TABLE] = (dense_table_grad(store), table_accums)
-        store.table_grads.clear()
+    arrays = {TABLE: (dense_table_grad(store), table_accums)}
+    store.table_grads.clear()
     arrays.update((name, (store.grads[name], store.accums[name])) for name in store.grads)
     for name, (g, acc) in arrays.items():
         g *= scale
@@ -338,8 +338,7 @@ def snapshot_grads(store):
     """Copies of all gradient buffers of a ParameterStore, the table's as
     `dense_table_grad`, for grad_check."""
     grads = {name: g.copy() for name, g in store.grads.items()}
-    if TABLE in store.params:
-        grads[TABLE] = dense_table_grad(store)
+    grads[TABLE] = dense_table_grad(store)
     return grads
 
 
@@ -390,7 +389,7 @@ def load_word_vectors_by_line(path):
     over = ~np.isfinite(mean)
     mean[over] = (table[1:, over] / len(rows)).sum(axis=0)
     table[UNKNOWN_INDEX] = mean
-    return Vocabulary(words), table
+    return Vocabulary().extended(words), table
 
 
 def _cell_step(w, b, x, h_prev, c_prev):
@@ -507,3 +506,7 @@ def save_lexicon(path: str, lexicon: dict[str, int]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for word, polarity in lexicon.items():
             fh.write(f"{word}\t{'+1' if polarity > 0 else '-1'}\n")
+
+
+def checkpoint_bytes(ckpt: Checkpoint) -> bytes:
+    return b"".join(_serialized_parts(ckpt))

@@ -15,7 +15,6 @@ import pytest
 
 from eventemb.checkpoint import (
     CheckpointError,
-    checkpoint_bytes,
     load_checkpoint,
     parse_checkpoint,
 )
@@ -35,6 +34,7 @@ from eventemb.trainer import TrainingConfig, adagrad_step, joint_loss, train
 from conftest import SRC_DIR, coded, make_model, make_store, random_event, word_ids
 from gradcheck import grad_check
 from oracles import (
+    checkpoint_bytes,
     cosine,
     dense_compose,
     hard_sim_by_counting,
@@ -247,7 +247,7 @@ class TestCriterion5MetricOracles:
 
 class TestCriterion6AdagradHandTrace:
     def test_two_step_trace(self):
-        store = ParameterStore({"theta": ((1,), 0.0)}, np.zeros(1))
+        store = ParameterStore({"theta": ((1,), 0.0)}, np.zeros(1), np.zeros((1, 1)))
         theta = store.params["theta"]
         store.grads["theta"][...] = 3.0
         adagrad_step(store, 1.0, 1.0)

@@ -27,7 +27,6 @@ from eventemb.checkpoint import (
     Checkpoint,
     CheckpointError,
     build_model,
-    checkpoint_bytes,
     load_checkpoint,
     parse_checkpoint,
     save_checkpoint,
@@ -37,7 +36,7 @@ from eventemb.model import JointModel, layout
 from eventemb.params import TABLE, ParameterStore, flat_size, initial_flat
 from eventemb.trainer import TrainingConfig, adagrad_step, train
 from conftest import SRC_DIR, SYNTHETIC_DIR, make_model, random_event
-from oracles import record_table_grad
+from oracles import checkpoint_bytes, record_table_grad
 
 
 def make_checkpoint(seed=0, d=6, k=4, n=2):
@@ -450,7 +449,7 @@ ESCAPED_WORDS = ['say"hi', "back\\slash", "tab\tword", "nul\x00", "bell\x07", "c
 
 def with_vocab(ckpt, words):
     """`ckpt` over a vocabulary of `words`, with a table of matching size."""
-    vocab = Vocabulary(words)
+    vocab = Vocabulary().extended(words)
     table = np.arange(len(vocab) * ckpt.config.d, dtype=float).reshape(len(vocab), -1)
     return dataclasses.replace(ckpt, vocab=vocab, table=table)
 
@@ -675,7 +674,7 @@ class TestCraftedCheckpoints:
     def test_finite_entries_whose_sum_overflows_load_and_round_trip(self, sizes, sign, seed):
         n_words, d, k, n = sizes
         config = TrainingConfig(d=d, k=k, n=n)
-        vocab = Vocabulary([f"w{i}" for i in range(1, n_words)])
+        vocab = Vocabulary().extended([f"w{i}" for i in range(1, n_words)])
         total = n_words * d + flat_size(layout(d, k, n))
         rng = np.random.default_rng(seed)
         # two in three entries of one sign, all near the largest float
@@ -727,7 +726,7 @@ class TestCraftedCheckpoints:
 def large_table_checkpoint(seed=0):
     """A checkpoint whose table is most of its array bytes."""
     rng = np.random.default_rng(seed)
-    vocab = Vocabulary([f"w{i}" for i in range(299)])
+    vocab = Vocabulary().extended([f"w{i}" for i in range(299)])
     table = rng.standard_normal((300, 6))
     model = JointModel(vocab, 6, 4, 2, table, initial_flat(layout(6, 4, 2), rng))
     config = TrainingConfig(d=6, k=4, n=2)

@@ -256,6 +256,16 @@ class TestTrainCommand:
         assert code == 1
         assert "bad.txt:2" in err
 
+    def test_vectors_that_are_not_utf8_report_the_line(self, capsys, synthetic_dir, tmp_path):
+        vectors = tmp_path / "vec.txt"
+        vectors.write_bytes(b"a 1 2\nb \xff 2\n")
+        code, _, err = run(
+            capsys, "train", "--corpus", str(synthetic_dir / "corpus.txt"),
+            "--vectors", str(vectors), "--out", str(tmp_path / "o"),
+        )
+        assert code == 1
+        assert err.splitlines()[-1] == f"error: {vectors}:2: invalid UTF-8 byte 0xff"
+
     def test_desk_scale_run_within_a_minute(self, capsys, synthetic_dir, tmp_path):
         corpus_50 = tmp_path / "corpus50.txt"
         events = (synthetic_dir / "corpus.txt").read_text().splitlines()[:50]

@@ -32,7 +32,7 @@ from oracles import (
 
 def make_composer(seed=0, d=4, k=3, n=2, n_words=8, scale=1.0):
     rng = np.random.default_rng(seed)
-    vocab = Vocabulary(WORDS[:n_words])
+    vocab = Vocabulary().extended(WORDS[:n_words])
     table = rng.uniform(-scale, scale, (len(vocab), d))
     store = make_store(EventComposer.layout(d, k, n), rng, table)
     composer = EventComposer(store)
@@ -226,7 +226,7 @@ class TestArgumentMeans:
     def test_sum_runs_left_to_right(self, coded_args):
         table, ids, sizes = coded_args
         means = argument_means(table, ids, sizes)
-        vocab = Vocabulary(WORDS[: len(table) - 1])
+        vocab = Vocabulary().extended(WORDS[: len(table) - 1])
         ends = np.cumsum(sizes)
         for mean, start, end in zip(means, ends - sizes, ends):
             rows = [[float(x) for x in table[i]] for i in ids[start:end]]
@@ -329,7 +329,7 @@ class TestCorruptEvent:
     def test_same_draws_as_the_word_rule(self):
         # ids are equal exactly when words are, and the unknown id 0 is never
         # drawn: the rule on ids takes the same draws as the rule on words did
-        vocab = Vocabulary(WORDS)
+        vocab = Vocabulary().extended(WORDS)
         words_rng, ids_rng = np.random.default_rng(12), np.random.default_rng(12)
         for _ in range(100):
             event = random_event(vocab, words_rng)

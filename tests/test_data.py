@@ -1,4 +1,5 @@
 import contextlib
+import io
 import os
 import tempfile
 import time
@@ -35,6 +36,7 @@ from eventemb.data import (
     tokenize,
 )
 from eventemb.cli import parse_config_file
+from conftest import SYNTHETIC_DIR
 from oracles import (
     average_argument,
     format_annotation,
@@ -243,14 +245,14 @@ class TestAverageArgument:
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(9)
-        vocab = Vocabulary(["u", "v", "w"])
+        vocab = Vocabulary().extended(["u", "v", "w"])
         table = rng.standard_normal((4, 5))
         words = ["w", "u", "v"]
         expected = scalar_mean_rows([table[vocab.index(w)] for w in words])
         assert average_argument(words, table, vocab) == pytest.approx(expected, abs=1e-15)
 
     def test_oov_uses_unknown_row(self):
-        vocab = Vocabulary(["u"])
+        vocab = Vocabulary().extended(["u"])
         table = np.array([[7.0], [1.0]])
         assert average_argument(["zzz"], table, vocab) == pytest.approx([7.0])
 
@@ -464,20 +466,20 @@ class TestLexicon:
 
 class TestVocabulary:
     def test_unknown_at_index_zero(self):
-        vocab = Vocabulary(["a", "b"])
+        vocab = Vocabulary().extended(["a", "b"])
         assert vocab.index("a") == 1
         assert vocab.index("nope") == 0
         assert len(vocab) == 3
 
     def test_extended_preserves_existing_indices(self):
-        vocab = Vocabulary(["a", "b"])
+        vocab = Vocabulary().extended(["a", "b"])
         bigger = vocab.extended(["c", "a", "d"])
         assert bigger.index("a") == vocab.index("a")
         assert bigger.index("c") == 3
         assert len(bigger) == 5
 
     def test_extended_leaves_the_original_unchanged(self):
-        vocab = Vocabulary(["a", "b"])
+        vocab = Vocabulary().extended(["a", "b"])
         bigger = vocab.extended(["c", "b", "d", "c"])
         assert vocab.words == ["<unk>", "a", "b"]
         assert "c" not in vocab and vocab.index("d") == 0
@@ -543,6 +545,91 @@ class TestByteOrderMark:
         vocab, table = load_word_vectors(str(path))
         assert vocab.words == [UNKNOWN_TOKEN, "alice", "bob"]
         assert table[vocab.index("alice")].tolist() == [0.5, 1.0]
+
+
+LOADERS = {
+    "vectors.txt": load_word_vectors, "corpus.txt": load_corpus,
+    "annotations.txt": load_annotations, "lexicon.tsv": load_lexicon,
+    "hardsim.txt": load_hardsim, "transitive.txt": load_transitive,
+    "config.txt": parse_config_file,
+}
+
+
+def _line_count(data):
+    """The lines of `data` as `records` numbers them: split at \\n, \\r\\n and
+    a bare \\r, as a text reader splits them."""
+    return len(io.TextIOWrapper(io.BytesIO(data), "latin-1").readlines())
+
+
+class TestInvalidUtf8:
+    @pytest.mark.parametrize("newline", (b"\n", b"\r\n", b"\r"))
+    def test_the_records_before_a_bad_line_come_first(self, tmp_path, newline):
+        # the text reader decodes 8 KB ahead, so all 100 lines before the bad
+        # one lie in the chunk it fails on
+        lines = [b"w%d 1" % i for i in range(100)] + [b"bad \xe2\x82", b"after"]
+        lines[0] = b"\xef\xbb\xbf" + lines[0]
+        lines[50] = b"\xef\xbb\xbf" + lines[50]
+        path = tmp_path / "f.txt"
+        path.write_bytes(newline.join(lines) + newline)
+        want = [(i + 1, f"w{i} 1") for i in range(100)]
+        want[50] = (51, "\ufeffw50 1")  # a mark that does not start the file is kept
+        got = []
+        with pytest.raises(DataError, match=r"f\.txt:101: invalid UTF-8 byte 0xe2$"):
+            got.extend(data_module.records(str(path)))
+        assert got == want
+        # a range that starts later numbers its lines from its start
+        start = len(newline.join(lines[:50]) + newline)
+        got = []
+        with pytest.raises(DataError, match=r"f\.txt:51: invalid UTF-8 byte 0xe2$"):
+            got.extend(data_module.records(str(path), start, None))
+        assert got == [(n - 50, line) for n, line in want[50:]]
+
+    @pytest.mark.parametrize("name", sorted(LOADERS))
+    @pytest.mark.parametrize("earlier_bad_record", (False, True))
+    def test_a_loader_names_the_line_after_any_bad_record_before_it(
+        self, tmp_path, name, earlier_bad_record
+    ):
+        # lines 2 and 3 lie in the first 8 KB that the text reader decodes
+        lines = (SYNTHETIC_DIR / name).read_bytes().split(b"\n")
+        lines[2] += b" \xff"
+        if earlier_bad_record:
+            lines[1] = b"x"  # one field: a bad record in every format
+        path = tmp_path / name
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(DataError) as caught:
+            LOADERS[name](str(path))
+        want = "2: " if earlier_bad_record else "3: invalid UTF-8 byte 0xff"
+        assert str(caught.value).startswith(f"{path}:{want}")
+
+
+@st.composite
+def loader_inputs(draw):
+    """(file name, bytes): arbitrary bytes, or the bundled file of that name
+    with a few runs of bytes replaced, inserted or deleted."""
+    name = draw(st.sampled_from(sorted(LOADERS)))
+    if draw(st.booleans()):
+        return name, draw(st.binary(max_size=300))
+    data = bytearray((SYNTHETIC_DIR / name).read_bytes())
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(data)))
+        data[at : at + draw(st.integers(0, 4))] = draw(st.binary(max_size=4))
+    return name, bytes(data)
+
+
+class TestLoaderProperties:
+    @settings(max_examples=1000, deadline=None)
+    @given(loader_inputs())
+    def test_a_loader_returns_or_names_a_line_of_the_file(self, case):
+        name, data = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, name)
+            with open(path, "wb") as fh:
+                fh.write(data)
+            try:
+                LOADERS[name](path)
+            except DataError as exc:
+                assert str(exc).startswith(f"{path}:{exc.line}: ")
+                assert 0 <= exc.line <= _line_count(data)
 
 
 # --- property tests of the readers ---------------------------------------------

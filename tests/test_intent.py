@@ -19,7 +19,7 @@ from oracles import (
 
 def make_encoder(seed=0, d=4, h=3, n_words=8, scale=1.0):
     rng = np.random.default_rng(seed)
-    vocab = Vocabulary(WORDS[:n_words])
+    vocab = Vocabulary().extended(WORDS[:n_words])
     table = rng.uniform(-scale, scale, (len(vocab), d))
     store = make_store(BiLstmEncoder.layout(d, h), rng, table)
     encoder = BiLstmEncoder(store)
@@ -310,7 +310,7 @@ class TestLstmStepGradients:
         c_prev = rng.standard_normal((2, rows, h))
         proj_h = random_projection(2 * rows * h, rng).reshape(2, rows, h)
         proj_c = random_projection(2 * rows * h, rng).reshape(2, rows, h)
-        params = dict(store.params) | {"x": x, "h_prev": h_prev, "c_prev": c_prev}
+        params = {"lstm.w": w, "lstm.b": b, "x": x, "h_prev": h_prev, "c_prev": c_prev}
 
         def fn():
             h_out, c_out, gates = lstm_step(w, b, x, h_prev, c_prev)

@@ -22,9 +22,8 @@ def test_every_public_name_imports():
 
 
 ROOT = Path(__file__).resolve().parent.parent
-# used only by tests, on purpose: the entry point, and the in-memory checkpoint
-# format that tests compare the streamed save with
-UNUSED_IN_SRC = {*eventemb.__all__, "main", "checkpoint_bytes"}
+# used only by tests, on purpose: the entry point
+UNUSED_IN_SRC = {*eventemb.__all__, "main"}
 
 
 def test_every_src_definition_has_a_caller_outside_tests():

@@ -219,7 +219,7 @@ class TestLossParts:
 
 class TestAdagrad:
     def test_first_step(self):
-        store = ParameterStore({"theta": ((1,), 0.0)}, np.zeros(1))
+        store = ParameterStore({"theta": ((1,), 0.0)}, np.zeros(1), np.zeros((1, 1)))
         theta = store.params["theta"]
         store.grads["theta"][...] = 1.0
         adagrad_step(store, 0.1, 1.0)
@@ -228,7 +228,7 @@ class TestAdagrad:
         assert store.grads["theta"][0] == 0.0  # zeroed after the step
 
     def test_zero_gradient_changes_nothing(self):
-        store = ParameterStore({"theta": ((3,), 0.0)}, np.full(3, 2.5))
+        store = ParameterStore({"theta": ((3,), 0.0)}, np.full(3, 2.5), np.zeros((1, 1)))
         theta = store.params["theta"]
         adagrad_step(store, 0.1, 1.0)
         assert np.array_equal(theta, np.full(3, 2.5))
@@ -236,7 +236,7 @@ class TestAdagrad:
 
     def test_two_step_hand_trace(self):
         # g=3 then g=4 at lr=1: steps 3/sqrt(9) and 4/sqrt(25), total -1.8
-        store = ParameterStore({"theta": ((1,), 0.0)}, np.zeros(1))
+        store = ParameterStore({"theta": ((1,), 0.0)}, np.zeros(1), np.zeros((1, 1)))
         theta = store.params["theta"]
         store.grads["theta"][...] = 3.0
         adagrad_step(store, 1.0, 1.0)
@@ -247,7 +247,7 @@ class TestAdagrad:
         assert abs(theta[0] - (-1.8)) < 1e-8  # exact up to the 1e-8 epsilon guard
 
     def test_nonfinite_gradient_names_parameter(self):
-        store = ParameterStore({"layer1.w": ((2,), 0.0)}, np.zeros(2))
+        store = ParameterStore({"layer1.w": ((2,), 0.0)}, np.zeros(2), np.zeros((1, 1)))
         store.grads["layer1.w"][0] = np.nan
         with pytest.raises(FloatingPointError, match="layer1.w"):
             adagrad_step(store, 0.1, 1.0)
@@ -395,7 +395,7 @@ class TestAdagrad:
             adagrad_step(store, 0.1, 1.0)
 
     def test_accumulators_never_decrease(self):
-        store = ParameterStore({"theta": ((4,), 0.0)}, np.zeros(4))
+        store = ParameterStore({"theta": ((4,), 0.0)}, np.zeros(4), np.zeros((1, 1)))
         rng = np.random.default_rng(0)
         previous = store.accums["theta"].copy()
         for _ in range(10):
@@ -463,7 +463,7 @@ class TestNegativeSampling:
 class TestResolvePolarities:
     """Coding an example resolves its polarity from its emotion words."""
 
-    VOCAB = Vocabulary(["a", "b", "c", "to", "win"])
+    VOCAB = Vocabulary().extended(["a", "b", "c", "to", "win"])
 
     def test_polarity_derivation(self):
         lexicon = {"happy": 1, "sad": -1}
@@ -605,7 +605,7 @@ class TestTrainLoop:
         pad = [f"pad{i}" for i in range(100_000 - len(vocab))]
         rng = np.random.default_rng(0)
         table = np.vstack([table, rng.standard_normal((len(pad), table.shape[1]))])
-        inputs["word_vectors"] = Vocabulary(vocab.words[1:] + pad), table
+        inputs["word_vectors"] = Vocabulary().extended(vocab.words[1:] + pad), table
         cfg = TrainingConfig(d=10, k=8, n=2, epochs=2, learning_rate=0.05,
                              batch_size=10, seed=7)
         tracemalloc.start()
