@@ -104,7 +104,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     model = _load_model(args.checkpoint)
     instances = args.load(args.data)
     value = args.metric(instances, model.embed_events)
-    print(evaluate.format_report(args.report, args.data, value, len(instances)))
+    print(f"{args.report}\t{args.data}\t{value:.6f}\t{len(instances)}")
     return 0
 
 

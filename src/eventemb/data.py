@@ -220,7 +220,7 @@ def load_word_vectors(path: str) -> tuple[Vocabulary, np.ndarray]:
     The dimension is inferred from the first record; every later record must
     match it, every entry must be finite, and no word may repeat once
     lowercased. The unknown row (index 0) is the mean of all loaded rows,
-    taken over pre-scaled entries in a column whose plain sum would overflow.
+    taken over scaled entries in a column whose plain mean would overflow.
     The bulk parse splits a file of at least two VECTOR_RANGE_MIN into byte
     ranges, up to one per usable CPU, and parses each but the first in a
     forked worker. Any failure of it hands over to `_walk_vectors`, which
@@ -241,12 +241,13 @@ def load_word_vectors(path: str) -> tuple[Vocabulary, np.ndarray]:
         words, table = _walk_vectors(path, table)
         vocab = Vocabulary.from_entries([UNKNOWN_TOKEN, *words])
     loaded = table[1:]
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         table[UNKNOWN_INDEX] = loaded.mean(axis=0)
-    # where a column's sum overflows, sum its entries divided by the row
-    # count first: that sum cannot pass the largest entry
-    over = ~np.isfinite(table[UNKNOWN_INDEX])
-    table[UNKNOWN_INDEX, over] = (loaded[:, over] / len(loaded)).sum(axis=0)
+        # where a column's plain mean is not finite, average its entries over
+        # their largest magnitude: that mean lies in [-1, 1] and cannot overflow
+        over = ~np.isfinite(table[UNKNOWN_INDEX])
+        top = np.abs(loaded[:, over]).max(axis=0)
+        table[UNKNOWN_INDEX, over] = top * (loaded[:, over] / top).mean(axis=0)
     return vocab, table
 
 

@@ -71,8 +71,3 @@ def evaluate_transitive(
     pairs = embed([e for inst in instances for e in inst.pair]).reshape(len(instances), 2, -1)
     gold = [inst.gold for inst in instances]
     return spearman_rho(cosine(pairs[:, 0], pairs[:, 1]), gold)
-
-
-def format_report(metric: str, dataset_path: str, value: float, count: int) -> str:
-    """Tab-separated report line: metric, dataset, value, instance count."""
-    return f"{metric}\t{dataset_path}\t{value:.6f}\t{count}"

@@ -330,17 +330,6 @@ def code_examples(
     return coded
 
 
-def _collect_tokens(examples: Sequence[AnnotatedExample]) -> list[str]:
-    tokens: list[str] = []
-    for ex in examples:
-        tokens.extend(ex.event.words())
-        if ex.intent:
-            tokens.extend(ex.intent)
-        if ex.emotion_words:
-            tokens.extend(ex.emotion_words)
-    return tokens
-
-
 @dataclass
 class EpochMetrics:
     epoch: int
@@ -356,6 +345,129 @@ class EpochMetrics:
         )
 
 
+class Run:
+    """What the epoch loop reads, built from `train`'s first five arguments:
+    the config, the model with its vocabulary, the coded examples (the corpus
+    events, then the annotated ones, coded once by `code_examples` after the
+    vocabulary gains their new words), their intent pool and the run's one
+    RNG. Building a run checks every input and writes nothing."""
+
+    def __init__(
+        self, config: TrainingConfig, corpus: Sequence[EventTuple],
+        annotations: Sequence[AnnotatedExample],
+        word_vectors: tuple[Vocabulary, np.ndarray] | None, lexicon: dict[str, int] | None,
+    ) -> None:
+        if not corpus and not annotations:
+            raise ValueError("empty training data: no corpus events and no annotations")
+        annotated = [AnnotatedExample(event=e) for e in corpus] + list(annotations)
+        self.config = config
+        self.rng = np.random.default_rng(config.seed)
+        base_vocab, base_table = word_vectors or (Vocabulary(), np.zeros((1, config.d)))
+        if base_table.shape[1] != config.d:
+            raise ValueError(
+                f"word vectors have dimension {base_table.shape[1]}, config d={config.d}"
+            )
+        tokens = (
+            word for ex in annotated
+            for words in (ex.event.words(), ex.intent, ex.emotion_words) for word in words or ()
+        )
+        vocab, table = extend_embeddings(base_vocab, base_table, tokens, self.rng)
+        self.examples = code_examples(annotated, vocab, lexicon, config)
+        flat = initial_flat(layout(config.d, config.k, config.n), self.rng)
+        self.model = JointModel(vocab, config.d, config.k, config.n, table, flat)
+        # corrupt_event draws from ids 1 .. |V| - 1 and redraws the original
+        if config.alpha > 0.0 and len(vocab) < 3:
+            raise ValueError(
+                f"cannot corrupt an event: the vocabulary has {len(vocab) - 1} usable words, "
+                "need at least 2"
+            )
+        self.intent_pool = [ex.intent for ex in self.examples if ex.intent is not None]
+        if len(set(self.intent_pool)) == 1:
+            intent = " ".join(vocab.words[i] for i in self.intent_pool[0])
+            raise ValueError(
+                f"cannot sample a negative intent: every annotated intent is '{intent}'"
+            )
+
+    def run_epochs(
+        self, out_dir: str | None = None, progress: Callable[[EpochMetrics], None] | None = None
+    ) -> list[EpochMetrics]:
+        """Train the model for `config.epochs` epochs; returns the per-epoch
+        metrics. With `out_dir` set, one checkpoint per epoch, `final.ckpt`
+        (a hard link to the last) and `metrics.tsv` go there.
+
+        The run first removes what an earlier run wrote in `out_dir` under
+        these names, `epoch-NNNN.ckpt` and `final.ckpt` with or without a
+        `.tmp` suffix, and nothing else, so no stale epoch outlives a shorter
+        re-run. Each save then renames onto a name that does not exist, which
+        costs less than renaming over a file (README gives the ext4 timings).
+        `save_checkpoint` itself still replaces an existing file atomically.
+        """
+        config, model, vocab, examples, intent_pool, rng = (
+            self.config, self.model, self.model.vocab, self.examples, self.intent_pool, self.rng
+        )
+        if out_dir is not None:
+            os.makedirs(out_dir, exist_ok=True)
+            for name in os.listdir(out_dir):
+                if RUN_CHECKPOINT.fullmatch(name):
+                    os.remove(os.path.join(out_dir, name))
+            metrics_path = os.path.join(out_dir, "metrics.tsv")
+            with open(metrics_path, "w", encoding="utf-8"):
+                pass  # truncate any previous log
+
+        history: list[EpochMetrics] = []
+        n_examples = len(examples)
+        for epoch in range(1, config.epochs + 1):
+            order = rng.permutation(n_examples)
+            sums = LossParts()
+            for start in range(0, n_examples, config.batch_size):
+                batch = [examples[i] for i in order[start : start + config.batch_size]]
+                corrupted, negative_intents = [], []
+                for example in batch:
+                    if config.alpha > 0.0:
+                        corrupted.append(corrupt_event(
+                            example.ids, example.sizes, len(vocab), rng, config.corruption_target
+                        ))
+                    if example.intent is not None:
+                        negative = sample_negative_intent(intent_pool, example.intent, rng)
+                        negative_intents.append(negative)
+                sums += joint_loss(model, batch, corrupted, negative_intents, config)
+                adagrad_step(model.store, config.learning_rate, 1.0 / len(batch))
+
+            metrics = EpochMetrics(
+                epoch=epoch,
+                event=sums.event / sums.n_event if sums.n_event else 0.0,
+                intent=sums.intent / sums.n_intent if sums.n_intent else 0.0,
+                sentiment=sums.sentiment / sums.n_sentiment if sums.n_sentiment else 0.0,
+                total=sums.total / n_examples,
+            )
+            history.append(metrics)
+            if progress is not None:
+                progress(metrics)
+            if out_dir is not None:
+                with open(metrics_path, "a", encoding="utf-8") as fh:
+                    fh.write(metrics.line() + "\n")
+                snapshot = ckpt_io.Checkpoint(
+                    config=config,
+                    vocab=vocab,
+                    table=model.embeddings,
+                    flat=model.store.flat_params,
+                    rng_state=rng.bit_generator.state,
+                    epoch=epoch,
+                )
+                last = os.path.join(out_dir, f"epoch-{epoch:04d}.ckpt")
+                ckpt_io.save_checkpoint(last, snapshot)
+
+        if out_dir is not None:
+            # final.ckpt is a hard link to the last epoch's file, on a name the
+            # run freed; the snapshot is written again only if linking fails
+            final = os.path.join(out_dir, "final.ckpt")
+            try:
+                os.link(last, final)
+            except OSError:
+                ckpt_io.save_checkpoint(final, snapshot)
+        return history
+
+
 def train(
     config: TrainingConfig,
     corpus: Sequence[EventTuple],
@@ -365,115 +477,7 @@ def train(
     out_dir: str | None = None,
     progress: Callable[[EpochMetrics], None] | None = None,
 ) -> tuple[JointModel, list[EpochMetrics]]:
-    """Run the full training loop; returns the model and per-epoch metrics.
-
-    Training examples are the bare corpus events plus the annotated examples,
-    coded once by `code_examples`, before anything is written. With `out_dir`
-    set, one checkpoint per epoch, `final.ckpt` (a hard link to the last) and
-    `metrics.tsv` go there.
-
-    Only after every input check has passed does the run touch `out_dir`. It
-    then removes what an earlier run wrote under these names,
-    `epoch-NNNN.ckpt` and `final.ckpt` with or without a `.tmp` suffix, and
-    nothing else, so no stale epoch outlives a shorter re-run. Each save then
-    renames onto a name that does not exist. Renaming over an existing file
-    costs more: on ext4 with default mount options (`auto_da_alloc`), a save
-    of an 87 MB checkpoint in a re-run took 126 ms over the previous run's
-    file and 80 ms onto a free name (medians of 36, 2 CPUs).
-    `save_checkpoint` itself still replaces an existing file atomically.
-    """
-    if not corpus and not annotations:
-        raise ValueError("empty training data: no corpus events and no annotations")
-
-    annotated = [AnnotatedExample(event=e) for e in corpus] + list(annotations)
-
-    rng = np.random.default_rng(config.seed)
-    if word_vectors is not None:
-        base_vocab, base_table = word_vectors
-        if base_table.shape[1] != config.d:
-            raise ValueError(
-                f"word vectors have dimension {base_table.shape[1]}, config d={config.d}"
-            )
-    else:
-        base_vocab = Vocabulary()
-        base_table = np.zeros((1, config.d))
-    vocab, table = extend_embeddings(base_vocab, base_table, _collect_tokens(annotated), rng)
-    examples = code_examples(annotated, vocab, lexicon, config)
-    flat = initial_flat(layout(config.d, config.k, config.n), rng)
-    model = JointModel(vocab, config.d, config.k, config.n, table, flat)
-
-    # corrupt_event draws from ids 1 .. |V| - 1 and redraws the original
-    if config.alpha > 0.0 and len(vocab) < 3:
-        raise ValueError(
-            f"cannot corrupt an event: the vocabulary has {len(vocab) - 1} usable words, "
-            "need at least 2"
-        )
-    intent_pool = [ex.intent for ex in examples if ex.intent is not None]
-    if len(set(intent_pool)) == 1:
-        words = vocab.words
-        intent = " ".join(words[i] for i in intent_pool[0])
-        raise ValueError(
-            f"cannot sample a negative intent: every annotated intent is '{intent}'"
-        )
-    metrics_path = None
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        for name in os.listdir(out_dir):
-            if RUN_CHECKPOINT.fullmatch(name):
-                os.remove(os.path.join(out_dir, name))
-        metrics_path = os.path.join(out_dir, "metrics.tsv")
-        with open(metrics_path, "w", encoding="utf-8"):
-            pass  # truncate any previous log
-
-    history: list[EpochMetrics] = []
-    n_examples = len(examples)
-    for epoch in range(1, config.epochs + 1):
-        order = rng.permutation(n_examples)
-        sums = LossParts()
-        for start in range(0, n_examples, config.batch_size):
-            batch = [examples[i] for i in order[start : start + config.batch_size]]
-            corrupted, negative_intents = [], []
-            for example in batch:
-                if config.alpha > 0.0:
-                    corrupted.append(corrupt_event(
-                        example.ids, example.sizes, len(vocab), rng, config.corruption_target
-                    ))
-                if example.intent is not None:
-                    negative = sample_negative_intent(intent_pool, example.intent, rng)
-                    negative_intents.append(negative)
-            sums += joint_loss(model, batch, corrupted, negative_intents, config)
-            adagrad_step(model.store, config.learning_rate, 1.0 / len(batch))
-
-        metrics = EpochMetrics(
-            epoch=epoch,
-            event=sums.event / sums.n_event if sums.n_event else 0.0,
-            intent=sums.intent / sums.n_intent if sums.n_intent else 0.0,
-            sentiment=sums.sentiment / sums.n_sentiment if sums.n_sentiment else 0.0,
-            total=sums.total / n_examples,
-        )
-        history.append(metrics)
-        if progress is not None:
-            progress(metrics)
-        if out_dir is not None:
-            with open(metrics_path, "a", encoding="utf-8") as fh:
-                fh.write(metrics.line() + "\n")
-            snapshot = ckpt_io.Checkpoint(
-                config=config,
-                vocab=vocab,
-                table=model.embeddings,
-                flat=model.store.flat_params,
-                rng_state=rng.bit_generator.state,
-                epoch=epoch,
-            )
-            last = os.path.join(out_dir, f"epoch-{epoch:04d}.ckpt")
-            ckpt_io.save_checkpoint(last, snapshot)
-
-    if out_dir is not None:
-        # final.ckpt is a hard link to the last epoch's file, on a name the run
-        # freed; the snapshot is written again only if linking fails
-        final = os.path.join(out_dir, "final.ckpt")
-        try:
-            os.link(last, final)
-        except OSError:
-            ckpt_io.save_checkpoint(final, snapshot)
-    return model, history
+    """Build a `Run` from the data, then train it into `out_dir` with
+    `Run.run_epochs`; returns the model and per-epoch metrics."""
+    run = Run(config, corpus, annotations, word_vectors, lexicon)
+    return run.model, run.run_epochs(out_dir, progress)

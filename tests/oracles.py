@@ -382,12 +382,13 @@ def load_word_vectors_by_line(path):
             raise DataError(path, lineno, "non-finite vector entry")
     table = np.empty((len(words) + 1, dim), dtype=np.float64)
     table[1:] = rows
-    # the reader's unknown-row rule: the mean, of pre-scaled entries in a
-    # column whose plain sum overflows
-    with np.errstate(over="ignore"):
+    # the reader's unknown-row rule: the mean, of entries over their largest
+    # magnitude, scaled back, in a column whose plain mean overflows
+    with np.errstate(over="ignore", invalid="ignore"):
         mean = np.mean(rows, axis=0)
-    over = ~np.isfinite(mean)
-    mean[over] = (table[1:, over] / len(rows)).sum(axis=0)
+        over = ~np.isfinite(mean)
+        top = np.abs(table[1:, over]).max(axis=0)
+        mean[over] = top * (table[1:, over] / top).mean(axis=0)
     table[UNKNOWN_INDEX] = mean
     return Vocabulary().extended(words), table
 

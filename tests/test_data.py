@@ -51,6 +51,10 @@ from oracles import (
 )
 
 
+# a numeric warning, such as an overflow, fails the test that raises it
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+
 def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -72,6 +76,16 @@ class TestWordVectors:
             warnings.simplefilter("error")
             _, table = load_word_vectors(path)
         assert np.array_equal(table[0], [1e308, 1.5])
+
+    def test_unknown_row_mean_of_three_largest_doubles_stays_finite(self, tmp_path):
+        # their quotients by the row count round up, and so their sum
+        # overflows too
+        text = "".join(f"{w} 1.7976931348623157e308\n" for w in "abc")
+        path = write(tmp_path, "vec.txt", text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, table = load_word_vectors(path)
+        assert np.array_equal(table[0], [1.7976931348623157e308])
 
     def test_lookup_round_trip(self, tmp_path):
         path = write(tmp_path, "vec.txt", "a 1 0\nb 0 1\n")

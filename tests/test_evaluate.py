@@ -7,7 +7,6 @@ from eventemb.data import EventTuple, HardSimInstance, TransitiveSimInstance
 from eventemb.evaluate import (
     average_ranks,
     evaluate_transitive,
-    format_report,
     hard_similarity_accuracy,
     spearman_rho,
 )
@@ -197,9 +196,3 @@ class TestTransitive:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty instance list"):
             evaluate_transitive([], lambda events: np.zeros((len(events), 2)))
-
-
-class TestReport:
-    def test_format(self):
-        line = format_report("hard_similarity_accuracy", "data/h.txt", 0.9375, 16)
-        assert line == "hard_similarity_accuracy\tdata/h.txt\t0.937500\t16"

@@ -100,7 +100,8 @@ def test_every_tracer_hook_resolves_to_a_reported_span(tmp_path):
     tracer installs its hooks as a traced run does; only the known-dead ones
     may be absent, and only the known-broken counters may stop, over a
     forward pass and a training with all three terms that saves its epoch.
-    Both open only spans the report lists, each layer's among them."""
+    Both open only spans the report lists, each layer's and the training's
+    root among them."""
     spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
@@ -123,7 +124,8 @@ def test_every_tracer_hook_resolves_to_a_reported_span(tmp_path):
     assert set(tracer.absent) == ABSENT_HOOKS
     assert tracer.broken_counters == KNOWN_BROKEN_COUNTERS
     layers = {f"composer.layer{i}.{kind}" for i in (1, 2, 3) for kind in ("fwd", "bwd")}
-    assert layers | {"trainer.joint_loss", "intent.encode", "checkpoint.save"} <= set(tracer.calls)
+    required = {"trainer.train", "trainer.joint_loss", "intent.encode", "checkpoint.save"}
+    assert layers | required <= set(tracer.calls)
     assert set(tracer.calls) <= set(spans.SPANS)
 
 

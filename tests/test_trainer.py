@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eventemb import trainer
+from eventemb.checkpoint import load_checkpoint
 from eventemb.cli import main
 from eventemb.composer import corrupt_event
 from eventemb.data import (
@@ -28,6 +29,7 @@ from eventemb.trainer import (
     EpochMetrics,
     LossParts,
     PRESETS,
+    Run,
     TrainingConfig,
     adagrad_step,
     code_examples,
@@ -621,7 +623,7 @@ class TestTrainLoop:
     def test_inactive_terms_leave_parameters_untouched(self, synthetic_dir, tmp_path):
         # with beta = gamma = 0 the LSTM cells and sentiment head must stay at
         # their init across any number of epochs
-        from eventemb.checkpoint import build_model, load_checkpoint
+        from eventemb.checkpoint import build_model
 
         inputs = synthetic_inputs(synthetic_dir)
         runs = {}
@@ -807,3 +809,18 @@ class TestTrainLoop:
         final = (out / "final.ckpt").read_bytes()
         assert final == (out / f"epoch-{cfg.epochs:04d}.ckpt").read_bytes()
         assert final != (out / "epoch-0001.ckpt").read_bytes()
+
+    def test_checkpoints_record_their_epoch_and_the_generator_left_by_the_loop(
+        self, synthetic_dir, tmp_path
+    ):
+        # train is this build followed by this loop; epoch e's file records
+        # e, and final.ckpt the generator state the last epoch left
+        cfg = TrainingConfig(d=10, k=8, n=2, epochs=3, learning_rate=0.05,
+                             batch_size=10, seed=4)
+        run = Run(cfg, **synthetic_inputs(synthetic_dir))
+        run.run_epochs(str(tmp_path))
+        for epoch in range(1, cfg.epochs + 1):
+            assert load_checkpoint(str(tmp_path / f"epoch-{epoch:04d}.ckpt")).epoch == epoch
+        final = load_checkpoint(str(tmp_path / "final.ckpt"))
+        assert final.epoch == cfg.epochs
+        assert final.rng_state == run.rng.bit_generator.state
