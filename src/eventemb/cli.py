@@ -25,6 +25,8 @@ _CONFIG_FIELDS = {
     f.name: str if type(f.default) is str else data_io.ascii_number(type(f.default))
     for f in dataclasses.fields(trainer.TrainingConfig)
 }
+# the commands, in the order `eventemb --help` lists them
+COMMANDS = ("train", "eval-hard", "eval-transitive", "embed", "nn")
 
 
 def parse_config_file(path: str) -> dict:
@@ -143,65 +145,72 @@ def positive_int(text: str) -> int:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The `eventemb` parser with only `command`'s subparser, or with all five
+    when `command` is None; its usage lines list all five either way."""
     parser = argparse.ArgumentParser(
         prog="eventemb",
         description="Train and evaluate commonsense-supervised event embeddings.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_train = sub.add_parser("train", help="train a model and write checkpoints")
-    p_train.add_argument("--corpus", required=True, help="event corpus file")
-    p_train.add_argument("--out", required=True, help="output directory")
-    p_train.add_argument("--annotations", help="intent/emotion annotation file")
-    p_train.add_argument("--vectors", help="pretrained word-vector file")
-    p_train.add_argument("--lexicon", help="sentiment lexicon TSV")
-    p_train.add_argument("--config", help="key = value config file")
-    p_train.add_argument(
-        "--preset",
-        choices=sorted(trainer.PRESETS),
-        help="loss-weight preset (overrides config file alpha/beta/gamma)",
-    )
-    for key, parse in _CONFIG_FIELDS.items():
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if command is None else "{" + ",".join(COMMANDS) + "}")
+    if command in (None, "train"):
+        p_train = sub.add_parser("train", help="train a model and write checkpoints")
+        p_train.add_argument("--corpus", required=True, help="event corpus file")
+        p_train.add_argument("--out", required=True, help="output directory")
+        p_train.add_argument("--annotations", help="intent/emotion annotation file")
+        p_train.add_argument("--vectors", help="pretrained word-vector file")
+        p_train.add_argument("--lexicon", help="sentiment lexicon TSV")
+        p_train.add_argument("--config", help="key = value config file")
         p_train.add_argument(
-            "--" + key.replace("_", "-"),
-            dest=key,
-            type=parse,
-            choices=trainer.CORRUPTION_TARGETS if key == "corruption_target" else None,
-            help=f"overrides config key {key}",
+            "--preset",
+            choices=sorted(trainer.PRESETS),
+            help="loss-weight preset (overrides config file alpha/beta/gamma)",
         )
-    p_train.set_defaults(func=_cmd_train)
+        for key, parse in _CONFIG_FIELDS.items():
+            p_train.add_argument(
+                "--" + key.replace("_", "-"),
+                dest=key,
+                type=parse,
+                choices=trainer.CORRUPTION_TARGETS if key == "corruption_target" else None,
+                help=f"overrides config key {key}",
+            )
+        p_train.set_defaults(func=_cmd_train)
 
     # the loader and metric are looked up here, when `main` runs, so a
     # function patched on its module after import is the one called
-    p_hard = sub.add_parser("eval-hard", help="hard-similarity accuracy")
-    p_hard.set_defaults(load=data_io.load_hardsim, metric=evaluate.hard_similarity_accuracy,
-                        report="hard_similarity_accuracy")
-    p_trans = sub.add_parser("eval-transitive", help="transitive-similarity Spearman rho")
-    p_trans.set_defaults(load=data_io.load_transitive, metric=evaluate.evaluate_transitive,
-                         report="transitive_spearman_rho")
-    for p_eval in (p_hard, p_trans):
-        p_eval.add_argument("--checkpoint", required=True)
-        p_eval.add_argument("--data", required=True)
-        p_eval.set_defaults(func=_cmd_eval)
+    for name, help_text, load, metric, report in (
+        ("eval-hard", "hard-similarity accuracy", data_io.load_hardsim,
+         evaluate.hard_similarity_accuracy, "hard_similarity_accuracy"),
+        ("eval-transitive", "transitive-similarity Spearman rho", data_io.load_transitive,
+         evaluate.evaluate_transitive, "transitive_spearman_rho"),
+    ):
+        if command in (None, name):
+            p_eval = sub.add_parser(name, help=help_text)
+            p_eval.add_argument("--checkpoint", required=True)
+            p_eval.add_argument("--data", required=True)
+            p_eval.set_defaults(func=_cmd_eval, load=load, metric=metric, report=report)
 
-    p_embed = sub.add_parser("embed", help="print event embeddings")
-    p_embed.add_argument("--checkpoint", required=True)
-    p_embed.add_argument("--events", required=True)
-    p_embed.set_defaults(func=_cmd_embed)
+    if command in (None, "embed"):
+        p_embed = sub.add_parser("embed", help="print event embeddings")
+        p_embed.add_argument("--checkpoint", required=True)
+        p_embed.add_argument("--events", required=True)
+        p_embed.set_defaults(func=_cmd_embed)
 
-    p_nn = sub.add_parser("nn", help="nearest events by cosine similarity")
-    p_nn.add_argument("--checkpoint", required=True)
-    p_nn.add_argument("--query", required=True, help="event as actor|predicate|object")
-    p_nn.add_argument("--corpus", required=True)
-    p_nn.add_argument("--top", type=positive_int, default=10)
-    p_nn.set_defaults(func=_cmd_nn)
+    if command in (None, "nn"):
+        p_nn = sub.add_parser("nn", help="nearest events by cosine similarity")
+        p_nn.add_argument("--checkpoint", required=True)
+        p_nn.add_argument("--query", required=True, help="event as actor|predicate|object")
+        p_nn.add_argument("--corpus", required=True)
+        p_nn.add_argument("--top", type=positive_int, default=10)
+        p_nn.set_defaults(func=_cmd_nn)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError, FloatingPointError, MemoryError) as exc:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .data import EventTuple, Vocabulary
-from .params import TABLE, Layout, ParameterStore
+from .params import FLAT_BLOCK, TABLE, Layout, ParameterStore
 
 # Event arguments that training may corrupt to draw negative events.
 CORRUPTION_TARGETS = ("actor", "object")
@@ -192,4 +192,6 @@ class EventComposer:
         return lambda_l2 * float(np.dot(self.l2_params, self.l2_params))
 
     def regularization_backward(self, lambda_l2: float, weight: float = 1.0) -> None:
-        self.l2_grads += (2.0 * lambda_l2 * weight) * self.l2_params
+        for start in range(0, self.l2_params.size, FLAT_BLOCK):
+            block = slice(start, start + FLAT_BLOCK)
+            self.l2_grads[block] += (2.0 * lambda_l2 * weight) * self.l2_params[block]

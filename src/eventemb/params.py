@@ -9,6 +9,11 @@ import numpy as np
 # The word table: the one array kept out of the flat buffers.
 TABLE = "embeddings"
 
+# Entries per block of an elementwise update of a flat buffer (the Adagrad
+# step, the L2 gradient): a block's temporaries (256 KiB each) stay in cache,
+# where those of a whole paper-shape flat buffer (6 MB each) do not.
+FLAT_BLOCK = 1 << 15
+
 # A component's arrays: name -> (shape, r), in checkpoint order. A new model
 # draws each array uniformly from [-r, r], or zeros it when r is 0.
 Layout = dict[str, tuple[tuple[int, ...], float]]

@@ -28,17 +28,13 @@ from .data import (
 )
 from .intent import intent_hinge
 from .model import JointModel, layout
-from .params import TABLE, ParameterStore, initial_flat
+from .params import FLAT_BLOCK, TABLE, ParameterStore, initial_flat
 
 # The files a run writes into its output directory besides metrics.tsv, and
 # their temp files: a run removes these, and only these, before its first save.
 RUN_CHECKPOINT = re.compile(r"(epoch-[0-9]{4,}|final)\.ckpt(\.tmp)?")
 
 ADAGRAD_EPS = 1e-8
-# Entries per block of an Adagrad update: a block's temporaries (256 KiB
-# each) stay in cache, where those of a whole paper-shape flat buffer
-# (6 MB each) do not.
-ADAGRAD_BLOCK = 1 << 15
 
 # Ablation presets: (alpha, beta, gamma) weightings of the three loss terms.
 PRESETS: dict[str, tuple[float, float, float]] = {
@@ -105,6 +101,9 @@ class TrainingConfig:
             )
         if self.d < 1 or self.k < 1 or self.n < 1:
             raise ValueError("d, k and n must all be >= 1")
+        for name in ("d", "k", "n"):
+            if getattr(self, name) > np.iinfo(np.intp).max:
+                raise ValueError(f"{name}={getattr(self, name)} exceeds the largest array size")
         if self.k % 2 != 0:
             raise ValueError(f"k={self.k} must be even (intent hidden size is k/2)")
         if self.n > min(self.d, self.k):
@@ -239,8 +238,8 @@ def _adagrad_update(theta, acc, g, lr: float, scale: float) -> bool:
     if not np.isfinite(g).all():
         return False
     theta, acc, g = theta.reshape(-1), acc.reshape(-1), g.reshape(-1)
-    for start in range(0, g.size, ADAGRAD_BLOCK):
-        block = slice(start, start + ADAGRAD_BLOCK)
+    for start in range(0, g.size, FLAT_BLOCK):
+        block = slice(start, start + FLAT_BLOCK)
         acc[block] += g[block] * g[block]
         theta[block] -= lr * g[block] / (np.sqrt(acc[block]) + ADAGRAD_EPS)
     return True

@@ -1,8 +1,11 @@
+import argparse
 import contextlib
 import dataclasses
 import io
 import os
 import re
+import subprocess
+import sys
 import tempfile
 import time
 
@@ -10,8 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import SRC_DIR
+from eventemb import cli
 from eventemb.checkpoint import load_checkpoint
-from eventemb.cli import _build_config, build_parser, main, parse_config_file
+from eventemb.cli import COMMANDS, _build_config, build_parser, main, parse_config_file
 from eventemb.data import DataError
 from eventemb.trainer import TrainingConfig
 
@@ -73,6 +78,94 @@ class TestUsageErrors:
             main(["train", "--corpus", "c", "--out", "o", flag, value])
         assert excinfo.value.code == 2
         assert f"argument {flag}: invalid" in capsys.readouterr().err
+
+
+FULL_USAGE = "usage: eventemb [-h] {train,eval-hard,eval-transitive,embed,nn} ...\n"
+
+
+def subparsers(parser):
+    """The registered subcommand parsers of an `eventemb` parser, by name."""
+    (action,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def exit_of(capsys, *argv):
+    """(exit code, stdout, stderr) of a main() call that ends in SystemExit."""
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as excinfo:
+        main(list(argv))
+    captured = capsys.readouterr()
+    return excinfo.value.code, captured.out, captured.err
+
+
+class TestCliSurface:
+    """Each call builds only its command's parser; what it prints is the
+    text of the full parser's."""
+
+    @pytest.fixture(autouse=True)
+    def fixed_width(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_command_help_matches_the_full_parser(self, capsys, command):
+        code, out, err = exit_of(capsys, command, "--help")
+        assert (code, err) == (0, "")
+        assert out == subparsers(build_parser())[command].format_help()
+
+    def test_top_level_help(self, capsys):
+        code, out, err = exit_of(capsys, "--help")
+        assert (code, err) == (0, "")
+        assert out == build_parser().format_help()
+        assert out.startswith(FULL_USAGE)
+        assert list(subparsers(build_parser())) == list(COMMANDS)
+        for command in COMMANDS:
+            assert f"\n    {command} " in out
+
+    def test_no_command(self, capsys):
+        assert exit_of(capsys) == (2, "", FULL_USAGE + (
+            "eventemb: error: the following arguments are required: command\n"))
+
+    def test_unknown_command_lists_every_command(self, capsys):
+        code, out, err = exit_of(capsys, "frobnicate")
+        assert (code, out) == (2, "")
+        assert err.startswith(FULL_USAGE + "eventemb: error: argument command: invalid choice: "
+                              "'frobnicate' (choose from ")
+        assert all(f"'{command}'" in err for command in COMMANDS)
+
+    def test_unrecognized_argument_prints_the_full_usage(self, capsys):
+        code, out, err = exit_of(capsys, "nn", "--checkpoint", "c", "--query", "a|b|c",
+                                 "--corpus", "c", "extra")
+        assert (code, out) == (2, "")
+        assert err == FULL_USAGE + "eventemb: error: unrecognized arguments: extra\n"
+
+    def test_sys_argv_is_read_when_argv_is_none(self):
+        path = os.pathsep.join(filter(None, (str(SRC_DIR), os.environ.get("PYTHONPATH"))))
+        run = subprocess.run([sys.executable, "-m", "eventemb.cli", "nn", "--help"],
+                             env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+                             text=True)
+        assert (run.returncode, run.stderr) == (0, "")
+        assert run.stdout == subparsers(build_parser())["nn"].format_help()
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_a_named_parser_registers_only_its_command(self, command):
+        assert set(subparsers(build_parser(command))) == {command}
+
+    @pytest.mark.parametrize("argv, built", [
+        *(((cmd, "--help"), cmd) for cmd in COMMANDS),
+        (("--help",), None), (("frobnicate",), None), (("-h", "nn"), None),
+    ])
+    def test_a_call_builds_only_its_command(self, monkeypatch, argv, built):
+        seen = []
+
+        def spy(command=None):
+            seen.append(command)
+            return build_parser(command)
+
+        monkeypatch.setattr(cli, "build_parser", spy)
+        with pytest.raises(SystemExit), contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            main(list(argv))
+        assert seen == [built]
 
 
 # a valid config whose every field differs from the default
@@ -177,6 +270,22 @@ class TestTrainCommand:
         )
         assert code == 1
         assert err.splitlines()[-1].startswith("error: Unable to allocate 8.00 PiB")
+
+    @pytest.mark.parametrize("field", ["d", "k", "n"])
+    def test_a_size_past_any_array_names_its_field(self, capsys, synthetic_dir, tmp_path, field):
+        sizes = {"d": "10", "k": "8", "n": "2", field: str(2**64)}
+        code, _, err = run(
+            capsys,
+            "train",
+            "--corpus", str(synthetic_dir / "corpus.txt"),
+            "--out", str(tmp_path / "run"),
+            *(arg for key, value in sizes.items() for arg in (f"--{key}", value)),
+        )
+        assert code in (1, 2)
+        assert "Traceback" not in err
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            f"error: {field}={2**64} exceeds the largest array size"
+        ]
 
     def test_preset_sets_loss_weights(self, capsys, synthetic_dir, tmp_path):
         code, _, _ = run(

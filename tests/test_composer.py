@@ -406,6 +406,20 @@ class TestMarginLoss:
             satisfied = g_e >= g_r + 1.0
             assert hinge_zero == satisfied
 
+    def test_regularizer_gradient_is_exact_in_a_small_peak(self):
+        # paper shape: the 690,300 layer entries would take 5.5 MB as one product
+        composer, _, _, rng = make_composer(seed=3, d=100, k=100, n=10)
+        composer.l2_grads[...] = rng.standard_normal(composer.l2_grads.size)
+        expected = composer.l2_grads + (2.0 * 0.01 * 0.5) * composer.l2_params
+        tracemalloc.start()
+        try:
+            composer.regularization_backward(0.01, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert np.array_equal(composer.l2_grads.view(np.uint64), expected.view(np.uint64))
+
     def test_margin_excludes_embeddings_and_u_from_regularizer(self):
         composer, _, store, _ = make_composer()
         zero_params(store)
