@@ -31,6 +31,7 @@ loaded model lives (see `load_checkpoint`).
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import math
 import mmap
@@ -85,11 +86,69 @@ def _vocab_tail(vocab: Vocabulary) -> bytes:
     return tail
 
 
-def _serialized_parts(ckpt: Checkpoint) -> list:
+# Table bytes per chunk whose CRC-32 a run keeps, rounded down to whole rows.
+CRC_CHUNK = 8192
+_UNIT = np.uint32(1) << np.arange(32, dtype=np.uint32)  # each bit of a CRC
+_BYTE_BITS = (np.arange(256, dtype=np.uint32)[:, None] >> np.arange(8, dtype=np.uint32)) & 1
+
+
+def _apply(t, crc):
+    """`crc`, an int or a uint32 array, through the map whose byte tables are `t`."""
+    return t[0][crc & 255] ^ t[1][crc >> 8 & 255] ^ t[2][crc >> 16 & 255] ^ t[3][crc >> 24]
+
+
+@functools.lru_cache(maxsize=1024)
+def _shift(n: int) -> tuple:
+    """Byte tables, as an array and as row views (faster on an int), of crc -> CRC-32 `crc`
+    advanced over n zero bytes, a GF(2)-linear map built by squaring the one-byte one:
+    zlib.crc32(a + b) == _apply(_shift(len(b))[1], zlib.crc32(a)) ^ zlib.crc32(b)."""
+    if n < 2:
+        cols = [zlib.crc32(bytes(n), int(bit) ^ 0xFFFFFFFF) ^ 0xFFFFFFFF for bit in _UNIT]
+    else:
+        cols = _apply(_shift(n // 2)[0], _apply(_shift(n // 2)[0], _UNIT))
+        cols = _apply(_shift(1)[0], cols) if n % 2 else cols
+    tables = np.bitwise_xor.reduce(_BYTE_BITS * np.reshape(cols, (4, 1, 8)).astype(np.uint32), 2)
+    return tables, [memoryview(row) for row in tables]
+
+
+class TableCRCs:
+    """The CRC-32 of each CRC_CHUNK bytes of whole rows (one row at least) of
+    a table, the last chunk perhaps shorter. A run keeps one across its
+    saves, so that a save re-reads only the chunks holding a row written
+    since the last; a new one, or one given another table shape, reads all."""
+
+    def __init__(self) -> None:
+        self.shape = self.crcs = None
+
+    def extend(self, crc: int, table: np.ndarray, changed=()) -> int:
+        """zlib.crc32(table, crc), given the ids of the rows changed since the last call."""
+        rows = max(1, CRC_CHUNK // (8 * table.shape[1]))
+        size, count, full = 8 * rows * table.shape[1], -(-len(table) // rows), len(table) // rows
+        dirty = np.full(count, self.shape != table.shape)
+        if self.shape != table.shape:  # crcs[0]: the bytes before the table, crcs[1 + i]: chunk i
+            self.shape, self.crcs = table.shape, np.zeros(1 + count, np.uint32)
+        dirty[np.concatenate([np.zeros(0, np.int64), *changed]) // rows] = True
+        dirty = dirty.nonzero()[0]
+        view = memoryview(table.reshape(-1).view(np.uint8))
+        parts = [zlib.crc32(view[i * size : (i + 1) * size]) for i in dirty.tolist()]
+        self.crcs[0], self.crcs[1:][dirty], tail = crc, parts, len(view) % size
+        # join pairs while many (a leading 0, an empty part, evens the count), then one by one
+        crcs = self.crcs[: 1 + full]
+        while len(crcs) > 32:
+            crcs = np.concatenate((np.zeros(len(crcs) % 2, np.uint32), crcs))
+            crcs, size = _apply(_shift(size)[0], crcs[0::2]) ^ crcs[1::2], 2 * size
+        crc, tables = 0, _shift(size)[1]
+        for part in crcs.tolist():
+            crc = _apply(tables, crc) ^ part
+        return _apply(_shift(tail)[1], crc) ^ int(self.crcs[-1]) if tail else crc
+
+
+def _serialized_parts(ckpt: Checkpoint, crcs: TableCRCs | None = None, changed=()) -> list:
     """Head and body as byte buffers; a C-ordered float64 array is a view, not a copy.
 
-    The body names no array, so the table and flat buffer must have the
-    shapes that the config and vocabulary fix; otherwise this raises ValueError.
+    The body CRC joins the header's CRC, the table's from `crcs` (new when None) and
+    the flat buffer's. The body names no array, so the table and flat buffer must have
+    the shapes that the config and vocabulary fix; otherwise this raises ValueError.
     """
     shapes = (np.shape(ckpt.table), np.shape(ckpt.flat))
     if shapes != (want := _shapes(len(ckpt.vocab), ckpt.config)):
@@ -105,24 +164,26 @@ def _serialized_parts(ckpt: Checkpoint) -> list:
     # a multiple of 8 bytes, so that a loaded array is an aligned view
     header += b" " * (-(HEAD.size + 4 + len(header)) % 8)
     parts = [struct.pack("<I", len(header)), header]
-    for arr in (ckpt.table, ckpt.flat):
-        parts.append(np.ascontiguousarray(arr, dtype="<f8").reshape(-1).view(np.uint8))
-    crc = 0
-    for part in parts:
-        crc = zlib.crc32(part, crc)
+    table, flat = (np.ascontiguousarray(arr, dtype="<f8") for arr in (ckpt.table, ckpt.flat))
+    parts += [table.reshape(-1).view(np.uint8), flat.view(np.uint8)]
+    crc = (crcs or TableCRCs()).extend(zlib.crc32(header, zlib.crc32(parts[0])), table, changed)
+    crc = zlib.crc32(parts[3], crc)
     head = HEAD.pack(MAGIC, VERSION, crc, sum(len(part) for part in parts))
     return [head, *parts]
 
 
-def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
-    """Atomic write: the file appears complete or not at all.
+def save_checkpoint(path: str, ckpt: Checkpoint, crcs: TableCRCs | None = None, changed=()):
+    """Write `ckpt` to `path`, atomically against a process that fails.
 
     The bytes go to `path + ".tmp"`, which is then renamed onto `path`,
     replacing a file already there. A write or rename that raises removes
     the temp file before the error propagates, so a full disk leaves no
-    partial file behind and an existing `path` keeps its bytes.
+    partial file behind and an existing `path` keeps its bytes. Nothing is
+    fsync'd: after a power loss `path` may be short or zero-filled, and the
+    reader's length and CRC checks reject it. A run passes its `TableCRCs`
+    and the ids of the table rows written since its last save.
     """
-    parts = _serialized_parts(ckpt)
+    parts = _serialized_parts(ckpt, crcs, changed)
     tmp = path + ".tmp"
     # opened outside the try: a temp file this call could not open is not its to remove
     fh = open(tmp, "wb")

@@ -105,7 +105,10 @@ def _load_model(path: str):
 def _cmd_eval(args: argparse.Namespace) -> int:
     model = _load_model(args.checkpoint)
     instances = args.load(args.data)
-    value = args.metric(instances, model.embed_events)
+    try:
+        value = args.metric(instances, model.embed_events)
+    except ValueError as exc:  # too few instances, or scores that give no value
+        raise DataError(args.data, 0, str(exc)) from exc
     print(f"{args.report}\t{args.data}\t{value:.6f}\t{len(instances)}")
     return 0
 

@@ -245,8 +245,9 @@ def _adagrad_update(theta, acc, g, lr: float, scale: float) -> bool:
     return True
 
 
-def adagrad_step(store: ParameterStore, learning_rate: float, scale: float) -> None:
+def adagrad_step(store: ParameterStore, learning_rate: float, scale: float) -> np.ndarray:
     """g *= scale; acc += g^2; theta -= lr * g / (sqrt(acc) + eps); gradients zeroed.
+    Returns the sorted ids of the table rows it updated.
 
     The rule is elementwise, so it runs as two updates: one over the store's
     flat buffers, which hold every array but the table, and one over the
@@ -262,6 +263,7 @@ def adagrad_step(store: ParameterStore, learning_rate: float, scale: float) -> N
     first touches it. A non-finite gradient raises naming the first
     parameter that holds one, found only then.
     """
+    rows = np.zeros(0, dtype=np.int64)
     if store.table_grads:
         table = store.params[TABLE]
         ids, values = (np.concatenate(part) for part in zip(*store.table_grads))
@@ -288,6 +290,7 @@ def adagrad_step(store: ParameterStore, learning_rate: float, scale: float) -> N
         name = next(n for n, a in store.grads.items() if not np.all(np.isfinite(a)))
         raise FloatingPointError(f"non-finite gradient in parameter '{name}'")
     g[...] = 0.0
+    return rows
 
 
 def sample_negative_intent(
@@ -400,6 +403,8 @@ class Run:
         re-run. Each save then renames onto a name that does not exist, which
         costs less than renaming over a file (README gives the ext4 timings).
         `save_checkpoint` itself still replaces an existing file atomically.
+        Each save gets the table rows its epoch's steps updated and the run's
+        `TableCRCs`, so its CRC re-reads only the table chunks holding them.
         """
         config, model, vocab, examples, intent_pool, rng = (
             self.config, self.model, self.model.vocab, self.examples, self.intent_pool, self.rng
@@ -414,10 +419,11 @@ class Run:
                 pass  # truncate any previous log
 
         history: list[EpochMetrics] = []
+        table_crcs = ckpt_io.TableCRCs()  # nothing else writes the table while this runs
         n_examples = len(examples)
         for epoch in range(1, config.epochs + 1):
             order = rng.permutation(n_examples)
-            sums = LossParts()
+            sums, changed = LossParts(), []  # changed: the table rows of each step
             for start in range(0, n_examples, config.batch_size):
                 batch = [examples[i] for i in order[start : start + config.batch_size]]
                 corrupted, negative_intents = [], []
@@ -430,7 +436,7 @@ class Run:
                         negative = sample_negative_intent(intent_pool, example.intent, rng)
                         negative_intents.append(negative)
                 sums += joint_loss(model, batch, corrupted, negative_intents, config)
-                adagrad_step(model.store, config.learning_rate, 1.0 / len(batch))
+                changed.append(adagrad_step(model.store, config.learning_rate, 1.0 / len(batch)))
 
             metrics = EpochMetrics(
                 epoch=epoch,
@@ -454,7 +460,7 @@ class Run:
                     epoch=epoch,
                 )
                 last = os.path.join(out_dir, f"epoch-{epoch:04d}.ckpt")
-                ckpt_io.save_checkpoint(last, snapshot)
+                ckpt_io.save_checkpoint(last, snapshot, table_crcs, changed)
 
         if out_dir is not None:
             # final.ckpt is a hard link to the last epoch's file, on a name the

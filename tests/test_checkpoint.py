@@ -22,10 +22,14 @@ from hypothesis import strategies as st
 
 from eventemb import checkpoint, cli
 from eventemb.checkpoint import (
+    CRC_CHUNK,
     MAGIC,
     VERSION,
     Checkpoint,
     CheckpointError,
+    TableCRCs,
+    _apply,
+    _shift,
     build_model,
     load_checkpoint,
     parse_checkpoint,
@@ -139,6 +143,65 @@ class TestStreamedSave:
             save_checkpoint(str(path), new)
         assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
         assert path.read_bytes() == checkpoint_bytes(old)
+
+
+def combined(crc_a, crc_b, len_b):
+    """zlib.crc32(a + b) from the CRCs of a and b, by the writer's shift tables."""
+    return _apply(_shift(len_b)[1], crc_a) ^ crc_b
+
+
+class TestChunkCRCs:
+    """The writer joins CRCs by zlib's crc32_combine rule and keeps one CRC
+    per chunk of table rows; both must equal zlib.crc32 of the whole bytes."""
+
+    @given(st.binary(max_size=300), st.binary(max_size=300), st.integers(0, 200_000))
+    def test_two_crcs_join_to_the_crc_of_both(self, a, b, zeros):
+        b += bytes(zeros)
+        assert combined(zlib.crc32(a), zlib.crc32(b), len(b)) == zlib.crc32(a + b)
+        # the array form of the tables maps many CRCs at once, as the int form does
+        crcs = np.array([zlib.crc32(a), zlib.crc32(b), 0, 0xFFFFFFFF], np.uint32)
+        assert _apply(_shift(len(b))[0], crcs).tolist() == [
+            _apply(_shift(len(b))[1], int(crc)) for crc in crcs]
+
+    @pytest.mark.parametrize("rows, d, steps", [
+        (1, 3, [[0]]),  # a 1-row table
+        (10, 4, [[0], [9, 3]]),  # a table smaller than one chunk
+        (1000, 100, [[0]]),  # the first row, in whole chunks only
+        (1001, 100, [[1000]]),  # the last, 1-row chunk
+        (1001, 100, [[]]),  # a step that changes no row
+        (1001, 100, []),  # a save after no step
+        (5000, 16, [[3, 4999], [64, 65, 4000], [3]]),
+    ])
+    def test_chunk_state_follows_named_row_edits(self, rows, d, steps):
+        table = np.random.default_rng(rows + d).standard_normal((rows, d))
+        crcs, before = TableCRCs(), zlib.crc32(b"header")
+        assert crcs.extend(before, table) == zlib.crc32(table, before)
+        changed = [np.array(ids, dtype=np.int64) for ids in steps]
+        for ids in changed:
+            table[ids] += 1.0
+        assert crcs.extend(before, table, changed) == zlib.crc32(table, before)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.integers(1, 700), st.integers(1, 40), st.binary(max_size=40))
+    def test_chunk_state_follows_random_row_edits(self, data, rows, d, prefix):
+        # up to 28 chunks (d = 40), or less than one (d = 1)
+        table = np.random.default_rng(rows * 41 + d).standard_normal((rows, d))
+        crcs, before = TableCRCs(), zlib.crc32(prefix)
+        assert crcs.extend(before, table) == zlib.crc32(table, before)
+        for _ in range(data.draw(st.integers(1, 3))):
+            steps = data.draw(st.lists(
+                st.lists(st.integers(0, rows - 1), unique=True).map(sorted), max_size=3))
+            changed = [np.array(ids, dtype=np.int64) for ids in steps]
+            for ids in changed:
+                table[ids] *= -0.5
+            assert crcs.extend(before, table, changed) == zlib.crc32(table, before)
+
+    def test_a_state_given_another_table_shape_reads_every_chunk(self):
+        crcs = TableCRCs()
+        crcs.extend(0, np.zeros((300, 100)))
+        table = np.ones((301, 100))
+        assert crcs.extend(0, table) == zlib.crc32(table)
+        assert len(crcs.crcs) == 1 + -(-301 // (CRC_CHUNK // 800))
 
 
 class TestWriterFollowsTheLayout:

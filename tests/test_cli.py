@@ -443,6 +443,31 @@ class TestEvalCommands:
         assert code == 1
         assert "empty instance list" in err
 
+    @pytest.mark.parametrize("command, lines", [
+        ("eval-hard", 0),
+        ("eval-transitive", 0),
+        ("eval-transitive", 2),  # spearman_rho needs 3 points
+        ("eval-transitive", -3),  # 3 pairs with one gold score: no rank variance
+    ])
+    def test_a_data_file_that_gives_no_value_is_named(
+        self, capsys, trained_dir, synthetic_dir, tmp_path, command, lines
+    ):
+        source = "hardsim.txt" if command == "eval-hard" else "transitive.txt"
+        records = [
+            line for line in (synthetic_dir / source).read_text().splitlines()
+            if line.strip() and not line.startswith("#")
+        ][: abs(lines)]
+        if lines < 0:
+            records = [line.rsplit("\t", 1)[0] + "\t4.0" for line in records]
+        data = tmp_path / "short.txt"
+        data.write_text("".join(line + "\n" for line in records))
+        code, out, err = run(
+            capsys, command, "--checkpoint", str(trained_dir / "final.ckpt"), "--data", str(data)
+        )
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {data}:0: ")
+
     def test_missing_checkpoint_is_runtime_error(self, capsys, synthetic_dir, tmp_path):
         code, _, err = run(
             capsys,

@@ -2,15 +2,17 @@ import dataclasses
 import errno
 import os
 import re
+import struct
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eventemb import trainer
-from eventemb.checkpoint import load_checkpoint
+from eventemb import checkpoint, trainer
+from eventemb.checkpoint import CRC_CHUNK, load_checkpoint
 from eventemb.cli import main
 from eventemb.composer import corrupt_event
 from eventemb.data import (
@@ -39,7 +41,8 @@ from eventemb.trainer import (
 )
 from conftest import coded, make_model, random_event, word_ids
 from oracles import (
-    dense_adagrad_step, dense_table_accums, intent_loss, margin_objective, record_table_grad,
+    checkpoint_bytes, dense_adagrad_step, dense_table_accums, intent_loss, margin_objective,
+    record_table_grad,
 )
 
 
@@ -228,6 +231,13 @@ class TestAdagrad:
         assert theta[0] == pytest.approx(-0.1 * 1.0 / (1.0 + 1e-8), abs=1e-15)
         assert store.accums["theta"][0] == 1.0
         assert store.grads["theta"][0] == 0.0  # zeroed after the step
+
+    def test_returns_the_sorted_ids_of_the_table_rows_it_updated(self):
+        store = ParameterStore({"theta": ((1,), 0.0)}, np.zeros(1), np.zeros((6, 2)))
+        store.table_grads += [(np.array([4, 1, 4]), np.ones((3, 2))), (np.array([2]), np.ones((1, 2)))]
+        assert adagrad_step(store, 0.1, 1.0).tolist() == [1, 2, 4]
+        rows = adagrad_step(store, 0.1, 1.0)  # no table gradient recorded
+        assert rows.dtype == np.int64 and rows.size == 0
 
     def test_zero_gradient_changes_nothing(self):
         store = ParameterStore({"theta": ((3,), 0.0)}, np.full(3, 2.5), np.zeros((1, 1)))
@@ -824,3 +834,76 @@ class TestTrainLoop:
         final = load_checkpoint(str(tmp_path / "final.ckpt"))
         assert final.epoch == cfg.epochs
         assert final.rng_state == run.rng.bit_generator.state
+
+
+def many_chunk_inputs(synthetic_dir):
+    """The synthetic data over a table of d = 10 that the run grows to 20,218
+    rows, 199 chunks: the unknown row and every other vectors-file word first,
+    then 20,000 filler words; the run appends the words left out as new rows.
+    So one epoch's rows, its events' words and its corrupted actors drawn
+    from the whole vocabulary, lie in a minority of the chunks."""
+    inputs = synthetic_inputs(synthetic_dir)
+    vocab, table = inputs["word_vectors"]
+    kept = [0, *range(1, len(vocab), 2)]
+    filler = [f"filler{i}" for i in range(20_000)]
+    rows = np.random.default_rng(0).uniform(-0.5, 0.5, (len(filler), table.shape[1]))
+    inputs["word_vectors"] = (
+        Vocabulary.from_entries([vocab.words[i] for i in kept] + filler),
+        np.vstack([table[kept], rows]),
+    )
+    return inputs
+
+
+class TestEpochSaves:
+    """An epoch save re-reads only the table chunks that its epoch's steps
+    changed, and writes the bytes a whole serialization gives."""
+
+    CONFIG = TrainingConfig(d=10, k=8, n=2, epochs=3, learning_rate=0.05, batch_size=10, seed=5)
+
+    def test_each_epoch_file_loads_and_equals_its_whole_serialization(
+        self, synthetic_dir, tmp_path
+    ):
+        train(self.CONFIG, out_dir=str(tmp_path), **many_chunk_inputs(synthetic_dir))
+        for epoch in range(1, self.CONFIG.epochs + 1):
+            path = tmp_path / f"epoch-{epoch:04d}.ckpt"
+            assert path.read_bytes() == checkpoint_bytes(load_checkpoint(str(path)))
+
+    def test_a_save_after_the_first_crcs_only_what_its_epoch_changed(
+        self, synthetic_dir, tmp_path, monkeypatch
+    ):
+        crc32, step, save = zlib.crc32, trainer.adagrad_step, checkpoint.save_checkpoint
+        read, steps, saves = [], [], []
+
+        def counting_crc32(data, value=0):
+            read.append(memoryview(data).nbytes)
+            return crc32(data, value)
+
+        def recording_step(*args):
+            steps.append(step(*args))
+            return steps[-1]
+
+        def recording_save(path, ckpt, *args):
+            read.clear()
+            save(path, ckpt, *args)
+            saves.append((sum(read), np.unique(np.concatenate(steps)), path, ckpt))
+            steps.clear()
+
+        monkeypatch.setattr(checkpoint.zlib, "crc32", counting_crc32)
+        monkeypatch.setattr(trainer, "adagrad_step", recording_step)
+        monkeypatch.setattr(checkpoint, "save_checkpoint", recording_save)
+        inputs = many_chunk_inputs(synthetic_dir)
+        train(self.CONFIG, out_dir=str(tmp_path), **inputs)
+        assert len(saves) == self.CONFIG.epochs
+        table_rows = CRC_CHUNK // (8 * self.CONFIG.d)
+        chunk_bytes = 8 * self.CONFIG.d * table_rows
+        for read_bytes, rows, path, ckpt in saves[1:]:
+            table, flat = ckpt.table, ckpt.flat
+            n_chunks = -(-len(table) // table_rows)
+            chunks = np.unique(rows // table_rows)
+            assert len(chunks) < n_chunks / 2  # the run leaves most chunks alone
+            assert rows.max() >= len(inputs["word_vectors"][0])  # new-word rows are trained
+            with open(path, "rb") as fh:
+                head = fh.read(checkpoint.HEAD.size + 4)
+            (header_len,) = struct.unpack_from("<I", head, checkpoint.HEAD.size)
+            changed = sum(min(chunk_bytes, table.nbytes - c * chunk_bytes) for c in chunks)
+            assert read_bytes <= 4 + header_len + changed + flat.nbytes
