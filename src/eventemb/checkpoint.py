@@ -36,9 +36,9 @@ import json
 import math
 import mmap
 import os
+import stat
 import struct
 import traceback
-import weakref
 import zlib
 from dataclasses import dataclass, fields
 
@@ -72,20 +72,6 @@ def _shapes(vocab_size: int, config) -> tuple:
     return (vocab_size, config.d), (flat_size(layout(config.d, config.k, config.n)),)
 
 
-# Each live Vocabulary's `,"vocab":[...]}`, encoded at its first save: a
-# vocabulary does not change once built, and every save of a run passes the
-# same one. Keys are compared by identity and drop out with their vocabulary.
-_VOCAB_TAILS: "weakref.WeakKeyDictionary[Vocabulary, bytes]" = weakref.WeakKeyDictionary()
-
-
-def _vocab_tail(vocab: Vocabulary) -> bytes:
-    tail = _VOCAB_TAILS.get(vocab)
-    if tail is None:
-        words = json.dumps(vocab.words, separators=(",", ":"))
-        tail = _VOCAB_TAILS[vocab] = f',"vocab":{words}}}'.encode("utf-8")
-    return tail
-
-
 # Table bytes per chunk whose CRC-32 a run keeps, rounded down to whole rows.
 CRC_CHUNK = 8192
 _UNIT = np.uint32(1) << np.arange(32, dtype=np.uint32)  # each bit of a CRC
@@ -111,14 +97,22 @@ def _shift(n: int) -> tuple:
     return tables, [memoryview(row) for row in tables]
 
 
-class TableCRCs:
-    """The CRC-32 of each CRC_CHUNK bytes of whole rows (one row at least) of
-    a table, the last chunk perhaps shorter. A run keeps one across its
-    saves, so that a save re-reads only the chunks holding a row written
-    since the last; a new one, or one given another table shape, reads all."""
+class SaveState:
+    """What a run's saves share: the `,"vocab":[...]}` that closes each header,
+    encoded again only for another `Vocabulary` object, and the CRC-32 of each
+    CRC_CHUNK bytes of whole rows (one row at least) of the table, the last chunk
+    perhaps shorter, so that a save re-reads only the chunks holding a row written
+    since the last. A new one, or one given another table shape, reads all."""
 
     def __init__(self) -> None:
-        self.shape = self.crcs = None
+        self.vocab = self.tail = self.shape = self.crcs = None
+
+    def vocab_tail(self, vocab: Vocabulary) -> bytes:
+        """`,"vocab":[...]}` of `vocab`: a vocabulary does not change once built."""
+        if vocab is not self.vocab:
+            words = json.dumps(vocab.words, separators=(",", ":"))
+            self.vocab, self.tail = vocab, f',"vocab":{words}}}'.encode("utf-8")
+        return self.tail
 
     def extend(self, crc: int, table: np.ndarray, changed=()) -> int:
         """zlib.crc32(table, crc), given the ids of the rows changed since the last call."""
@@ -143,36 +137,38 @@ class TableCRCs:
         return _apply(_shift(tail)[1], crc) ^ int(self.crcs[-1]) if tail else crc
 
 
-def _serialized_parts(ckpt: Checkpoint, crcs: TableCRCs | None = None, changed=()) -> list:
+def _serialized_parts(ckpt: Checkpoint, state: SaveState | None = None, changed=()) -> list:
     """Head and body as byte buffers; a C-ordered float64 array is a view, not a copy.
 
-    The body CRC joins the header's CRC, the table's from `crcs` (new when None) and
-    the flat buffer's. The body names no array, so the table and flat buffer must have
-    the shapes that the config and vocabulary fix; otherwise this raises ValueError.
+    `state` (new when None) encodes the header's vocabulary and gives the table's CRC,
+    which the body CRC joins to the header's and the flat buffer's. The body names no
+    array, so the table and flat buffer must have the shapes that the config and
+    vocabulary fix; otherwise this raises ValueError.
     """
     shapes = (np.shape(ckpt.table), np.shape(ckpt.flat))
     if shapes != (want := _shapes(len(ckpt.vocab), ckpt.config)):
         raise ValueError(f"table and flat buffer have shapes {shapes}, the header needs {want}")
     # the bytes of json.dumps(header, sort_keys=True, separators=(",", ":")):
-    # "vocab" sorts last, so its cached encoding closes the object
+    # "vocab" sorts last, so the state's encoding of it closes the object
+    state = SaveState() if state is None else state
     header = json.dumps(
         {"config": ckpt.config.to_dict(), "epoch": ckpt.epoch, "rng_state": ckpt.rng_state},
         sort_keys=True,
         separators=(",", ":"),
-    )[:-1].encode("utf-8") + _vocab_tail(ckpt.vocab)
+    )[:-1].encode("utf-8") + state.vocab_tail(ckpt.vocab)
     # spaces after the JSON, which the reader skips, start the array data at
     # a multiple of 8 bytes, so that a loaded array is an aligned view
     header += b" " * (-(HEAD.size + 4 + len(header)) % 8)
     parts = [struct.pack("<I", len(header)), header]
     table, flat = (np.ascontiguousarray(arr, dtype="<f8") for arr in (ckpt.table, ckpt.flat))
     parts += [table.reshape(-1).view(np.uint8), flat.view(np.uint8)]
-    crc = (crcs or TableCRCs()).extend(zlib.crc32(header, zlib.crc32(parts[0])), table, changed)
+    crc = state.extend(zlib.crc32(header, zlib.crc32(parts[0])), table, changed)
     crc = zlib.crc32(parts[3], crc)
     head = HEAD.pack(MAGIC, VERSION, crc, sum(len(part) for part in parts))
     return [head, *parts]
 
 
-def save_checkpoint(path: str, ckpt: Checkpoint, crcs: TableCRCs | None = None, changed=()):
+def save_checkpoint(path: str, ckpt: Checkpoint, state: SaveState | None = None, changed=()):
     """Write `ckpt` to `path`, atomically against a process that fails.
 
     The bytes go to `path + ".tmp"`, which is then renamed onto `path`,
@@ -180,10 +176,10 @@ def save_checkpoint(path: str, ckpt: Checkpoint, crcs: TableCRCs | None = None, 
     the temp file before the error propagates, so a full disk leaves no
     partial file behind and an existing `path` keeps its bytes. Nothing is
     fsync'd: after a power loss `path` may be short or zero-filled, and the
-    reader's length and CRC checks reject it. A run passes its `TableCRCs`
+    reader's length and CRC checks reject it. A run passes its `SaveState`
     and the ids of the table rows written since its last save.
     """
-    parts = _serialized_parts(ckpt, crcs, changed)
+    parts = _serialized_parts(ckpt, state, changed)
     tmp = path + ".tmp"
     # opened outside the try: a temp file this call could not open is not its to remove
     fh = open(tmp, "wb")
@@ -289,7 +285,7 @@ def parse_checkpoint(data, path: str = "<bytes>") -> Checkpoint:
 
 
 def load_checkpoint(path: str) -> Checkpoint:
-    """Map `path` copy-on-write and parse the mapping in place.
+    """Map `path`, which must be a regular file, copy-on-write and parse the mapping in place.
 
     The returned table and flat buffer are writable views of a private
     mapping (`mmap.ACCESS_COPY`) that nothing else holds, so `build_model`
@@ -313,6 +309,9 @@ def load_checkpoint(path: str) -> Checkpoint:
     file's mapping and descriptor are closed before its error is raised.
     """
     with open(path, "rb") as fh:
+        if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            reason = "not a regular file: a checkpoint is mapped, so it cannot come from a pipe"
+            raise CheckpointError(f"{path}: {reason}")
         try:
             data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
         except ValueError:  # mmap refuses an empty file

@@ -265,11 +265,11 @@ def _late_error(path: str, words: list[str], linenos: Sequence[int], table: np.n
 
 
 def _range_bounds(path: str) -> list[int | None]:
-    """[0, ..., None]: the offsets that split `path` into the byte ranges
-    `load_word_vectors` parses, each but the last ending just after a newline."""
+    """[0, ..., None]: the offsets that split `path` into the byte ranges `load_word_vectors`
+    parses, each but the last ending just after a newline; one range without `os.fork`."""
     size = os.path.getsize(path)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    count = min(cpus or 1, size // VECTOR_RANGE_MIN)
+    count = min(cpus or 1, size // VECTOR_RANGE_MIN) if hasattr(os, "fork") else 1
     bounds = [0]
     if count > 1:
         with open(path, "rb") as fh, mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as mm:

@@ -36,7 +36,7 @@ class ParameterStore:
     A model's parameters are the word table and `flat_params`, which holds
     the arrays of `layout` back to back in layout order (the checkpoint
     order); `flat_grads` and `flat_accums` mirror it. `params` names the
-    table and a view of each array's slice, `grads` and `accums` the slices
+    table and a view of each array's slice, `grads` the gradient slices
     alone. So one operation over a flat buffer covers every dense array.
 
     The table's gradient and accumulator cover only the rows training
@@ -66,11 +66,10 @@ class ParameterStore:
         self.params = {TABLE: np.require(table, dtype=np.float64, requirements=("C", "W"))}
         self.table_rows = np.zeros(0, dtype=np.int64)
         self.table_accums = np.zeros((0, self.params[TABLE].shape[1]))
-        self.grads, self.accums = {}, {}
+        self.grads = {}
         start = 0
         for name, (shape, _) in layout.items():
             stop = start + math.prod(shape)
             self.params[name] = self.flat_params[start:stop].reshape(shape)
             self.grads[name] = self.flat_grads[start:stop].reshape(shape)
-            self.accums[name] = self.flat_accums[start:stop].reshape(shape)
             start = stop

@@ -403,8 +403,9 @@ class Run:
         re-run. Each save then renames onto a name that does not exist, which
         costs less than renaming over a file (README gives the ext4 timings).
         `save_checkpoint` itself still replaces an existing file atomically.
-        Each save gets the table rows its epoch's steps updated and the run's
-        `TableCRCs`, so its CRC re-reads only the table chunks holding them.
+        Every save gets the run's one `SaveState`, so the vocabulary is encoded
+        once, and the table rows updated since the last save, so its CRC
+        re-reads only the table chunks holding them: none for `final.ckpt`.
         """
         config, model, vocab, examples, intent_pool, rng = (
             self.config, self.model, self.model.vocab, self.examples, self.intent_pool, self.rng
@@ -419,7 +420,7 @@ class Run:
                 pass  # truncate any previous log
 
         history: list[EpochMetrics] = []
-        table_crcs = ckpt_io.TableCRCs()  # nothing else writes the table while this runs
+        saves = ckpt_io.SaveState()  # nothing else writes the table while this runs
         n_examples = len(examples)
         for epoch in range(1, config.epochs + 1):
             order = rng.permutation(n_examples)
@@ -460,7 +461,7 @@ class Run:
                     epoch=epoch,
                 )
                 last = os.path.join(out_dir, f"epoch-{epoch:04d}.ckpt")
-                ckpt_io.save_checkpoint(last, snapshot, table_crcs, changed)
+                ckpt_io.save_checkpoint(last, snapshot, saves, changed)
 
         if out_dir is not None:
             # final.ckpt is a hard link to the last epoch's file, on a name the
@@ -469,7 +470,7 @@ class Run:
             try:
                 os.link(last, final)
             except OSError:
-                ckpt_io.save_checkpoint(final, snapshot)
+                ckpt_io.save_checkpoint(final, snapshot, saves)
         return history
 
 

@@ -294,6 +294,16 @@ def dense_table_accums(store):
     return acc
 
 
+def accum_slices(store):
+    """The Adagrad accumulator of each flat-buffer array, named and shaped as
+    `store.grads` names its gradient: views of `store.flat_accums`."""
+    slices, start = {}, 0
+    for name, grad in store.grads.items():
+        slices[name] = store.flat_accums[start : start + grad.size].reshape(grad.shape)
+        start += grad.size
+    return slices
+
+
 def record_table_grad(store, g):
     """Record a dense (|V|, d) table gradient as one contribution to every row."""
     store.table_grads.append((np.arange(len(g)), g))
@@ -305,7 +315,8 @@ def dense_adagrad_step(store, table_accums, learning_rate, scale, eps):
     accumulator `table_accums`, a dense (|V|, d) array the caller keeps."""
     arrays = {TABLE: (dense_table_grad(store), table_accums)}
     store.table_grads.clear()
-    arrays.update((name, (store.grads[name], store.accums[name])) for name in store.grads)
+    accums = accum_slices(store)
+    arrays.update((name, (store.grads[name], accums[name])) for name in store.grads)
     for name, (g, acc) in arrays.items():
         g *= scale
         if not np.all(np.isfinite(g)):

@@ -34,6 +34,7 @@ from eventemb.trainer import TrainingConfig, adagrad_step, joint_loss, train
 from conftest import SRC_DIR, coded, make_model, make_store, random_event, word_ids
 from gradcheck import grad_check
 from oracles import (
+    accum_slices,
     checkpoint_bytes,
     cosine,
     dense_compose,
@@ -251,10 +252,10 @@ class TestCriterion6AdagradHandTrace:
         theta = store.params["theta"]
         store.grads["theta"][...] = 3.0
         adagrad_step(store, 1.0, 1.0)
-        assert store.accums["theta"][0] == 9.0
+        assert accum_slices(store)["theta"][0] == 9.0
         store.grads["theta"][...] = 4.0
         adagrad_step(store, 1.0, 1.0)
-        assert store.accums["theta"][0] == 25.0
+        assert accum_slices(store)["theta"][0] == 25.0
         # -3/(3+1e-8) - 4/(5+1e-8): exact up to the specified epsilon guard
         assert abs(theta[0] - (-1.8)) < 1e-8
         report(6, "adagrad-hand-trace", f"delta {theta[0]:.12f} vs -1.8")

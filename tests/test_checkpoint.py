@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import errno
 import gc
@@ -27,7 +28,7 @@ from eventemb.checkpoint import (
     VERSION,
     Checkpoint,
     CheckpointError,
-    TableCRCs,
+    SaveState,
     _apply,
     _shift,
     build_model,
@@ -174,7 +175,7 @@ class TestChunkCRCs:
     ])
     def test_chunk_state_follows_named_row_edits(self, rows, d, steps):
         table = np.random.default_rng(rows + d).standard_normal((rows, d))
-        crcs, before = TableCRCs(), zlib.crc32(b"header")
+        crcs, before = SaveState(), zlib.crc32(b"header")
         assert crcs.extend(before, table) == zlib.crc32(table, before)
         changed = [np.array(ids, dtype=np.int64) for ids in steps]
         for ids in changed:
@@ -186,7 +187,7 @@ class TestChunkCRCs:
     def test_chunk_state_follows_random_row_edits(self, data, rows, d, prefix):
         # up to 28 chunks (d = 40), or less than one (d = 1)
         table = np.random.default_rng(rows * 41 + d).standard_normal((rows, d))
-        crcs, before = TableCRCs(), zlib.crc32(prefix)
+        crcs, before = SaveState(), zlib.crc32(prefix)
         assert crcs.extend(before, table) == zlib.crc32(table, before)
         for _ in range(data.draw(st.integers(1, 3))):
             steps = data.draw(st.lists(
@@ -197,7 +198,7 @@ class TestChunkCRCs:
             assert crcs.extend(before, table, changed) == zlib.crc32(table, before)
 
     def test_a_state_given_another_table_shape_reads_every_chunk(self):
-        crcs = TableCRCs()
+        crcs = SaveState()
         crcs.extend(0, np.zeros((300, 100)))
         table = np.ones((301, 100))
         assert crcs.extend(0, table) == zlib.crc32(table)
@@ -561,15 +562,21 @@ class TestHeaderEncoding:
         for c in (ckpt, later, ckpt):
             assert header_bytes(checkpoint_bytes(c)) == dumped_header(c)
 
-    def test_a_vocabulary_is_encoded_once(self, monkeypatch):
+    def test_a_vocabulary_is_encoded_once(self, tmp_path, monkeypatch):
         ckpt = with_vocab(make_checkpoint()[0], ESCAPED_WORDS)
         reads = []
         words = Vocabulary.words
         counted = property(lambda vocab: reads.append(vocab) or words.fget(vocab))
         monkeypatch.setattr(Vocabulary, "words", counted)
+        state, path = SaveState(), tmp_path / "m.ckpt"
+        saved = []
         for epoch in range(4):
-            checkpoint_bytes(dataclasses.replace(ckpt, epoch=epoch))
+            save_checkpoint(str(path), dataclasses.replace(ckpt, epoch=epoch), state)
+            saved.append(path.read_bytes())
         assert len(reads) == 1
+        # a save without a state shares nothing with another: each encodes afresh
+        assert [checkpoint_bytes(dataclasses.replace(ckpt, epoch=e)) for e in range(4)] == saved
+        assert len(reads) == 5
 
 
 class TestCraftedCheckpoints:
@@ -950,6 +957,35 @@ class TestMappedLoad:
         run = child(TRUNCATED, path)
         assert run.stdout == "loaded\n"
         assert run.returncode == -signal.SIGBUS
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
+    def test_a_pipe_is_named_as_not_a_regular_file(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        os.mkfifo(path)
+        data = checkpoint_bytes(make_checkpoint()[0])
+
+        def feed():
+            # the reader closes its end unread, which may cut the write short
+            with open(path, "wb", buffering=0) as fh, contextlib.suppress(BrokenPipeError):
+                fh.write(data)
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint(str(path))
+        writer.join(timeout=30)
+        assert not writer.is_alive()
+        assert str(info.value) == (
+            f"{path}: not a regular file: a checkpoint is mapped, so it cannot come from a pipe"
+        )
+
+    def test_a_device_is_named_as_not_a_regular_file(self, capsys):
+        argv = ["nn", "--checkpoint", os.devnull, "--query", "a|b|c", "--corpus", os.devnull]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: {os.devnull}: not a regular file: a checkpoint is mapped, "
+            "so it cannot come from a pipe\n"
+        )
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
     def test_a_loaded_model_holds_one_descriptor_until_dropped(self, tmp_path):

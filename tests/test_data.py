@@ -1018,6 +1018,16 @@ class TestWordVectorRanges:
         assert vocab.words == want_vocab.words
         assert np.array_equal(table.view(np.uint64), want_table.view(np.uint64))
 
+    def test_a_platform_without_fork_parses_in_one_range(self, tmp_path, monkeypatch):
+        path = write(tmp_path, "vec.txt", "".join(f"w{i} {i} 1\n" for i in range(40)))
+        want_vocab, want_table = load_word_vectors(path)
+        monkeypatch.delattr(os, "fork")
+        with split_into_ranges():
+            assert data_module._range_bounds(path) == [0, None]
+            vocab, table = load_word_vectors(path)
+        assert vocab.words == want_vocab.words
+        assert np.array_equal(table.view(np.uint64), want_table.view(np.uint64))
+
 
 TOKEN = st.text("abcdefghijklmnopqrstuvwxyz0123456789_'", min_size=1, max_size=5)
 ARGUMENT = st.lists(TOKEN, min_size=1, max_size=3).map(tuple)

@@ -41,8 +41,8 @@ from eventemb.trainer import (
 )
 from conftest import coded, make_model, random_event, word_ids
 from oracles import (
-    checkpoint_bytes, dense_adagrad_step, dense_table_accums, intent_loss, margin_objective,
-    record_table_grad,
+    accum_slices, checkpoint_bytes, dense_adagrad_step, dense_table_accums, intent_loss,
+    margin_objective, record_table_grad,
 )
 
 
@@ -229,7 +229,7 @@ class TestAdagrad:
         store.grads["theta"][...] = 1.0
         adagrad_step(store, 0.1, 1.0)
         assert theta[0] == pytest.approx(-0.1 * 1.0 / (1.0 + 1e-8), abs=1e-15)
-        assert store.accums["theta"][0] == 1.0
+        assert accum_slices(store)["theta"][0] == 1.0
         assert store.grads["theta"][0] == 0.0  # zeroed after the step
 
     def test_returns_the_sorted_ids_of_the_table_rows_it_updated(self):
@@ -244,7 +244,7 @@ class TestAdagrad:
         theta = store.params["theta"]
         adagrad_step(store, 0.1, 1.0)
         assert np.array_equal(theta, np.full(3, 2.5))
-        assert np.array_equal(store.accums["theta"], np.zeros(3))
+        assert np.array_equal(accum_slices(store)["theta"], np.zeros(3))
 
     def test_two_step_hand_trace(self):
         # g=3 then g=4 at lr=1: steps 3/sqrt(9) and 4/sqrt(25), total -1.8
@@ -252,10 +252,10 @@ class TestAdagrad:
         theta = store.params["theta"]
         store.grads["theta"][...] = 3.0
         adagrad_step(store, 1.0, 1.0)
-        assert store.accums["theta"][0] == 9.0
+        assert accum_slices(store)["theta"][0] == 9.0
         store.grads["theta"][...] = 4.0
         adagrad_step(store, 1.0, 1.0)
-        assert store.accums["theta"][0] == 25.0
+        assert accum_slices(store)["theta"][0] == 25.0
         assert abs(theta[0] - (-1.8)) < 1e-8  # exact up to the 1e-8 epsilon guard
 
     def test_nonfinite_gradient_names_parameter(self):
@@ -274,9 +274,12 @@ class TestAdagrad:
 
     @staticmethod
     def assert_bit_equal(sparse, dense, dense_accums, step):
-        for arrays in ("params", "accums", "grads"):
-            for name, got in getattr(sparse, arrays).items():
-                want = getattr(dense, arrays)[name]
+        def named(store):
+            return {"params": store.params, "accums": accum_slices(store), "grads": store.grads}
+
+        for arrays, got_arrays in named(sparse).items():
+            for name, got in got_arrays.items():
+                want = named(dense)[arrays][name]
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (
                     step, arrays, name
                 )
@@ -409,12 +412,12 @@ class TestAdagrad:
     def test_accumulators_never_decrease(self):
         store = ParameterStore({"theta": ((4,), 0.0)}, np.zeros(4), np.zeros((1, 1)))
         rng = np.random.default_rng(0)
-        previous = store.accums["theta"].copy()
+        previous = accum_slices(store)["theta"].copy()
         for _ in range(10):
             store.grads["theta"][...] = rng.standard_normal(4)
             adagrad_step(store, 0.01, 1.0)
-            assert np.all(store.accums["theta"] >= previous)
-            previous = store.accums["theta"].copy()
+            assert np.all(accum_slices(store)["theta"] >= previous)
+            previous = accum_slices(store)["theta"].copy()
 
 
 def address(array):
@@ -429,7 +432,7 @@ class TestFlatStore:
         for arrays, flat in (
             (store.params, store.flat_params),
             (store.grads, store.flat_grads),
-            (store.accums, store.flat_accums),
+            (accum_slices(store), store.flat_accums),
         ):
             offset = 0
             for name, (shape, _) in layout(6, 4, 2).items():
@@ -441,7 +444,7 @@ class TestFlatStore:
             assert offset == flat.size
             assert not np.shares_memory(store.params["embeddings"], flat)
         # the table's gradient and accumulator are not dense arrays
-        assert list(store.grads) == list(store.accums) == list(layout(6, 4, 2))
+        assert list(store.grads) == list(layout(6, 4, 2))
 
     def test_l2_slice_holds_exactly_the_fifteen_layer_arrays(self):
         composer = make_model(d=6, k=4, n=2)[0].composer
@@ -867,6 +870,41 @@ class TestEpochSaves:
         for epoch in range(1, self.CONFIG.epochs + 1):
             path = tmp_path / f"epoch-{epoch:04d}.ckpt"
             assert path.read_bytes() == checkpoint_bytes(load_checkpoint(str(path)))
+
+    def test_a_run_encodes_its_vocabulary_once_and_a_fallback_final_reads_no_chunk(
+        self, synthetic_dir, tmp_path, monkeypatch
+    ):
+        def refuse(src, dst):
+            raise OSError(errno.EPERM, "hard links not supported", dst)
+
+        crc32, save, words = zlib.crc32, checkpoint.save_checkpoint, Vocabulary.words
+        read, reads, saves = [], [], []
+
+        def counting_crc32(data, value=0):
+            read.append(memoryview(data).nbytes)
+            return crc32(data, value)
+
+        def recording_save(path, *args):
+            read.clear()
+            save(path, *args)
+            saves.append((os.path.basename(path), sum(read)))
+
+        run = Run(self.CONFIG, **many_chunk_inputs(synthetic_dir))
+        monkeypatch.setattr(os, "link", refuse)
+        monkeypatch.setattr(checkpoint.zlib, "crc32", counting_crc32)
+        monkeypatch.setattr(checkpoint, "save_checkpoint", recording_save)
+        monkeypatch.setattr(Vocabulary, "words", property(lambda v: reads.append(v) or words.fget(v)))
+        run.run_epochs(str(tmp_path))
+        assert [name for name, _ in saves] == [
+            "epoch-0001.ckpt", "epoch-0002.ckpt", "epoch-0003.ckpt", "final.ckpt"]
+        assert reads == [run.model.vocab]
+        final = tmp_path / "final.ckpt"
+        assert final.read_bytes() == (tmp_path / "epoch-0003.ckpt").read_bytes()
+        with open(final, "rb") as fh:
+            head = fh.read(checkpoint.HEAD.size + 4)
+        (header_len,) = struct.unpack_from("<I", head, checkpoint.HEAD.size)
+        # the length prefix, the header and the flat buffer: no table chunk
+        assert saves[-1][1] == 4 + header_len + run.model.store.flat_params.nbytes
 
     def test_a_save_after_the_first_crcs_only_what_its_epoch_changed(
         self, synthetic_dir, tmp_path, monkeypatch
