@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import math
+import mmap
 import os
 import signal
 import struct
@@ -18,12 +19,14 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from eventemb import checkpoint, cli
 from eventemb.checkpoint import (
     CRC_CHUNK,
+    CRC_FAST_MIN,
+    LOAD_BLOCK,
     MAGIC,
     VERSION,
     Checkpoint,
@@ -32,6 +35,7 @@ from eventemb.checkpoint import (
     _apply,
     _shift,
     build_model,
+    crc32,
     load_checkpoint,
     parse_checkpoint,
     save_checkpoint,
@@ -793,6 +797,212 @@ class TestCraftedCheckpoints:
         assert err.startswith("error: ") and "d=6.0" in err and "Traceback" not in err
 
 
+@pytest.fixture(scope="class")
+def zlib_crc():
+    """Force `checkpoint.crc32` onto zlib.crc32 for a test class, as on a system
+    without libdeflate."""
+    saved, checkpoint._LIBDEFLATE = checkpoint._LIBDEFLATE, None
+    yield
+    checkpoint._LIBDEFLATE = saved
+
+
+@pytest.fixture(scope="class", params=["libdeflate", "zlib"])
+def crc_backend(request):
+    """Run a test class on libdeflate's CRC-32 (skipped where the system lacks it),
+    then on zlib's."""
+    saved = checkpoint._LIBDEFLATE
+    if request.param == "libdeflate" and saved is None:
+        pytest.skip("the system has no libdeflate")
+    checkpoint._LIBDEFLATE = saved if request.param == "libdeflate" else None
+    yield request.param
+    checkpoint._LIBDEFLATE = saved
+
+
+def as_buffer(data, kind, stack):
+    """`data` as a buffer of another kind; a mapping is closed when `stack` is."""
+    if kind == "bytearray":
+        return bytearray(data)
+    if kind == "memoryview":  # a slice, one byte into its buffer
+        return memoryview(b"\0" + data)[1:]
+    if kind == "array":
+        return np.frombuffer(data, np.uint8)
+    if kind == "mapping":  # copy-on-write, as load_checkpoint maps a file
+        path = os.path.join(stack.enter_context(tempfile.TemporaryDirectory()), "data")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        with open(path, "rb") as fh:
+            return stack.enter_context(mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY))
+    return data
+
+
+KINDS = ["bytes", "bytearray", "memoryview", "array", "mapping"]
+
+
+@pytest.mark.usefixtures("crc_backend")
+class TestCRC32:
+    """`crc32` returns zlib.crc32's value on either backend, whatever the buffer."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.binary(max_size=600), st.integers(0, 2**32 - 1), st.sampled_from(KINDS))
+    def test_arbitrary_bytes_and_running_values(self, data, value, kind):
+        assume(data or kind != "mapping")  # an empty file cannot be mapped
+        with contextlib.ExitStack() as stack:
+            assert crc32(as_buffer(data, kind, stack), value) == zlib.crc32(data, value)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.one_of(st.integers(CRC_FAST_MIN - 64, CRC_FAST_MIN + 64),
+                  st.integers(1, 4 * CRC_FAST_MIN)),
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(KINDS),
+    )
+    def test_lengths_on_both_sides_of_the_floor(self, size, value, seed, kind):
+        data = np.random.default_rng(seed).bytes(size)
+        with contextlib.ExitStack() as stack:
+            assert crc32(as_buffer(data, kind, stack), value) == zlib.crc32(data, value)
+
+    def test_a_float_array_is_read_as_its_bytes(self):
+        values = np.random.default_rng(0).standard_normal((300, 7))
+        assert crc32(values, 7) == zlib.crc32(values.tobytes(), 7)
+
+
+def test_only_buffers_from_the_floor_go_to_libdeflate(monkeypatch):
+    calls = []
+    monkeypatch.setattr(checkpoint, "_LIBDEFLATE", lambda value, at, size: calls.append(size))
+    for size in (0, CRC_FAST_MIN - 1, CRC_FAST_MIN, 3 * CRC_FAST_MIN):
+        crc32(bytes(size))
+    assert calls == [CRC_FAST_MIN, 3 * CRC_FAST_MIN]
+
+
+def test_a_system_without_libdeflate_falls_back_to_zlib():
+    script = """
+import ctypes, zlib
+def refuse(name, *args, **kwargs):
+    raise OSError(f"{name}: cannot open shared object file")
+ctypes.CDLL = refuse
+from eventemb import checkpoint
+data = bytes(range(256)) * 1000
+assert checkpoint._LIBDEFLATE is None
+assert checkpoint.crc32(data, 5) == zlib.crc32(data, 5)
+print("zlib")
+"""
+    run = child(script)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "zlib\n"
+
+
+def block_checkpoint(seed=0):
+    """A checkpoint whose array bytes span three LOAD_BLOCKs and end in a partial
+    fourth; at d=40, k=32, n=4 the flat buffer alone is more than one block."""
+    d, k, n = 40, 32, 4
+    arrays = layout(d, k, n)
+    words = (7 * LOAD_BLOCK // 16 - flat_size(arrays)) // d  # 3.5 blocks of entries
+    rng = np.random.default_rng(seed)
+    vocab = Vocabulary().extended([f"w{i}" for i in range(1, words)])
+    table = rng.standard_normal((len(vocab), d))
+    flat = initial_flat(arrays, rng)
+    return Checkpoint(TrainingConfig(d=d, k=k, n=n), vocab, table, flat, {}, 1)
+
+
+BLOCKS = block_checkpoint()
+BLOCKS_BYTES = checkpoint_bytes(BLOCKS)
+ENTRIES = BLOCKS.table.size + BLOCKS.flat.size
+ARRAYS_AT = len(BLOCKS_BYTES) - 8 * ENTRIES  # the byte where the arrays start
+PER_BLOCK = LOAD_BLOCK // 8
+# the first and the last entry, and byte, of each block
+ENTRY_EDGES = sorted({i for at in range(0, ENTRIES, PER_BLOCK)
+                      for i in (at, min(at + PER_BLOCK, ENTRIES) - 1)})
+BYTE_EDGES = sorted({i for at in range(ARRAYS_AT, len(BLOCKS_BYTES), LOAD_BLOCK)
+                     for i in (at, min(at + LOAD_BLOCK, len(BLOCKS_BYTES)) - 1)})
+
+
+def blocks_with(values):
+    """BLOCKS with its arrays' entries replaced by `values`."""
+    split = BLOCKS.table.size
+    return dataclasses.replace(BLOCKS, table=values[:split].reshape(BLOCKS.table.shape),
+                               flat=values[split:])
+
+
+def holder(ckpt, entry):
+    """The name of the array that holds entry `entry` of a checkpoint's arrays."""
+    stop = ckpt.table.size
+    if entry < stop:
+        return TABLE
+    for name, (shape, _) in layout(ckpt.config.d, ckpt.config.k, ckpt.config.n).items():
+        stop += math.prod(shape)
+        if entry < stop:
+            return name
+
+
+class TestBlockEdges:
+    """The load reads each LOAD_BLOCK of the arrays once, for its CRC and its finite
+    sum; damage at either edge of any block is caught as it is anywhere else."""
+
+    def test_the_arrays_span_three_blocks_and_end_in_a_partial_one(self):
+        assert ENTRIES > 3 * PER_BLOCK and ENTRIES % PER_BLOCK
+        assert BLOCKS.flat.size > PER_BLOCK
+        assert checkpoint_bytes(parse_checkpoint(BLOCKS_BYTES)) == BLOCKS_BYTES
+
+    # the body's first byte and the header length's last (which place the arrays),
+    # the header's last byte, then the first and last byte of each block
+    @pytest.mark.parametrize("pos", [24, 27, ARRAYS_AT - 1, *BYTE_EDGES])
+    @pytest.mark.parametrize("xor", [0x01, 0x80])
+    def test_a_flip_at_a_block_edge_fails_the_checksum(self, pos, xor):
+        data = bytearray(BLOCKS_BYTES)
+        data[pos] ^= xor
+        with pytest.raises(CheckpointError, match="checksum mismatch"):
+            parse_checkpoint(data)
+
+    @pytest.mark.parametrize("entry", ENTRY_EDGES)
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_entry_at_a_block_edge_names_its_array(self, entry, value):
+        values = np.concatenate([BLOCKS.table.ravel(), BLOCKS.flat])
+        values[entry] = value
+        match = f"array '{holder(BLOCKS, entry)}' holds non-finite values$"
+        with pytest.raises(CheckpointError, match=match):
+            parse_checkpoint(checkpoint_bytes(blocks_with(values)))
+
+    def test_finite_entries_whose_block_sums_overflow_load_and_round_trip(self, tmp_path):
+        # two in three entries positive, all near the largest float
+        values = np.where(np.arange(ENTRIES) % 3, 1.7e308, -1.7e308)
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums = [np.add.reduce(values[at : at + PER_BLOCK])
+                    for at in range(0, ENTRIES, PER_BLOCK)]
+        assert not np.isfinite(sums).any()
+        blob = checkpoint_bytes(blocks_with(values))
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(blob)
+        for loaded in (parse_checkpoint(blob), load_checkpoint(str(path))):
+            assert checkpoint_bytes(loaded) == blob
+            assert np.array_equal(loaded.flat, values[BLOCKS.table.size :])
+
+
+# the round-trip, damage and finite-check tests again, with the CRC-32 on zlib; the
+# property tests of TestDamagedBytes and TestCraftedCheckpoints are not among them,
+# since hypothesis runs one @given test from one class only
+
+
+@pytest.mark.usefixtures("zlib_crc")
+class TestRoundTripOnZlib(TestRoundTrip):
+    pass
+
+
+@pytest.mark.usefixtures("zlib_crc")
+class TestStreamedSaveOnZlib(TestStreamedSave):
+    pass
+
+
+@pytest.mark.usefixtures("zlib_crc")
+class TestCorruptionDetectionOnZlib(TestCorruptionDetection):
+    pass
+
+
+@pytest.mark.usefixtures("zlib_crc")
+class TestBlockEdgesOnZlib(TestBlockEdges):
+    pass
+
+
 def large_table_checkpoint(seed=0):
     """A checkpoint whose table is most of its array bytes."""
     rng = np.random.default_rng(seed)
@@ -889,10 +1099,11 @@ class TestOwnership:
             assert checkpoint_bytes(parsed) == data
 
 
-def child(script, *args):
-    """Run `script` in a fresh interpreter that imports this checkout."""
+def child(script, *args, timeout=None):
+    """Run `script` in a fresh interpreter that imports this checkout; past `timeout`
+    seconds the child is killed and subprocess.TimeoutExpired raised."""
     path = os.pathsep.join(filter(None, (str(SRC_DIR), os.environ.get("PYTHONPATH"))))
-    return subprocess.run([sys.executable, "-c", script, *map(str, args)],
+    return subprocess.run([sys.executable, "-c", script, *map(str, args)], timeout=timeout,
                           env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True)
 
 
@@ -962,21 +1173,28 @@ class TestMappedLoad:
     def test_a_pipe_is_named_as_not_a_regular_file(self, tmp_path):
         path = tmp_path / "m.ckpt"
         os.mkfifo(path)
-        data = checkpoint_bytes(make_checkpoint()[0])
-
-        def feed():
-            # the reader closes its end unread, which may cut the write short
-            with open(path, "wb", buffering=0) as fh, contextlib.suppress(BrokenPipeError):
-                fh.write(data)
-
-        writer = threading.Thread(target=feed, daemon=True)
-        writer.start()
-        with pytest.raises(CheckpointError) as info:
-            load_checkpoint(str(path))
-        writer.join(timeout=30)
-        assert not writer.is_alive()
+        # a writer that holds the FIFO open, its bytes in the pipe: the reader no longer
+        # waits for a writer to open, so one is opened first (O_RDWR waits for no reader)
+        with open(os.open(path, os.O_RDWR), "wb", buffering=0) as writer:
+            writer.write(checkpoint_bytes(make_checkpoint()[0]))
+            with pytest.raises(CheckpointError) as info:
+                load_checkpoint(str(path))
         assert str(info.value) == (
             f"{path}: not a regular file: a checkpoint is mapped, so it cannot come from a pipe"
+        )
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
+    def test_a_pipe_with_no_writer_is_rejected_at_once(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        os.mkfifo(path)
+        script = "import sys; from eventemb import cli; sys.exit(cli.main(sys.argv[1:]))"
+        # a load that waited for a writer would never return
+        run = child(script, "nn", "--checkpoint", path, "--query", "a|b|c",
+                    "--corpus", SYNTHETIC_DIR / "corpus.txt", timeout=60)
+        assert run.returncode == 1
+        assert run.stderr == (
+            f"error: {path}: not a regular file: a checkpoint is mapped, "
+            "so it cannot come from a pipe\n"
         )
 
     def test_a_device_is_named_as_not_a_regular_file(self, capsys):

@@ -892,6 +892,7 @@ class TestEpochSaves:
         run = Run(self.CONFIG, **many_chunk_inputs(synthetic_dir))
         monkeypatch.setattr(os, "link", refuse)
         monkeypatch.setattr(checkpoint.zlib, "crc32", counting_crc32)
+        monkeypatch.setattr(checkpoint, "_LIBDEFLATE", None)  # so every CRC is counted
         monkeypatch.setattr(checkpoint, "save_checkpoint", recording_save)
         monkeypatch.setattr(Vocabulary, "words", property(lambda v: reads.append(v) or words.fget(v)))
         run.run_epochs(str(tmp_path))
@@ -927,6 +928,7 @@ class TestEpochSaves:
             steps.clear()
 
         monkeypatch.setattr(checkpoint.zlib, "crc32", counting_crc32)
+        monkeypatch.setattr(checkpoint, "_LIBDEFLATE", None)  # so every CRC is counted
         monkeypatch.setattr(trainer, "adagrad_step", recording_step)
         monkeypatch.setattr(checkpoint, "save_checkpoint", recording_save)
         inputs = many_chunk_inputs(synthetic_dir)
