@@ -25,8 +25,10 @@ _CONFIG_FIELDS = {
     f.name: str if type(f.default) is str else data_io.ascii_number(type(f.default))
     for f in dataclasses.fields(trainer.TrainingConfig)
 }
-# the commands, in the order `eventemb --help` lists them
-COMMANDS = ("train", "eval-hard", "eval-transitive", "embed", "nn")
+# each command's help line, in the order `eventemb --help` lists them
+COMMANDS = {"train": "train a model and write checkpoints", "eval-hard": "hard-similarity accuracy",
+            "eval-transitive": "transitive-similarity Spearman rho",
+            "embed": "print event embeddings", "nn": "nearest events by cosine similarity"}
 
 
 def parse_config_file(path: str) -> dict:
@@ -148,72 +150,73 @@ def positive_int(text: str) -> int:
     return value
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The `eventemb` parser with only `command`'s subparser, or with all five
-    when `command` is None; its usage lines list all five either way."""
+def _add_arguments(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
+    """`parser` with `command`'s arguments and defaults added: a subparser of
+    the full parser, or the command's own parser that `main` builds."""
+    if command == "train":
+        parser.add_argument("--corpus", required=True, help="event corpus file")
+        parser.add_argument("--out", required=True, help="output directory")
+        parser.add_argument("--annotations", help="intent/emotion annotation file")
+        parser.add_argument("--vectors", help="pretrained word-vector file")
+        parser.add_argument("--lexicon", help="sentiment lexicon TSV")
+        parser.add_argument("--config", help="key = value config file")
+        parser.add_argument("--preset", choices=sorted(trainer.PRESETS),
+                            help="loss-weight preset (overrides config file alpha/beta/gamma)")
+        for key, parse in _CONFIG_FIELDS.items():
+            parser.add_argument(
+                "--" + key.replace("_", "-"), dest=key, type=parse,
+                choices=trainer.CORRUPTION_TARGETS if key == "corruption_target" else None,
+                help=f"overrides config key {key}")
+        parser.set_defaults(func=_cmd_train)
+        return parser
+    parser.add_argument("--checkpoint", required=True)
+    if command == "embed":
+        parser.add_argument("--events", required=True)
+        parser.set_defaults(func=_cmd_embed)
+    elif command == "nn":
+        parser.add_argument("--query", required=True, help="event as actor|predicate|object")
+        parser.add_argument("--corpus", required=True)
+        parser.add_argument("--top", type=positive_int, default=10)
+        parser.set_defaults(func=_cmd_nn)
+    else:
+        # the loader and metric are looked up here, when `main` runs, so a
+        # function patched on its module after import is the one called
+        hard = command == "eval-hard"
+        parser.add_argument("--data", required=True)
+        parser.set_defaults(
+            func=_cmd_eval,
+            load=data_io.load_hardsim if hard else data_io.load_transitive,
+            metric=evaluate.hard_similarity_accuracy if hard else evaluate.evaluate_transitive,
+            report="hard_similarity_accuracy" if hard else "transitive_spearman_rho")
+    return parser
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full `eventemb` parser, with a subparser for each command. `main`
+    builds it only for top-level help, a missing or unknown command, or
+    arguments that the command's own parser leaves over."""
     parser = argparse.ArgumentParser(
         prog="eventemb",
         description="Train and evaluate commonsense-supervised event embeddings.",
     )
-    sub = parser.add_subparsers(
-        dest="command", required=True,
-        metavar=None if command is None else "{" + ",".join(COMMANDS) + "}")
-    if command in (None, "train"):
-        p_train = sub.add_parser("train", help="train a model and write checkpoints")
-        p_train.add_argument("--corpus", required=True, help="event corpus file")
-        p_train.add_argument("--out", required=True, help="output directory")
-        p_train.add_argument("--annotations", help="intent/emotion annotation file")
-        p_train.add_argument("--vectors", help="pretrained word-vector file")
-        p_train.add_argument("--lexicon", help="sentiment lexicon TSV")
-        p_train.add_argument("--config", help="key = value config file")
-        p_train.add_argument(
-            "--preset",
-            choices=sorted(trainer.PRESETS),
-            help="loss-weight preset (overrides config file alpha/beta/gamma)",
-        )
-        for key, parse in _CONFIG_FIELDS.items():
-            p_train.add_argument(
-                "--" + key.replace("_", "-"),
-                dest=key,
-                type=parse,
-                choices=trainer.CORRUPTION_TARGETS if key == "corruption_target" else None,
-                help=f"overrides config key {key}",
-            )
-        p_train.set_defaults(func=_cmd_train)
-
-    # the loader and metric are looked up here, when `main` runs, so a
-    # function patched on its module after import is the one called
-    for name, help_text, load, metric, report in (
-        ("eval-hard", "hard-similarity accuracy", data_io.load_hardsim,
-         evaluate.hard_similarity_accuracy, "hard_similarity_accuracy"),
-        ("eval-transitive", "transitive-similarity Spearman rho", data_io.load_transitive,
-         evaluate.evaluate_transitive, "transitive_spearman_rho"),
-    ):
-        if command in (None, name):
-            p_eval = sub.add_parser(name, help=help_text)
-            p_eval.add_argument("--checkpoint", required=True)
-            p_eval.add_argument("--data", required=True)
-            p_eval.set_defaults(func=_cmd_eval, load=load, metric=metric, report=report)
-
-    if command in (None, "embed"):
-        p_embed = sub.add_parser("embed", help="print event embeddings")
-        p_embed.add_argument("--checkpoint", required=True)
-        p_embed.add_argument("--events", required=True)
-        p_embed.set_defaults(func=_cmd_embed)
-
-    if command in (None, "nn"):
-        p_nn = sub.add_parser("nn", help="nearest events by cosine similarity")
-        p_nn.add_argument("--checkpoint", required=True)
-        p_nn.add_argument("--query", required=True, help="event as actor|predicate|object")
-        p_nn.add_argument("--corpus", required=True)
-        p_nn.add_argument("--top", type=positive_int, default=10)
-        p_nn.set_defaults(func=_cmd_nn)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, help_text in COMMANDS.items():
+        _add_arguments(sub.add_parser(command, help=help_text), command)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run `eventemb` on `argv` (the arguments after the program name) and
+    return the exit code. A call that names a command is parsed by that
+    command's own parser, which prints the full parser's texts; what it
+    leaves over is parsed again by the full parser, which reports it."""
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
+    extra = True
+    if argv and argv[0] in COMMANDS:
+        parser = _add_arguments(argparse.ArgumentParser(prog=f"eventemb {argv[0]}"), argv[0])
+        args, extra = parser.parse_known_args(argv[1:])
+    if extra:
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError, FloatingPointError, MemoryError) as exc:

@@ -9,6 +9,8 @@ loss against corrupted events.
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 from .data import EventTuple, Vocabulary
@@ -86,11 +88,12 @@ class LowRankLayer:
 
 
 def code_events(vocab: Vocabulary, events: list[EventTuple]) -> tuple[np.ndarray, np.ndarray]:
-    """The flat word ids of the 3B arguments of B events, actor, predicate and
-    object in turn, and the (3B,) argument sizes; an unknown word gets id 0."""
+    """The flat int64 word ids of the 3B arguments of B events, actor,
+    predicate and object in turn, and the (3B,) int64 argument sizes; an
+    unknown word gets id 0. Neither array takes a Python call per word."""
     args = [arg for e in events for arg in (e.actor, e.predicate, e.object)]
-    sizes = np.array([len(arg) for arg in args])
-    return np.array([vocab.index(w) for arg in args for w in arg]), sizes
+    sizes = np.fromiter(map(len, args), np.intp, len(args))
+    return vocab.indices(chain.from_iterable(args), int(sizes.sum())), sizes
 
 
 def argument_means(table: np.ndarray, ids: np.ndarray, sizes: np.ndarray) -> np.ndarray:

@@ -107,6 +107,12 @@ class Vocabulary:
     def index(self, word: str) -> int:
         return self._index.get(word, UNKNOWN_INDEX)
 
+    def indices(self, words: Iterable[str], count: int = -1) -> np.ndarray:
+        """The int64 ids of `words` in one array, as `index` gives them;
+        `count`, when given, is the number of words."""
+        ids = map(self._index.get, words, itertools.repeat(UNKNOWN_INDEX))
+        return np.fromiter(ids, np.intp, count)
+
     def __contains__(self, word: str) -> bool:
         return word in self._index
 
@@ -443,15 +449,18 @@ def derive_polarity(
 
 
 def parse_event(text: str, path: str = "<string>", lineno: int = 0) -> EventTuple:
-    parts = text.split("|")
+    """`actor|predicate|object` text as an EventTuple, each argument as
+    `tokenize` gives it: `|` is neither cased nor case-ignorable, so the line
+    is lowercased once, and no casing rule (final sigma's) sees across it."""
+    parts = text.lower().split("|")
     if len(parts) != 3:
         raise DataError(
             path, lineno, f"event needs 3 pipe-delimited arguments, got {len(parts)}"
         )
-    args = [tokenize(p) for p in parts]
-    for name, arg in zip(("actor", "predicate", "object"), args):
-        if not arg:
-            raise DataError(path, lineno, f"event has an empty {name}")
+    args = [tuple(p.split()) for p in parts]
+    if not all(args):
+        name = ("actor", "predicate", "object")[args.index(())]
+        raise DataError(path, lineno, f"event has an empty {name}")
     return EventTuple(*args)
 
 

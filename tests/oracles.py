@@ -9,7 +9,9 @@ objectives restate the paper's loss formulas that the joint loss must match.
 The dense Adagrad step and the per-direction encoder are the unpacked forms
 of the flat-buffer, touched-rows step and the stacked LSTM, which must equal
 them bit for bit; the dense table gradient and accumulator views unpack the
-store's row-sparse table state for them. The file writers at the end invert
+store's row-sparse table state for them. The per-argument event parser and
+the per-word coder are the forms that the line-at-once parser and the bulk
+vocabulary lookup replaced. The file writers at the end invert
 the loaders for round-trip tests, and `checkpoint_bytes` is the in-memory
 checkpoint format that tests compare the streamed save with.
 """
@@ -22,7 +24,7 @@ import numpy as np
 
 from eventemb.checkpoint import Checkpoint, _serialized_parts
 from eventemb.data import (
-    AnnotatedExample, EventTuple, HardSimInstance, TransitiveSimInstance, format_event,
+    AnnotatedExample, DataError, EventTuple, HardSimInstance, TransitiveSimInstance, format_event,
 )
 from eventemb.ops import sigmoid
 from eventemb.params import TABLE
@@ -476,6 +478,33 @@ def per_direction_encode_backward(encoder, dvec, cache):
                     encoder.embeddings[tokens[r, t]], hs[r, t], cs[r, t], gates[r, t], cs[r, t + 1],
                 )
         encoder.table_grads.append((tokens.reshape(-1), dx.reshape(-1, encoder.d)))
+
+
+# Per-word and per-argument text coding, which the line-at-once event parser
+# and the bulk word lookup must equal.
+
+
+def parse_event_per_argument(text: str, path: str = "<string>", lineno: int = 0) -> EventTuple:
+    """An event line split at `|` first, each argument then lowercased and
+    split on whitespace by itself."""
+    parts = text.split("|")
+    if len(parts) != 3:
+        raise DataError(
+            path, lineno, f"event needs 3 pipe-delimited arguments, got {len(parts)}"
+        )
+    args = [tuple(part.lower().split()) for part in parts]
+    for name, arg in zip(("actor", "predicate", "object"), args):
+        if not arg:
+            raise DataError(path, lineno, f"event has an empty {name}")
+    return EventTuple(*args)
+
+
+def code_events_per_word(vocab, events):
+    """`code_events` with one `vocab.index` call per word and one `len` per
+    argument, each list made an array by `np.array`."""
+    args = [arg for e in events for arg in (e.actor, e.predicate, e.object)]
+    sizes = np.array([len(arg) for arg in args])
+    return np.array([vocab.index(w) for arg in args for w in arg]), sizes
 
 
 # File writers: the inverses of the loaders, for round-trip tests.

@@ -89,11 +89,11 @@ def subparsers(parser):
     return action.choices
 
 
-def exit_of(capsys, *argv):
+def exit_of(capsys, *argv, call=main):
     """(exit code, stdout, stderr) of a main() call that ends in SystemExit."""
     capsys.readouterr()
     with pytest.raises(SystemExit) as excinfo:
-        main(list(argv))
+        call(list(argv))
     captured = capsys.readouterr()
     return excinfo.value.code, captured.out, captured.err
 
@@ -146,26 +146,51 @@ class TestCliSurface:
         assert (run.returncode, run.stderr) == (0, "")
         assert run.stdout == subparsers(build_parser())["nn"].format_help()
 
-    @pytest.mark.parametrize("command", COMMANDS)
-    def test_a_named_parser_registers_only_its_command(self, command):
-        assert set(subparsers(build_parser(command))) == {command}
-
-    @pytest.mark.parametrize("argv, built", [
-        *(((cmd, "--help"), cmd) for cmd in COMMANDS),
-        (("--help",), None), (("frobnicate",), None), (("-h", "nn"), None),
+    @pytest.mark.parametrize("argv, builds", [
+        *(((cmd, "--help"), 0) for cmd in COMMANDS),
+        (("train", "--corpus", "{data}/corpus.txt", "--out", "{out}", "--d", "4", "--k", "2",
+          "--n", "1", "--epochs", "1", "--batch-size", "30"), 0),
+        (("eval-hard", "--checkpoint", "{ckpt}", "--data", "{data}/hardsim.txt"), 0),
+        (("eval-transitive", "--checkpoint", "{ckpt}", "--data", "{data}/transitive.txt"), 0),
+        (("embed", "--checkpoint", "{ckpt}", "--events", "{data}/corpus.txt"), 0),
+        (("nn", "--checkpoint", "{ckpt}", "--query", "person_x|threw|bomb",
+          "--corpus", "{data}/corpus.txt"), 0),
+        (("--help",), 1), ((), 1), (("frobnicate",), 1), (("-h", "nn"), 1),
+        (("nn", "--checkpoint", "c", "--query", "a|b|c", "--corpus", "c", "extra"), 1),
     ])
-    def test_a_call_builds_only_its_command(self, monkeypatch, argv, built):
-        seen = []
+    def test_a_call_builds_only_its_command(self, monkeypatch, trained_dir, synthetic_dir,
+                                            tmp_path, argv, builds):
+        """A call that names a command and that its parser parses whole builds
+        no full parser; any other call builds it once."""
+        calls = []
 
-        def spy(command=None):
-            seen.append(command)
-            return build_parser(command)
+        def spy():
+            calls.append(None)
+            return build_parser()
 
         monkeypatch.setattr(cli, "build_parser", spy)
-        with pytest.raises(SystemExit), contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(io.StringIO()):
-            main(list(argv))
-        assert seen == [built]
+        paths = {"ckpt": trained_dir / "final.ckpt", "data": synthetic_dir, "out": tmp_path}
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main([arg.format(**paths) for arg in argv])
+            except SystemExit as exc:
+                code = exc.code
+        assert len(calls) == builds
+        assert builds or code == 0
+
+    @pytest.mark.parametrize("argv", [
+        *((command,) for command in COMMANDS),
+        ("nn", "--checkpoint", "c", "--corpus", "c"),
+        ("nn", "--c", "x"),
+        ("nn", "--checkpoint", "c", "--query", "a|b|c", "--corpus", "c", "--top", "0"),
+        ("eval-hard", "--data"),
+        ("train", "--corpus", "c", "--out", "o", "--preset", "bogus"),
+        ("train", "--corpus", "c", "--out", "o", "--k", "1.5"),
+    ], ids=" ".join)
+    def test_a_command_parser_error_is_the_full_parsers(self, capsys, argv):
+        expected = exit_of(capsys, *argv, call=lambda argv: build_parser().parse_args(argv))
+        assert expected[0] == 2 and expected[2].startswith(f"usage: eventemb {argv[0]} ")
+        assert exit_of(capsys, *argv) == expected
 
 
 # a valid config whose every field differs from the default

@@ -13,14 +13,15 @@ from eventemb.composer import (
     code_events,
     corrupt_event,
 )
-from eventemb.data import EventTuple, Vocabulary
+from eventemb.data import EventTuple, Vocabulary, load_corpus, load_word_vectors
 from eventemb.model import EMBED_BLOCK
 from eventemb.trainer import TrainingConfig, joint_loss
-from conftest import WORDS, coded, decode, make_model, make_store, random_event
+from conftest import SYNTHETIC_DIR, WORDS, coded, decode, make_model, make_store, random_event
 from gradcheck import grad_check, random_projection
 from oracles import (
     average_argument,
     bilinear_lowrank,
+    code_events_per_word,
     dense_compose,
     dense_slice_matrix,
     dense_table_grad,
@@ -210,6 +211,29 @@ def coded_arguments(draw, max_words):
     n_ids = int(sizes.sum())
     ids = np.array(draw(st.lists(st.integers(0, n_rows - 1), min_size=n_ids, max_size=n_ids)))
     return table, ids, sizes
+
+
+# 1-3 words, some outside the 10-word vocabulary the tests below use
+ARGUMENT = st.lists(st.sampled_from(WORDS), min_size=1, max_size=3).map(tuple)
+
+
+class TestCodeEvents:
+    def test_the_bundled_corpus_codes_as_one_lookup_per_word(self):
+        # half the vectors' vocabulary, so that some corpus words code as 0
+        vocab, _ = load_word_vectors(str(SYNTHETIC_DIR / "vectors.txt"))
+        vocab = Vocabulary.from_entries(vocab.words[: len(vocab) // 2])
+        events = load_corpus(str(SYNTHETIC_DIR / "corpus.txt"))
+        assert any(w not in vocab for e in events for w in e.words())
+        for got, expected in zip(code_events(vocab, events), code_events_per_word(vocab, events)):
+            assert got.dtype == expected.dtype == np.int64
+            assert np.array_equal(got, expected)
+
+    @given(st.lists(st.builds(EventTuple, ARGUMENT, ARGUMENT, ARGUMENT), min_size=1, max_size=6))
+    def test_random_events_code_as_one_lookup_per_word(self, events):
+        vocab = Vocabulary().extended(WORDS[:10])
+        for got, expected in zip(code_events(vocab, events), code_events_per_word(vocab, events)):
+            assert got.dtype == expected.dtype
+            assert np.array_equal(got, expected)
 
 
 class TestArgumentMeans:

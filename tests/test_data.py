@@ -42,6 +42,7 @@ from oracles import (
     average_argument,
     format_annotation,
     load_word_vectors_by_line,
+    parse_event_per_argument,
     polarity_by_counting,
     save_annotations,
     save_corpus,
@@ -332,6 +333,27 @@ class TestEventParsing:
         with pytest.raises(DataError, match="empty predicate"):
             parse_event("a||c", "f.txt", 2)
 
+    # `|`, whitespace that `str.split` splits on (tab, the em space) and
+    # letters whose lowercase depends on context or grows: a final sigma,
+    # dotted capital I (two code points), sharp s, a combining accent and
+    # apostrophes, which are case-ignorable
+    @settings(max_examples=500, deadline=None)
+    @given(st.text(alphabet="ab AΣσİßI|\t\u2003\u0301'\u2019", max_size=24))
+    def test_equals_splitting_each_argument_on_its_own(self, text):
+        try:
+            expected = parse_event_per_argument(text, "f.txt", 7)
+        except DataError as exc:
+            with pytest.raises(DataError) as excinfo:
+                parse_event(text, "f.txt", 7)
+            assert str(excinfo.value) == str(exc)
+        else:
+            assert parse_event(text, "f.txt", 7) == expected
+
+    def test_a_final_sigma_ends_its_argument(self):
+        # ς (U+03C2) ends a word, σ (U+03C3) starts or stands alone
+        assert parse_event("ΟΔΟΣ|ΣΑΣ|ΑΣ Σ") == EventTuple(
+            ("οδο\u03c2",), ("\u03c3α\u03c2",), ("α\u03c2", "\u03c3"))
+
 
 class TestCorpusRoundTrip:
     def test_round_trip(self, tmp_path):
@@ -508,6 +530,19 @@ class TestVocabulary:
         assert vocab.words == ["<unk>", "a", "b"]
         assert "c" not in vocab and vocab.index("d") == 0
         assert bigger.words == ["<unk>", "a", "b", "c", "d"]
+
+    @given(st.lists(st.sampled_from(["<unk>", "a", "b", "c", "A", "a ", ""])
+                    | st.text(max_size=3)))
+    def test_bulk_lookup_equals_one_lookup_per_word(self, words):
+        vocab = Vocabulary().extended(["a", "b", "c", ""])
+        for count in (-1, len(words)):
+            ids = vocab.indices(iter(words), count)
+            assert ids.dtype == np.int64
+            assert ids.tolist() == [vocab.index(w) for w in words]
+
+    def test_bulk_lookup_of_nothing_is_an_empty_int64_array(self):
+        ids = Vocabulary().extended(["a"]).indices([])
+        assert ids.dtype == np.int64 and ids.shape == (0,)
 
     def test_covers_all_training_tokens(self, synthetic_dir):
         # vocabulary built from corpus + annotations + vectors leaves no
